@@ -28,6 +28,7 @@ from .implicit import (
     ImplicitContractionError,
     implicit_enclose,
     implicit_first,
+    implicit_jet,
     implicit_mixed_second,
 )
 from .flow import (

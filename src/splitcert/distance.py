@@ -7,11 +7,14 @@ difference of the two graphs,
 
     y(eps, x) = pi_y w_unstable(eps, u(eps, x)) - pi_y w_stable(eps, s(eps, x)),
 
-as an order-2 jet in (eps, x).  Three scenarios are covered: stable and
-unstable manifolds of a fixed point with equal dimensions, center-stable /
-center-unstable manifolds on a fixed center section z = z*, and the
-unequal-dimension case where the smaller manifold's extra coordinates are
-fed through the larger one.
+as an order-2 jet in (eps, x).  One builder covers every scenario: both
+manifolds are graphs over (x, z) with the center coordinates z pinned to a
+section z = z*, and when the unstable manifold is the smaller one its
+feed-through coordinates v(eps, x) enter the stable graph over (x, v, z).
+Three entry points name the scenarios: stable and unstable manifolds of a
+fixed point with equal dimensions (no v, no z), center-stable /
+center-unstable manifolds on a center section (no v), and the
+unequal-dimension case.
 
 The zero set of y locates manifold intersections; its jets feed the
 degree-based splitting certificates.
@@ -27,14 +30,8 @@ import numpy as np
 from . import kernels as ku
 from .intervals import Interval, IntervalBox, IntervalError
 from .jets import Jet2Enclosure, jet2_compose, jet2_stack
-from .matrices import IntervalMatrix, imatsolve, sigma_min_lb
-from .implicit import (
-    GOracle,
-    ImplicitContractionError,
-    implicit_enclose,
-    implicit_first,
-    implicit_mixed_second,
-)
+from .matrices import IntervalMatrix, sigma_min_lb
+from .implicit import GOracle, ImplicitContractionError, implicit_enclose, implicit_jet
 
 
 class ConditionError(IntervalError):
@@ -94,82 +91,6 @@ class DistanceOracle:
 
 
 # ---------------------------------------------------------------------------
-# implicit second derivatives beyond the mixed block (needed to fill jets)
-
-def _kappa_cols(jet: Jet2Enclosure, g: GOracle):
-    return list(range(1 + g.kx, 1 + g.kx + g.kk))
-
-
-def _second_xx(g: GOracle, x_box, k_box, d_x: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Enclosure of d2 kappa / dx dx, shape (kk, kx, kx)."""
-    jet = g.jet(x_box, k_box)
-    kk, kx = g.kk, g.kx
-    kc = _kappa_cols(jet, g)
-    xc = g.x_cols()
-    a = IntervalMatrix(jet.d1.lo[:, kc], jet.d1.hi[:, kc])
-    rhs_lo = np.zeros((kk, kx * kx))
-    rhs_hi = np.zeros((kk, kx * kx))
-    for i in range(kk):
-        for p in range(kx):
-            for q in range(kx):
-                acc = Interval(jet.d2lo[i, xc[p], xc[q]], jet.d2hi[i, xc[p], xc[q]])
-                for c in range(kk):
-                    acc = acc + Interval(jet.d2lo[i, xc[p], kc[c]], jet.d2hi[i, xc[p], kc[c]]) * d_x[c, q]
-                    acc = acc + Interval(jet.d2lo[i, kc[c], xc[q]], jet.d2hi[i, kc[c], xc[q]]) * d_x[c, p]
-                    for cp in range(kk):
-                        acc = acc + (Interval(jet.d2lo[i, kc[c], kc[cp]], jet.d2hi[i, kc[c], kc[cp]])
-                                     * d_x[c, p] * d_x[cp, q])
-                rhs_lo[i, p * kx + q] = acc.lo
-                rhs_hi[i, p * kx + q] = acc.hi
-    sol = -imatsolve(a, IntervalMatrix(rhs_lo, rhs_hi))
-    return sol.lo.reshape(kk, kx, kx), sol.hi.reshape(kk, kx, kx)
-
-
-def _second_ee(g: GOracle, x_box, k_box, d_eps: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Enclosure of d2 kappa / deps^2, shape (kk,)."""
-    jet = g.jet(x_box, k_box)
-    kk = g.kk
-    kc = _kappa_cols(jet, g)
-    a = IntervalMatrix(jet.d1.lo[:, kc], jet.d1.hi[:, kc])
-    rhs_lo = np.zeros((kk, 1))
-    rhs_hi = np.zeros((kk, 1))
-    for i in range(kk):
-        acc = Interval(jet.d2lo[i, 0, 0], jet.d2hi[i, 0, 0])
-        for c in range(kk):
-            acc = acc + Interval(jet.d2lo[i, 0, kc[c]], jet.d2hi[i, 0, kc[c]]) * d_eps[c, 0] * 2.0
-            for cp in range(kk):
-                acc = acc + (Interval(jet.d2lo[i, kc[c], kc[cp]], jet.d2hi[i, kc[c], kc[cp]])
-                             * d_eps[c, 0] * d_eps[cp, 0])
-        rhs_lo[i, 0] = acc.lo
-        rhs_hi[i, 0] = acc.hi
-    sol = -imatsolve(a, IntervalMatrix(rhs_lo, rhs_hi))
-    return sol.lo[:, 0], sol.hi[:, 0]
-
-
-def _implicit_jet(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, simplify: bool) -> Jet2Enclosure:
-    """Full order-2 jet of the implicit function kappa over (eps, x)."""
-    d_eps, d_x = implicit_first(g, x_box, k_box)
-    mixed = implicit_mixed_second(g, x_box, k_box, (d_eps, d_x), simplify=simplify)
-    xx_lo, xx_hi = _second_xx(g, x_box, k_box, d_x)
-    ee_lo, ee_hi = _second_ee(g, x_box, k_box, d_eps)
-    kk, kx = g.kk, g.kx
-    d1lo = np.hstack([d_eps.lo, d_x.lo])
-    d1hi = np.hstack([d_eps.hi, d_x.hi])
-    nv = 1 + kx
-    d2lo = np.zeros((kk, nv, nv))
-    d2hi = np.zeros((kk, nv, nv))
-    d2lo[:, 0, 0] = ee_lo
-    d2hi[:, 0, 0] = ee_hi
-    d2lo[:, 0, 1:] = mixed.lo
-    d2hi[:, 0, 1:] = mixed.hi
-    d2lo[:, 1:, 0] = mixed.lo
-    d2hi[:, 1:, 0] = mixed.hi
-    d2lo[:, 1:, 1:] = xx_lo
-    d2hi[:, 1:, 1:] = xx_hi
-    return Jet2Enclosure(k_box, IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
-
-
-# ---------------------------------------------------------------------------
 # graph side: solve pi_base(w(eps, kappa)) = base for kappa(eps, base)
 
 class _CachedJet:
@@ -215,24 +136,28 @@ def _graph_goracle(w_jet: _CachedJet, base_idx: Sequence[int], kx: int) -> GOrac
     return GOracle(kx=kx, kk=kk, jet=gjet)
 
 
-def _nonrigorous_root(w: ManifoldOracle, w_jet: _CachedJet, base_idx, eps_mid: float,
+def _float_jacobian(w: ManifoldOracle, w_jet: _CachedJet, base_idx: list[int], eps_mid: float,
+                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonrigorous value and Jacobian of pi_base w(eps_mid, .) at u."""
+    if w.approx is None:
+        jw = w_jet(Interval.point(eps_mid), IntervalBox.point(u)).project(base_idx)
+        return jw.value.mid(), 0.5 * (jw.d1.lo[:, 1:] + jw.d1.hi[:, 1:])
+    h = 1e-7 * max(1.0, float(np.max(np.abs(u))))
+    jac = np.zeros((len(base_idx), len(u)))
+    for j in range(len(u)):
+        du = np.zeros_like(u)
+        du[j] = h
+        jac[:, j] = (np.asarray(w.approx(eps_mid, u + du))[base_idx]
+                     - np.asarray(w.approx(eps_mid, u - du))[base_idx]) / (2 * h)
+    return np.asarray(w.approx(eps_mid, u))[base_idx], jac
+
+
+def _nonrigorous_root(w: ManifoldOracle, w_jet: _CachedJet, base_idx: list[int], eps_mid: float,
                       x_target: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Float Newton for pi_base w(eps, u) = x_target from the given guess."""
     u = np.array(guess, dtype=float)
     for _ in range(60):
-        if w.approx is not None:
-            val = w.approx(eps_mid, u)[list(base_idx)]
-            h = 1e-7 * max(1.0, float(np.max(np.abs(u))))
-            jac = np.zeros((len(base_idx), len(u)))
-            for j in range(len(u)):
-                du = np.zeros_like(u)
-                du[j] = h
-                jac[:, j] = (w.approx(eps_mid, u + du)[list(base_idx)]
-                             - w.approx(eps_mid, u - du)[list(base_idx)]) / (2 * h)
-        else:
-            jw = w_jet(Interval.point(eps_mid), IntervalBox.point(u)).project(list(base_idx))
-            val = jw.value.mid()
-            jac = 0.5 * (jw.d1.lo[:, 1:] + jw.d1.hi[:, 1:])
+        val, jac = _float_jacobian(w, w_jet, base_idx, eps_mid, u)
         step = np.linalg.solve(jac, val - x_target)
         u = u - step
         if np.max(np.abs(step)) < 1e-15 * max(1.0, float(np.max(np.abs(u)))):
@@ -247,10 +172,9 @@ def _solve_graph_side(
     eps_box: Interval,
     x_box: IntervalBox,
     guess: np.ndarray,
-    simplify: bool,
     inflate: float = 3.0,
     attempts: int = 4,
-) -> tuple[Jet2Enclosure, IntervalBox, dict]:
+) -> tuple[Jet2Enclosure, dict]:
     """Verify the reparameterization kappa and return its jet over (eps, x)."""
     base_idx = list(base_idx)
     kx = x_box.dim
@@ -259,17 +183,7 @@ def _solve_graph_side(
                         np.concatenate([[eps_box.hi], x_box.hi]))
     u0 = _nonrigorous_root(w, w_jet, base_idx, eps_box.mid, x_box.mid(), guess)
     # candidate radius from the nonrigorous slope and the box extent
-    if w.approx is not None:
-        h = 1e-7 * max(1.0, float(np.max(np.abs(u0))))
-        jac = np.zeros((len(base_idx), len(u0)))
-        for j in range(len(u0)):
-            du = np.zeros_like(u0)
-            du[j] = h
-            jac[:, j] = (np.asarray(w.approx(eps_box.mid, u0 + du))[base_idx]
-                         - np.asarray(w.approx(eps_box.mid, u0 - du))[base_idx]) / (2 * h)
-    else:
-        jw = w_jet(Interval.point(eps_box.mid), IntervalBox.point(u0)).project(base_idx)
-        jac = 0.5 * (jw.d1.lo[:, 1:] + jw.d1.hi[:, 1:])
+    _, jac = _float_jacobian(w, w_jet, base_idx, eps_box.mid, u0)
     try:
         inv_norm = np.linalg.norm(np.linalg.inv(jac), 2)
     except np.linalg.LinAlgError as exc:
@@ -290,12 +204,12 @@ def _solve_graph_side(
             rad *= inflate
             continue
         k_ref = enc.image
-        cond = sigma_min_lb(IntervalMatrix(
-            g.jet(xfull, k_ref).d1.lo[:, 1 + kx :], g.jet(xfull, k_ref).d1.hi[:, 1 + kx :]))
+        d1 = g.jet(xfull, k_ref).d1
+        cond = sigma_min_lb(IntervalMatrix(d1.lo[:, 1 + kx :], d1.hi[:, 1 + kx :]))
         if cond <= 0.0:
             raise ConditionError("projection derivative enclosure is not verified invertible")
-        kappa_jet = _implicit_jet(g, xfull, k_ref, simplify)
-        return kappa_jet, k_ref, {"sigma_min_projection": cond, "candidate_radius": rad}
+        kappa_jet = implicit_jet(g, xfull, k_ref)
+        return kappa_jet, {"sigma_min_projection": cond, "candidate_radius": rad}
     raise ImplicitContractionError(
         f"implicit reparameterization failed after {attempts} inflations: {last_err}",
         IntervalBox(u0 - rad, u0 + rad),
@@ -339,12 +253,57 @@ def _mean_value_refine(raw_query):
 
 
 # ---------------------------------------------------------------------------
-# scenario builders
+# the distance builder and its three scenario entry points
 
-def _compose_side(w_jet: _CachedJet, kappa_jet: Jet2Enclosure, eps_box: Interval,
-                  out_idx: Sequence[int]) -> Jet2Enclosure:
-    outer = w_jet(eps_box, kappa_jet.value)
-    return jet2_compose(outer, kappa_jet).project(list(out_idx))
+def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int,
+              cu_guess=None, cs_guess=None) -> DistanceOracle:
+    """Distance oracle for a center-unstable graph over (x, z) and a
+    center-stable graph over (x, v, z), both on the section z = z*.
+
+    The unstable side's pi_v block v(eps, x) is fed into the stable
+    reparameterization; with no v and no z this is the fixed-point case.
+    Float Newton guesses default to the midpoint of the query box.
+    """
+    z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
+    kx = len(wcu.x_proj)
+    q = len(wcu.v_proj)
+    if len(wcs.x_proj) != kx or len(wcs.v_proj) != q or k1 + k2 != len(wcu.y_proj):
+        raise IntervalError("projection dimensions are inconsistent with (k1, k2)")
+    base_u = tuple(wcu.x_proj) + tuple(wcu.z_proj)
+    base_s = tuple(wcs.x_proj) + tuple(wcs.v_proj) + tuple(wcs.z_proj)
+    wcu_jet = _CachedJet(wcu.jet)
+    wcs_jet = _CachedJet(wcs.jet)
+    keep = list(range(0, 1 + kx))  # eps and x columns; z is pinned
+    diagnostics: dict = {}
+
+    def guess(given, box: IntervalBox) -> np.ndarray:
+        return np.asarray(given, dtype=float) if given is not None else box.mid()
+
+    def query(eps_box: Interval, x_box: IntervalBox) -> Jet2Enclosure:
+        xz = IntervalBox(np.concatenate([x_box.lo, z_star]), np.concatenate([x_box.hi, z_star]))
+        ju, du = _solve_graph_side(wcu, wcu_jet, base_u, eps_box, xz, guess(cu_guess, xz))
+        w_u = jet2_compose(wcu_jet(eps_box, ju.value), ju)
+        side_u = w_u.project(list(wcu.y_proj)).take_vars(keep)
+        if q:
+            v_jet = w_u.project(list(wcu.v_proj)).take_vars(keep)
+            xs = IntervalBox(np.concatenate([x_box.lo, v_jet.value.lo, z_star]),
+                             np.concatenate([x_box.hi, v_jet.value.hi, z_star]))
+        else:
+            xs = xz
+        js, ds = _solve_graph_side(wcs, wcs_jet, base_s, eps_box, xs, guess(cs_guess, xs))
+        side_s = jet2_compose(wcs_jet(eps_box, js.value), js).project(list(wcs.y_proj))
+        if q:
+            # inner jet (eps, x) -> (x, v(eps,x), z*)
+            zjet = Jet2Enclosure.constant(IntervalBox.point(z_star), state_dim=kx)
+            inner = jet2_stack(jet2_stack(Jet2Enclosure.identity(x_box), v_jet), zjet)
+            side_s = jet2_compose(side_s, inner)
+        else:
+            side_s = side_s.take_vars(keep)
+        diagnostics["unstable"] = du
+        diagnostics["stable"] = ds
+        return side_u - side_s
+
+    return DistanceOracle(jet=_mean_value_refine(query), k1=k1, k2=k2, diagnostics=diagnostics)
 
 
 def distance_fixed_point(
@@ -356,7 +315,6 @@ def distance_fixed_point(
     k2: int,
     u_guess=None,
     s_guess=None,
-    simplify: bool = True,
 ) -> DistanceOracle:
     """Distance oracle for stable/unstable manifolds of a fixed point.
 
@@ -364,34 +322,8 @@ def distance_fixed_point(
     ``x_proj`` by solving pi_x w(eps, kappa(eps, x)) = x, and y is the
     difference of their pi_y blocks.  The (k1, k2) split and the coordinate
     alignment making y_2(0, .) = 0 are caller-supplied configuration.
-    ``simplify`` reflects that these g are projection conditions (the mixed
-    eps-x and kappa-x second derivatives of g vanish identically).
     """
-    k = len(wu.x_proj)
-    if len(ws.x_proj) != k or k1 + k2 != len(wu.y_proj):
-        raise IntervalError("projection dimensions are inconsistent with (k1, k2)")
-    wu_jet = _CachedJet(wu.jet)
-    ws_jet = _CachedJet(ws.jet)
-    gu = np.asarray(u_guess, dtype=float) if u_guess is not None else u_box.mid()
-    gs = np.asarray(s_guess, dtype=float) if s_guess is not None else u_box.mid()
-    diagnostics: dict = {}
-
-    def query(eps_box: Interval, x_box: IntervalBox) -> Jet2Enclosure:
-        ju, ku_box, du = _solve_graph_side(wu, wu_jet, wu.x_proj, eps_box, x_box, gu, simplify)
-        js, ks_box, ds = _solve_graph_side(ws, ws_jet, ws.x_proj, eps_box, x_box, gs, simplify)
-        side_u = _compose_side(wu_jet, ju, eps_box, wu.y_proj)
-        side_s = _compose_side(ws_jet, js, eps_box, ws.y_proj)
-        diagnostics["unstable"] = du
-        diagnostics["stable"] = ds
-        diagnostics["k_unstable"] = ku_box
-        diagnostics["k_stable"] = ks_box
-        return side_u - side_s
-
-    return DistanceOracle(jet=_mean_value_refine(query), k1=k1, k2=k2, diagnostics=diagnostics)
-
-
-def _with_fixed_tail(x_box: IntervalBox, tail: np.ndarray) -> IntervalBox:
-    return IntervalBox(np.concatenate([x_box.lo, tail]), np.concatenate([x_box.hi, tail]))
+    return _distance(wu, ws, (), k1, k2, u_guess, s_guess)
 
 
 def distance_nhim_section(
@@ -404,33 +336,11 @@ def distance_nhim_section(
     k2: int,
     cu_guess=None,
     cs_guess=None,
-    simplify: bool = True,
 ) -> DistanceOracle:
     """Distance oracle on the center section {z = z*} for equal-dimension
     center-(un)stable manifolds; both implicit problems run over (x, z) with
     z pinned to z*, and the jets are restricted to the (eps, x) variables."""
-    z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
-    kx = len(wcu.x_proj)
-    base_u = tuple(wcu.x_proj) + tuple(wcu.z_proj)
-    base_s = tuple(wcs.x_proj) + tuple(wcs.z_proj)
-    wcu_jet = _CachedJet(wcu.jet)
-    wcs_jet = _CachedJet(wcs.jet)
-    diagnostics: dict = {}
-
-    def query(eps_box: Interval, x_box: IntervalBox) -> Jet2Enclosure:
-        xz = _with_fixed_tail(x_box, z_star)
-        gu = np.asarray(cu_guess, dtype=float) if cu_guess is not None else xz.mid()
-        gs = np.asarray(cs_guess, dtype=float) if cs_guess is not None else xz.mid()
-        ju, _, du = _solve_graph_side(wcu, wcu_jet, base_u, eps_box, xz, gu, simplify)
-        js, _, ds = _solve_graph_side(wcs, wcs_jet, base_s, eps_box, xz, gs, simplify)
-        keep = list(range(0, 1 + kx))  # eps and x columns; z is pinned
-        side_u = _compose_side(wcu_jet, ju, eps_box, wcu.y_proj).take_vars(keep)
-        side_s = _compose_side(wcs_jet, js, eps_box, wcs.y_proj).take_vars(keep)
-        diagnostics["unstable"] = du
-        diagnostics["stable"] = ds
-        return side_u - side_s
-
-    return DistanceOracle(jet=_mean_value_refine(query), k1=k1, k2=k2, diagnostics=diagnostics)
+    return _distance(wcu, wcs, z_star, k1, k2, cu_guess, cs_guess)
 
 
 def distance_unequal(
@@ -443,7 +353,6 @@ def distance_unequal(
     k2: int,
     cu_guess=None,
     cs_guess=None,
-    simplify: bool = True,
 ) -> DistanceOracle:
     """Distance oracle for unstable dimension u < stable dimension s.
 
@@ -451,40 +360,4 @@ def distance_unequal(
     fed into the center-stable reparameterization over (x, v, z), and y
     compares the pi_y blocks.  Output dimension is u = k1 + k2.
     """
-    z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
-    kx = len(wcu.x_proj)
-    q = len(wcu.v_proj)
-    if len(wcs.x_proj) != kx or len(wcs.v_proj) != q:
-        raise IntervalError("stable side must be a graph over (x, v) plus center")
-    base_u = tuple(wcu.x_proj) + tuple(wcu.z_proj)
-    base_s = tuple(wcs.x_proj) + tuple(wcs.v_proj) + tuple(wcs.z_proj)
-    wcu_jet = _CachedJet(wcu.jet)
-    wcs_jet = _CachedJet(wcs.jet)
-    diagnostics: dict = {}
-
-    def query(eps_box: Interval, x_box: IntervalBox) -> Jet2Enclosure:
-        xz = _with_fixed_tail(x_box, z_star)
-        gu = np.asarray(cu_guess, dtype=float) if cu_guess is not None else xz.mid()
-        ju, _, du = _solve_graph_side(wcu, wcu_jet, base_u, eps_box, xz, gu, simplify)
-        keep = list(range(0, 1 + kx))
-        w_u = jet2_compose(wcu_jet(eps_box, ju.value), ju)
-        side_u = w_u.project(list(wcu.y_proj)).take_vars(keep)
-        v_jet = w_u.project(list(wcu.v_proj)).take_vars(keep)
-        # stable side: graph over (x, v, z) evaluated at (x, v(eps,x), z*)
-        xvz = IntervalBox(
-            np.concatenate([x_box.lo, v_jet.value.lo, z_star]),
-            np.concatenate([x_box.hi, v_jet.value.hi, z_star]),
-        )
-        gs = np.asarray(cs_guess, dtype=float) if cs_guess is not None else xvz.mid()
-        js, _, ds = _solve_graph_side(wcs, wcs_jet, base_s, eps_box, xvz, gs, simplify)
-        w_s = jet2_compose(wcs_jet(eps_box, js.value), js)
-        # inner jet (eps, x) -> (x, v(eps,x), z*)
-        ident = Jet2Enclosure.identity(x_box)
-        zjet = Jet2Enclosure.constant(IntervalBox.point(z_star), state_dim=kx)
-        inner = jet2_stack(jet2_stack(ident, v_jet), zjet)
-        side_s = jet2_compose(w_s.project(list(wcs.y_proj)), inner)
-        diagnostics["unstable"] = du
-        diagnostics["stable"] = ds
-        return side_u - side_s
-
-    return DistanceOracle(jet=_mean_value_refine(query), k1=k1, k2=k2, diagnostics=diagnostics)
+    return _distance(wcu, wcs, z_star, k1, k2, cu_guess, cs_guess)

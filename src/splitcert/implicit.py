@@ -2,14 +2,16 @@
 
 The image enclosure comes from the parameterized interval Newton method:
 once ``k0 - [dg/dk(X,K)]^-1 [g(X,k0)]`` lands strictly inside K, every
-(eps, x) in X has a unique kappa(eps, x) in the refined box.  First
-derivatives then follow from interval solves
+(eps, x) in X has a unique kappa(eps, x) in the refined box.  With
+w = (eps, x), the derivatives follow from interval solves of the
+differentiated identity,
 
-    dk/deps in -[dg/dk]^-1 [dg/deps],    dk/dx in -[dg/dk]^-1 [dg/dx],
+    dk/dw in -[dg/dk]^-1 [dg/dw],    d2k/dw2 in -[dg/dk]^-1 (D^T g'' D),
 
-and the mixed second derivative from the differentiated identity; the
-``simplify`` flag drops the two terms that vanish when g is a projection
-condition (d2g/deps dx = 0 and d2g/dk dx = 0).
+where D = [I; dk/dw] stacks the identity on w over the kappa Jacobian and
+g'' is the Hessian of g in (w, kappa).  Exact zeros of g'' (for instance
+g_ex, g_kx and g_xx of a projection condition) stay exact zeros through
+the contraction, so no term needs to be dropped by hand.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .intervals import Interval, IntervalBox, IntervalError
+from . import kernels as ku
+from .intervals import IntervalBox, IntervalError
 from .jets import Jet2Enclosure
 from .matrices import IntervalMatrix, imatsolve
 from .newton import FunctionOracle, newton_verify
@@ -48,9 +51,6 @@ class GOracle:
 
     def kappa_cols(self) -> list[int]:
         return list(range(1 + self.kx, 1 + self.kx + self.kk))
-
-    def x_cols(self) -> list[int]:
-        return list(range(1, 1 + self.kx))
 
 
 @dataclass
@@ -96,13 +96,32 @@ def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None
 def implicit_first(g: GOracle, x_box: IntervalBox, k_box: IntervalBox) -> tuple[IntervalMatrix, IntervalMatrix]:
     """(dk/deps, dk/dx) enclosures over X, evaluated on the verified K."""
     jet = g.jet(x_box, k_box)
-    a = _dg_dk(g, jet)
-    geps = IntervalMatrix(jet.d1.lo[:, 0:1], jet.d1.hi[:, 0:1])
-    xc = g.x_cols()
-    gx = IntervalMatrix(jet.d1.lo[:, xc], jet.d1.hi[:, xc])
-    d_eps = -imatsolve(a, geps)
-    d_x = -imatsolve(a, gx)
-    return d_eps, d_x
+    nw = 1 + g.kx
+    d1 = -imatsolve(_dg_dk(g, jet), IntervalMatrix(jet.d1.lo[:, :nw], jet.d1.hi[:, :nw]))
+    return (IntervalMatrix(d1.lo[:, :1], d1.hi[:, :1]),
+            IntervalMatrix(d1.lo[:, 1:], d1.hi[:, 1:]))
+
+
+def _second_rhs(jet: Jet2Enclosure, dk: IntervalMatrix):
+    """D^T g'' D over w = (eps, x), shape (kk, nw, nw), with D = [I; dk/dw].
+
+    The kappa side is contracted first: T = g''[:, w, :] + dk^T g''[:, k, :],
+    then R = T[:, :, w] + T[:, :, k] dk.  The identity part of D is added,
+    not multiplied, so it costs no rounding.
+    """
+    nw = dk.shape[1]
+    glo, ghi = jet.d2lo, jet.d2hi
+    plo, phi = ku.vmul(dk.lo.T[None, :, :, None], dk.hi.T[None, :, :, None],
+                       glo[:, None, nw:, :], ghi[:, None, nw:, :])
+    tlo, thi = ku.vadd(glo[:, :nw, :], ghi[:, :nw, :], *ku.isum(plo, phi, axis=2))
+    plo, phi = ku.vmul(tlo[:, :, nw:, None], thi[:, :, nw:, None],
+                       dk.lo[None, None, :, :], dk.hi[None, None, :, :])
+    return ku.vadd(tlo[:, :, :nw], thi[:, :, :nw], *ku.isum(plo, phi, axis=2))
+
+
+def _dk_dw(firsts: tuple[IntervalMatrix, IntervalMatrix]) -> IntervalMatrix:
+    d_eps, d_x = firsts
+    return IntervalMatrix(np.hstack([d_eps.lo, d_x.lo]), np.hstack([d_eps.hi, d_x.hi]))
 
 
 def implicit_mixed_second(
@@ -110,35 +129,19 @@ def implicit_mixed_second(
     x_box: IntervalBox,
     k_box: IntervalBox,
     firsts: tuple[IntervalMatrix, IntervalMatrix],
-    simplify: bool = False,
 ) -> IntervalMatrix:
-    """Enclosure of d2 kappa / deps dx (kk x kx) over X.
-
-    Uses -[dg/dk]^-1 (g_ex + g_kx . k_e + (g_ek + g_kk . k_e) . k_x); with
-    ``simplify`` the g_ex and g_kx terms are taken as exactly zero.
-    """
-    d_eps, d_x = firsts
+    """Enclosure of d2 kappa / deps dx (kk x kx) over X: the eps-x block of
+    -[dg/dk]^-1 (D^T g'' D)."""
     jet = g.jet(x_box, k_box)
-    kk, kx = g.kk, g.kx
-    kc = g.kappa_cols()
-    xc = g.x_cols()
-    a = _dg_dk(g, jet)
+    rlo, rhi = _second_rhs(jet, _dk_dw(firsts))
+    return -imatsolve(_dg_dk(g, jet), IntervalMatrix(rlo[:, 0, 1:], rhi[:, 0, 1:]))
 
-    # rhs[i, j] built in interval arithmetic
-    rhs_lo = np.zeros((kk, kx))
-    rhs_hi = np.zeros((kk, kx))
-    for i in range(kk):
-        for j in range(kx):
-            acc = Interval.point(0.0)
-            if not simplify:
-                acc = acc + Interval(jet.d2lo[i, 0, xc[j]], jet.d2hi[i, 0, xc[j]])
-                for c in range(kk):
-                    acc = acc + Interval(jet.d2lo[i, kc[c], xc[j]], jet.d2hi[i, kc[c], xc[j]]) * d_eps[c, 0]
-            for cp in range(kk):
-                inner = Interval(jet.d2lo[i, 0, kc[cp]], jet.d2hi[i, 0, kc[cp]])
-                for c in range(kk):
-                    inner = inner + Interval(jet.d2lo[i, kc[c], kc[cp]], jet.d2hi[i, kc[c], kc[cp]]) * d_eps[c, 0]
-                acc = acc + inner * d_x[cp, j]
-            rhs_lo[i, j] = acc.lo
-            rhs_hi[i, j] = acc.hi
-    return -imatsolve(a, IntervalMatrix(rhs_lo, rhs_hi))
+
+def implicit_jet(g: GOracle, x_box: IntervalBox, k_box: IntervalBox) -> Jet2Enclosure:
+    """Order-2 jet of kappa over w = (eps, x) on the verified image ``k_box``."""
+    dk = _dk_dw(implicit_first(g, x_box, k_box))
+    jet = g.jet(x_box, k_box)
+    kk, nw = dk.shape
+    rlo, rhi = _second_rhs(jet, dk)
+    d2 = -imatsolve(_dg_dk(g, jet), IntervalMatrix(rlo.reshape(kk, nw * nw), rhi.reshape(kk, nw * nw)))
+    return Jet2Enclosure(k_box, dk, d2.lo.reshape(kk, nw, nw), d2.hi.reshape(kk, nw, nw))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 _INF = np.inf
+_TINY = 2.0 ** -1022  # smallest positive normal float64
 
 
 def _down(x):
@@ -69,16 +70,20 @@ def vmul(alo, ahi, blo, bhi):
 
 
 def vscale(c: float, alo, ahi):
-    """Multiply by a point scalar; exact (no widening) for powers of two."""
+    """Multiply by a point scalar; exact (no widening) for powers of two
+    with normal or zero results."""
     if c == 0.0:
         z = np.zeros_like(np.asarray(alo, dtype=float))
         return z, z.copy()
     if c > 0:
-        lo, hi = c * alo, c * ahi
+        lo, hi, src_lo, src_hi = c * alo, c * ahi, alo, ahi
     else:
-        lo, hi = c * ahi, c * alo
+        lo, hi, src_lo, src_hi = c * ahi, c * alo, ahi, alo
     m, _ = np.frexp(c)
-    if m == 0.5 or m == -0.5:  # power of two: exact up to over/underflow
+    if m == 0.5 or m == -0.5:
+        # power of two: exact unless a nonzero input lands below the normal range
+        lo = np.where((np.abs(lo) < _TINY) & (src_lo != 0), _down(lo), lo)
+        hi = np.where((np.abs(hi) < _TINY) & (src_hi != 0), _up(hi), hi)
         return lo, hi
     return _down(lo), _up(hi)
 

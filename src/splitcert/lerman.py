@@ -18,7 +18,7 @@ are consumed as declared inputs and listed in the certificate assumptions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -431,7 +431,7 @@ def build_distance_oracle(cfg: LUConfig) -> DistanceOracle:
                 f"[-{r}, {r}]^2 at T={cfg.T}")
     u_box = IntervalBox([-cfg.R, -cfg.R], [cfg.R, cfg.R])
     return distance_fixed_point(wu, ws, cfg.eps_max, u_box, k1=0, k2=2,
-                                u_guess=guess_u, s_guess=guess_s, simplify=True)
+                                u_guess=guess_u, s_guess=guess_s)
 
 
 def run_theorem_proof(cfg: LUConfig) -> MelnikovCertificate:
@@ -449,12 +449,7 @@ def run_theorem_proof(cfg: LUConfig) -> MelnikovCertificate:
     last_exc: Exception | None = None
     cert: MelnikovCertificate | None = None
     for t_used in attempts:
-        cfg_t = cfg if t_used == cfg.T else LUConfig(
-            lam=cfg.lam, omega=cfg.omega, eps_max=cfg.eps_max, R=cfg.R, T=t_used,
-            local_radius=cfg.local_radius, lipschitz=cfg.lipschitz,
-            second_deriv_bound=cfg.second_deriv_bound, flow=cfg.flow,
-            subdivide=cfg.subdivide, eps_subdivide=cfg.eps_subdivide,
-            threads=cfg.threads)
+        cfg_t = cfg if t_used == cfg.T else replace(cfg, T=t_used)
         try:
             oracle = build_distance_oracle(cfg_t)
             prob = SplittingProblem(k1=0, k2=2, p=np.zeros(2), R=cfg.R,

@@ -9,7 +9,9 @@ variables; purely autonomous maps simply never reference variable 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +32,19 @@ def _as_coeff(c) -> Interval:
 
 def _ipow(x: Interval, n: int) -> Interval:
     return x ** n
+
+
+def _times_int(c: Interval, e: int) -> Interval:
+    """c * e for an integer e >= 1, widened only at an endpoint whose float
+    product is inexact (checked in exact rational arithmetic)."""
+    if e == 1:
+        return c
+    lo, hi = c.lo * e, c.hi * e
+    if math.isfinite(lo) and Fraction(lo) != Fraction(c.lo) * e:
+        lo = math.nextafter(lo, -math.inf)
+    if math.isfinite(hi) and Fraction(hi) != Fraction(c.hi) * e:
+        hi = math.nextafter(hi, math.inf)
+    return Interval(lo, hi)
 
 
 class PolyMap:
@@ -68,7 +83,7 @@ class PolyMap:
                 if e == 0:
                     continue
                 nexps = exps[:v] + (e - 1,) + exps[v + 1 :]
-                out.append((c * float(e), nexps))
+                out.append((_times_int(c, e), nexps))
             comps.append(out)
         return PolyMap(self.nvars, comps)
 

@@ -1,5 +1,7 @@
 """Implicit function enclosures against closed-form oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from splitcert.implicit import (
     ImplicitContractionError,
     implicit_enclose,
     implicit_first,
+    implicit_jet,
     implicit_mixed_second,
 )
 from splitcert.intervals import IntervalBox
@@ -127,16 +130,44 @@ def test_mixed_second_cubic_eps_analytic():
             assert mixed[0, 0].contains(m)
 
 
-def test_simplify_flag_matches_when_terms_vanish():
-    # for g built from a projection condition, g_ex = g_kx = 0 identically;
-    # here g = k - eps*x has g_ex = -1 nonzero, so simplify must differ
-    X = IntervalBox([0.0, 0.5], [0.5, 1.0])
-    enc = implicit_enclose(G_BILINEAR, X, IntervalBox([-1.5], [1.5]), k0=[0.4])
-    firsts = implicit_first(G_BILINEAR, X, enc.image)
-    full = implicit_mixed_second(G_BILINEAR, X, enc.image, firsts)
-    dropped = implicit_mixed_second(G_BILINEAR, X, enc.image, firsts, simplify=True)
-    assert full[0, 0].contains(1.0)
-    assert not dropped[0, 0].contains(1.0)
+def test_implicit_jet_cubic_eps_analytic():
+    # kappa(eps, x) = r((1 + eps) x) with r the inverse of k^3 + k, so with
+    # t = (1 + eps) x, q = 3 k^2 + 1 and r'' = -6 k / q^3:
+    #   k_ee = r'' x^2,  k_ex = r'' x (1 + eps) + 1/q,  k_xx = r'' (1 + eps)^2
+    X = IntervalBox([0.0, 0.0], [0.1, 0.3])
+    enc = implicit_enclose(G_CUBIC_EPS, X, IntervalBox([-0.1], [0.45]), k0=[0.15])
+    jet = implicit_jet(G_CUBIC_EPS, X, enc.image)
+    assert jet.value.contains_box(enc.image) and enc.image.contains_box(jet.value)
+    for eps in np.linspace(0, 0.1, 4):
+        for x in np.linspace(0, 0.3, 5):
+            k, dk_de, dk_dx, k_ex = analytic_cubic_eps(eps, x)
+            q = 3 * k * k + 1
+            r2 = -6 * k / q**3
+            assert jet.d1[0, 0].contains(dk_de) and jet.d1[0, 1].contains(dk_dx)
+            expected = {(0, 0): r2 * x * x, (0, 1): k_ex, (1, 0): k_ex,
+                        (1, 1): r2 * (1 + eps) ** 2}
+            for (a, b), val in expected.items():
+                assert jet.d2lo[0, a, b] <= val <= jet.d2hi[0, a, b], (a, b, eps, x)
+
+
+def test_implicit_jet_projection_condition_exact_zero():
+    # g = pi w(eps, k) - x with w linear in k: g'' = 0, so d2 kappa is an
+    # exact zero, and kappa = A^-1 (x - eps c) has an exact first derivative
+    g = poly_goracle(PolyMap(5, [
+        [(2.0, (0, 0, 0, 1, 0)), (1.0, (0, 0, 0, 0, 1)), (1.0, (1, 0, 0, 0, 0)), (-1.0, (0, 1, 0, 0, 0))],
+        [(1.0, (0, 0, 0, 1, 0)), (3.0, (0, 0, 0, 0, 1)), (-1.0, (1, 0, 0, 0, 0)), (-1.0, (0, 0, 1, 0, 0))],
+    ]), 2, 2)
+    X = IntervalBox([0.0, -0.5, -0.5], [0.1, 0.5, 0.5])
+    enc = implicit_enclose(g, X, IntervalBox([-1.0, -1.0], [1.0, 1.0]), k0=[0.0, 0.0])
+    jet = implicit_jet(g, X, enc.image)
+    assert np.all(jet.d2lo == 0.0) and np.all(jet.d2hi == 0.0)
+    dk = [[Fraction(-4, 5), Fraction(3, 5), Fraction(-1, 5)],
+          [Fraction(3, 5), Fraction(-1, 5), Fraction(2, 5)]]
+    for i in range(2):
+        for j in range(3):
+            assert jet.d1.lo[i, j] <= dk[i][j] <= jet.d1.hi[i, j]
+    mixed = implicit_mixed_second(g, X, enc.image, implicit_first(g, X, enc.image))
+    assert np.all(mixed.lo == 0.0) and np.all(mixed.hi == 0.0)
 
 
 def test_finite_difference_containment():

@@ -1,9 +1,12 @@
 """Polynomial maps: evaluation enclosures and symbolic derivatives."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from splitcert.intervals import Interval, IntervalBox, IntervalError
+from splitcert.lerman import LUConfig, _hk_polys
 from splitcert.polys import PolyMap, VectorFieldDef
 
 
@@ -22,9 +25,21 @@ def test_partial_derivatives_symbolic():
     p = PolyMap(2, [[(3.0, (0, 4))]])  # 3 x^4
     dx = p.partial(1)
     assert dx.components[0][0][1] == (0, 3)
-    assert dx.components[0][0][0].contains(12.0)
+    assert dx.components[0][0][0] == Interval(12.0, 12.0)  # exact: no widening
     de = p.partial(0)
     assert de.components[0] == []
+
+
+def test_partial_coefficients_widen_only_when_inexact():
+    # the conserved K = x2 x3 - x1 x4 of the worked example: exact +-1 partials
+    k = _hk_polys(LUConfig()).components[1]
+    for v in range(4):
+        for c, _ in PolyMap(4, [k]).partial(v).components[0]:
+            assert c.lo == c.hi and abs(c.lo) == 1.0
+    # 0.1 * 3 is not a float: the enclosure is widened and still holds it
+    c = PolyMap(2, [[(0.1, (0, 3))]]).partial(1).components[0][0][0]
+    assert c.lo < c.hi
+    assert Fraction(c.lo) <= Fraction(0.1) * 3 <= Fraction(c.hi)
 
 
 def test_jet_matches_hand_values():
