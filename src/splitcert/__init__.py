@@ -6,7 +6,7 @@ unstable manifolds intersect transversally for an explicit parameter range,
 including the full pipeline for the Lerman-Umanskii vector field.
 """
 
-from .intervals import Interval, IntervalBox, IntervalError, iv_arith, iv_sqrt, box_util
+from .intervals import Interval, IntervalBox, IntervalError
 from .matrices import (
     IntervalMatrix,
     LinalgError,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intervals import Interval, IntervalBox, IntervalError
+from .intervals import IntervalBox, IntervalError
 from .matrices import IntervalMatrix
 from .newton import FunctionOracle, newton_verify
 from .polys import PolyMap
@@ -59,7 +59,7 @@ def _check_keys(doc: dict, allowed: set[str], where: str):
 _FLOW_KEYS = {"taylorOrder", "initialStep", "minStep", "wrappingControl", "maxSteps"}
 _LU_KEYS = {
     "problem", "lam", "omega", "epsMax", "R", "T", "localRadius", "lipschitz",
-    "secondDerivBound", "flow", "subdivide", "epsSubdivide", "threads", "fallbackT",
+    "secondDerivBound", "flow", "subdivide", "epsSubdivide", "fallbackT",
 }
 
 
@@ -79,7 +79,7 @@ def _flow_settings(doc: dict) -> FlowSettings:
     return FlowSettings(**kw)
 
 
-def _lu_config(doc: dict, threads_override: int | None) -> LUConfig:
+def _lu_config(doc: dict) -> LUConfig:
     _check_keys(doc, _LU_KEYS, "config")
     if doc.get("problem", "lerman-umanskii") != "lerman-umanskii":
         raise ConfigError(f"unsupported problem: {doc.get('problem')!r}")
@@ -88,7 +88,7 @@ def _lu_config(doc: dict, threads_override: int | None) -> LUConfig:
         ("lam", "lam"), ("omega", "omega"), ("epsMax", "eps_max"), ("R", "R"),
         ("T", "T"), ("localRadius", "local_radius"), ("lipschitz", "lipschitz"),
         ("secondDerivBound", "second_deriv_bound"), ("subdivide", "subdivide"),
-        ("epsSubdivide", "eps_subdivide"), ("threads", "threads"),
+        ("epsSubdivide", "eps_subdivide"),
     ):
         if json_key in doc:
             kw[attr] = doc[json_key]
@@ -96,8 +96,6 @@ def _lu_config(doc: dict, threads_override: int | None) -> LUConfig:
         kw["flow"] = _flow_settings(doc["flow"])
     if "fallbackT" in doc:
         kw["fallback_T"] = tuple(float(t) for t in doc["fallbackT"])
-    if threads_override is not None:
-        kw["threads"] = threads_override
     try:
         return LUConfig(**kw)
     except (TypeError, ValueError, IntervalError) as exc:
@@ -109,11 +107,10 @@ def main_lu_verify(argv=None) -> int:
                                  description="verify transversal manifold splitting for the worked 4-d example")
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
     try:
-        cfg = _lu_config(_load_json(args.config), args.threads)
+        cfg = _lu_config(_load_json(args.config))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -166,7 +163,6 @@ def main_certify_root(argv=None) -> int:
                                  description="interval Newton certification of a polynomial zero family")
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--threads", type=int, default=None)  # accepted for interface uniformity
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
     try:
@@ -216,7 +212,6 @@ def main_export_samples(argv=None) -> int:
                                  description="export manifold sample points and enclosure boxes as CSV")
     ap.add_argument("--config", required=True)
     ap.add_argument("--out-dir", required=True)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
     try:
@@ -230,7 +225,7 @@ def main_export_samples(argv=None) -> int:
         n_params = int(doc.get("nParams", 12))
         n_times = int(doc.get("nTimes", 40))
         box_grid = int(doc.get("boxGrid", 8))
-        cfg = _lu_config(doc.get("lu", {}), args.threads)
+        cfg = _lu_config(doc.get("lu", {}))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

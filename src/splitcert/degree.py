@@ -22,8 +22,7 @@ margin is a certified lower bound.
 from __future__ import annotations
 
 import json
-import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,6 +163,13 @@ def _subdivided(lo: np.ndarray, hi: np.ndarray, n_sub: int):
             return
 
 
+def check_serial(threads: int):
+    """Certificate cells run serially: a thread pool only added overhead
+    under the GIL.  ``threads`` is accepted only as 1."""
+    if threads != 1:
+        raise IntervalError(f"threads must be 1 (cells run serially), got {threads}")
+
+
 def assemble_lemma_data(
     prob: SplittingProblem,
     subdivide: int = 1,
@@ -176,6 +182,7 @@ def assemble_lemma_data(
     jet over (E, {p}); the Delta blocks from the jet over E x U, optionally
     hulled over a uniform subdivision (a pure tightening knob).
     """
+    check_serial(threads)
     k1, k2 = prob.k1, prob.k2
     oracle = prob.oracle
     eps0 = Interval(0.0, 0.0)
@@ -207,23 +214,11 @@ def assemble_lemma_data(
         cert.eps_deriv_bound_2 = ivec_norm_ub(IntervalBox(jep.d1.lo[y2_rows, 0], jep.d1.hi[y2_rows, 0]))
 
     u_box = _ball_box(prob.p, prob.R)
-    cells = []
+    jeu = None
     for ebox in _subdivided(np.array([0.0]), np.array([prob.eps_max]), eps_subdivide):
         for cell in _subdivided(u_box.lo, u_box.hi, subdivide):
-            cells.append((Interval(ebox.lo[0], ebox.hi[0]), cell))
-
-    def run_cell(args):
-        e, c = args
-        return oracle.jet(e, c)
-
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            jets = list(ex.map(run_cell, cells))
-    else:
-        jets = [run_cell(c) for c in cells]
-    jeu = jets[0]
-    for j in jets[1:]:
-        jeu = jeu.hull(j)
+            j = oracle.jet(Interval(ebox.lo[0], ebox.hi[0]), cell)
+            jeu = j if jeu is None else jeu.hull(j)
 
     if k1 > 0:
         d1_block = IntervalMatrix(jeu.d1.lo[np.ix_(y1_rows, x_cols)],
@@ -285,16 +280,18 @@ def verify_practical(cert: MelnikovCertificate, R: float | None = None,
     return cert
 
 
-def verify_transversal(cert: MelnikovCertificate, independent_check: bool = True,
-                       eps_samples: int = 3) -> MelnikovCertificate:
+_TRANSVERSAL_EPS_SAMPLES = 3
+
+
+def verify_transversal(cert: MelnikovCertificate) -> MelnikovCertificate:
     """Record the uniqueness/transversality implication of the inequalities.
 
     The verified margins give m(A11) > ||Delta1|| and m(A22) > ||Delta2||,
     which make every matrix in the Jacobian enclosure of y over E x U an
     isomorphism: each eps in (0, eps_max] then has a unique intersection and
     it is transversal.  The explicit block inequalities are re-checked here;
-    optionally a direct sigma_min_lb of the assembled Jacobian enclosure is
-    sampled over eps as an extra diagnostic (it is a weaker bound and may be
+    as an extra diagnostic a direct sigma_min_lb of the assembled Jacobian
+    enclosure is sampled at three eps values (it is a weaker bound and may be
     inconclusive without affecting the certified flag).
     """
     if cert.verdict != "verified":
@@ -309,25 +306,25 @@ def verify_transversal(cert: MelnikovCertificate, independent_check: bool = True
         cert.transversal = False
         cert.diagnostics["transversal_check_failed"] = True
         return cert
-    if independent_check:
-        k1, k2 = cert.k1, cert.k2
-        k = k1 + k2
-        checks = []
-        for eps in np.linspace(cert.eps_max / eps_samples, cert.eps_max, eps_samples):
-            lo = np.zeros((k, k))
-            hi = np.zeros((k, k))
-            if k1 > 0:
-                full1 = cert.Delta1 + IntervalMatrix(
-                    np.hstack([cert.A11.lo, np.zeros((k1, k2))]),
-                    np.hstack([cert.A11.hi, np.zeros((k1, k2))]))
-                lo[:k1], hi[:k1] = full1.lo, full1.hi
-            if k2 > 0:
-                full2 = (cert.Delta2 + IntervalMatrix(
-                    np.hstack([np.zeros((k2, k1)), cert.A22.lo]),
-                    np.hstack([np.zeros((k2, k1)), cert.A22.hi]))).mul_interval(Interval.point(eps))
-                lo[k1:], hi[k1:] = full2.lo, full2.hi
-            checks.append(sigma_min_lb(IntervalMatrix(lo, hi)))
-        cert.diagnostics["jacobian_sigma_min_samples"] = [float(c) for c in checks]
+    k1, k2 = cert.k1, cert.k2
+    k = k1 + k2
+    n = _TRANSVERSAL_EPS_SAMPLES
+    checks = []
+    for eps in np.linspace(cert.eps_max / n, cert.eps_max, n):
+        lo = np.zeros((k, k))
+        hi = np.zeros((k, k))
+        if k1 > 0:
+            full1 = cert.Delta1 + IntervalMatrix(
+                np.hstack([cert.A11.lo, np.zeros((k1, k2))]),
+                np.hstack([cert.A11.hi, np.zeros((k1, k2))]))
+            lo[:k1], hi[:k1] = full1.lo, full1.hi
+        if k2 > 0:
+            full2 = (cert.Delta2 + IntervalMatrix(
+                np.hstack([np.zeros((k2, k1)), cert.A22.lo]),
+                np.hstack([np.zeros((k2, k1)), cert.A22.hi]))).mul_interval(Interval.point(eps))
+            lo[k1:], hi[k1:] = full2.lo, full2.hi
+        checks.append(sigma_min_lb(IntervalMatrix(lo, hi)))
+    cert.diagnostics["jacobian_sigma_min_samples"] = [float(c) for c in checks]
     cert.transversal = True
     return cert
 
@@ -396,6 +393,7 @@ def verify_boundary_exclusion(
     ``boundary_depth``.  Success implies deg(y(eps, .), U, 0) != 0 for all
     eps in (0, eps_max].
     """
+    check_serial(threads)
     k = oracle.dim
     ref = _reference_map_oracle(oracle)
     no_param = IntervalBox([0.0], [0.0])
@@ -417,7 +415,7 @@ def verify_boundary_exclusion(
         return False
 
     # initial face cells: two faces per coordinate
-    queue: list[tuple[IntervalBox, int]] = []
+    queue: deque[tuple[IntervalBox, int]] = deque()
     for i in range(u_box.dim):
         for endpoint in (u_box.lo[i], u_box.hi[i]):
             lo = u_box.lo.copy()
@@ -427,31 +425,25 @@ def verify_boundary_exclusion(
 
     checked = 0
     while queue:
-        batch, queue = queue, []
-        if threads > 1 and len(batch) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(lambda t: cell_excludes(t[0]), batch))
-        else:
-            results = [cell_excludes(c) for c, _ in batch]
-        for (cell, depth), ok in zip(batch, results):
-            checked += 1
-            if ok:
-                continue
-            if depth >= boundary_depth:
-                return BoundaryExclusionCertificate(
-                    False, "zero not excluded on a boundary cell at max depth",
-                    u_box, eps_max, checked, failing_cell=cell,
-                    reference_refined=cert_ref.refined)
-            widths = cell.width()
-            axis = int(np.argmax(widths))
-            if widths[axis] <= 0.0:
-                return BoundaryExclusionCertificate(
-                    False, "zero not excluded on a degenerate boundary cell",
-                    u_box, eps_max, checked, failing_cell=cell,
-                    reference_refined=cert_ref.refined)
-            left, right = cell.split(axis)
-            queue.append((left, depth + 1))
-            queue.append((right, depth + 1))
+        cell, depth = queue.popleft()
+        checked += 1
+        if cell_excludes(cell):
+            continue
+        if depth >= boundary_depth:
+            return BoundaryExclusionCertificate(
+                False, "zero not excluded on a boundary cell at max depth",
+                u_box, eps_max, checked, failing_cell=cell,
+                reference_refined=cert_ref.refined)
+        widths = cell.width()
+        axis = int(np.argmax(widths))
+        if widths[axis] <= 0.0:
+            return BoundaryExclusionCertificate(
+                False, "zero not excluded on a degenerate boundary cell",
+                u_box, eps_max, checked, failing_cell=cell,
+                reference_refined=cert_ref.refined)
+        left, right = cell.split(axis)
+        queue.append((left, depth + 1))
+        queue.append((right, depth + 1))
 
     return BoundaryExclusionCertificate(True, "verified", u_box, eps_max, checked,
                                         reference_refined=cert_ref.refined)

@@ -58,9 +58,10 @@ class ManifoldOracle:
     z_proj: tuple[int, ...] = ()
     approx: Callable | None = None
 
-    def check_partition(self, out_dim: int):
+    def check_partition(self):
+        """The projections must cover the outputs 0..d-1, each exactly once."""
         all_idx = sorted(self.x_proj + self.y_proj + self.v_proj + self.z_proj)
-        if all_idx != list(range(out_dim)):
+        if all_idx != list(range(len(all_idx))):
             raise IntervalError("projections must partition the output coordinates")
 
 
@@ -264,6 +265,8 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
     reparameterization; with no v and no z this is the fixed-point case.
     Float Newton guesses default to the midpoint of the query box.
     """
+    wcu.check_partition()
+    wcs.check_partition()
     z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
     kx = len(wcu.x_proj)
     q = len(wcu.v_proj)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels as ku
 from .intervals import Interval, IntervalBox, IntervalError
-from .jets import Jet2Enclosure
+from .jets import Jet2Enclosure, compose_d2, with_eps_row
 from .matrices import IntervalMatrix, iinverse
 from .polys import PolyMap, VectorFieldDef
 
@@ -101,24 +101,18 @@ class _FieldTables:
         self._products: list[tuple[int, int]] = []  # (left_row, right_row)
         self._depth: list[int] = [0] * (1 + n)
 
-        rhs = field.rhs
-        parts = [rhs.partial(v) for v in range(n + 1)]
-        self._p1 = parts
-        self._p2xx = [[parts[1 + a].partial(1 + b) for b in range(a, n)] for a in range(n)]
-        self._p2xe = [parts[1 + a].partial(0) for a in range(n)]
-        self._p2ee = parts[0].partial(0)
-        self.f = self._compile(rhs)
-        self.aeps = self._compile(parts[0])
-        self.A = [self._compile(parts[1 + a]) for a in range(n)]
-        self.Hxx = [[self._compile(self._p2xx[a][bi]) for bi in range(n - a)] for a in range(n)]
-        self.Hxe = [self._compile(self._p2xe[a]) for a in range(n)]
-        self.Hee = self._compile(self._p2ee)
+        d1, d2 = field.rhs.derivatives()
+        self._d1, self._d2 = d1, d2
+        self.f = self._compile(field.rhs)
+        aeps = self._compile(d1[0])
+        A = [self._compile(d1[1 + a]) for a in range(n)]
+        Hxx = [self._compile(d2[1 + a, 1 + b]) for a in range(n) for b in range(a, n)]
+        Hxe = [self._compile(d2[0, 1 + a]) for a in range(n)]
+        Hee = self._compile(d2[0, 0])
         self.n_rows = 1 + n + len(self._products)
         # grouped (padded rectangular) tables: one fused evaluation per order
         self.g_f = _make_group([self.f])
-        self.g_var = _make_group(
-            [self.f, self.A_flat(), self.aeps, self.Hxx_flat(), self.Hxe_flat(), self.Hee]
-        )
+        self.g_var = _make_group([self.f, *A, aeps, *Hxx, *Hxe, Hee])
         self.xx_a = np.array([a for a in range(n) for b in range(a, n)], dtype=int)
         self.xx_b = np.array([b for a in range(n) for b in range(a, n)], dtype=int)
         # products grouped by depth for batched extension
@@ -132,25 +126,6 @@ class _FieldTables:
              np.array(rows))
             for _, rows in sorted(groups.items())
         ]
-
-    def A_flat(self):
-        out = []
-        for t in self.A:
-            out.extend(t)
-        return out
-
-    def Hxx_flat(self):
-        out = []
-        for row in self.Hxx:
-            for t in row:
-                out.extend(t)
-        return out
-
-    def Hxe_flat(self):
-        out = []
-        for t in self.Hxe:
-            out.extend(t)
-        return out
 
     def _power_row(self, v: int, e: int) -> int:
         key = (("pw", v, e),)
@@ -197,25 +172,19 @@ class _FieldTables:
     def mag_bounds(self, eps: Interval, box: IntervalBox):
         full = IntervalBox(np.concatenate([[eps.lo], box.lo]), np.concatenate([[eps.hi], box.hi]))
         n = self.n
-        jac_mag = np.zeros((n, n))
-        for a in range(n):
-            col = self._p1[1 + a].eval_box(full)
-            jac_mag[:, a] = ku.vmag(col.lo, col.hi)
-        ae = self._p1[0].eval_box(full)
-        ce = float(np.max(ku.vmag(ae.lo, ae.hi)))
+
+        def mag(pm: PolyMap) -> np.ndarray:
+            v = pm.eval_box(full)
+            return ku.vmag(v.lo, v.hi)
+
+        jac_mag = np.stack([mag(self._d1[1 + a]) for a in range(n)], axis=1)
+        ce = float(np.max(mag(self._d1[0])))
         d = float(np.max(np.sum(jac_mag, axis=1)))
-        hxx = hxe = 0.0
-        for a in range(n):
-            for bi in range(n - a):
-                v = self._p2xx[a][bi].eval_box(full)
-                hxx = max(hxx, float(np.max(ku.vmag(v.lo, v.hi))))
-            v = self._p2xe[a].eval_box(full)
-            hxe = max(hxe, float(np.max(ku.vmag(v.lo, v.hi))))
-        v = self._p2ee.eval_box(full)
-        hee = float(np.max(ku.vmag(v.lo, v.hi)))
+        hxx = max(float(np.max(mag(self._d2[1 + a, 1 + b])))
+                  for a in range(n) for b in range(a, n))
+        hxe = max(float(np.max(mag(self._d2[0, 1 + a]))) for a in range(n))
+        hee = float(np.max(mag(self._d2[0, 0])))
         return d, ce, hxx, hxe, hee
-
-
 
 
 def _make_group(tables):
@@ -413,8 +382,11 @@ class _Series:
 # ---------------------------------------------------------------------------
 # rough enclosure and public Taylor coefficients
 
-def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval, step: float,
-                    attempts: int = 24) -> IntervalBox:
+_ROUGH_ATTEMPTS = 24
+
+
+def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval,
+                    step: float) -> IntervalBox:
     """A priori solution enclosure Z over [0, step] from the state box.
 
     Validated by the Picard condition: state + [0, step] f(eps, Z) inside Z.
@@ -427,7 +399,7 @@ def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval, st
     f0 = field.eval_box(eps, state)
     z = state + f0.mul_interval(hiv)
     z = z.widened(np.maximum(1e-18, 1e-3 * np.maximum(z.rad(), np.max(z.rad()))))
-    for _ in range(attempts):
+    for _ in range(_ROUGH_ATTEMPTS):
         if float(np.max(z.width())) > 100.0 * scale:
             raise FlowError(f"rough enclosure diverges for step {step}")
         fz = field.eval_box(eps, z)
@@ -521,30 +493,6 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
     return pieces
 
 
-def _extend_rows(vlo, vhi, m):
-    """Prepend the eps row (1, 0, ...) to an accumulated derivative block."""
-    n = vlo.shape[0]
-    lo = np.zeros((n + 1, m)); hi = np.zeros((n + 1, m))
-    lo[0, 0] = hi[0, 0] = 1.0
-    lo[1:] = vlo; hi[1:] = vhi
-    return lo, hi
-
-
-def _second_transport(pieces: _StepPieces, ext_lo, ext_hi, wlo, whi):
-    """W' = Mx W + S_step[Vext, Vext] for the accumulated second block."""
-    mxlo, mxhi = pieces.Mlo[:, 1:], pieces.Mhi[:, 1:]
-    plo, phi = ku.vmul(mxlo[:, :, None, None], mxhi[:, :, None, None],
-                       wlo[None, :, :, :], whi[None, :, :, :])
-    t1lo, t1hi = ku.isum(plo, phi, axis=1)
-    plo, phi = ku.vmul(pieces.Slo[:, :, :, None], pieces.Shi[:, :, :, None],
-                       ext_lo[None, None, :, :], ext_hi[None, None, :, :])
-    tlo, thi = ku.isum(plo, phi, axis=2)  # [c, al, b]
-    plo, phi = ku.vmul(tlo[:, :, None, :], thi[:, :, None, :],
-                       ext_lo[None, :, :, None], ext_hi[None, :, :, None])
-    t2lo, t2hi = ku.isum(plo, phi, axis=1)  # [c, a, b]
-    return ku.vadd(t1lo, t1hi, t2lo, t2hi)
-
-
 class _DirectState:
     def __init__(self, value, V, S):
         self.value = value
@@ -555,11 +503,11 @@ class _DirectState:
         return self.value
 
     def advance(self, pieces: _StepPieces):
-        m = self.Vlo.shape[1]
-        ext_lo, ext_hi = _extend_rows(self.Vlo, self.Vhi, m)
-        slo, shi = _second_transport(pieces, ext_lo, ext_hi, self.Slo, self.Shi)
+        # the step jet (M, S_step) composed with the accumulated jet (V, S)
+        ext_lo, ext_hi = with_eps_row(self.Vlo, self.Vhi)
+        self.Slo, self.Shi = compose_d2(pieces.Mlo, pieces.Mhi, pieces.Slo, pieces.Shi,
+                                        ext_lo, ext_hi, self.Slo, self.Shi)
         self.Vlo, self.Vhi = ku.idot(pieces.Mlo, pieces.Mhi, ext_lo, ext_hi)
-        self.Slo, self.Shi = slo, shi
         self.value = IntervalBox(pieces.val_lo, pieces.val_hi)
 
     def to_jet(self):
@@ -616,8 +564,9 @@ class _LohnerState:
         t4 = ku.idot(g_lo, g_hi, self.Rvlo, self.Rvhi)
         rvlo, rvhi = ku.vadd(qd_lo, qd_hi, *t4)
         # W: P_w = [Mx] What + S2[Vext, Vext];  W' = P_w + Q' G Rw
-        ext_lo, ext_hi = _extend_rows(*self._v_full(), m)
-        pw_lo, pw_hi = _second_transport(pieces, ext_lo, ext_hi, self.What, self.What)
+        ext_lo, ext_hi = with_eps_row(*self._v_full())
+        pw_lo, pw_hi = compose_d2(pieces.Mlo, pieces.Mhi, pieces.Slo, pieces.Shi,
+                                  ext_lo, ext_hi, self.What, self.What)
         wn = 0.5 * (pw_lo + pw_hi)
         dw = ku.vsub(pw_lo, pw_hi, wn, wn)
         dw = ku.idot(qinv.lo, qinv.hi, dw[0].reshape(n, -1), dw[1].reshape(n, -1))

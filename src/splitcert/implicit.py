@@ -59,9 +59,6 @@ class ImplicitEnclosure:
 
     domain: IntervalBox
     image: IntervalBox
-    dEps: IntervalMatrix | None = None
-    dX: IntervalMatrix | None = None
-    dEpsX: IntervalMatrix | None = None
 
 
 def _dg_dk(g: GOracle, jet: Jet2Enclosure) -> IntervalMatrix:

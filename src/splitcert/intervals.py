@@ -48,11 +48,6 @@ class Interval:
     def point(x: float) -> "Interval":
         return Interval(x, x)
 
-    @staticmethod
-    def from_midrad(mid: float, rad: float) -> "Interval":
-        lo, hi = ku.widen_abs(np.float64(mid), np.float64(mid), np.float64(abs(rad)))
-        return Interval(float(lo), float(hi))
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -68,21 +63,8 @@ class Interval:
         m = self.mid
         return max(self.hi - m, m - self.lo)
 
-    @property
-    def mag(self) -> float:
-        return max(abs(self.lo), abs(self.hi))
-
-    @property
-    def mig(self) -> float:
-        if self.lo <= 0.0 <= self.hi:
-            return 0.0
-        return min(abs(self.lo), abs(self.hi))
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
@@ -175,34 +157,6 @@ class Interval:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
-def iv_arith(op: str, a: Interval, b: Interval | None = None) -> Interval:
-    """Dispatch form of scalar interval arithmetic.
-
-    ``op`` is one of ``add, sub, mul, div, sqr, neg``; ``b`` is required for
-    the binary operations.  Division by an interval containing zero raises
-    :class:`IntervalError` (the caller should subdivide).
-    """
-    if op in ("add", "sub", "mul", "div") and b is None:
-        raise IntervalError(f"operation {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "sqr":
-        return a.sqr()
-    if op == "neg":
-        return -a
-    raise IntervalError(f"unknown operation {op!r}")
-
-
-def iv_sqrt(a: Interval) -> Interval:
-    return a.sqrt()
-
-
 SQRT2 = Interval(2.0, 2.0).sqrt()
 INV_SQRT2 = 1.0 / SQRT2
 
@@ -235,13 +189,6 @@ class IntervalBox:
     def point(x) -> "IntervalBox":
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return IntervalBox(x, x)
-
-    @staticmethod
-    def from_midrad(mid, rad) -> "IntervalBox":
-        mid = np.atleast_1d(np.asarray(mid, dtype=float))
-        rad = np.broadcast_to(np.abs(np.asarray(rad, dtype=float)), mid.shape)
-        lo, hi = ku.widen_abs(mid, mid, rad)
-        return IntervalBox(lo, hi)
 
     @property
     def dim(self) -> int:
@@ -354,32 +301,3 @@ class IntervalBox:
     def __repr__(self):
         comps = " x ".join(f"[{l!r},{h!r}]" for l, h in zip(self.lo, self.hi))
         return f"Box({comps})"
-
-
-def box_util(kind: str, *args):
-    """Set-theoretic utilities on boxes.
-
-    ``hull``, ``intersect`` (returns None for empty), ``mid``, ``rad``,
-    ``contains`` (point or box), ``subset_interior`` (strict per component).
-    """
-    if kind == "hull":
-        a, b = args
-        return a.hull(b)
-    if kind == "intersect":
-        a, b = args
-        return a.intersect(b)
-    if kind == "mid":
-        (a,) = args
-        return a.mid()
-    if kind == "rad":
-        (a,) = args
-        return a.rad()
-    if kind == "contains":
-        a, b = args
-        if isinstance(b, IntervalBox):
-            return a.contains_box(b)
-        return a.contains_point(b)
-    if kind == "subset_interior":
-        a, b = args
-        return a.is_interior_subset(b)
-    raise IntervalError(f"unknown box utility {kind!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels as ku
-from .intervals import Interval, IntervalBox, IntervalError
+from .intervals import IntervalBox, IntervalError
 from .matrices import IntervalMatrix
 
 
@@ -88,25 +88,8 @@ class Jet2Enclosure:
 
     # -- block access --------------------------------------------------------
 
-    def d2_interval(self, a: int, b: int) -> IntervalMatrix:
-        """Column vector enclosure of the (a,b) second partial, as m x 1."""
-        return IntervalMatrix(self.d2lo[:, a, b][:, None], self.d2hi[:, a, b][:, None])
-
-    def d2_block(self, rows, avars, bvars) -> IntervalMatrix:
-        """Matrix block d2[rows, avars, bvars] flattened over (a,b) columns."""
-        lo = self.d2lo[np.ix_(rows, avars, bvars)].reshape(len(rows), -1)
-        hi = self.d2hi[np.ix_(rows, avars, bvars)].reshape(len(rows), -1)
-        return IntervalMatrix(lo, hi)
-
-    def deps(self) -> IntervalBox:
-        return self.d1.col_box(0)
-
     def dstate(self) -> IntervalMatrix:
         return IntervalMatrix(self.d1.lo[:, 1:], self.d1.hi[:, 1:])
-
-    def mixed_eps_state(self) -> IntervalMatrix:
-        """Enclosure of d^2/d eps d x as an (m, k) matrix."""
-        return IntervalMatrix(self.d2lo[:, 0, 1:], self.d2hi[:, 0, 1:])
 
     # -- algebra -------------------------------------------------------------
 
@@ -153,13 +136,6 @@ class Jet2Enclosure:
         lo, hi = ku.vhull(self.d2lo, self.d2hi, other.d2lo, other.d2hi)
         return Jet2Enclosure(self.value.hull(other.value), self.d1.hull(other.d1), lo, hi)
 
-    def contains_jet(self, other: "Jet2Enclosure") -> bool:
-        return (
-            self.value.contains_box(other.value)
-            and self.d1.contains(other.d1)
-            and bool(np.all(self.d2lo <= other.d2lo) and np.all(other.d2hi <= self.d2hi))
-        )
-
     def __repr__(self):
         return (
             f"Jet2Enclosure(m={self.out_dim}, nvars={self.nvars}, "
@@ -167,15 +143,44 @@ class Jet2Enclosure:
         )
 
 
-def _extended_d1(inner: Jet2Enclosure):
-    """Inner derivative with the eps row prepended: rows (eps, u_1..u_p)."""
-    p, nv = inner.d1.shape
+def with_eps_row(d1lo, d1hi):
+    """A (p, nv) derivative block with the eps row (1, 0, ..., 0) prepended,
+    so that it is the derivative of (eps, x) -> (eps, inner(eps, x))."""
+    p, nv = d1lo.shape
     lo = np.zeros((p + 1, nv))
     hi = np.zeros((p + 1, nv))
     lo[0, 0] = hi[0, 0] = 1.0
-    lo[1:] = inner.d1.lo
-    hi[1:] = inner.d1.hi
+    lo[1:] = d1lo
+    hi[1:] = d1hi
     return lo, hi
+
+
+def compose_d2(o1lo, o1hi, o2lo, o2hi, vlo, vhi, wlo, whi):
+    """Second derivative of (eps, x) -> outer(eps, inner(eps, x)) on raw
+    (lo, hi) blocks: sum_ij o2[c,i,j] V[i,a] V[j,b] + sum_i o1[c,i] W[i,a,b].
+
+    ``o1`` (m, p+1) and ``o2`` (m, p+1, p+1) are the outer derivatives, ``v``
+    (p+1, nv) the inner first derivative with its eps row (:func:`with_eps_row`)
+    and ``w`` (p, nv, nv) the inner second derivative, whose eps row is zero.
+    """
+    p, nv = wlo.shape[0], vlo.shape[1]
+    # term 1, contracting j first: T1[c,i,b] = sum_j o2[c,i,j] V[j,b]
+    t1lo, t1hi = ku.vmul(o2lo[:, :, :, None], o2hi[:, :, :, None],
+                         vlo[None, None, :, :], vhi[None, None, :, :])
+    t1lo, t1hi = ku.isum(t1lo, t1hi, axis=2)  # (m, p+1, nv)
+    # then i: term1[c,a,b] = sum_i T1[c,i,b] V[i,a]
+    t2lo, t2hi = ku.vmul(t1lo[:, :, None, :], t1hi[:, :, None, :],
+                         vlo[None, :, :, None], vhi[None, :, :, None])
+    term1lo, term1hi = ku.isum(t2lo, t2hi, axis=1)  # (m, nv, nv)
+    # term 2 over the eps-extended W
+    welo = np.zeros((p + 1, nv, nv))
+    wehi = np.zeros((p + 1, nv, nv))
+    welo[1:] = wlo
+    wehi[1:] = whi
+    t3lo, t3hi = ku.vmul(o1lo[:, :, None, None], o1hi[:, :, None, None],
+                         welo[None, :, :, :], wehi[None, :, :, :])
+    term2lo, term2hi = ku.isum(t3lo, t3hi, axis=1)
+    return ku.vadd(term1lo, term1hi, term2lo, term2hi)
 
 
 def jet2_compose(outer: Jet2Enclosure, inner: Jet2Enclosure) -> Jet2Enclosure:
@@ -190,40 +195,10 @@ def jet2_compose(outer: Jet2Enclosure, inner: Jet2Enclosure) -> Jet2Enclosure:
         raise IntervalError(
             f"outer expects {outer.nvars - 1} state inputs, inner provides {p}"
         )
-    m = outer.out_dim
-    nv = inner.nvars
-
-    vlo, vhi = _extended_d1(inner)  # (p+1, nv)
-
-    # first derivative: D_out @ Vext
+    vlo, vhi = with_eps_row(inner.d1.lo, inner.d1.hi)  # (p+1, nv)
     d1lo, d1hi = ku.idot(outer.d1.lo, outer.d1.hi, vlo, vhi)
-
-    # second derivative, term 1: sum_{i,j} d2o[c,i,j] V[i,a] V[j,b]
-    # contract j first: T1[c,i,b] = sum_j d2o[c,i,j] V[j,b]
-    t1lo, t1hi = ku.vmul(
-        outer.d2lo[:, :, :, None], outer.d2hi[:, :, :, None],
-        vlo[None, None, :, :], vhi[None, None, :, :],
-    )
-    t1lo, t1hi = ku.isum(t1lo, t1hi, axis=2)  # (m, p+1, nv)
-    # then i: term1[c,a,b] = sum_i T1[c,i,b] V[i,a]
-    t2lo, t2hi = ku.vmul(
-        t1lo[:, :, None, :], t1hi[:, :, None, :],
-        vlo[None, :, :, None], vhi[None, :, :, None],
-    )
-    term1lo, term1hi = ku.isum(t2lo, t2hi, axis=1)  # (m, nv, nv)
-
-    # term 2: sum_i d1o[c,i] W[i,a,b] with W's eps row identically zero
-    wlo = np.zeros((p + 1, nv, nv))
-    whi = np.zeros((p + 1, nv, nv))
-    wlo[1:] = inner.d2lo
-    whi[1:] = inner.d2hi
-    t3lo, t3hi = ku.vmul(
-        outer.d1.lo[:, :, None, None], outer.d1.hi[:, :, None, None],
-        wlo[None, :, :, :], whi[None, :, :, :],
-    )
-    term2lo, term2hi = ku.isum(t3lo, t3hi, axis=1)
-
-    d2lo, d2hi = ku.vadd(term1lo, term1hi, term2lo, term2hi)
+    d2lo, d2hi = compose_d2(outer.d1.lo, outer.d1.hi, outer.d2lo, outer.d2hi,
+                            vlo, vhi, inner.d2lo, inner.d2hi)
     return Jet2Enclosure(outer.value, IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
 
 

@@ -28,26 +28,26 @@ def _up(x):
 
 
 def _add_down(a, b):
-    """Lower bound of a+b: exact when representable, else one ulp down."""
+    """Lower bound of a+b: exact when representable, else one ulp down.
+
+    When the sum overflows, err is NaN and the step down turns +inf into
+    the largest finite float (and leaves -inf, a sound lower bound).
+    """
     s = a + b
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
-    return np.where(err < 0, _down(s), s)
+    return np.where(err >= 0, s, _down(s))
 
 
 def _add_up(a, b):
     s = a + b
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
-    return np.where(err > 0, _up(s), s)
+    return np.where(err <= 0, s, _up(s))
 
 
 def vadd(alo, ahi, blo, bhi):
     return _add_down(alo, blo), _add_up(ahi, bhi)
-
-
-def vneg(alo, ahi):
-    return -ahi, -alo
 
 
 def vsub(alo, ahi, blo, bhi):

@@ -30,7 +30,8 @@ from .polys import PolyMap, VectorFieldDef
 from .flow import FlowError, FlowSettings, flow_jet, point_flow, point_flow_jet
 from .distance import ConditionError, DistanceOracle, ManifoldOracle, distance_fixed_point
 from .implicit import ImplicitContractionError
-from .degree import MelnikovCertificate, SplittingProblem, assemble_lemma_data, verify_practical, verify_transversal
+from .degree import (MelnikovCertificate, SplittingProblem, assemble_lemma_data, check_serial,
+                     verify_practical, verify_transversal)
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,11 @@ class LUConfig:
         taylor_order=18, initial_step=0.125))
     subdivide: int = 1
     eps_subdivide: int = 1
-    threads: int = 1
+    threads: int = 1  # kept as a field for callers that pass 1; cells run serially
     fallback_T: tuple[float, ...] = ()
 
     def __post_init__(self):
+        check_serial(self.threads)
         for name in ("lam", "omega", "eps_max", "R", "T", "local_radius", "lipschitz",
                      "second_deriv_bound"):
             if getattr(self, name) <= 0:
@@ -456,8 +458,7 @@ def run_theorem_proof(cfg: LUConfig) -> MelnikovCertificate:
                                     eps_max=cfg.eps_max, oracle=oracle,
                                     assumptions=_lu_assumptions(cfg_t))
             cert = assemble_lemma_data(prob, subdivide=cfg.subdivide,
-                                       eps_subdivide=cfg.eps_subdivide,
-                                       threads=cfg.threads)
+                                       eps_subdivide=cfg.eps_subdivide)
             cert = verify_practical(cert)
             if cert.verified:
                 cert = verify_transversal(cert)

@@ -84,9 +84,6 @@ class IntervalMatrix:
         m = self.mid()
         return np.maximum(self.hi - m, m - self.lo)
 
-    def mag(self) -> np.ndarray:
-        return ku.vmag(self.lo, self.hi)
-
     def width(self) -> np.ndarray:
         return self.hi - self.lo
 
@@ -96,12 +93,6 @@ class IntervalMatrix:
     @property
     def T(self) -> "IntervalMatrix":
         return IntervalMatrix(self.lo.T, self.hi.T)
-
-    def row_box(self, i: int) -> IntervalBox:
-        return IntervalBox(self.lo[i], self.hi[i])
-
-    def col_box(self, j: int) -> IntervalBox:
-        return IntervalBox(self.lo[:, j], self.hi[:, j])
 
     def contains_matrix(self, a) -> bool:
         a = np.asarray(a, dtype=float)

@@ -30,10 +30,6 @@ def _as_coeff(c) -> Interval:
     return Interval.point(float(c))
 
 
-def _ipow(x: Interval, n: int) -> Interval:
-    return x ** n
-
-
 def _times_int(c: Interval, e: int) -> Interval:
     """c * e for an integer e >= 1, widened only at an endpoint whose float
     product is inexact (checked in exact rational arithmetic)."""
@@ -67,6 +63,7 @@ class PolyMap:
                 mono.append((c, exps))
             comps.append(mono)
         self.components = comps
+        self._derivs = None
 
     @property
     def out_dim(self) -> int:
@@ -87,6 +84,17 @@ class PolyMap:
             comps.append(out)
         return PolyMap(self.nvars, comps)
 
+    def derivatives(self) -> tuple[list["PolyMap"], dict[tuple[int, int], "PolyMap"]]:
+        """First partials ``d1[v]`` and upper-triangle second partials
+        ``d2[a, b] = d1[a].partial(b)`` (a <= b), built on first use and kept:
+        a map is never changed after construction."""
+        if self._derivs is None:
+            nv = self.nvars
+            d1 = [self.partial(v) for v in range(nv)]
+            d2 = {(a, b): d1[a].partial(b) for a in range(nv) for b in range(a, nv)}
+            self._derivs = (d1, d2)
+        return self._derivs
+
     # -- evaluation ----------------------------------------------------------
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
@@ -101,7 +109,7 @@ class PolyMap:
                 term = c
                 for v, e in enumerate(exps):
                     if e:
-                        term = term * _ipow(xs[v], e)
+                        term = term * xs[v] ** e
                 acc = acc + term
             out_lo[i] = acc.lo
             out_hi[i] = acc.hi
@@ -122,42 +130,32 @@ class PolyMap:
             out[i] = s
         return out
 
-    def jacobian(self) -> list["PolyMap"]:
-        """One PolyMap per variable: column v is d(self)/d x_v."""
-        return [self.partial(v) for v in range(self.nvars)]
-
     def jet(self, box: IntervalBox) -> Jet2Enclosure:
         """Order-2 jet enclosure over the box (variables include eps)."""
+        d1maps, d2maps = self.derivatives()
         value = self.eval_box(box)
-        cols = []
-        parts = self.jacobian()
-        for pv in parts:
-            cols.append(pv.eval_box(box))
+        cols = [pv.eval_box(box) for pv in d1maps]
         d1lo = np.stack([c.lo for c in cols], axis=1)
         d1hi = np.stack([c.hi for c in cols], axis=1)
         nv = self.nvars
-        m = self.out_dim
-        d2lo = np.zeros((m, nv, nv))
-        d2hi = np.zeros((m, nv, nv))
-        for a in range(nv):
-            for b in range(a, nv):
-                sec = parts[a].partial(b).eval_box(box)
-                d2lo[:, a, b] = d2lo[:, b, a] = sec.lo
-                d2hi[:, a, b] = d2hi[:, b, a] = sec.hi
+        d2lo = np.zeros((self.out_dim, nv, nv))
+        d2hi = np.zeros((self.out_dim, nv, nv))
+        for (a, b), pm in d2maps.items():
+            sec = pm.eval_box(box)
+            d2lo[:, a, b] = d2lo[:, b, a] = sec.lo
+            d2hi[:, a, b] = d2hi[:, b, a] = sec.hi
         return Jet2Enclosure(value, IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
 
     def jet_point(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonrigorous value/Jacobian/Hessian at a point."""
         x = np.asarray(x, dtype=float)
-        parts = self.jacobian()
+        d1maps, d2maps = self.derivatives()
         val = self.eval_point(x)
-        d1 = np.stack([p.eval_point(x) for p in parts], axis=1)
+        d1 = np.stack([p.eval_point(x) for p in d1maps], axis=1)
         nv = self.nvars
         d2 = np.zeros((self.out_dim, nv, nv))
-        for a in range(nv):
-            for b in range(a, nv):
-                s = parts[a].partial(b).eval_point(x)
-                d2[:, a, b] = d2[:, b, a] = s
+        for (a, b), pm in d2maps.items():
+            d2[:, a, b] = d2[:, b, a] = pm.eval_point(x)
         return val, d1, d2
 
     @staticmethod

@@ -207,7 +207,7 @@ def test_criterion_7_end_to_end_theorem(tmp_path):
     runtime = time.time() - t0
 
     # nonrigorous midpoint pipeline at the run's own constants (T=9, order 18)
-    mids = midpoint_mixed_second(_lu_config(cfg_doc, None))
+    mids = midpoint_mixed_second(_lu_config(cfg_doc))
     rel = np.max(np.abs(mids - A22_MIDS) / np.abs(A22_MIDS))
     blocks, diag, margins = doc["blocks"], doc["diagnostics"], doc["margins"]
     finite = all(blocks[k] is not None and np.all(np.isfinite(blocks[k]))

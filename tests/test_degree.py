@@ -16,6 +16,7 @@ from splitcert.degree import (
 )
 from splitcert.distance import DistanceOracle
 from splitcert.intervals import Interval, IntervalBox, IntervalError
+from splitcert.lerman import LUConfig
 from splitcert.matrices import IntervalMatrix, ivec_norm_ub
 from splitcert.polys import PolyMap
 
@@ -234,11 +235,18 @@ def test_boundary_exclusion_coupled_system():
     assert cert.verified
 
 
-def test_boundary_exclusion_threaded_matches():
-    cert1 = verify_boundary_exclusion(Y_SIMPLE, IntervalBox([-1.0, -1.0], [1.0, 1.0]), 1.0)
-    cert2 = verify_boundary_exclusion(Y_SIMPLE, IntervalBox([-1.0, -1.0], [1.0, 1.0]), 1.0, threads=4)
-    assert cert1.verified == cert2.verified
-    assert cert1.cells_checked == cert2.cells_checked
+def test_threads_other_than_one_rejected():
+    # certificate cells run serially; threads survives only as the value 1
+    u = IntervalBox([-1.0, -1.0], [1.0, 1.0])
+    assert verify_boundary_exclusion(Y_SIMPLE, u, 1.0, threads=1).verified
+    with pytest.raises(IntervalError):
+        verify_boundary_exclusion(Y_SIMPLE, u, 1.0, threads=2)
+    prob = SplittingProblem(k1=1, k2=1, p=[0.0, 0.0], R=0.5, eps_max=1.0, oracle=Y_SIMPLE)
+    assemble_lemma_data(prob, threads=1)
+    with pytest.raises(IntervalError):
+        assemble_lemma_data(prob, threads=2)
+    with pytest.raises(IntervalError):
+        LUConfig(threads=2)
 
 
 def test_verify_practical_cannot_enlarge_domain():

@@ -108,6 +108,18 @@ def test_singular_projection_raises():
         d.jet(Interval(0.0, 0.0), XBOX)
 
 
+def test_projection_partition_checked_at_build():
+    # y_proj overlapping x_proj, or skipping an output, is refused before any query
+    pm = PolyMap(2, [[(1.0, (0, 1))], [(1.0, (0, 2))]])
+    overlap = poly_manifold(pm, x_proj=(0,), y_proj=(0,))
+    gapped = poly_manifold(pm, x_proj=(0,), y_proj=(2,))
+    for bad in (overlap, gapped):
+        with pytest.raises(IntervalError, match="partition"):
+            distance_fixed_point(bad, WS_NEG, 0.0, XBOX, k1=1, k2=0)
+        with pytest.raises(IntervalError, match="partition"):
+            distance_fixed_point(WU_PARAB, bad, 0.0, XBOX, k1=1, k2=0)
+
+
 # --- center-section scenario ------------------------------------------------
 
 # coords (x, y, z); params (a, z)

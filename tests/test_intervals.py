@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splitcert.intervals import Interval, IntervalBox, IntervalError, box_util, iv_arith, iv_sqrt
+from splitcert.intervals import Interval, IntervalBox, IntervalError
 
 
 def ulps(x: float, n: int = 1) -> float:
@@ -15,18 +15,18 @@ def ulps(x: float, n: int = 1) -> float:
 
 
 def test_add_exact_endpoints():
-    r = iv_arith("add", Interval(1, 2), Interval(3, 4))
+    r = Interval(1, 2) + Interval(3, 4)
     assert r.lo == 4.0 and r.hi == 6.0  # exact endpoint arithmetic
 
 
 def test_mul_sign_cases():
-    r = iv_arith("mul", Interval(-1, 2), Interval(3, 4))
+    r = Interval(-1, 2) * Interval(3, 4)
     assert r.lo <= -4.0 <= r.hi and r.lo <= 8.0 <= r.hi
     assert r.lo >= -4.0 - ulps(4.0, 2) and r.hi <= 8.0 + ulps(8.0, 2)
 
 
 def test_div_one_third_rational_oracle():
-    r = iv_arith("div", Interval(1, 1), Interval(3, 3))
+    r = Interval(1, 1) / Interval(3, 3)
     third = Fraction(1, 3)
     assert Fraction(r.lo) < third < Fraction(r.hi)
     assert r.width <= 2 * math.ulp(r.lo)
@@ -34,19 +34,19 @@ def test_div_one_third_rational_oracle():
 
 def test_div_by_zero_interval_raises():
     with pytest.raises(IntervalError):
-        iv_arith("div", Interval(1, 1), Interval(-1, 1))
+        Interval(1, 1) / Interval(-1, 1)
 
 
 def test_sub_neg_sqr():
-    assert iv_arith("sub", Interval(1, 2), Interval(0.5, 1)).contains(1.0)
-    assert iv_arith("neg", Interval(-1, 2)) == Interval(-2, 1)
-    s = iv_arith("sqr", Interval(-2, 1))
+    assert (Interval(1, 2) - Interval(0.5, 1)).contains(1.0)
+    assert -Interval(-1, 2) == Interval(-2, 1)
+    s = Interval(-2, 1).sqr()
     assert s.lo <= 0.0 and s.hi >= 4.0
     assert s.hi <= 4.0 + ulps(4.0, 2)
 
 
 def test_sqrt_perfect_squares():
-    r = iv_sqrt(Interval(4, 9))
+    r = Interval(4, 9).sqrt()
     assert r.lo <= 2.0 and r.hi >= 3.0
     assert r.lo >= 2.0 - ulps(2.0, 2) and r.hi <= 3.0 + ulps(3.0, 2)
 
@@ -54,15 +54,15 @@ def test_sqrt_perfect_squares():
 def test_sqrt_two_decimal_oracle():
     getcontext().prec = 60
     sqrt2 = Decimal(2).sqrt()
-    r = iv_sqrt(Interval(2, 2))
+    r = Interval(2, 2).sqrt()
     assert Decimal(r.lo) < sqrt2 < Decimal(r.hi)
     assert r.width <= 2 * math.ulp(r.lo)
 
 
 def test_sqrt_zero_and_negative():
-    assert iv_sqrt(Interval(0, 0)) == Interval(0, 0)
+    assert Interval(0, 0).sqrt() == Interval(0, 0)
     with pytest.raises(IntervalError):
-        iv_sqrt(Interval(-1e-300, 1))
+        Interval(-1e-300, 1).sqrt()
 
 
 def test_pow_even_is_tight():
@@ -74,23 +74,23 @@ def test_pow_even_is_tight():
 def test_box_subset_interior():
     inner = IntervalBox([1.1, 1.1], [1.9, 1.9])
     outer = IntervalBox([1.0, 1.0], [2.0, 2.0])
-    assert box_util("subset_interior", inner, outer)
+    assert inner.is_interior_subset(outer)
     shared = IntervalBox([1.0, 1.0], [1.5, 1.5])
-    assert not box_util("subset_interior", shared, outer)  # shared boundary
+    assert not shared.is_interior_subset(outer)  # shared boundary
 
 
 def test_box_hull_intersect_mid_rad():
     a = IntervalBox([0.0], [1.0])
     b = IntervalBox([2.0], [3.0])
-    h = box_util("hull", a, b)
+    h = a.hull(b)
     assert h.lo[0] == 0.0 and h.hi[0] == 3.0
-    assert box_util("intersect", a, b) is None  # distinguished empty result
+    assert a.intersect(b) is None  # distinguished empty result
     c = IntervalBox([0.5], [2.5])
-    i = box_util("intersect", a, c)
+    i = a.intersect(c)
     assert i.lo[0] == 0.5 and i.hi[0] == 1.0
-    assert box_util("mid", a)[0] == 0.5
-    assert box_util("rad", a)[0] >= 0.5
-    assert box_util("contains", a, 0.3) and not box_util("contains", a, 1.5)
+    assert a.mid()[0] == 0.5
+    assert a.rad()[0] >= 0.5
+    assert a.contains_point(0.3) and not a.contains_point(1.5)
 
 
 def test_box_arithmetic_and_split():

@@ -1,12 +1,14 @@
 """Polynomial maps: evaluation enclosures and symbolic derivatives."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from splitcert.intervals import Interval, IntervalBox, IntervalError
-from splitcert.lerman import LUConfig, _hk_polys
+from splitcert.flow import _FieldTables
+from splitcert.lerman import LUConfig, _hk_polys, lu_field
 from splitcert.polys import PolyMap, VectorFieldDef
 
 
@@ -76,3 +78,33 @@ def test_vector_field_validation():
         VectorFieldDef(2, p)
     neg = f.negated()
     assert neg.eval_point(0.0, [2.0])[0] == -2.0
+
+
+def _tables_digest(tb) -> str:
+    depth = [[a.tolist() for a in g] for g in tb.depth_groups]
+    h = hashlib.sha256(repr((tb.n_rows, depth, [tb.xx_a.tolist(), tb.xx_b.tolist()])).encode())
+    for g in (tb.g_f, tb.g_var):
+        for key in ("clo", "chi", "epow", "rows"):
+            dtype = "<f8" if key in ("clo", "chi") else "<i8"
+            h.update(np.ascontiguousarray(g[key], dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_derivative_maps_built_once_and_field_tables_unchanged():
+    p = PolyMap(3, [[(2.0, (0, 2, 1)), (-1.0, (1, 0, 1)), (0.5, (0, 0, 0))]])
+    box = IntervalBox([0.0, -1.0, 0.5], [0.1, 2.0, 1.5])
+    d1, d2 = p.derivatives()
+    first = p.jet(box)
+    p.jet_point([0.05, 0.5, 1.0])
+    again = p.jet(box)
+    d1b, d2b = p.derivatives()
+    assert d1b is d1 and d2b is d2
+    assert all(x is y for x, y in zip(d1, d1b)) and all(d2[k] is d2b[k] for k in d2)
+    assert np.array_equal(first.d2lo, again.d2lo) and np.array_equal(first.d2hi, again.d2hi)
+    # the flow's compiled tables read the same cached maps ...
+    field = lu_field(LUConfig())
+    tb = _FieldTables(field)
+    assert tb._d1 is field.rhs.derivatives()[0] and tb._d2 is field.rhs.derivatives()[1]
+    # ... and compile to arrays identical to those of the per-table partial
+    # maps the flow used to build (digest taken from that construction)
+    assert _tables_digest(tb) == "f5c7cc59a93dc2c5655b4d4971125adf50a37eb63b0a2df8589d993d99d7d872"
