@@ -58,11 +58,13 @@ class ManifoldOracle:
     z_proj: tuple[int, ...] = ()
     approx: Callable | None = None
 
-    def check_partition(self):
-        """The projections must cover the outputs 0..d-1, each exactly once."""
+    def check_partition(self) -> int:
+        """The projections must cover the outputs 0..d-1, each exactly once;
+        returns d, which the jets' output dimension must match."""
         all_idx = sorted(self.x_proj + self.y_proj + self.v_proj + self.z_proj)
         if all_idx != list(range(len(all_idx))):
             raise IntervalError("projections must partition the output coordinates")
+        return len(all_idx)
 
 
 @dataclass
@@ -96,10 +98,12 @@ class DistanceOracle:
 
 class _CachedJet:
     """Memoize manifold jets by query-box bytes; one validated integration
-    per distinct box pair."""
+    per distinct box pair.  Every computed jet must have ``out_dim``
+    outputs, the dimension the oracle's projections partition."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, out_dim: int):
         self.fn = fn
+        self.out_dim = out_dim
         self.cache = {}
 
     def __call__(self, eps: Interval, box: IntervalBox) -> Jet2Enclosure:
@@ -107,6 +111,9 @@ class _CachedJet:
         j = self.cache.get(key)
         if j is None:
             j = self.fn(eps, box)
+            if j.value.dim != self.out_dim:
+                raise IntervalError(f"manifold jet has {j.value.dim} outputs, but the "
+                                    f"projections partition {self.out_dim}")
             self.cache[key] = j
         return j
 
@@ -265,8 +272,8 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
     reparameterization; with no v and no z this is the fixed-point case.
     Float Newton guesses default to the midpoint of the query box.
     """
-    wcu.check_partition()
-    wcs.check_partition()
+    dim_u = wcu.check_partition()
+    dim_s = wcs.check_partition()
     z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
     kx = len(wcu.x_proj)
     q = len(wcu.v_proj)
@@ -274,8 +281,8 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
         raise IntervalError("projection dimensions are inconsistent with (k1, k2)")
     base_u = tuple(wcu.x_proj) + tuple(wcu.z_proj)
     base_s = tuple(wcs.x_proj) + tuple(wcs.v_proj) + tuple(wcs.z_proj)
-    wcu_jet = _CachedJet(wcu.jet)
-    wcs_jet = _CachedJet(wcs.jet)
+    wcu_jet = _CachedJet(wcu.jet, dim_u)
+    wcs_jet = _CachedJet(wcs.jet, dim_s)
     keep = list(range(0, 1 + kx))  # eps and x columns; z is pinned
     diagnostics: dict = {}
 

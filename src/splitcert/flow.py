@@ -71,14 +71,6 @@ def _iexp_ub(x: float) -> float:
     return (acc + term * 2.0).hi  # geometric tail bound, ratio <= 1/15
 
 
-def _isum_axes(lo, hi, ax0: int, ax1: int):
-    """Interval sum over two axes."""
-    lo = np.moveaxis(lo, (ax0, ax1), (0, 1))
-    hi = np.moveaxis(hi, (ax0, ax1), (0, 1))
-    s = lo.shape
-    return ku.isum(lo.reshape(s[0] * s[1], *s[2:]), hi.reshape(s[0] * s[1], *s[2:]), axis=0)
-
-
 # ---------------------------------------------------------------------------
 # compiled field: series bank of products, monomial tables
 
@@ -205,14 +197,13 @@ def _make_group(tables):
     return {"clo": clo, "chi": chi, "epow": epw, "rows": rows}
 
 
-_TABLE_CACHE: dict[int, _FieldTables] = {}
-
-
 def _tables(field: VectorFieldDef) -> _FieldTables:
-    tb = _TABLE_CACHE.get(id(field))
-    if tb is None or tb.field is not field:
+    """The field's compiled tables, built on first use and kept on the
+    (frozen) field itself."""
+    tb = getattr(field, "_tables", None)
+    if tb is None:
         tb = _FieldTables(field)
-        _TABLE_CACHE[id(field)] = tb
+        object.__setattr__(field, "_tables", tb)
     return tb
 
 
@@ -328,7 +319,7 @@ class _Series:
         # V_{k+1} = (sum_{i+j=k} A_i V_j + aeps_k e0^T) / (k+1)
         plo, phi = ku.vmul(self.Alo[sl, :, :, None], self.Ahi[sl, :, :, None],
                            self.Vlo[rs, None, :, :], self.Vhi[rs, None, :, :])
-        slo, shi = _isum_axes(plo, phi, 0, 2)
+        slo, shi = ku.isum(plo, phi, axis=(0, 2))
         src_lo = np.zeros((n, m)); src_hi = np.zeros((n, m))
         src_lo[:, 0] = self.aelo[k]; src_hi[:, 0] = self.aehi[k]
         tlo, thi = ku.vadd(slo, shi, src_lo, src_hi)
@@ -337,15 +328,15 @@ class _Series:
         # T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be]
         plo, phi = ku.vmul(self.Hxxlo[sl, :, :, :, None], self.Hxxhi[sl, :, :, :, None],
                            self.Vlo[rs, None, None, :, :], self.Vhi[rs, None, None, :, :])
-        self.Tlo[k], self.Thi[k] = _isum_axes(plo, phi, 0, 3)
+        self.Tlo[k], self.Thi[k] = ku.isum(plo, phi, axis=(0, 3))
         # Q1_k[c,al,be] = sum_{i+j=k} T_i[c,a,be] V_j[a,al]
         plo, phi = ku.vmul(self.Tlo[sl, :, :, None, :], self.Thi[sl, :, :, None, :],
                            self.Vlo[rs, None, :, :, None], self.Vhi[rs, None, :, :, None])
-        q1lo, q1hi = _isum_axes(plo, phi, 0, 2)
+        q1lo, q1hi = ku.isum(plo, phi, axis=(0, 2))
         # Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a] V_j[a,al], added on eps row/col
         plo, phi = ku.vmul(self.Hxelo[sl, :, :, None], self.Hxehi[sl, :, :, None],
                            self.Vlo[rs, None, :, :], self.Vhi[rs, None, :, :])
-        q2lo, q2hi = _isum_axes(plo, phi, 0, 2)
+        q2lo, q2hi = ku.isum(plo, phi, axis=(0, 2))
         add_lo = np.zeros((n, m, m)); add_hi = np.zeros((n, m, m))
         add_lo[:, 0, :] = q2lo; add_hi[:, 0, :] = q2hi
         q1lo, q1hi = ku.vadd(q1lo, q1hi, add_lo, add_hi)
@@ -358,7 +349,7 @@ class _Series:
         # S_{k+1} = (sum A_i S_j + Q_k)/(k+1)
         plo, phi = ku.vmul(self.Alo[sl, :, :, None, None], self.Ahi[sl, :, :, None, None],
                            self.Slo[rs, None, :, :, :], self.Shi[rs, None, :, :, :])
-        aslo, ashi = _isum_axes(plo, phi, 0, 2)
+        aslo, ashi = ku.isum(plo, phi, axis=(0, 2))
         tlo, thi = ku.vadd(aslo, ashi, q1lo, q1hi)
         self.Slo[k + 1], self.Shi[k + 1] = ku.vscale(inv, tlo, thi)
 

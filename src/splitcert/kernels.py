@@ -2,10 +2,14 @@
 
 Hardware rounding-mode control is not portably available from Python, so
 every potentially inexact operation widens its round-to-nearest result
-outward by one ulp.  Additions and subtractions use the 2Sum error-free
-transformation to skip the widening when the float result is exact, which
-keeps long accumulation chains (series recurrences, dot products) from
-bloating and preserves exact zeros.
+outward by one ulp.  Pairwise additions and subtractions use the 2Sum
+error-free transformation to skip the widening when the float result is
+exact, which preserves exact zeros.  Reductions of four or more terms
+(``isum``, ``idot``) instead take one float sum per endpoint and pad it by
+an a-priori bound on its rounding error, valid for any summation order;
+sums of three or fewer terms stay 2Sum chains.  Because numpy chooses the
+summation order, the last bits of a long sum may differ between numpy
+builds or CPUs; every result still encloses the exact sum.
 
 All kernels operate elementwise on numpy arrays (or scalars) and assume
 finite inputs; callers enforce the bounded-interval invariant.
@@ -13,10 +17,20 @@ finite inputs; callers enforce the bounded-interval invariant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _INF = np.inf
 _TINY = 2.0 ** -1022  # smallest positive normal float64
+
+
+def _error(msg: str):
+    """The package's IntervalError; imported here on use because
+    ``intervals`` imports this module."""
+    from .intervals import IntervalError
+
+    return IntervalError(msg)
 
 
 def _down(x):
@@ -91,7 +105,7 @@ def vscale(c: float, alo, ahi):
 def vdiv(alo, ahi, blo, bhi):
     """Quotient enclosure; denominator intervals must not contain zero."""
     if np.any((blo <= 0) & (bhi >= 0)):
-        raise ZeroDivisionError("interval division by an interval containing zero")
+        raise _error("interval division by an interval containing zero")
     p1 = alo / blo
     p2 = alo / bhi
     p3 = ahi / blo
@@ -140,25 +154,75 @@ def vmig(alo, ahi):
     return np.where((alo <= 0) & (ahi >= 0), 0.0, m)
 
 
+def _chain(lo, hi, axes):
+    """Left-to-right ``vadd`` chain over the terms of ``axes`` (row-major)."""
+    idx = [slice(None)] * lo.ndim
+    slo = shi = None
+    for pos in np.ndindex(*(lo.shape[a] for a in axes)):
+        for a, p in zip(axes, pos):
+            idx[a] = p
+        tlo, thi = lo[tuple(idx)], hi[tuple(idx)]
+        slo, shi = (tlo, thi) if slo is None else vadd(slo, shi, tlo, thi)
+    return slo, shi
+
+
 def isum(lo, hi, axis):
-    """Interval sum reduction along one axis (pairwise tree, sound rounding)."""
+    """Interval sum reduction over ``axis`` (an int or a tuple of ints).
+
+    Up to three terms are added left to right with ``vadd`` (2Sum, exact
+    sums stay unwidened).  For n >= 4 terms each endpoint is one float sum
+    ``s = fl(sum x)`` padded by ``e = up(c * fl(sum |x|))`` with
+    ``c = (n-1) 2^-53 (1 + 2^-30)``, then rounded outward once more.
+
+    Why ``e`` bounds the error of ``s`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sec. 4.2; Rump, BIT 39, 1999):
+
+    * Any summation order (numpy's pairwise or strided reduction included)
+      passes each term through at most n-1 additions, so
+      ``|s - sum x| <= g * sum |x|`` with ``g = (n-1)u / (1 - (n-1)u)``,
+      ``u = 2^-53``.  Addition has no underflow error (a subnormal sum is
+      exact), so this holds down to zero; an overflow makes ``s`` or ``e``
+      non-finite, and those entries take the chain instead.
+    * The same bound on the nonnegative terms gives
+      ``a = fl(sum |x|) >= (1 - g) sum |x|``, so the error is at most
+      ``g / (1 - g) * a = (n-1)u / (1 - 2(n-1)u) * a <= c * a`` while
+      ``n < 2^21``.
+    * ``c`` is exact in floats for ``n < 2^21`` (at most 52 significant
+      bits), and one step up after the rounded product gives ``e >= c * a``,
+      also when ``c * a`` is subnormal.
+
+    Where ``a == 0`` every term is zero and the exact float sum is kept.
+    The chain never yields NaN and only moves an endpoint outward on
+    overflow (``_add_down``/``_add_up``), so no endpoint lands on the wrong
+    side of the exact sum.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if axis != 0:
-        lo = np.moveaxis(lo, axis, 0)
-        hi = np.moveaxis(hi, axis, 0)
-    if lo.shape[0] == 0:
-        z = np.zeros(lo.shape[1:])
+    if isinstance(axis, (int, np.integer)):
+        axis = (axis,)
+    axes = tuple(a % lo.ndim for a in axis)
+    n = math.prod(lo.shape[a] for a in axes)
+    if n == 0:
+        z = np.zeros(tuple(d for i, d in enumerate(lo.shape) if i not in axes))
         return z, z.copy()
-    while lo.shape[0] > 1:
-        k = lo.shape[0]
-        even = k - (k % 2)
-        nlo, nhi = vadd(lo[0:even:2], hi[0:even:2], lo[1:even:2], hi[1:even:2])
-        if k % 2:
-            nlo = np.concatenate([nlo, lo[even:]])
-            nhi = np.concatenate([nhi, hi[even:]])
-        lo, hi = nlo, nhi
-    return lo[0], hi[0]
+    if n <= 3:
+        return _chain(lo, hi, axes)
+    if n >= 2 ** 21:
+        raise _error("isum error bound holds for fewer than 2^21 terms")
+    c = (n - 1) * 2.0 ** -53 * (1.0 + 2.0 ** -30)
+    slo = np.add.reduce(lo, axis=axes)
+    shi = np.add.reduce(hi, axis=axes)
+    alo = np.add.reduce(np.abs(lo), axis=axes)
+    ahi = np.add.reduce(np.abs(hi), axis=axes)
+    rlo = np.where(alo == 0, slo, _down(slo - _up(c * alo)))
+    rhi = np.where(ahi == 0, shi, _up(shi + _up(c * ahi)))
+    # one test for the common case: the sum is finite only if all four are
+    if not np.isfinite(slo + shi + rlo + rhi).all():
+        ok = np.isfinite(slo) & np.isfinite(shi) & np.isfinite(rlo) & np.isfinite(rhi)
+        clo, chi = _chain(lo, hi, axes)
+        rlo = np.where(ok, rlo, clo)
+        rhi = np.where(ok, rhi, chi)
+    return rlo, rhi
 
 
 def idot(alo, ahi, blo, bhi):

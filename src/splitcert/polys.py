@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels as ku
 from .intervals import Interval, IntervalBox, IntervalError
 from .jets import Jet2Enclosure
 from .matrices import IntervalMatrix
@@ -64,6 +65,7 @@ class PolyMap:
             comps.append(mono)
         self.components = comps
         self._derivs = None
+        self._compiled = None
 
     @property
     def out_dim(self) -> int:
@@ -97,22 +99,57 @@ class PolyMap:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _compile(self):
+        """Monomials compiled for ``eval_box``, built on first use and kept:
+        coefficient endpoints; per variable that appears, the terms it
+        multiplies, its distinct exponents and each term's index into them;
+        and each term's (component, position) slot in the zero-padded fold
+        grid."""
+        if self._compiled is None:
+            flat = [(i, j, c, exps) for i, comp in enumerate(self.components)
+                    for j, (c, exps) in enumerate(comp)]
+            clo = np.array([c.lo for _, _, c, _ in flat], dtype=float)
+            chi = np.array([c.hi for _, _, c, _ in flat], dtype=float)
+            E = np.array([exps for *_, exps in flat], dtype=int).reshape(len(flat), self.nvars)
+            factors = []
+            for v in range(self.nvars):
+                rows = np.nonzero(E[:, v])[0]
+                if rows.size:
+                    exps, which = np.unique(E[rows, v], return_inverse=True)
+                    factors.append((v, rows, exps, which))
+            slot = (np.array([i for i, *_ in flat], dtype=int),
+                    np.array([j for _, j, *_ in flat], dtype=int))
+            width = max((len(comp) for comp in self.components), default=0)
+            self._compiled = (clo, chi, factors, slot, width)
+        return self._compiled
+
     def eval_box(self, box: IntervalBox) -> IntervalBox:
+        """Enclosure of the map over the box.  Each term is its coefficient
+        times ``x_v ** e`` for the variables in order, and each component
+        sums its terms in monomial order, as interval scalar arithmetic
+        would; the terms of all components go through one array product
+        per variable.  A term or sum with a non-finite endpoint raises
+        :class:`IntervalError`."""
         if box.dim != self.nvars:
             raise IntervalError(f"expected {self.nvars} variables, got {box.dim}")
+        clo, chi, factors, slot, width = self._compile()
         xs = box.components()
+        tlo, thi = clo.copy(), chi.copy()
+        for v, rows, exps, which in factors:
+            pows = [xs[v] ** int(e) for e in exps]
+            plo = np.array([p.lo for p in pows])[which]
+            phi = np.array([p.hi for p in pows])[which]
+            mlo, mhi = ku.vmul(tlo[rows], thi[rows], plo, phi)
+            if not (np.isfinite(mlo).all() and np.isfinite(mhi).all()):
+                raise IntervalError(f"polynomial term overflows at variable {v}")
+            tlo[rows], thi[rows] = mlo, mhi
+        glo = np.zeros((self.out_dim, width))
+        ghi = np.zeros((self.out_dim, width))
+        glo[slot], ghi[slot] = tlo, thi
         out_lo = np.zeros(self.out_dim)
         out_hi = np.zeros(self.out_dim)
-        for i, comp in enumerate(self.components):
-            acc = Interval.point(0.0)
-            for c, exps in comp:
-                term = c
-                for v, e in enumerate(exps):
-                    if e:
-                        term = term * xs[v] ** e
-                acc = acc + term
-            out_lo[i] = acc.lo
-            out_hi[i] = acc.hi
+        for j in range(width):
+            out_lo, out_hi = ku.vadd(out_lo, out_hi, glo[:, j], ghi[:, j])
         return IntervalBox(out_lo, out_hi)
 
     def eval_point(self, x) -> np.ndarray:

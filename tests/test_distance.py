@@ -120,6 +120,16 @@ def test_projection_partition_checked_at_build():
             distance_fixed_point(WU_PARAB, bad, 0.0, XBOX, k1=1, k2=0)
 
 
+def test_manifold_outputs_past_the_projections_raise():
+    # a third output that no projection names used to be silently ignored
+    pm = PolyMap(2, [[(1.0, (0, 1))], [(1.0, (0, 2))], [(1.0, (0, 1))]])
+    extra = poly_manifold(pm, x_proj=(0,), y_proj=(1,))
+    for wu, ws in ((extra, WS_NEG), (WU_PARAB, extra)):
+        d = distance_fixed_point(wu, ws, 0.0, XBOX, k1=1, k2=0)
+        with pytest.raises(IntervalError, match="3 outputs"):
+            d.jet(Interval(0.0, 0.0), XBOX)
+
+
 # --- center-section scenario ------------------------------------------------
 
 # coords (x, y, z); params (a, z)

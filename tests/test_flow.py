@@ -171,3 +171,30 @@ def test_step_failure_reports():
 def test_flow_zero_time_is_identity():
     j0 = ident([1.0, 2.0])
     assert flow_jet(F_ROT, j0, Interval(0, 0), 0.0, SET) is j0
+
+
+def test_field_tables_kept_on_the_field():
+    import splitcert.flow as flow
+
+    f = VectorFieldDef(1, PolyMap(2, [[(1.0, (0, 2)), (0.5, (1, 0))]]))
+    assert flow._tables(f) is flow._tables(f)
+    assert flow._tables(f).field is f
+    neg = f.negated()
+    assert flow._tables(neg) is not flow._tables(f) and flow._tables(neg).field is neg
+    assert not hasattr(flow, "_TABLE_CACHE")
+
+
+def test_transport_is_deterministic_within_a_process():
+    # interval sums follow numpy's reduction order; one process must still
+    # reproduce a run bit for bit (first criterion-5 initial condition)
+    from splitcert.lerman import LUConfig, lu_field
+
+    rng = np.random.RandomState(20240817)
+    x0 = rng.uniform(-1.0, 1.0, 4)
+    x0 *= rng.uniform(0.05, 0.5) / np.linalg.norm(x0)
+    runs = [flow_jet(lu_field(LUConfig()), Jet2Enclosure.identity(IntervalBox.point(x0)),
+                     Interval(0.0, 0.0), 1.0, SET) for _ in range(2)]
+    a, b = runs
+    for x, y in [(a.value.lo, b.value.lo), (a.value.hi, b.value.hi), (a.d1.lo, b.d1.lo),
+                 (a.d1.hi, b.d1.hi), (a.d2lo, b.d2lo), (a.d2hi, b.d2hi)]:
+        assert x.tobytes() == y.tobytes()

@@ -108,3 +108,66 @@ def test_derivative_maps_built_once_and_field_tables_unchanged():
     # ... and compile to arrays identical to those of the per-table partial
     # maps the flow used to build (digest taken from that construction)
     assert _tables_digest(tb) == "f5c7cc59a93dc2c5655b4d4971125adf50a37eb63b0a2df8589d993d99d7d872"
+
+
+def _eval_box_scalar(pm: PolyMap, box: IntervalBox):
+    """The scalar-Interval loop eval_box replaced: per component, terms in
+    monomial order, each its coefficient times x_v ** e in variable order."""
+    xs = box.components()
+    lo, hi = [], []
+    for comp in pm.components:
+        acc = Interval.point(0.0)
+        for c, exps in comp:
+            term = c
+            for v, e in enumerate(exps):
+                if e:
+                    term = term * xs[v] ** e
+            acc = acc + term
+        lo.append(acc.lo)
+        hi.append(acc.hi)
+    return np.array(lo), np.array(hi)
+
+
+def _toy_maps():
+    import inspect
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import toy_pair
+    finally:
+        sys.path.pop(0)
+    oracles = toy_pair(np.array([[3.0, 0.75], [1.25, 2.875]]), 0.3125)
+    return [inspect.getclosurevars(w.jet).nonlocals["pm"] for w in oracles]
+
+
+def test_eval_box_equals_scalar_loop():
+    rhs = lu_field(LUConfig()).rhs
+    maps = [rhs]
+    for pm in [rhs, *_toy_maps()]:
+        d1, d2 = pm.derivatives()
+        maps += [pm, *d1, *d2.values()]
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        for pm in maps:
+            mid = rng.uniform(-1.5, 1.5, pm.nvars)
+            rad = rng.uniform(0.0, 0.3, pm.nvars) * (rng.random(pm.nvars) < 0.7)
+            box = IntervalBox(mid - rad, mid + rad)
+            got = pm.eval_box(box)
+            lo, hi = _eval_box_scalar(pm, box)
+            assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
+
+
+def test_eval_box_overflow_is_not_hidden_by_a_zero_factor():
+    # 1e300 * x0 overflows; the later factor x1 = [0, 0] would turn the
+    # infinite term into an exact zero
+    p = PolyMap(3, [[(1.0, (0, 0, 0))], [(1e300, (0, 1, 1)), (1.0, (1, 0, 0))]])
+    box = IntervalBox([0.5, 1e10, 0.0], [0.5, 1e10, 0.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(IntervalError):
+            _eval_box_scalar(p, box)
+        with pytest.raises(IntervalError):
+            p.eval_box(box)
+    v = p.eval_box(IntervalBox([0.5, 1e5, 0.0], [0.5, 1e5, 0.0]))
+    assert v[0].contains(1.0) and v[1].contains(0.5) and v[1].width < 1e-15
