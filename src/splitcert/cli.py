@@ -56,7 +56,7 @@ def _check_keys(doc: dict, allowed: set[str], where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-_FLOW_KEYS = {"taylorOrder", "initialStep", "minStep", "wrappingControl", "maxSteps"}
+_FLOW_KEYS = {"taylorOrder", "initialStep", "minStep", "maxSteps"}
 _LU_KEYS = {
     "problem", "lam", "omega", "epsMax", "R", "T", "localRadius", "lipschitz",
     "secondDerivBound", "flow", "subdivide", "epsSubdivide", "fallbackT",
@@ -72,8 +72,6 @@ def _flow_settings(doc: dict) -> FlowSettings:
         kw["initial_step"] = float(doc["initialStep"])
     if "minStep" in doc:
         kw["min_step"] = float(doc["minStep"])
-    if "wrappingControl" in doc:
-        kw["wrapping_control"] = str(doc["wrappingControl"])
     if "maxSteps" in doc:
         kw["max_steps"] = int(doc["maxSteps"])
     return FlowSettings(**kw)

@@ -248,8 +248,8 @@ def _mean_value_refine(raw_query):
         vlo = np.maximum(j.value.lo, val_lo)
         vhi = np.minimum(j.value.hi, val_hi)
         m, nv = j.d1.shape
-        plo, phi = ku.vmul(j.d2lo, j.d2hi, dev_lo[None, None, :], dev_hi[None, None, :])
-        slo, shi = ku.isum(plo, phi, axis=2)
+        slo, shi = ku.imulsum(j.d2lo, j.d2hi, dev_lo[None, None, :], dev_hi[None, None, :],
+                              axis=2)
         d1lo, d1hi = ku.vadd(jm.d1.lo, jm.d1.hi, slo, shi)
         d1lo = np.maximum(j.d1.lo, d1lo)
         d1hi = np.minimum(j.d1.hi, d1hi)

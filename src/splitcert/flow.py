@@ -2,22 +2,21 @@
 
 The integrator transports an order-2 jet (value, first and second partials
 with respect to eps and the initial-condition parameters) along the flow of
-a polynomial field q' = f(eps, q).  Each step evaluates interval Taylor
-series of the solution and of its first and second variational equations;
-the Lagrange remainders are enclosed by re-evaluating the top coefficient
-over a Picard rough enclosure of the step with Gronwall-type rough bounds
-for the variational blocks.
+a polynomial field q' = f(eps, q).  Each step evaluates one batched interval
+Taylor series of the solution and of its first and second variational
+equations: row 0 starts at the current set and gives the Taylor polynomial,
+row 1 starts at a Picard rough enclosure of the step and gives the Lagrange
+remainders.  The Gronwall-type rough bounds that start row 1's variational
+blocks come from its own order-0 field tables.
 
-Two representations of the transported set are available:
-
-* ``direct`` -- plain interval blocks; simple, fine for short times.
-* ``parallelepiped`` -- Lohner-style QR-factored representation with a
-  doubleton term carrying the initial-condition/parameter correlation
-  (x in xhat + C r0 + Q r).  This controls the wrapping effect over long
-  transport times and is what the manifold pipeline uses.
+The transported set is a Lohner-style QR-factored representation with a
+doubleton term carrying the initial-condition/parameter correlation
+(x in xhat + C r0 + Q r), which controls the wrapping effect over long
+transport times.
 
 Step sizes are powers of two, adapted by a coefficient-decay heuristic, so
-runs are deterministic; the final step is clipped to land on T.
+runs are deterministic; the final step is clipped to land on T.  A step
+whose rough enclosure fails or whose enclosures are not finite is halved.
 """
 
 from __future__ import annotations
@@ -51,8 +50,9 @@ class FlowSettings:
             raise IntervalError("taylor_order must be at least 2")
         if not (0 < self.min_step <= self.initial_step):
             raise IntervalError("steps must be positive with min_step <= initial_step")
-        if self.wrapping_control not in ("direct", "parallelepiped"):
-            raise IntervalError("wrapping_control must be 'direct' or 'parallelepiped'")
+        if self.wrapping_control != "parallelepiped":
+            raise IntervalError("wrapping_control must be 'parallelepiped' "
+                                f"(the only representation), got {self.wrapping_control!r}")
 
 
 def _iexp_ub(x: float) -> float:
@@ -94,7 +94,6 @@ class _FieldTables:
         self._depth: list[int] = [0] * (1 + n)
 
         d1, d2 = field.rhs.derivatives()
-        self._d1, self._d2 = d1, d2
         self.f = self._compile(field.rhs)
         aeps = self._compile(d1[0])
         A = [self._compile(d1[1 + a]) for a in range(n)]
@@ -159,25 +158,6 @@ class _FieldTables:
             out.append((clo, chi, epow, rows))
         return out
 
-    # -- rough bounds over a box -------------------------------------------
-
-    def mag_bounds(self, eps: Interval, box: IntervalBox):
-        full = IntervalBox(np.concatenate([[eps.lo], box.lo]), np.concatenate([[eps.hi], box.hi]))
-        n = self.n
-
-        def mag(pm: PolyMap) -> np.ndarray:
-            v = pm.eval_box(full)
-            return ku.vmag(v.lo, v.hi)
-
-        jac_mag = np.stack([mag(self._d1[1 + a]) for a in range(n)], axis=1)
-        ce = float(np.max(mag(self._d1[0])))
-        d = float(np.max(np.sum(jac_mag, axis=1)))
-        hxx = max(float(np.max(mag(self._d2[1 + a, 1 + b])))
-                  for a in range(n) for b in range(a, n))
-        hxe = max(float(np.max(mag(self._d2[0, 1 + a]))) for a in range(n))
-        hee = float(np.max(mag(self._d2[0, 0])))
-        return d, ce, hxx, hxe, hee
-
 
 def _make_group(tables):
     """Pad compiled tables into rectangular arrays for fused evaluation."""
@@ -231,143 +211,208 @@ class _Resolved:
 # series engine
 
 class _Series:
-    """Order-by-order interval Taylor series: state, V (n x m), S (n x m x m)."""
+    """Order-by-order interval Taylor series of a batch of initial boxes.
 
-    def __init__(self, rf: _Resolved, z0: IntervalBox, P: int, V0=None, S0=None, m: int = 0):
+    Row b of every block is the series of initial box b: state z (B, P+2, n)
+    and, when ``m > 0``, the variational blocks V (B, P+2, n, m) and
+    S (B, P+2, n, m, m).  All rows share the resolved field coefficients,
+    so every kernel call of an order step serves the whole batch.
+
+    The constructor fills the bank at order 0 and the field tables at order
+    0 (``Alo[:, 0]``, ... enclose f's derivatives over the initial boxes);
+    a series with variational blocks then needs :meth:`start` before
+    :meth:`extend_to`.
+
+    Cauchy products use the fused ``ku.imulsum`` path while every stored
+    block is scaled (``ku.is_scaled``): each order step is checked once,
+    after it ran, and rerun through the checked kernel when one of the
+    blocks it wrote fails the check.  A step writes only its own slots, so
+    the rerun overwrites everything the unchecked pass wrote.
+    """
+
+    def __init__(self, rf: _Resolved, zlo, zhi, P: int, m: int = 0):
         tb = rf.tb
         n = tb.n
+        B = zlo.shape[0]
         self.rf = rf
         self.tb = tb
         self.P = P
         self.n = n
         self.m = m
-        self.banklo = np.zeros((tb.n_rows, P + 2))
-        self.bankhi = np.zeros((tb.n_rows, P + 2))
-        self.banklo[0, 0] = self.bankhi[0, 0] = 1.0
-        self.zlo = np.zeros((P + 2, n)); self.zhi = np.zeros((P + 2, n))
-        self.zlo[0] = z0.lo; self.zhi[0] = z0.hi
-        self.with_var = V0 is not None
+        self.banklo = np.zeros((B, tb.n_rows, P + 2))
+        self.bankhi = np.zeros((B, tb.n_rows, P + 2))
+        self.banklo[:, 0, 0] = self.bankhi[:, 0, 0] = 1.0
+        self.zlo = np.zeros((B, P + 2, n)); self.zhi = np.zeros((B, P + 2, n))
+        self.zlo[:, 0] = zlo; self.zhi[:, 0] = zhi
+        self.with_var = m > 0
         if self.with_var:
-            self.Vlo = np.zeros((P + 2, n, m)); self.Vhi = np.zeros((P + 2, n, m))
-            self.Vlo[0], self.Vhi[0] = V0
-            self.Slo = np.zeros((P + 2, n, m, m)); self.Shi = np.zeros((P + 2, n, m, m))
-            self.Slo[0], self.Shi[0] = S0
-            self.Alo = np.zeros((P + 2, n, n)); self.Ahi = np.zeros((P + 2, n, n))
-            self.aelo = np.zeros((P + 2, n)); self.aehi = np.zeros((P + 2, n))
-            self.Hxxlo = np.zeros((P + 2, n, n, n)); self.Hxxhi = np.zeros((P + 2, n, n, n))
-            self.Hxelo = np.zeros((P + 2, n, n)); self.Hxehi = np.zeros((P + 2, n, n))
-            self.Heelo = np.zeros((P + 2, n)); self.Heehi = np.zeros((P + 2, n))
-            self.Tlo = np.zeros((P + 2, n, n, m)); self.Thi = np.zeros((P + 2, n, n, m))
+            def blank(*shape):
+                return np.zeros((B, P + 2, *shape)), np.zeros((B, P + 2, *shape))
+            self.Vlo, self.Vhi = blank(n, m)
+            self.Slo, self.Shi = blank(n, m, m)
+            self.Alo, self.Ahi = blank(n, n)
+            self.aelo, self.aehi = blank(n)
+            self.Hxxlo, self.Hxxhi = blank(n, n, n)
+            self.Hxelo, self.Hxehi = blank(n, n)
+            self.Heelo, self.Heehi = blank(n)
+            self.Tlo, self.Thi = blank(n, n, m)
+        g = rf.g_var if self.with_var else rf.g_f
+        self.scaled = ku.is_scaled(g["clo"], g["chi"], zlo, zhi)
         self._filled = -1
-        self._extend_bank(0)
+        self._checked(self._first_step, 0)
 
-    def _extend_bank(self, k: int):
-        self.banklo[1 : 1 + self.n, k] = self.zlo[k]
-        self.bankhi[1 : 1 + self.n, k] = self.zhi[k]
+    def start(self, V0, S0):
+        """Set the variational initial data: (lo, hi) of shape (B, n, m)
+        and (B, n, m, m)."""
+        self.Vlo[:, 0], self.Vhi[:, 0] = V0
+        self.Slo[:, 0], self.Shi[:, 0] = S0
+        self.scaled = self.scaled and ku.is_scaled(*V0, *S0)
+
+    def _checked(self, step, k: int):
+        if self.scaled:
+            step(k, True)
+            if ku.is_scaled(*self._written(k)):
+                return
+            self.scaled = False
+        step(k, False)
+
+    def _written(self, k: int):
+        """The product operands that order step k writes."""
+        out = [self.banklo[:, :, k : k + 2], self.bankhi[:, :, k : k + 2]]
+        if self.with_var:
+            out += [self.Alo[:, k], self.Ahi[:, k], self.Hxxlo[:, k], self.Hxxhi[:, k],
+                    self.Hxelo[:, k], self.Hxehi[:, k], self.Tlo[:, k], self.Thi[:, k],
+                    self.Vlo[:, k + 1], self.Vhi[:, k + 1], self.Slo[:, k + 1], self.Shi[:, k + 1]]
+        return out
+
+    def _first_step(self, k: int, fast: bool):
+        self._extend_bank(0, fast)
+        self._field_step(0, fast)
+
+    def _extend_bank(self, k: int, fast: bool):
+        self.banklo[:, 1 : 1 + self.n, k] = self.zlo[:, k]
+        self.bankhi[:, 1 : 1 + self.n, k] = self.zhi[:, k]
         for lidx, ridx, rows in self.tb.depth_groups:
-            plo, phi = ku.vmul(self.banklo[lidx, : k + 1], self.bankhi[lidx, : k + 1],
-                               self.banklo[ridx, k::-1], self.bankhi[ridx, k::-1])
-            slo, shi = ku.isum(plo, phi, axis=1)
-            self.banklo[rows, k] = slo
-            self.bankhi[rows, k] = shi
-
-    def _group_at(self, g, k: int):
-        plo, phi = ku.vmul(g["clo"], g["chi"],
-                           self.banklo[g["rows"], k], self.bankhi[g["rows"], k])
-        return ku.isum(plo, phi, axis=1)
+            slo, shi = ku.imulsum(self.banklo[:, lidx, : k + 1], self.bankhi[:, lidx, : k + 1],
+                                  self.banklo[:, ridx, k::-1], self.bankhi[:, ridx, k::-1],
+                                  axis=2, scaled=fast)
+            self.banklo[:, rows, k] = slo
+            self.bankhi[:, rows, k] = shi
 
     def extend_to(self, upto: int):
         """Fill coefficients through order ``upto`` (state; V/S when enabled)."""
         for k in range(self._filled + 1, upto):
-            self._order_step(k)
+            self._checked(self._order_step, k)
         self._filled = max(self._filled, upto - 1)
 
-    def _order_step(self, k: int):
-        n, m = self.n, self.m
-        tb = self.tb
-        rf = self.rf
-        inv = 1.0 / (k + 1)
-        if not self.with_var:
-            flo, fhi = self._group_at(rf.g_f, k)
-            self.zlo[k + 1], self.zhi[k + 1] = ku.vscale(inv, flo, fhi)
-            self._extend_bank(k + 1)
-            return
-        glo, ghi = self._group_at(rf.g_var, k)
-        i0 = 0
-        flo, fhi = glo[i0 : i0 + n], ghi[i0 : i0 + n]; i0 += n
-        self.zlo[k + 1], self.zhi[k + 1] = ku.vscale(inv, flo, fhi)
-        self._extend_bank(k + 1)
-        self.Alo[k] = glo[i0 : i0 + n * n].reshape(n, n).T
-        self.Ahi[k] = ghi[i0 : i0 + n * n].reshape(n, n).T
-        i0 += n * n
-        self.aelo[k], self.aehi[k] = glo[i0 : i0 + n], ghi[i0 : i0 + n]; i0 += n
-        npairs = n * (n + 1) // 2
-        xxlo = glo[i0 : i0 + npairs * n].reshape(npairs, n)
-        xxhi = ghi[i0 : i0 + npairs * n].reshape(npairs, n)
-        i0 += npairs * n
-        self.Hxxlo[k][:, tb.xx_a, tb.xx_b] = xxlo.T
-        self.Hxxhi[k][:, tb.xx_a, tb.xx_b] = xxhi.T
-        self.Hxxlo[k][:, tb.xx_b, tb.xx_a] = xxlo.T
-        self.Hxxhi[k][:, tb.xx_b, tb.xx_a] = xxhi.T
-        self.Hxelo[k] = glo[i0 : i0 + n * n].reshape(n, n).T
-        self.Hxehi[k] = ghi[i0 : i0 + n * n].reshape(n, n).T
-        i0 += n * n
-        self.Heelo[k], self.Heehi[k] = glo[i0 : i0 + n], ghi[i0 : i0 + n]
+    def _order_step(self, k: int, fast: bool):
+        if k > 0:  # the constructor ran the field step at order 0
+            self._field_step(k, fast)
+        if self.with_var:
+            self._var_step(k, fast)
 
+    def _field_step(self, k: int, fast: bool):
+        """z_{k+1} and the bank at order k+1; with variational blocks also
+        the field's derivative tables at order k."""
+        n = self.n
+        tb = self.tb
+        g = self.rf.g_var if self.with_var else self.rf.g_f
+        glo, ghi = ku.imulsum(g["clo"], g["chi"], self.banklo[:, g["rows"], k],
+                              self.bankhi[:, g["rows"], k], axis=2, scaled=fast)
+        inv = 1.0 / (k + 1)
+        self.zlo[:, k + 1], self.zhi[:, k + 1] = ku.vscale(inv, glo[:, :n], ghi[:, :n])
+        self._extend_bank(k + 1, fast)
+        if not self.with_var:
+            return
+        i0 = n
+        B = glo.shape[0]
+        self.Alo[:, k] = glo[:, i0 : i0 + n * n].reshape(B, n, n).transpose(0, 2, 1)
+        self.Ahi[:, k] = ghi[:, i0 : i0 + n * n].reshape(B, n, n).transpose(0, 2, 1)
+        i0 += n * n
+        self.aelo[:, k], self.aehi[:, k] = glo[:, i0 : i0 + n], ghi[:, i0 : i0 + n]; i0 += n
+        npairs = n * (n + 1) // 2
+        xxlo = glo[:, i0 : i0 + npairs * n].reshape(B, npairs, n).transpose(0, 2, 1)
+        xxhi = ghi[:, i0 : i0 + npairs * n].reshape(B, npairs, n).transpose(0, 2, 1)
+        i0 += npairs * n
+        self.Hxxlo[:, k][:, :, tb.xx_a, tb.xx_b] = xxlo
+        self.Hxxhi[:, k][:, :, tb.xx_a, tb.xx_b] = xxhi
+        self.Hxxlo[:, k][:, :, tb.xx_b, tb.xx_a] = xxlo
+        self.Hxxhi[:, k][:, :, tb.xx_b, tb.xx_a] = xxhi
+        self.Hxelo[:, k] = glo[:, i0 : i0 + n * n].reshape(B, n, n).transpose(0, 2, 1)
+        self.Hxehi[:, k] = ghi[:, i0 : i0 + n * n].reshape(B, n, n).transpose(0, 2, 1)
+        i0 += n * n
+        self.Heelo[:, k], self.Heehi[:, k] = glo[:, i0 : i0 + n], ghi[:, i0 : i0 + n]
+
+    def _var_step(self, k: int, fast: bool):
+        """V_{k+1}, T_k and S_{k+1} from the tables through order k."""
+        inv = 1.0 / (k + 1)
         sl = slice(0, k + 1)
         rs = slice(k, None, -1)
         # V_{k+1} = (sum_{i+j=k} A_i V_j + aeps_k e0^T) / (k+1)
-        plo, phi = ku.vmul(self.Alo[sl, :, :, None], self.Ahi[sl, :, :, None],
-                           self.Vlo[rs, None, :, :], self.Vhi[rs, None, :, :])
-        slo, shi = ku.isum(plo, phi, axis=(0, 2))
-        src_lo = np.zeros((n, m)); src_hi = np.zeros((n, m))
-        src_lo[:, 0] = self.aelo[k]; src_hi[:, 0] = self.aehi[k]
+        slo, shi = ku.imulsum(self.Alo[:, sl, :, :, None], self.Ahi[:, sl, :, :, None],
+                              self.Vlo[:, rs, None, :, :], self.Vhi[:, rs, None, :, :],
+                              axis=(1, 3), scaled=fast)
+        src_lo = np.zeros_like(slo); src_hi = np.zeros_like(shi)
+        src_lo[:, :, 0] = self.aelo[:, k]; src_hi[:, :, 0] = self.aehi[:, k]
         tlo, thi = ku.vadd(slo, shi, src_lo, src_hi)
-        self.Vlo[k + 1], self.Vhi[k + 1] = ku.vscale(inv, tlo, thi)
+        self.Vlo[:, k + 1], self.Vhi[:, k + 1] = ku.vscale(inv, tlo, thi)
 
         # T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be]
-        plo, phi = ku.vmul(self.Hxxlo[sl, :, :, :, None], self.Hxxhi[sl, :, :, :, None],
-                           self.Vlo[rs, None, None, :, :], self.Vhi[rs, None, None, :, :])
-        self.Tlo[k], self.Thi[k] = ku.isum(plo, phi, axis=(0, 3))
+        self.Tlo[:, k], self.Thi[:, k] = ku.imulsum(
+            self.Hxxlo[:, sl, :, :, :, None], self.Hxxhi[:, sl, :, :, :, None],
+            self.Vlo[:, rs, None, None, :, :], self.Vhi[:, rs, None, None, :, :],
+            axis=(1, 4), scaled=fast)
         # Q1_k[c,al,be] = sum_{i+j=k} T_i[c,a,be] V_j[a,al]
-        plo, phi = ku.vmul(self.Tlo[sl, :, :, None, :], self.Thi[sl, :, :, None, :],
-                           self.Vlo[rs, None, :, :, None], self.Vhi[rs, None, :, :, None])
-        q1lo, q1hi = ku.isum(plo, phi, axis=(0, 2))
+        q1lo, q1hi = ku.imulsum(self.Tlo[:, sl, :, :, None, :], self.Thi[:, sl, :, :, None, :],
+                                self.Vlo[:, rs, None, :, :, None], self.Vhi[:, rs, None, :, :, None],
+                                axis=(1, 3), scaled=fast)
         # Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a] V_j[a,al], added on eps row/col
-        plo, phi = ku.vmul(self.Hxelo[sl, :, :, None], self.Hxehi[sl, :, :, None],
-                           self.Vlo[rs, None, :, :], self.Vhi[rs, None, :, :])
-        q2lo, q2hi = ku.isum(plo, phi, axis=(0, 2))
-        add_lo = np.zeros((n, m, m)); add_hi = np.zeros((n, m, m))
-        add_lo[:, 0, :] = q2lo; add_hi[:, 0, :] = q2hi
+        q2lo, q2hi = ku.imulsum(self.Hxelo[:, sl, :, :, None], self.Hxehi[:, sl, :, :, None],
+                                self.Vlo[:, rs, None, :, :], self.Vhi[:, rs, None, :, :],
+                                axis=(1, 3), scaled=fast)
+        add_lo = np.zeros_like(q1lo); add_hi = np.zeros_like(q1hi)
+        add_lo[:, :, 0, :] = q2lo; add_hi[:, :, 0, :] = q2hi
         q1lo, q1hi = ku.vadd(q1lo, q1hi, add_lo, add_hi)
-        add_lo = np.zeros((n, m, m)); add_hi = np.zeros((n, m, m))
-        add_lo[:, :, 0] = q2lo; add_hi[:, :, 0] = q2hi
+        add_lo = np.zeros_like(q1lo); add_hi = np.zeros_like(q1hi)
+        add_lo[:, :, :, 0] = q2lo; add_hi[:, :, :, 0] = q2hi
         q1lo, q1hi = ku.vadd(q1lo, q1hi, add_lo, add_hi)
-        add_lo = np.zeros((n, m, m)); add_hi = np.zeros((n, m, m))
-        add_lo[:, 0, 0] = self.Heelo[k]; add_hi[:, 0, 0] = self.Heehi[k]
+        add_lo = np.zeros_like(q1lo); add_hi = np.zeros_like(q1hi)
+        add_lo[:, :, 0, 0] = self.Heelo[:, k]; add_hi[:, :, 0, 0] = self.Heehi[:, k]
         q1lo, q1hi = ku.vadd(q1lo, q1hi, add_lo, add_hi)
         # S_{k+1} = (sum A_i S_j + Q_k)/(k+1)
-        plo, phi = ku.vmul(self.Alo[sl, :, :, None, None], self.Ahi[sl, :, :, None, None],
-                           self.Slo[rs, None, :, :, :], self.Shi[rs, None, :, :, :])
-        aslo, ashi = ku.isum(plo, phi, axis=(0, 2))
+        aslo, ashi = ku.imulsum(self.Alo[:, sl, :, :, None, None], self.Ahi[:, sl, :, :, None, None],
+                                self.Slo[:, rs, None, :, :, :], self.Shi[:, rs, None, :, :, :],
+                                axis=(1, 3), scaled=fast)
         tlo, thi = ku.vadd(aslo, ashi, q1lo, q1hi)
-        self.Slo[k + 1], self.Shi[k + 1] = ku.vscale(inv, tlo, thi)
+        self.Slo[:, k + 1], self.Shi[:, k + 1] = ku.vscale(inv, tlo, thi)
 
-    def _horner(self, lo_arr, hi_arr, h: float, upto: int):
-        lo = lo_arr[upto].copy(); hi = hi_arr[upto].copy()
+    def flat(self, row: int, orders: slice):
+        """Coefficients ``orders`` of one row, each order's state, V and S
+        (when enabled) flattened side by side: (lo, hi) of shape
+        (orders, n + n m + n m m)."""
+        blocks = [(self.zlo, self.zhi)]
+        if self.with_var:
+            blocks += [(self.Vlo, self.Vhi), (self.Slo, self.Shi)]
+        out = []
+        for i in range(2):
+            parts = [b[i][row, orders] for b in blocks]
+            out.append(np.concatenate([x.reshape(x.shape[0], -1) for x in parts], axis=1))
+        return out[0], out[1]
+
+    def unflat(self, x):
+        """Split one flattened order back into (state, V, S) blocks."""
+        n, m = self.n, self.m
+        return x[:n], x[n : n + n * m].reshape(n, m), x[n + n * m :].reshape(n, m, m)
+
+    def eval_flat(self, row: int, h: float, upto: int):
+        """The row's Taylor polynomial through order ``upto`` at time h
+        (Horner), flattened as in :meth:`flat`."""
+        clo, chi = self.flat(row, slice(0, upto + 1))
+        lo, hi = clo[upto], chi[upto]
         for k in range(upto - 1, -1, -1):
             lo, hi = ku.vscale(h, lo, hi)
-            lo, hi = ku.vadd(lo, hi, lo_arr[k], hi_arr[k])
+            lo, hi = ku.vadd(lo, hi, clo[k], chi[k])
         return lo, hi
-
-    def eval_value(self, h, upto):
-        return self._horner(self.zlo, self.zhi, h, upto)
-
-    def eval_V(self, h, upto):
-        return self._horner(self.Vlo, self.Vhi, h, upto)
-
-    def eval_S(self, h, upto):
-        return self._horner(self.Slo, self.Shi, h, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +458,14 @@ def taylor_coeffs(field: VectorFieldDef, state: Jet2Enclosure, order: int,
     if eps is None:
         eps = Interval(0.0, 0.0)
     rf = _Resolved(_tables(field), eps)
-    m = state.nvars
-    ser = _Series(rf, state.value, order,
-                  V0=(state.d1.lo.copy(), state.d1.hi.copy()),
-                  S0=(state.d2lo.copy(), state.d2hi.copy()), m=m)
+    ser = _Series(rf, state.value.lo[None], state.value.hi[None], order, m=state.nvars)
+    ser.start((state.d1.lo[None], state.d1.hi[None]), (state.d2lo[None], state.d2hi[None]))
     ser.extend_to(order)
     out = []
     for k in range(order + 1):
-        out.append(Jet2Enclosure(IntervalBox(ser.zlo[k], ser.zhi[k]),
-                                 IntervalMatrix(ser.Vlo[k], ser.Vhi[k]),
-                                 ser.Slo[k], ser.Shi[k]))
+        out.append(Jet2Enclosure(IntervalBox(ser.zlo[0, k], ser.zhi[0, k]),
+                                 IntervalMatrix(ser.Vlo[0, k], ser.Vhi[0, k]),
+                                 ser.Slo[0, k], ser.Shi[0, k]))
     return out
 
 
@@ -433,76 +476,75 @@ class _StepPieces:
     __slots__ = ("phi_lo", "phi_hi", "val_lo", "val_hi", "Mlo", "Mhi", "Slo", "Shi", "err")
 
 
+def _gronwall(ser: _Series, row: int):
+    """Magnitude bounds over the rough enclosure, read from the order-0
+    field tables of its series row: d >= max_c sum_a |df_c/dx_a|,
+    ce >= |df/deps|, hxx, hxe, hee >= the second-derivative blocks."""
+    jlo, jhi = ser.Alo[row, 0], ser.Ahi[row, 0]
+    jmag = ku.vmag(jlo, jhi)
+    d = float(np.max(ku.isum(jmag, jmag, axis=1)[1]))
+
+    def mag(lo, hi):
+        return float(np.max(ku.vmag(lo[row, 0], hi[row, 0])))
+
+    return (d, mag(ser.aelo, ser.aehi), mag(ser.Hxxlo, ser.Hxxhi),
+            mag(ser.Hxelo, ser.Hxehi), mag(ser.Heelo, ser.Heehi))
+
+
 def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
-              hull: IntervalBox, xhat, h: float, P: int, need_point: bool) -> _StepPieces:
-    """One-step flow jet over (eps, x_k), remainders included."""
+              hull: IntervalBox, xhat, h: float, P: int) -> _StepPieces:
+    """One-step flow jet over (eps, x_k), remainders included.
+
+    One batch-2 series to order P+1 serves the step: row 0 starts at the
+    hull and gives the Taylor polynomial, row 1 starts at the rough
+    enclosure Z of the step and gives the Lagrange remainders.  Raises
+    :class:`FlowError` when the rough enclosure fails or a piece is not
+    finite (the caller halves the step).
+    """
     n = tb.n
     Z = rough_enclosure(tb.field, hull, eps, h)
     mj = n + 1
     eye = np.hstack([np.zeros((n, 1)), np.eye(n)])
-    ser = _Series(rf, hull, P, V0=(eye, eye), S0=(np.zeros((n, mj, mj)), np.zeros((n, mj, mj))), m=mj)
-    ser.extend_to(P)
+    # overflowing coefficients end in the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ser = _Series(rf, np.stack([hull.lo, Z.lo]), np.stack([hull.hi, Z.hi]), P + 1, m=mj)
 
-    # Gronwall rough bounds for the variational blocks over the step
-    d, ce, hxx, hxe, hee = tb.mag_bounds(eps, Z)
-    eh = _iexp_ub(d * h)
-    etaV = ((Interval.point(eh) - 1.0) + Interval.point(h * ce) * Interval.point(eh)).hi
-    vr_lo, vr_hi = ku.widen_abs(eye, eye, np.full((n, mj), etaV))
-    vm = float(np.maximum(np.abs(vr_lo), np.abs(vr_hi)).max()) * n  # column sum bound
-    qb = Interval.point(hxx) * Interval.point(vm) * Interval.point(vm) \
-        + Interval.point(2.0 * hxe) * Interval.point(vm) + Interval.point(hee)
-    etaS = (Interval.point(h * eh) * qb).hi
-    serZ = _Series(rf, Z, P + 1, V0=(vr_lo, vr_hi),
-                   S0=(np.full((n, mj, mj), -etaS), np.full((n, mj, mj), etaS)), m=mj)
-    serZ.extend_to(P + 1)
-    hp1 = Interval.point(h) ** (P + 1)
+        # Gronwall rough bounds for the variational blocks over the step
+        d, ce, hxx, hxe, hee = _gronwall(ser, 1)
+        hv = Interval.point(h)
+        eh = _iexp_ub((hv * d).hi)
+        etaV = ((Interval.point(eh) - 1.0) + hv * ce * eh).hi
+        vr_lo, vr_hi = ku.widen_abs(eye, eye, np.full((n, mj), etaV))
+        vm = (Interval.point(float(ku.vmag(vr_lo, vr_hi).max())) * n).hi  # column sum bound
+        qb = Interval.point(hxx) * vm * vm + Interval.point(2.0 * hxe) * vm + hee
+        etaS = (hv * eh * qb).hi
+        zero = np.zeros((n, mj, mj))
+        ser.start((np.stack([eye, vr_lo]), np.stack([eye, vr_hi])),
+                  (np.stack([zero, np.full_like(zero, -etaS)]),
+                   np.stack([zero, np.full_like(zero, etaS)])))
+        ser.extend_to(P + 1)
+        hp1 = hv ** (P + 1)
 
-    def remainder(lo_arr, hi_arr):
-        return ku.vmul(lo_arr[P + 1], hi_arr[P + 1],
-                       np.full(lo_arr[P + 1].shape, hp1.lo), np.full(hi_arr[P + 1].shape, hp1.hi))
+        # Taylor polynomial of row 0 plus the Lagrange remainder of row 1
+        plo, phi = ser.eval_flat(0, h, P)
+        clo, chi = ser.flat(1, slice(P + 1, P + 2))
+        rlo, rhi = ku.vmul(clo[0], chi[0], np.full(clo.shape[1], hp1.lo),
+                           np.full(chi.shape[1], hp1.hi))
+        lo, hi = ku.vadd(plo, phi, rlo, rhi)
+        pieces = _StepPieces()
+        pieces.val_lo, pieces.Mlo, pieces.Slo = ser.unflat(lo)
+        pieces.val_hi, pieces.Mhi, pieces.Shi = ser.unflat(hi)
+        pieces.err = float(np.max(ku.vmag(ser.zlo[0, P], ser.zhi[0, P]))) * h**P \
+            + float(np.max(ku.vmag(rlo[:n], rhi[:n])))
 
-    pieces = _StepPieces()
-    rz = remainder(serZ.zlo, serZ.zhi)
-    vlo, vhi = ser.eval_value(h, P)
-    pieces.val_lo, pieces.val_hi = ku.vadd(vlo, vhi, *rz)
-    rv = remainder(serZ.Vlo, serZ.Vhi)
-    mlo, mhi = ser.eval_V(h, P)
-    pieces.Mlo, pieces.Mhi = ku.vadd(mlo, mhi, *rv)
-    rs = remainder(serZ.Slo, serZ.Shi)
-    slo, shi = ser.eval_S(h, P)
-    pieces.Slo, pieces.Shi = ku.vadd(slo, shi, *rs)
-    pieces.err = float(np.max(ku.vmag(ser.zlo[P], ser.zhi[P]))) * h**P \
-        + float(np.max(ku.vmag(*rz)))
-
-    if need_point:
-        serp = _Series(rf_pt, IntervalBox.point(xhat), P)
+        serp = _Series(rf_pt, xhat[None], xhat[None], P)
         serp.extend_to(P)
-        plo, phi = serp.eval_value(h, P)
-        pieces.phi_lo, pieces.phi_hi = ku.vadd(plo, phi, *rz)
-    else:
-        pieces.phi_lo = pieces.phi_hi = None
+        plo, phi = serp.eval_flat(0, h, P)
+        pieces.phi_lo, pieces.phi_hi = ku.vadd(plo, phi, rlo[:n], rhi[:n])
+    if not (math.isfinite(pieces.err)
+            and all(np.isfinite(x).all() for x in (lo, hi, pieces.phi_lo, pieces.phi_hi))):
+        raise FlowError(f"non-finite Taylor enclosure for step {h}")
     return pieces
-
-
-class _DirectState:
-    def __init__(self, value, V, S):
-        self.value = value
-        self.Vlo, self.Vhi = V
-        self.Slo, self.Shi = S
-
-    def hull(self):
-        return self.value
-
-    def advance(self, pieces: _StepPieces):
-        # the step jet (M, S_step) composed with the accumulated jet (V, S)
-        ext_lo, ext_hi = with_eps_row(self.Vlo, self.Vhi)
-        self.Slo, self.Shi = compose_d2(pieces.Mlo, pieces.Mhi, pieces.Slo, pieces.Shi,
-                                        ext_lo, ext_hi, self.Slo, self.Shi)
-        self.Vlo, self.Vhi = ku.idot(pieces.Mlo, pieces.Mhi, ext_lo, ext_hi)
-        self.value = IntervalBox(pieces.val_lo, pieces.val_hi)
-
-    def to_jet(self):
-        return Jet2Enclosure(self.value, IntervalMatrix(self.Vlo, self.Vhi), self.Slo, self.Shi)
 
 
 class _LohnerState:
@@ -605,7 +647,7 @@ def flow_jet(
     """Containment-correct order-2 jet of (eps, s) -> Phi_T^eps(x0(eps, s)).
 
     ``x0`` is the jet of the initial condition in the variables (eps, s).
-    In parallelepiped mode, passing ``domain`` (the s-box) and optionally
+    Passing ``domain`` (the s-box) and optionally
     ``x0_center`` (a tight jet of the initial condition at the domain
     midpoint) enables the doubleton initialization that keeps long
     transports tight.  ``T`` may be negative (backward flow).  Raises
@@ -637,28 +679,23 @@ def flow_jet(
         r0lo = np.concatenate([[min(eps.lo - eps.mid, 0.0)], np.zeros(m - 1)])
         r0hi = np.concatenate([[max(eps.hi - eps.mid, 0.0)], np.zeros(m - 1)])
 
-    para = settings.wrapping_control == "parallelepiped"
-    if para:
-        C0 = 0.5 * (x0.d1.lo + x0.d1.hi)
-        if x0_center is not None and domain is not None:
-            base = x0_center.value
-            xhat = base.mid()
-            blo, bhi = ku.vsub(base.lo, base.hi, xhat, xhat)
-            d1d = ku.vsub(x0.d1.lo, x0.d1.hi, C0, C0)
-            tlo, thi = ku.idot(*d1d, r0lo, r0hi)
-            rlo, rhi = ku.vadd(blo, bhi, tlo, thi)
-        else:
-            xhat = x0.value.mid()
-            rlo, rhi = ku.vsub(x0.value.lo, x0.value.hi, xhat, xhat)
-        w0 = 0.5 * (x0.d2lo + x0.d2hi)
-        state = _LohnerState(
-            xhat, C0, np.eye(n), (rlo, rhi),
-            ku.vsub(x0.d1.lo, x0.d1.hi, C0, C0),
-            w0, ku.vsub(x0.d2lo, x0.d2hi, w0, w0),
-        )
+    C0 = 0.5 * (x0.d1.lo + x0.d1.hi)
+    if x0_center is not None and domain is not None:
+        base = x0_center.value
+        xhat = base.mid()
+        blo, bhi = ku.vsub(base.lo, base.hi, xhat, xhat)
+        d1d = ku.vsub(x0.d1.lo, x0.d1.hi, C0, C0)
+        tlo, thi = ku.idot(*d1d, r0lo, r0hi)
+        rlo, rhi = ku.vadd(blo, bhi, tlo, thi)
     else:
-        state = _DirectState(x0.value, (x0.d1.lo.copy(), x0.d1.hi.copy()),
-                             (x0.d2lo.copy(), x0.d2hi.copy()))
+        xhat = x0.value.mid()
+        rlo, rhi = ku.vsub(x0.value.lo, x0.value.hi, xhat, xhat)
+    w0 = 0.5 * (x0.d2lo + x0.d2hi)
+    state = _LohnerState(
+        xhat, C0, np.eye(n), (rlo, rhi),
+        ku.vsub(x0.d1.lo, x0.d1.hi, C0, C0),
+        w0, ku.vsub(x0.d2lo, x0.d2hi, w0, w0),
+    )
 
     t = 0.0
     h = _pow2_floor(settings.initial_step)
@@ -671,11 +708,9 @@ def flow_jet(
         h = _pow2_floor(min(h, max(T - t, settings.min_step)))
         last = (T - t) <= h * (1 + 1e-12)
         hcur = (T - t) if last else h
-        hull = state.hull(r0lo, r0hi) if para else state.hull()
+        hull = state.hull(r0lo, r0hi)
         try:
-            pieces = _one_step(tb, rf, rf_pt, eps, hull,
-                               state.xhat if para else hull.mid(),
-                               hcur, P, need_point=para)
+            pieces = _one_step(tb, rf, rf_pt, eps, hull, state.xhat, hcur, P)
         except FlowError:
             if h <= settings.min_step:
                 raise FlowError(f"step underflow at t={t}: no rough enclosure at min_step")
@@ -685,15 +720,12 @@ def flow_jet(
         if pieces.err > tol * scale and hcur > settings.min_step * (1 + 1e-12):
             h = max(hcur * 0.5, settings.min_step)
             continue
-        if para:
-            state.advance(pieces, r0lo, r0hi)
-        else:
-            state.advance(pieces)
+        state.advance(pieces, r0lo, r0hi)
         t = T if last else t + hcur
         steps += 1
         if pieces.err < tol * scale * 1e-4 and h < h_cap:
             h *= 2.0
-    return state.to_jet(r0lo, r0hi) if para else state.to_jet()
+    return state.to_jet(r0lo, r0hi)
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,12 @@ def _second_rhs(jet: Jet2Enclosure, dk: IntervalMatrix):
     """
     nw = dk.shape[1]
     glo, ghi = jet.d2lo, jet.d2hi
-    plo, phi = ku.vmul(dk.lo.T[None, :, :, None], dk.hi.T[None, :, :, None],
-                       glo[:, None, nw:, :], ghi[:, None, nw:, :])
-    tlo, thi = ku.vadd(glo[:, :nw, :], ghi[:, :nw, :], *ku.isum(plo, phi, axis=2))
-    plo, phi = ku.vmul(tlo[:, :, nw:, None], thi[:, :, nw:, None],
-                       dk.lo[None, None, :, :], dk.hi[None, None, :, :])
-    return ku.vadd(tlo[:, :, :nw], thi[:, :, :nw], *ku.isum(plo, phi, axis=2))
+    tlo, thi = ku.vadd(glo[:, :nw, :], ghi[:, :nw, :],
+                       *ku.imulsum(dk.lo.T[None, :, :, None], dk.hi.T[None, :, :, None],
+                                   glo[:, None, nw:, :], ghi[:, None, nw:, :], axis=2))
+    return ku.vadd(tlo[:, :, :nw], thi[:, :, :nw],
+                   *ku.imulsum(tlo[:, :, nw:, None], thi[:, :, nw:, None],
+                               dk.lo[None, None, :, :], dk.hi[None, None, :, :], axis=2))
 
 
 def _dk_dw(firsts: tuple[IntervalMatrix, IntervalMatrix]) -> IntervalMatrix:

@@ -165,21 +165,18 @@ def compose_d2(o1lo, o1hi, o2lo, o2hi, vlo, vhi, wlo, whi):
     """
     p, nv = wlo.shape[0], vlo.shape[1]
     # term 1, contracting j first: T1[c,i,b] = sum_j o2[c,i,j] V[j,b]
-    t1lo, t1hi = ku.vmul(o2lo[:, :, :, None], o2hi[:, :, :, None],
-                         vlo[None, None, :, :], vhi[None, None, :, :])
-    t1lo, t1hi = ku.isum(t1lo, t1hi, axis=2)  # (m, p+1, nv)
+    t1lo, t1hi = ku.imulsum(o2lo[:, :, :, None], o2hi[:, :, :, None],
+                            vlo[None, None, :, :], vhi[None, None, :, :], axis=2)  # (m, p+1, nv)
     # then i: term1[c,a,b] = sum_i T1[c,i,b] V[i,a]
-    t2lo, t2hi = ku.vmul(t1lo[:, :, None, :], t1hi[:, :, None, :],
-                         vlo[None, :, :, None], vhi[None, :, :, None])
-    term1lo, term1hi = ku.isum(t2lo, t2hi, axis=1)  # (m, nv, nv)
+    term1lo, term1hi = ku.imulsum(t1lo[:, :, None, :], t1hi[:, :, None, :],
+                                  vlo[None, :, :, None], vhi[None, :, :, None], axis=1)  # (m, nv, nv)
     # term 2 over the eps-extended W
     welo = np.zeros((p + 1, nv, nv))
     wehi = np.zeros((p + 1, nv, nv))
     welo[1:] = wlo
     wehi[1:] = whi
-    t3lo, t3hi = ku.vmul(o1lo[:, :, None, None], o1hi[:, :, None, None],
-                         welo[None, :, :, :], wehi[None, :, :, :])
-    term2lo, term2hi = ku.isum(t3lo, t3hi, axis=1)
+    term2lo, term2hi = ku.imulsum(o1lo[:, :, None, None], o1hi[:, :, None, None],
+                                  welo[None, :, :, :], wehi[None, :, :, :], axis=1)
     return ku.vadd(term1lo, term1hi, term2lo, term2hi)
 
 

@@ -5,14 +5,19 @@ every potentially inexact operation widens its round-to-nearest result
 outward by one ulp.  Pairwise additions and subtractions use the 2Sum
 error-free transformation to skip the widening when the float result is
 exact, which preserves exact zeros.  Reductions of four or more terms
-(``isum``, ``idot``) instead take one float sum per endpoint and pad it by
-an a-priori bound on its rounding error, valid for any summation order;
-sums of three or fewer terms stay 2Sum chains.  Because numpy chooses the
-summation order, the last bits of a long sum may differ between numpy
+(``isum``) instead take one float sum per endpoint and pad it by an
+a-priori bound on its rounding error, valid for any summation order;
+sums of three or fewer terms stay 2Sum chains.  ``imulsum`` fuses an
+elementwise product with such a reduction (every Cauchy product and matrix
+product of the package): its terms are the unwidened float products, and
+one pad covers their rounding and the summation's.  Because numpy chooses
+the summation order, the last bits of a long sum may differ between numpy
 builds or CPUs; every result still encloses the exact sum.
 
 All kernels operate elementwise on numpy arrays (or scalars) and assume
-finite inputs; callers enforce the bounded-interval invariant.
+finite inputs; callers enforce the bounded-interval invariant.  An
+overflowing sum or product gives an infinite endpoint, never one on the
+wrong side of the exact result.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import numpy as np
 
 _INF = np.inf
 _TINY = 2.0 ** -1022  # smallest positive normal float64
+# nonzero factors at least this large have normal or zero products
+_SCALE_MIN = 2.0 ** -511
 
 
 def _error(msg: str):
@@ -60,10 +67,18 @@ def _add_up(a, b):
     return np.where(err <= 0, s, _up(s))
 
 
+# An overflowing 2Sum yields inf and NaN intermediates by design and its
+# result is still sound, so the callers of _add_down/_add_up silence numpy's
+# warnings about them (one errstate per pair of endpoints).
+_QUIET_2SUM = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_2SUM
 def vadd(alo, ahi, blo, bhi):
     return _add_down(alo, blo), _add_up(ahi, bhi)
 
 
+@_QUIET_2SUM
 def vsub(alo, ahi, blo, bhi):
     return _add_down(alo, -bhi), _add_up(ahi, -blo)
 
@@ -166,6 +181,41 @@ def _chain(lo, hi, axes):
     return slo, shi
 
 
+def _axes(ndim: int, axis) -> tuple:
+    if isinstance(axis, (int, np.integer)):
+        axis = (axis,)
+    return tuple(a % ndim for a in axis)
+
+
+def _padded_sum(lo, hi, axes, c):
+    """One float sum per endpoint over ``axes``, padded outward by
+    ``up(c * fl(sum |x|))`` and rounded outward once more; the float sum is
+    kept where every term is zero."""
+    slo = np.add.reduce(lo, axis=axes)
+    shi = np.add.reduce(hi, axis=axes)
+    alo = np.add.reduce(np.abs(lo), axis=axes)
+    ahi = np.add.reduce(np.abs(hi), axis=axes)
+    rlo = np.where(alo == 0, slo, _down(slo - _up(c * alo)))
+    rhi = np.where(ahi == 0, shi, _up(shi + _up(c * ahi)))
+    return rlo, rhi
+
+
+def _where_finite(rlo, rhi, fallback):
+    """Keep (rlo, rhi) where both are finite; elsewhere take the (lo, hi)
+    pair that ``fallback()`` returns."""
+    # one test for the common case: the sum is finite only if both are
+    if np.isfinite(rlo + rhi).all():
+        return rlo, rhi
+    ok = np.isfinite(rlo) & np.isfinite(rhi)
+    flo, fhi = fallback()
+    return np.where(ok, rlo, flo), np.where(ok, rhi, fhi)
+
+
+def _bound_terms(n: int, kernel: str):
+    if n >= 2 ** 21:
+        raise _error(f"{kernel} error bound holds for fewer than 2^21 terms")
+
+
 def isum(lo, hi, axis):
     """Interval sum reduction over ``axis`` (an int or a tuple of ints).
 
@@ -198,31 +248,86 @@ def isum(lo, hi, axis):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if isinstance(axis, (int, np.integer)):
-        axis = (axis,)
-    axes = tuple(a % lo.ndim for a in axis)
+    axes = _axes(lo.ndim, axis)
     n = math.prod(lo.shape[a] for a in axes)
     if n == 0:
         z = np.zeros(tuple(d for i, d in enumerate(lo.shape) if i not in axes))
         return z, z.copy()
     if n <= 3:
         return _chain(lo, hi, axes)
-    if n >= 2 ** 21:
-        raise _error("isum error bound holds for fewer than 2^21 terms")
-    c = (n - 1) * 2.0 ** -53 * (1.0 + 2.0 ** -30)
-    slo = np.add.reduce(lo, axis=axes)
-    shi = np.add.reduce(hi, axis=axes)
-    alo = np.add.reduce(np.abs(lo), axis=axes)
-    ahi = np.add.reduce(np.abs(hi), axis=axes)
-    rlo = np.where(alo == 0, slo, _down(slo - _up(c * alo)))
-    rhi = np.where(ahi == 0, shi, _up(shi + _up(c * ahi)))
-    # one test for the common case: the sum is finite only if all four are
-    if not np.isfinite(slo + shi + rlo + rhi).all():
-        ok = np.isfinite(slo) & np.isfinite(shi) & np.isfinite(rlo) & np.isfinite(rhi)
-        clo, chi = _chain(lo, hi, axes)
-        rlo = np.where(ok, rlo, clo)
-        rhi = np.where(ok, rhi, chi)
-    return rlo, rhi
+    _bound_terms(n, "isum")
+    rlo, rhi = _padded_sum(lo, hi, axes, (n - 1) * 2.0 ** -53 * (1.0 + 2.0 ** -30))
+    return _where_finite(rlo, rhi, lambda: _chain(lo, hi, axes))
+
+
+def is_scaled(*arrays) -> bool:
+    """True when every nonzero entry of the arrays is at least 2^-511 in
+    magnitude, so that no product of two entries underflows: the
+    precondition of the fused path of :func:`imulsum`."""
+    x = np.abs(np.concatenate([np.ravel(a) for a in arrays]))
+    return not ((x < _SCALE_MIN) & (x != 0)).any()
+
+
+def imulsum(alo, ahi, blo, bhi, axis, scaled: bool = False):
+    """Enclosure of the sum over ``axis`` of the elementwise interval
+    products a*b (operands broadcast); as a set it is what
+    ``isum(*vmul(a, b), axis)`` encloses.
+
+    For n >= 4 terms whose operands meet the scaling precondition (every
+    nonzero operand entry at least 2^-511 in magnitude, :func:`is_scaled`),
+    the terms are ``t = min`` (``max``) of the four float products of the
+    endpoints, with no per-product widening and no zero masks.  Each
+    endpoint is one float sum ``s = fl(sum t)`` padded by
+    ``e = up(c * fl(sum |t|))`` with ``c = n 2^-53 (1 + 2^-30)``, then
+    rounded outward once more.  This is Rump's a-priori summation bound
+    (BIT 39, 1999) extended by one rounding per product.
+
+    Why ``e`` bounds the distance from ``s`` to the exact endpoint
+    ``sum m``, where ``m`` is the exact min (max) of the four exact
+    endpoint products, so that the interval product is ``[m_lo, m_hi]``:
+
+    * Rounding is monotone, so ``t = min_j fl(p_j) = fl(min_j p_j) = fl(m)``.
+      Under the precondition every exact product is 0 or at least 2^-1022
+      in magnitude, so none underflows and ``|t - m| <= u |t|``,
+      ``u = 2^-53`` (``fl(x) = x / (1 + d)`` with ``|d| <= u``); summed,
+      ``|sum t - sum m| <= u sum |t|``.
+    * As in :func:`isum`, ``|s - sum t| <= g sum |t|`` with
+      ``g = (n-1)u / (1 - (n-1)u)`` for any summation order, and
+      ``a = fl(sum |t|) >= (1 - g) sum |t|``.
+    * Together ``|s - sum m| <= (u + g) / (1 - g) * a
+      <= n u / (1 - 2(n-1)u) * a <= c * a`` while ``n < 2^21``; ``c`` is
+      exact in floats and the step up after the rounded product gives
+      ``e >= c * a``.
+
+    Where ``a == 0`` every term is exactly 0 (a nonzero product would be at
+    least 2^-1022), so the sum is exact and structural zeros stay 0.
+
+    The result is ``isum(*vmul(a, b), axis)`` instead for n <= 3 terms (so
+    short sums are bit-identical to it), where an operand may underflow,
+    and at entries whose fused result is not finite.  ``scaled=True`` is
+    the caller's promise that the operands meet the precondition, which
+    skips the scan; a caller that checks only after the call must discard
+    the result when the check fails.
+    """
+    alo, ahi, blo, bhi = (np.asarray(x, dtype=float) for x in (alo, ahi, blo, bhi))
+    shape = np.broadcast_shapes(alo.shape, ahi.shape, blo.shape, bhi.shape)
+    axes = _axes(len(shape), axis)
+    n = math.prod(shape[a] for a in axes)
+
+    def fallback():
+        return isum(*vmul(alo, ahi, blo, bhi), axis)
+
+    if n <= 3 or not (scaled or is_scaled(alo, ahi, blo, bhi)):
+        return fallback()
+    _bound_terms(n, "imulsum")
+    p1 = alo * blo
+    p2 = alo * bhi
+    p3 = ahi * blo
+    p4 = ahi * bhi
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    rlo, rhi = _padded_sum(lo, hi, axes, n * 2.0 ** -53 * (1.0 + 2.0 ** -30))
+    return _where_finite(rlo, rhi, fallback)
 
 
 def idot(alo, ahi, blo, bhi):
@@ -239,13 +344,14 @@ def idot(alo, ahi, blo, bhi):
     if vec:
         b_lo = b_lo[:, None]
         b_hi = b_hi[:, None]
-    plo, phi = vmul(a_lo[:, :, None], a_hi[:, :, None], b_lo[None, :, :], b_hi[None, :, :])
-    rlo, rhi = isum(plo, phi, axis=1)
+    rlo, rhi = imulsum(a_lo[:, :, None], a_hi[:, :, None], b_lo[None, :, :], b_hi[None, :, :],
+                       axis=1)
     if vec:
         return rlo[:, 0], rhi[:, 0]
     return rlo, rhi
 
 
+@_QUIET_2SUM
 def widen_abs(lo, hi, eps):
     """Pad both endpoints outward by an absolute amount (rounded outward)."""
     return _add_down(lo, -eps), _add_up(hi, eps)

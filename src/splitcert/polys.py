@@ -44,6 +44,18 @@ def _times_int(c: Interval, e: int) -> Interval:
     return Interval(lo, hi)
 
 
+def _power(memo: dict, e: int):
+    """``x ** e`` for every variable of a box at once, by the recursion of
+    ``Interval.__pow__`` (square of ``x ** (e // 2)``, times x for odd e),
+    so each entry is bit-identical to the scalar power; ``memo`` maps an
+    exponent to its (lo, hi) arrays and holds ``x ** 1``."""
+    if e not in memo:
+        half = _power(memo, e // 2)
+        sq = ku.vsqr(*half)
+        memo[e] = ku.vmul(*sq, *memo[1]) if e % 2 else sq
+    return memo[e]
+
+
 class PolyMap:
     """A polynomial map R^nvars -> R^m given by monomial lists."""
 
@@ -127,18 +139,21 @@ class PolyMap:
         """Enclosure of the map over the box.  Each term is its coefficient
         times ``x_v ** e`` for the variables in order, and each component
         sums its terms in monomial order, as interval scalar arithmetic
-        would; the terms of all components go through one array product
-        per variable.  A term or sum with a non-finite endpoint raises
-        :class:`IntervalError`."""
+        would; the powers of all variables are one array recursion per
+        exponent, and the terms of all components go through one array
+        product per variable.  A power, term or sum with a non-finite
+        endpoint raises :class:`IntervalError`."""
         if box.dim != self.nvars:
             raise IntervalError(f"expected {self.nvars} variables, got {box.dim}")
         clo, chi, factors, slot, width = self._compile()
-        xs = box.components()
+        memo = {1: (box.lo, box.hi)}
         tlo, thi = clo.copy(), chi.copy()
         for v, rows, exps, which in factors:
-            pows = [xs[v] ** int(e) for e in exps]
-            plo = np.array([p.lo for p in pows])[which]
-            phi = np.array([p.hi for p in pows])[which]
+            pows = [_power(memo, int(e)) for e in exps]
+            plo = np.array([p[0][v] for p in pows])[which]
+            phi = np.array([p[1][v] for p in pows])[which]
+            if not (np.isfinite(plo).all() and np.isfinite(phi).all()):
+                raise IntervalError(f"polynomial power overflows at variable {v}")
             mlo, mhi = ku.vmul(tlo[rows], thi[rows], plo, phi)
             if not (np.isfinite(mlo).all() and np.isfinite(mhi).all()):
                 raise IntervalError(f"polynomial term overflows at variable {v}")

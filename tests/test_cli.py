@@ -64,8 +64,11 @@ def test_lu_verify_missing_config(tmp_path):
 
 
 def test_lu_verify_unknown_keys_rejected(tmp_path):
-    cfg = write(tmp_path / "c.json", {"epsMax": 1e-7, "surprise": True})
-    assert main_lu_verify(["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+    # wrappingControl went with the direct mode: the key is now unknown
+    for doc in ({"epsMax": 1e-7, "surprise": True},
+                {"flow": {"wrappingControl": "parallelepiped"}}):
+        cfg = write(tmp_path / "c.json", doc)
+        assert main_lu_verify(["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
 
 
 def test_lu_verify_invalid_values_rejected(tmp_path):

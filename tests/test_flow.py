@@ -1,11 +1,13 @@
 """Validated flow integration: coefficients, enclosures, jet transport."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from splitcert.intervals import Interval, IntervalBox
+from splitcert.intervals import Interval, IntervalBox, IntervalError
 from splitcert.jets import Jet2Enclosure, jet2_compose
 from splitcert.polys import PolyMap, VectorFieldDef
 from splitcert.flow import FlowError, FlowSettings, flow_jet, rough_enclosure, taylor_coeffs
@@ -20,7 +22,12 @@ F_ZERO = VectorFieldDef(1, PolyMap(2, [[]]))                      # x' = 0
 F_EPS = VectorFieldDef(1, PolyMap(2, [[(1.0, (0, 1)), (1.0, (1, 0))]]))
 
 SET = FlowSettings(taylor_order=14, initial_step=0.25)
-SET_DIRECT = FlowSettings(taylor_order=14, initial_step=0.25, wrapping_control="direct")
+
+
+def test_wrapping_control_accepts_only_parallelepiped():
+    assert FlowSettings(wrapping_control="parallelepiped").wrapping_control == "parallelepiped"
+    with pytest.raises(IntervalError):
+        FlowSettings(wrapping_control="direct")
 
 
 def ident(x):
@@ -62,7 +69,7 @@ def test_rough_enclosure_cases():
     assert z[0].contains(1.0) and z[0].hi >= math.exp(0.1) * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("settings", [SET, SET_DIRECT])
+@pytest.mark.parametrize("settings", [SET])
 def test_flow_exponential(settings):
     j = flow_jet(F_EXP, ident([1.0]), Interval(0, 0), 1.0, settings)
     assert j.value[0].contains(math.e)
@@ -70,7 +77,7 @@ def test_flow_exponential(settings):
     assert j.d1[0, 1].contains(math.e)
 
 
-@pytest.mark.parametrize("settings", [SET, SET_DIRECT])
+@pytest.mark.parametrize("settings", [SET])
 def test_flow_rotation_quarter_turn(settings):
     # acceptance-grade: value and first derivative enclose the rotation,
     # second derivatives enclose zero
@@ -198,3 +205,65 @@ def test_transport_is_deterministic_within_a_process():
     for x, y in [(a.value.lo, b.value.lo), (a.value.hi, b.value.hi), (a.d1.lo, b.d1.lo),
                  (a.d1.hi, b.d1.hi), (a.d2lo, b.d2lo), (a.d2hi, b.d2hi)]:
         assert x.tobytes() == y.tobytes()
+
+
+def test_non_finite_step_raises_flow_error_without_warnings():
+    # x' = x^2 from 1e100: the Taylor coefficients x0^(k+1) overflow from
+    # order 3 on although the step is tiny; no step may advance on them
+    settings = FlowSettings(taylor_order=8, initial_step=2.0 ** -370, min_step=2.0 ** -380)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FlowError):
+            flow_jet(F_SQ, ident([1e100]), Interval(0, 0), 1e-110, settings)
+
+
+def _batch_series(field, zlo, zhi, V0, S0, P):
+    import splitcert.flow as flow
+
+    rf = flow._Resolved(flow._tables(field), Interval(-1e-3, 2e-3))
+    ser = flow._Series(rf, zlo, zhi, P, m=V0[0].shape[-1])
+    ser.start(V0, S0)
+    ser.extend_to(P)
+    return ser
+
+
+def test_batched_series_rows_equal_single_series():
+    from splitcert.lerman import LUConfig, lu_field
+
+    field = lu_field(LUConfig())
+    n, m, P = 4, 5, 18
+    rng = np.random.default_rng(4)
+    mid = rng.uniform(-0.5, 0.5, (2, n))
+    zlo, zhi = mid - [[0.0], [1e-3]], mid + [[1e-9], [2e-3]]
+    eye = np.hstack([np.zeros((n, 1)), np.eye(n)])
+    Vlo, Vhi = np.stack([eye, eye - 1e-6]), np.stack([eye, eye + 1e-6])
+    Slo, Shi = np.zeros((2, n, m, m)), np.stack([np.zeros((n, m, m)), np.full((n, m, m), 1e-5)])
+    Slo[1] = -1e-5
+    both = _batch_series(field, zlo, zhi, (Vlo, Vhi), (Slo, Shi), P)
+    assert both.scaled
+    for row in range(2):
+        one = _batch_series(field, zlo[row : row + 1], zhi[row : row + 1],
+                            (Vlo[row : row + 1], Vhi[row : row + 1]),
+                            (Slo[row : row + 1], Shi[row : row + 1]), P)
+        for name in ("zlo", "zhi", "Vlo", "Vhi", "Slo", "Shi", "Tlo", "Thi", "banklo", "bankhi"):
+            assert getattr(both, name)[row].tobytes() == getattr(one, name)[0].tobytes(), name
+
+
+@pytest.mark.parametrize("x0", [5e-324, 1e-200, 2.0 ** -600, 2.0 ** -300])
+def test_series_with_tiny_initial_data_contains_exact_coefficients(x0):
+    # x' = x^2: z_k = x0^(k+1) and dz_k/dx0 = (k+1) x0^k exactly.  The
+    # products underflow, so the series must leave the fused kernel path:
+    # there an underflowed sum of nonzero products would read as an exact 0.
+    # 2^-300 is scaled, but its first coefficient 2^-600 is not
+    P = 8
+    eye = np.array([[0.0, 1.0]])
+    ser = _batch_series(F_SQ, np.array([[x0], [0.5]]), np.array([[x0], [0.5]]),
+                        (np.stack([eye, eye]), np.stack([eye, eye])),
+                        (np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 2, 2))), P)
+    assert not ser.scaled
+    for row, x in enumerate((x0, 0.5)):
+        x = Fraction(x)
+        for k in range(P + 1):
+            assert Fraction(ser.zlo[row, k, 0]) <= x ** (k + 1) <= Fraction(ser.zhi[row, k, 0])
+            dz = (k + 1) * x ** k
+            assert Fraction(ser.Vlo[row, k, 0, 1]) <= dz <= Fraction(ser.Vhi[row, k, 0, 1])

@@ -151,3 +151,135 @@ def test_isum_short_sums_are_the_vadd_chain(n):
     for rlo, rhi in _isum_both_ways(lo, hi):
         assert np.array_equal(rlo, clo) and np.array_equal(rhi, chi)
         assert np.array_equal(np.signbit(rlo), np.signbit(clo))
+
+
+# --- imulsum: fused product-sum, against exact rational arithmetic ---------
+
+def _exact_mulsum(alo, ahi, blo, bhi, axes):
+    """Exact endpoints of sum over ``axes`` of the interval products, as
+    Fractions in an object array of the reduced shape."""
+    shape = np.broadcast_shapes(alo.shape, ahi.shape, blo.shape, bhi.shape)
+    keep = [i for i in range(len(shape)) if i not in axes]
+    perm = keep + list(axes)
+    out_shape = tuple(shape[i] for i in keep)
+
+    def flat(x):
+        return np.broadcast_to(x, shape).transpose(perm).reshape(int(np.prod(out_shape)), -1)
+
+    al, ah, bl, bh = (flat(x) for x in (alo, ahi, blo, bhi))
+    lo = np.empty(al.shape[0], dtype=object)
+    hi = np.empty(al.shape[0], dtype=object)
+    for j in range(al.shape[0]):
+        slo = shi = Fraction(0)
+        for t in range(al.shape[1]):
+            ps = [Fraction(float(x)) * Fraction(float(y))
+                  for x in (al[j, t], ah[j, t]) for y in (bl[j, t], bh[j, t])]
+            slo += min(ps)
+            shi += max(ps)
+        lo[j], hi[j] = slo, shi
+    return lo.reshape(out_shape), hi.reshape(out_shape)
+
+
+def _assert_encloses_exact(r, exact):
+    rlo, rhi = (np.asarray(x, dtype=float) for x in r)
+    elo, ehi = exact
+    assert rlo.shape == elo.shape
+    assert not (np.isnan(rlo).any() or np.isnan(rhi).any())
+    assert not (rlo == np.inf).any() and not (rhi == -np.inf).any()
+    for x, e in zip(rlo.ravel(), elo.ravel()):
+        assert x == -np.inf or Fraction(float(x)) <= e
+    for x, e in zip(rhi.ravel(), ehi.ravel()):
+        assert x == np.inf or e <= Fraction(float(x))
+
+
+def _series_operands(rng, k, lo_exp=-30, hi_exp=30):
+    """A-like (2, k+1, 4, 4, 1) and V-like (2, k+1, 1, 4, 5) operands of the
+    batch-2 V contraction (n = 4, m = 5), summed over axes (1, 3): mixed
+    signs, point and wide (zero-straddling) entries, row c=1 of A and
+    column 2 of V exactly zero."""
+
+    def draw(shape):
+        mid = rng.standard_normal(shape) * 2.0 ** rng.integers(lo_exp, hi_exp + 1, shape)
+        u = rng.random(shape)
+        rad = np.where(u < 0.4, 0.0, np.abs(mid) * np.where(u < 0.8, 2.0 ** -40, 1.5))
+        return mid - rad, mid + rad
+
+    alo, ahi = draw((2, k + 1, 4, 4, 1))
+    blo, bhi = draw((2, k + 1, 1, 4, 5))
+    for x in (alo, ahi):
+        x[:, :, 1] = 0.0
+    for x in (blo, bhi):
+        x[..., 2] = 0.0
+    return alo, ahi, blo, bhi
+
+
+@pytest.mark.parametrize("k", [0, 1, 18])
+def test_imulsum_vmul_contain_exact_at_series_shapes(k):
+    rng = np.random.default_rng(40 + k)
+    alo, ahi, blo, bhi = _series_operands(rng, k)
+    assert ku.is_scaled(alo, ahi, blo, bhi)
+    exact = _exact_mulsum(alo, ahi, blo, bhi, (1, 3))
+    r = ku.imulsum(alo, ahi, blo, bhi, axis=(1, 3))
+    _assert_encloses_exact(r, exact)
+    # structural zeros stay exactly zero
+    for x in r:
+        assert np.all(x[:, 1, :] == 0.0) and np.all(x[:, :, 2] == 0.0)
+    # the elementwise products, each against its exact interval product
+    plo, phi = ku.vmul(alo, ahi, blo, bhi)
+    _assert_encloses_exact((plo, phi),
+                           _exact_mulsum(alo[..., None], ahi[..., None],
+                                         blo[..., None], bhi[..., None], (5,)))
+
+
+def test_idot_contains_exact_product():
+    rng = np.random.default_rng(3)
+    alo, ahi, blo, bhi = _series_operands(rng, 0)
+    a = (alo[0, 0, :, :, 0], ahi[0, 0, :, :, 0])  # (4, 4), row 1 zero
+    b = (blo[1, 0, 0], bhi[1, 0, 0])              # (4, 5), column 2 zero
+    exact = _exact_mulsum(a[0][:, :, None], a[1][:, :, None], b[0][None], b[1][None], (1,))
+    r = ku.idot(*a, *b)
+    _assert_encloses_exact(r, exact)
+    assert np.all(r[0][1] == 0.0) and np.all(r[1][:, 2] == 0.0)
+    exact = _exact_mulsum(a[0], a[1], b[0][:, 0][None], b[1][:, 0][None], (1,))
+    _assert_encloses_exact(ku.idot(*a, b[0][:, 0], b[1][:, 0]), exact)
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 2.0 ** -1022, 1e-200, 2.0 ** -512])
+def test_imulsum_unscaled_operand_takes_the_checked_path(tiny):
+    # products of factors below 2^-511 may underflow, where the fused
+    # bound does not hold: the kernel must notice and fall back
+    rng = np.random.default_rng(5)
+    alo, ahi, blo, bhi = _series_operands(rng, 1)
+    alo[0, 0, 0, 0, 0] = ahi[0, 0, 0, 0, 0] = tiny
+    blo[0, :, 0, :, 0] = bhi[0, :, 0, :, 0] = tiny
+    assert not ku.is_scaled(alo, ahi, blo, bhi)
+    r = ku.imulsum(alo, ahi, blo, bhi, axis=(1, 3))
+    ref = ku.isum(*ku.vmul(alo, ahi, blo, bhi), axis=(1, 3))
+    assert np.array_equal(r[0], ref[0]) and np.array_equal(r[1], ref[1])
+    _assert_encloses_exact(r, _exact_mulsum(alo, ahi, blo, bhi, (1, 3)))
+    # four products that each underflow to zero: the sum is not zero
+    x = np.full(4, tiny)
+    slo, shi = ku.imulsum(x, x, x, x, axis=0)
+    assert Fraction(float(slo)) <= 4 * Fraction(tiny) ** 2 <= Fraction(float(shi))
+    assert float(shi) > 0.0
+
+
+def test_imulsum_near_overflow_has_no_nan_and_stays_outward():
+    rng = np.random.default_rng(9)
+    alo, ahi, blo, bhi = _series_operands(rng, 3, lo_exp=480, hi_exp=530)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = ku.imulsum(alo, ahi, blo, bhi, axis=(1, 3))
+    assert np.isinf(r[0]).any() or np.isinf(r[1]).any()
+    _assert_encloses_exact(r, _exact_mulsum(alo, ahi, blo, bhi, (1, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_imulsum_short_sums_are_isum_of_vmul(n):
+    rng = np.random.default_rng(70 + n)
+    alo, ahi, blo, bhi = _series_operands(rng, n - 1)
+    r = ku.imulsum(alo[..., :1, :], ahi[..., :1, :], blo[..., :1, :], bhi[..., :1, :],
+                   axis=(1, 3))
+    ref = ku.isum(*ku.vmul(alo[..., :1, :], ahi[..., :1, :], blo[..., :1, :], bhi[..., :1, :]),
+                  axis=(1, 3))
+    for x, y in zip(r, ref):
+        assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))

