@@ -6,8 +6,13 @@ a polynomial field q' = f(eps, q).  Each step evaluates one batched interval
 Taylor series of the solution and of its first and second variational
 equations: row 0 starts at the current set and gives the Taylor polynomial,
 row 1 starts at a Picard rough enclosure of the step and gives the Lagrange
-remainders.  The Gronwall-type rough bounds that start row 1's variational
-blocks come from its own order-0 field tables.
+remainders.  The series is filled in three passes.  The state pass gives
+the solution coefficients alone, and with them the step's error estimate:
+a step that fails the estimate is rejected here, before any variational
+work.  For a step that is kept, one fused product sum then fills the
+field's derivative tables at every order, the Gronwall-type rough bounds
+that start row 1's variational blocks come from its order-0 tables, and the
+variational pass runs the first and second variational recursions.
 
 The transported set is a Lohner-style QR-factored representation with a
 doubleton term carrying the initial-condition/parameter correlation
@@ -16,7 +21,8 @@ transport times.
 
 Step sizes are powers of two, adapted by a coefficient-decay heuristic, so
 runs are deterministic; the final step is clipped to land on T.  A step
-whose rough enclosure fails or whose enclosures are not finite is halved.
+whose rough enclosure fails, whose error estimate is too large or whose
+enclosures are not finite is halved.
 """
 
 from __future__ import annotations
@@ -216,27 +222,36 @@ class _Series:
     Row b of every block is the series of initial box b: state z (B, P+2, n)
     and, when ``m > 0``, the variational blocks V (B, P+2, n, m) and
     S (B, P+2, n, m, m).  All rows share the resolved field coefficients,
-    so every kernel call of an order step serves the whole batch.
+    so every kernel call serves the whole batch.
 
-    The constructor fills the bank at order 0 and the field tables at order
-    0 (``Alo[:, 0]``, ... enclose f's derivatives over the initial boxes);
-    a series with variational blocks then needs :meth:`start` before
-    :meth:`extend_to`.
+    A series is filled in three passes, each from where it stopped:
+
+    1. :meth:`extend_state`: z and the bank of products, order by order,
+       from the field's own rows of the coefficient group;
+    2. :meth:`extend_tables`: the field's derivative tables (``Alo``,
+       ``aelo``, ``Hxxlo``, ``Hxelo``, ``Heelo`` and their ``hi``) at every
+       order of the bank, in one ``ku.imulsum`` call;
+    3. the variational recursion for V, T, Q and S, order by order.
+
+    :meth:`extend_to` runs all three.  A caller that can reject a series on
+    its state alone (the step control of :func:`flow_jet`) runs the state
+    pass first and pays for the tables and the variational blocks only for
+    a series it keeps.  A series with variational blocks needs
+    :meth:`start` before its variational pass.
 
     Cauchy products use the fused ``ku.imulsum`` path while every stored
-    block is scaled (``ku.is_scaled``): each order step is checked once,
-    after it ran, and rerun through the checked kernel when one of the
-    blocks it wrote fails the check.  A step writes only its own slots, so
-    the rerun overwrites everything the unchecked pass wrote.
+    operand is scaled (``ku.is_scaled``): each pass is checked once, after
+    it ran, and rerun through the checked kernel when one of the operands
+    it wrote fails the check, before a later pass reads them.  A pass
+    writes only its own slots, so the rerun overwrites everything the
+    unchecked run wrote.
     """
 
     def __init__(self, rf: _Resolved, zlo, zhi, P: int, m: int = 0):
         tb = rf.tb
         n = tb.n
         B = zlo.shape[0]
-        self.rf = rf
         self.tb = tb
-        self.P = P
         self.n = n
         self.m = m
         self.banklo = np.zeros((B, tb.n_rows, P + 2))
@@ -245,6 +260,10 @@ class _Series:
         self.zlo = np.zeros((B, P + 2, n)); self.zhi = np.zeros((B, P + 2, n))
         self.zlo[:, 0] = zlo; self.zhi[:, 0] = zhi
         self.with_var = m > 0
+        g = rf.g_var if self.with_var else rf.g_f
+        # the state pass evaluates f alone: the group's first n rows, at the
+        # group's padded width; the table pass evaluates the other rows
+        self.g_state = {key: g[key][:n] for key in ("clo", "chi", "rows")}
         if self.with_var:
             def blank(*shape):
                 return np.zeros((B, P + 2, *shape)), np.zeros((B, P + 2, *shape))
@@ -256,10 +275,11 @@ class _Series:
             self.Hxelo, self.Hxehi = blank(n, n)
             self.Heelo, self.Heehi = blank(n)
             self.Tlo, self.Thi = blank(n, n, m)
-        g = rf.g_var if self.with_var else rf.g_f
+            self.g_tab = {key: g[key][n:] for key in ("clo", "chi", "rows")}
         self.scaled = ku.is_scaled(g["clo"], g["chi"], zlo, zhi)
-        self._filled = -1
-        self._checked(self._first_step, 0)
+        # orders filled by each pass: z through "state" (the bank one less),
+        # tables below "tables", V and S through "var" (T one less)
+        self._to = {"state": 0, "tables": 0, "var": 0}
 
     def start(self, V0, S0):
         """Set the variational initial data: (lo, hi) of shape (B, n, m)
@@ -268,80 +288,88 @@ class _Series:
         self.Slo[:, 0], self.Shi[:, 0] = S0
         self.scaled = self.scaled and ku.is_scaled(*V0, *S0)
 
-    def _checked(self, step, k: int):
+    def _pass(self, name: str, upto: int, run, written):
+        """Run ``run(k0, upto, fast)`` over the orders k0..upto-1 that pass
+        ``name`` has not filled yet, fast while the series is scaled;
+        ``written(k0, upto)`` lists the product operands the run writes."""
+        k0 = self._to[name]
+        if upto <= k0:
+            return
         if self.scaled:
-            step(k, True)
-            if ku.is_scaled(*self._written(k)):
+            run(k0, upto, True)
+            if ku.is_scaled(*written(k0, upto)):
+                self._to[name] = upto
                 return
             self.scaled = False
-        step(k, False)
+        run(k0, upto, False)
+        self._to[name] = upto
 
-    def _written(self, k: int):
-        """The product operands that order step k writes."""
-        out = [self.banklo[:, :, k : k + 2], self.bankhi[:, :, k : k + 2]]
-        if self.with_var:
-            out += [self.Alo[:, k], self.Ahi[:, k], self.Hxxlo[:, k], self.Hxxhi[:, k],
-                    self.Hxelo[:, k], self.Hxehi[:, k], self.Tlo[:, k], self.Thi[:, k],
-                    self.Vlo[:, k + 1], self.Vhi[:, k + 1], self.Slo[:, k + 1], self.Shi[:, k + 1]]
-        return out
+    def extend_state(self, upto: int):
+        """State pass: z through order ``upto``, the bank through ``upto - 1``."""
+        self._pass("state", upto, self._state_orders, lambda k0, k1: (
+            self.banklo[:, :, k0:k1], self.bankhi[:, :, k0:k1],
+            self.zlo[:, k0 + 1 : k1 + 1], self.zhi[:, k0 + 1 : k1 + 1]))
 
-    def _first_step(self, k: int, fast: bool):
-        self._extend_bank(0, fast)
-        self._field_step(0, fast)
-
-    def _extend_bank(self, k: int, fast: bool):
-        self.banklo[:, 1 : 1 + self.n, k] = self.zlo[:, k]
-        self.bankhi[:, 1 : 1 + self.n, k] = self.zhi[:, k]
-        for lidx, ridx, rows in self.tb.depth_groups:
-            slo, shi = ku.imulsum(self.banklo[:, lidx, : k + 1], self.bankhi[:, lidx, : k + 1],
-                                  self.banklo[:, ridx, k::-1], self.bankhi[:, ridx, k::-1],
-                                  axis=2, scaled=fast)
-            self.banklo[:, rows, k] = slo
-            self.bankhi[:, rows, k] = shi
+    def extend_tables(self, upto: int):
+        """Table pass: the derivative tables at orders below ``upto``."""
+        self.extend_state(upto)
+        self._pass("tables", upto, self._table_orders, lambda k0, k1: (
+            self.Alo[:, k0:k1], self.Ahi[:, k0:k1], self.Hxxlo[:, k0:k1],
+            self.Hxxhi[:, k0:k1], self.Hxelo[:, k0:k1], self.Hxehi[:, k0:k1]))
 
     def extend_to(self, upto: int):
         """Fill coefficients through order ``upto`` (state; V/S when enabled)."""
-        for k in range(self._filled + 1, upto):
-            self._checked(self._order_step, k)
-        self._filled = max(self._filled, upto - 1)
-
-    def _order_step(self, k: int, fast: bool):
-        if k > 0:  # the constructor ran the field step at order 0
-            self._field_step(k, fast)
-        if self.with_var:
-            self._var_step(k, fast)
-
-    def _field_step(self, k: int, fast: bool):
-        """z_{k+1} and the bank at order k+1; with variational blocks also
-        the field's derivative tables at order k."""
-        n = self.n
-        tb = self.tb
-        g = self.rf.g_var if self.with_var else self.rf.g_f
-        glo, ghi = ku.imulsum(g["clo"], g["chi"], self.banklo[:, g["rows"], k],
-                              self.bankhi[:, g["rows"], k], axis=2, scaled=fast)
-        inv = 1.0 / (k + 1)
-        self.zlo[:, k + 1], self.zhi[:, k + 1] = ku.vscale(inv, glo[:, :n], ghi[:, :n])
-        self._extend_bank(k + 1, fast)
         if not self.with_var:
+            self.extend_state(upto)
             return
-        i0 = n
-        B = glo.shape[0]
-        self.Alo[:, k] = glo[:, i0 : i0 + n * n].reshape(B, n, n).transpose(0, 2, 1)
-        self.Ahi[:, k] = ghi[:, i0 : i0 + n * n].reshape(B, n, n).transpose(0, 2, 1)
-        i0 += n * n
-        self.aelo[:, k], self.aehi[:, k] = glo[:, i0 : i0 + n], ghi[:, i0 : i0 + n]; i0 += n
+        self.extend_tables(upto)
+        self._pass("var", upto, self._var_orders, lambda k0, k1: (
+            self.Tlo[:, k0:k1], self.Thi[:, k0:k1],
+            self.Vlo[:, k0 + 1 : k1 + 1], self.Vhi[:, k0 + 1 : k1 + 1],
+            self.Slo[:, k0 + 1 : k1 + 1], self.Shi[:, k0 + 1 : k1 + 1]))
+
+    def _state_orders(self, k0: int, k1: int, fast: bool):
+        """The bank at orders k0..k1-1 and z at orders k0+1..k1."""
+        g = self.g_state
+        for k in range(k0, k1):
+            self.banklo[:, 1 : 1 + self.n, k] = self.zlo[:, k]
+            self.bankhi[:, 1 : 1 + self.n, k] = self.zhi[:, k]
+            for lidx, ridx, rows in self.tb.depth_groups:
+                slo, shi = ku.imulsum(self.banklo[:, lidx, : k + 1], self.bankhi[:, lidx, : k + 1],
+                                      self.banklo[:, ridx, k::-1], self.bankhi[:, ridx, k::-1],
+                                      axis=2, scaled=fast)
+                self.banklo[:, rows, k] = slo
+                self.bankhi[:, rows, k] = shi
+            glo, ghi = ku.imulsum(g["clo"], g["chi"], self.banklo[:, g["rows"], k],
+                                  self.bankhi[:, g["rows"], k], axis=2, scaled=fast)
+            self.zlo[:, k + 1], self.zhi[:, k + 1] = ku.vscale(1.0 / (k + 1), glo, ghi)
+
+    def _table_orders(self, k0: int, k1: int, fast: bool):
+        """The derivative tables at orders k0..k1-1: one product sum over
+        the monomials, which are the last and contiguous axis."""
+        n, tb, g = self.n, self.tb, self.g_tab
+        blo, bhi = (np.ascontiguousarray(np.moveaxis(b[:, g["rows"], k0:k1], 3, 1))
+                    for b in (self.banklo, self.bankhi))
+        tlo, thi = ku.imulsum(g["clo"], g["chi"], blo, bhi, axis=3, scaled=fast)
+        B, K = tlo.shape[:2]
+        ks = slice(k0, k1)
         npairs = n * (n + 1) // 2
-        xxlo = glo[:, i0 : i0 + npairs * n].reshape(B, npairs, n).transpose(0, 2, 1)
-        xxhi = ghi[:, i0 : i0 + npairs * n].reshape(B, npairs, n).transpose(0, 2, 1)
-        i0 += npairs * n
-        self.Hxxlo[:, k][:, :, tb.xx_a, tb.xx_b] = xxlo
-        self.Hxxhi[:, k][:, :, tb.xx_a, tb.xx_b] = xxhi
-        self.Hxxlo[:, k][:, :, tb.xx_b, tb.xx_a] = xxlo
-        self.Hxxhi[:, k][:, :, tb.xx_b, tb.xx_a] = xxhi
-        self.Hxelo[:, k] = glo[:, i0 : i0 + n * n].reshape(B, n, n).transpose(0, 2, 1)
-        self.Hxehi[:, k] = ghi[:, i0 : i0 + n * n].reshape(B, n, n).transpose(0, 2, 1)
-        i0 += n * n
-        self.Heelo[:, k], self.Heehi[:, k] = glo[:, i0 : i0 + n], ghi[:, i0 : i0 + n]
+        for t, A, ae, Hxx, Hxe, Hee in (
+                (tlo, self.Alo, self.aelo, self.Hxxlo, self.Hxelo, self.Heelo),
+                (thi, self.Ahi, self.aehi, self.Hxxhi, self.Hxehi, self.Heehi)):
+            i = 0
+            A[:, ks] = t[..., i : i + n * n].reshape(B, K, n, n).swapaxes(2, 3); i += n * n
+            ae[:, ks] = t[..., i : i + n]; i += n
+            xx = t[..., i : i + npairs * n].reshape(B, K, npairs, n).swapaxes(2, 3)
+            i += npairs * n
+            Hxx[:, ks, :, tb.xx_a, tb.xx_b] = xx
+            Hxx[:, ks, :, tb.xx_b, tb.xx_a] = xx
+            Hxe[:, ks] = t[..., i : i + n * n].reshape(B, K, n, n).swapaxes(2, 3); i += n * n
+            Hee[:, ks] = t[..., i : i + n]
+
+    def _var_orders(self, k0: int, k1: int, fast: bool):
+        for k in range(k0, k1):
+            self._var_step(k, fast)
 
     def _var_step(self, k: int, fast: bool):
         """V_{k+1}, T_k and S_{k+1} from the tables through order k."""
@@ -352,10 +380,9 @@ class _Series:
         slo, shi = ku.imulsum(self.Alo[:, sl, :, :, None], self.Ahi[:, sl, :, :, None],
                               self.Vlo[:, rs, None, :, :], self.Vhi[:, rs, None, :, :],
                               axis=(1, 3), scaled=fast)
-        src_lo = np.zeros_like(slo); src_hi = np.zeros_like(shi)
-        src_lo[:, :, 0] = self.aelo[:, k]; src_hi[:, :, 0] = self.aehi[:, k]
-        tlo, thi = ku.vadd(slo, shi, src_lo, src_hi)
-        self.Vlo[:, k + 1], self.Vhi[:, k + 1] = ku.vscale(inv, tlo, thi)
+        slo[:, :, 0], shi[:, :, 0] = ku.vadd(slo[:, :, 0], shi[:, :, 0],
+                                             self.aelo[:, k], self.aehi[:, k])
+        self.Vlo[:, k + 1], self.Vhi[:, k + 1] = ku.vscale(inv, slo, shi)
 
         # T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be]
         self.Tlo[:, k], self.Thi[:, k] = ku.imulsum(
@@ -370,15 +397,10 @@ class _Series:
         q2lo, q2hi = ku.imulsum(self.Hxelo[:, sl, :, :, None], self.Hxehi[:, sl, :, :, None],
                                 self.Vlo[:, rs, None, :, :], self.Vhi[:, rs, None, :, :],
                                 axis=(1, 3), scaled=fast)
-        add_lo = np.zeros_like(q1lo); add_hi = np.zeros_like(q1hi)
-        add_lo[:, :, 0, :] = q2lo; add_hi[:, :, 0, :] = q2hi
-        q1lo, q1hi = ku.vadd(q1lo, q1hi, add_lo, add_hi)
-        add_lo = np.zeros_like(q1lo); add_hi = np.zeros_like(q1hi)
-        add_lo[:, :, :, 0] = q2lo; add_hi[:, :, :, 0] = q2hi
-        q1lo, q1hi = ku.vadd(q1lo, q1hi, add_lo, add_hi)
-        add_lo = np.zeros_like(q1lo); add_hi = np.zeros_like(q1hi)
-        add_lo[:, :, 0, 0] = self.Heelo[:, k]; add_hi[:, :, 0, 0] = self.Heehi[:, k]
-        q1lo, q1hi = ku.vadd(q1lo, q1hi, add_lo, add_hi)
+        q1lo[:, :, 0, :], q1hi[:, :, 0, :] = ku.vadd(q1lo[:, :, 0, :], q1hi[:, :, 0, :], q2lo, q2hi)
+        q1lo[:, :, :, 0], q1hi[:, :, :, 0] = ku.vadd(q1lo[:, :, :, 0], q1hi[:, :, :, 0], q2lo, q2hi)
+        q1lo[:, :, 0, 0], q1hi[:, :, 0, 0] = ku.vadd(q1lo[:, :, 0, 0], q1hi[:, :, 0, 0],
+                                                     self.Heelo[:, k], self.Heehi[:, k])
         # S_{k+1} = (sum A_i S_j + Q_k)/(k+1)
         aslo, ashi = ku.imulsum(self.Alo[:, sl, :, :, None, None], self.Ahi[:, sl, :, :, None, None],
                                 self.Slo[:, rs, None, :, :, :], self.Shi[:, rs, None, :, :, :],
@@ -421,27 +443,38 @@ class _Series:
 _ROUGH_ATTEMPTS = 24
 
 
+def _eval_field(field: VectorFieldDef, eps: Interval, box: IntervalBox) -> IntervalBox:
+    """f(eps, box); an evaluation that overflows fails the rough enclosure
+    (``eval_box`` reports an overflow itself, so numpy's warning is off)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return field.eval_box(eps, box)
+    except IntervalError as exc:
+        raise FlowError(f"rough enclosure: {exc}") from exc
+
+
 def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval,
                     step: float) -> IntervalBox:
     """A priori solution enclosure Z over [0, step] from the state box.
 
     Validated by the Picard condition: state + [0, step] f(eps, Z) inside Z.
-    Raises :class:`FlowError` when inflation fails (caller halves the step).
+    Raises :class:`FlowError` when inflation fails or the field overflows
+    on a candidate (caller halves the step).
     """
     if step <= 0:
         raise IntervalError("rough_enclosure needs a positive step")
     hiv = Interval(0.0, step)
     scale = float(np.max(np.abs(state.lo))) + float(np.max(np.abs(state.hi))) + 1.0
-    f0 = field.eval_box(eps, state)
+    f0 = _eval_field(field, eps, state)
     z = state + f0.mul_interval(hiv)
     z = z.widened(np.maximum(1e-18, 1e-3 * np.maximum(z.rad(), np.max(z.rad()))))
     for _ in range(_ROUGH_ATTEMPTS):
         if float(np.max(z.width())) > 100.0 * scale:
             raise FlowError(f"rough enclosure diverges for step {step}")
-        fz = field.eval_box(eps, z)
+        fz = _eval_field(field, eps, z)
         cand = state + fz.mul_interval(hiv)
         if cand.is_subset(z):
-            fz2 = field.eval_box(eps, cand)
+            fz2 = _eval_field(field, eps, cand)
             cand2 = (state + fz2.mul_interval(hiv)).intersect(cand)
             return cand2 if cand2 is not None else cand
         z = cand.widened(0.2 * np.maximum(cand.rad(), 1e-18))
@@ -492,26 +525,38 @@ def _gronwall(ser: _Series, row: int):
 
 
 def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
-              hull: IntervalBox, xhat, h: float, P: int) -> _StepPieces:
+              hull: IntervalBox, xhat, h: float, P: int, err_max: float) -> _StepPieces | None:
     """One-step flow jet over (eps, x_k), remainders included.
 
     One batch-2 series to order P+1 serves the step: row 0 starts at the
     hull and gives the Taylor polynomial, row 1 starts at the rough
-    enclosure Z of the step and gives the Lagrange remainders.  Raises
-    :class:`FlowError` when the rough enclosure fails or a piece is not
-    finite (the caller halves the step).
+    enclosure Z of the step and gives the Lagrange remainders.  Its state
+    pass comes first and gives the error estimate
+    ``|z_P(row 0)| h^P + |z_{P+1}(row 1)| h^(P+1)``; when that exceeds
+    ``err_max`` the step is rejected (None) before any table, Gronwall or
+    variational work.  Raises :class:`FlowError` when the rough enclosure
+    fails or a piece is not finite (the caller halves the step).
     """
     n = tb.n
     Z = rough_enclosure(tb.field, hull, eps, h)
     mj = n + 1
     eye = np.hstack([np.zeros((n, 1)), np.eye(n)])
-    # overflowing coefficients end in the finiteness check below
+    # overflowing coefficients end in the finiteness checks below
     with np.errstate(over="ignore", invalid="ignore"):
+        hv = Interval.point(h)
+        hp1 = hv ** (P + 1)
         ser = _Series(rf, np.stack([hull.lo, Z.lo]), np.stack([hull.hi, Z.hi]), P + 1, m=mj)
-
+        ser.extend_state(P + 1)
+        rzlo, rzhi = ku.vmul(ser.zlo[1, P + 1], ser.zhi[1, P + 1], hp1.lo, hp1.hi)
+        err = float(np.max(ku.vmag(ser.zlo[0, P], ser.zhi[0, P]))) * h**P \
+            + float(np.max(ku.vmag(rzlo, rzhi)))
+        if not math.isfinite(err):
+            raise FlowError(f"non-finite Taylor enclosure for step {h}")
+        if err > err_max:
+            return None
+        ser.extend_tables(P + 1)
         # Gronwall rough bounds for the variational blocks over the step
         d, ce, hxx, hxe, hee = _gronwall(ser, 1)
-        hv = Interval.point(h)
         eh = _iexp_ub((hv * d).hi)
         etaV = ((Interval.point(eh) - 1.0) + hv * ce * eh).hi
         vr_lo, vr_hi = ku.widen_abs(eye, eye, np.full((n, mj), etaV))
@@ -523,26 +568,22 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
                   (np.stack([zero, np.full_like(zero, -etaS)]),
                    np.stack([zero, np.full_like(zero, etaS)])))
         ser.extend_to(P + 1)
-        hp1 = hv ** (P + 1)
 
         # Taylor polynomial of row 0 plus the Lagrange remainder of row 1
         plo, phi = ser.eval_flat(0, h, P)
         clo, chi = ser.flat(1, slice(P + 1, P + 2))
-        rlo, rhi = ku.vmul(clo[0], chi[0], np.full(clo.shape[1], hp1.lo),
-                           np.full(chi.shape[1], hp1.hi))
-        lo, hi = ku.vadd(plo, phi, rlo, rhi)
+        vlo, vhi = ku.vmul(clo[0, n:], chi[0, n:], hp1.lo, hp1.hi)
+        lo, hi = ku.vadd(plo, phi, np.concatenate([rzlo, vlo]), np.concatenate([rzhi, vhi]))
         pieces = _StepPieces()
+        pieces.err = err
         pieces.val_lo, pieces.Mlo, pieces.Slo = ser.unflat(lo)
         pieces.val_hi, pieces.Mhi, pieces.Shi = ser.unflat(hi)
-        pieces.err = float(np.max(ku.vmag(ser.zlo[0, P], ser.zhi[0, P]))) * h**P \
-            + float(np.max(ku.vmag(rlo[:n], rhi[:n])))
 
         serp = _Series(rf_pt, xhat[None], xhat[None], P)
         serp.extend_to(P)
         plo, phi = serp.eval_flat(0, h, P)
-        pieces.phi_lo, pieces.phi_hi = ku.vadd(plo, phi, rlo[:n], rhi[:n])
-    if not (math.isfinite(pieces.err)
-            and all(np.isfinite(x).all() for x in (lo, hi, pieces.phi_lo, pieces.phi_hi))):
+        pieces.phi_lo, pieces.phi_hi = ku.vadd(plo, phi, rzlo, rzhi)
+    if not all(np.isfinite(x).all() for x in (lo, hi, pieces.phi_lo, pieces.phi_hi)):
         raise FlowError(f"non-finite Taylor enclosure for step {h}")
     return pieces
 
@@ -709,15 +750,18 @@ def flow_jet(
         last = (T - t) <= h * (1 + 1e-12)
         hcur = (T - t) if last else h
         hull = state.hull(r0lo, r0hi)
+        scale = float(np.max(np.abs(hull.mid()))) + 1.0
+        # a step at min_step is kept whatever its error estimate
+        err_max = tol * scale if hcur > settings.min_step * (1 + 1e-12) else math.inf
         try:
-            pieces = _one_step(tb, rf, rf_pt, eps, hull, state.xhat, hcur, P)
+            pieces = _one_step(tb, rf, rf_pt, eps, hull, state.xhat, hcur, P, err_max)
         except FlowError:
             if h <= settings.min_step:
-                raise FlowError(f"step underflow at t={t}: no rough enclosure at min_step")
+                raise FlowError(f"step underflow at t={t} of T={T}: "
+                                "no rough enclosure at min_step")
             h *= 0.5
             continue
-        scale = float(np.max(np.abs(hull.mid()))) + 1.0
-        if pieces.err > tol * scale and hcur > settings.min_step * (1 + 1e-12):
+        if pieces is None:
             h = max(hcur * 0.5, settings.min_step)
             continue
         state.advance(pieces, r0lo, r0hi)

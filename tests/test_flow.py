@@ -191,20 +191,70 @@ def test_field_tables_kept_on_the_field():
     assert not hasattr(flow, "_TABLE_CACHE")
 
 
-def test_transport_is_deterministic_within_a_process():
-    # interval sums follow numpy's reduction order; one process must still
-    # reproduce a run bit for bit (first criterion-5 initial condition)
-    from splitcert.lerman import LUConfig, lu_field
-
+def _criterion5_x0():
+    """The first criterion-5 initial condition of the worked example."""
     rng = np.random.RandomState(20240817)
     x0 = rng.uniform(-1.0, 1.0, 4)
-    x0 *= rng.uniform(0.05, 0.5) / np.linalg.norm(x0)
+    return x0 * rng.uniform(0.05, 0.5) / np.linalg.norm(x0)
+
+
+def test_transport_is_deterministic_within_a_process():
+    # interval sums follow numpy's reduction order; one process must still
+    # reproduce a run bit for bit
+    from splitcert.lerman import LUConfig, lu_field
+
+    x0 = _criterion5_x0()
     runs = [flow_jet(lu_field(LUConfig()), Jet2Enclosure.identity(IntervalBox.point(x0)),
                      Interval(0.0, 0.0), 1.0, SET) for _ in range(2)]
     a, b = runs
     for x, y in [(a.value.lo, b.value.lo), (a.value.hi, b.value.hi), (a.d1.lo, b.d1.lo),
                  (a.d1.hi, b.d1.hi), (a.d2lo, b.d2lo), (a.d2hi, b.d2hi)]:
         assert x.tobytes() == y.tobytes()
+
+
+def test_rejected_steps_pay_no_table_or_variational_work(monkeypatch):
+    # the step size is tested on the state series alone: every table and
+    # variational pass serves a step that the Lohner state then takes
+    import splitcert.flow as flow
+    from splitcert.lerman import LUConfig, lu_field
+
+    counts = {"tables": 0, "var": 0, "advance": 0, "rejected": 0}
+    tables, var, advance, one_step = (flow._Series._table_orders, flow._Series._var_orders,
+                                      flow._LohnerState.advance, flow._one_step)
+
+    def count(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    def step(*args):
+        pieces = one_step(*args)
+        counts["rejected"] += pieces is None
+        return pieces
+
+    monkeypatch.setattr(flow._Series, "_table_orders", count("tables", tables))
+    monkeypatch.setattr(flow._Series, "_var_orders", count("var", var))
+    monkeypatch.setattr(flow._LohnerState, "advance", count("advance", advance))
+    monkeypatch.setattr(flow, "_one_step", step)
+    flow_jet(lu_field(LUConfig()), Jet2Enclosure.identity(IntervalBox.point(_criterion5_x0())),
+             Interval(0.0, 0.0), 1.0, SET)
+    assert counts["rejected"] >= 1
+    assert counts["advance"] >= 1
+    assert counts["tables"] == counts["var"] == counts["advance"]
+
+
+def test_overflowing_rough_enclosure_halves_then_underflows():
+    # x' = x^2 from 1e160: f(x0) = 1e320 overflows in the field evaluation
+    # of the rough enclosure at every step, so the step halves down to
+    # min_step and the transport reports the underflow
+    settings = FlowSettings(taylor_order=8, initial_step=2.0 ** -560, min_step=2.0 ** -570)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FlowError, match="step underflow at t=0.0 of T=1e-170"):
+            flow_jet(F_SQ, ident([1e160]), Interval(0, 0), 1e-170, settings)
+        with pytest.raises(FlowError, match="overflows at variable 1"):
+            rough_enclosure(F_SQ, IntervalBox([1e160], [1e160]), Interval(0, 0), 2.0 ** -560)
 
 
 def test_non_finite_step_raises_flow_error_without_warnings():
@@ -217,21 +267,29 @@ def test_non_finite_step_raises_flow_error_without_warnings():
             flow_jet(F_SQ, ident([1e100]), Interval(0, 0), 1e-110, settings)
 
 
-def _batch_series(field, zlo, zhi, V0, S0, P):
+def _series(field, zlo, zhi, P, m):
     import splitcert.flow as flow
 
     rf = flow._Resolved(flow._tables(field), Interval(-1e-3, 2e-3))
-    ser = flow._Series(rf, zlo, zhi, P, m=V0[0].shape[-1])
+    return flow._Series(rf, zlo, zhi, P, m=m)
+
+
+def _batch_series(field, zlo, zhi, V0, S0, P):
+    ser = _series(field, zlo, zhi, P, V0[0].shape[-1])
     ser.start(V0, S0)
     ser.extend_to(P)
     return ser
 
 
-def test_batched_series_rows_equal_single_series():
+TABLES = ("Alo", "Ahi", "aelo", "aehi", "Hxxlo", "Hxxhi", "Hxelo", "Hxehi", "Heelo", "Heehi")
+
+
+def _lu_rows():
+    """The worked example's field and a batch-2 series start (a thin and a
+    wide row) at its real shapes: n = 4, m = 5, P = 18."""
     from splitcert.lerman import LUConfig, lu_field
 
-    field = lu_field(LUConfig())
-    n, m, P = 4, 5, 18
+    n, m = 4, 5
     rng = np.random.default_rng(4)
     mid = rng.uniform(-0.5, 0.5, (2, n))
     zlo, zhi = mid - [[0.0], [1e-3]], mid + [[1e-9], [2e-3]]
@@ -239,14 +297,53 @@ def test_batched_series_rows_equal_single_series():
     Vlo, Vhi = np.stack([eye, eye - 1e-6]), np.stack([eye, eye + 1e-6])
     Slo, Shi = np.zeros((2, n, m, m)), np.stack([np.zeros((n, m, m)), np.full((n, m, m), 1e-5)])
     Slo[1] = -1e-5
+    return lu_field(LUConfig()), zlo, zhi, (Vlo, Vhi), (Slo, Shi), 18
+
+
+def test_batched_series_rows_equal_single_series():
+    field, zlo, zhi, (Vlo, Vhi), (Slo, Shi), P = _lu_rows()
     both = _batch_series(field, zlo, zhi, (Vlo, Vhi), (Slo, Shi), P)
     assert both.scaled
     for row in range(2):
         one = _batch_series(field, zlo[row : row + 1], zhi[row : row + 1],
                             (Vlo[row : row + 1], Vhi[row : row + 1]),
                             (Slo[row : row + 1], Shi[row : row + 1]), P)
-        for name in ("zlo", "zhi", "Vlo", "Vhi", "Slo", "Shi", "Tlo", "Thi", "banklo", "bankhi"):
+        for name in ("zlo", "zhi", "Vlo", "Vhi", "Slo", "Shi", "Tlo", "Thi", "banklo", "bankhi",
+                     *TABLES):
             assert getattr(both, name)[row].tobytes() == getattr(one, name)[0].tobytes(), name
+
+
+def test_one_call_tables_equal_tables_built_order_by_order(monkeypatch):
+    import splitcert.flow as flow
+
+    field, zlo, zhi, V0, _, P = _lu_rows()
+    m = V0[0].shape[-1]
+    fused = _series(field, zlo, zhi, P, m)
+    fused.extend_state(P)
+    calls = []
+    imulsum = flow.ku.imulsum
+    monkeypatch.setattr(flow.ku, "imulsum", lambda *a, **k: calls.append(1) or imulsum(*a, **k))
+    fused.extend_tables(P)
+    monkeypatch.undo()
+    assert len(calls) == 1 and fused.scaled
+    by_order = _series(field, zlo, zhi, P, m)
+    for k in range(1, P + 1):
+        by_order.extend_tables(k)
+    for name in TABLES:
+        assert getattr(fused, name).tobytes() == getattr(by_order, name).tobytes(), name
+    # order 0 holds f's derivatives over the initial box (variable 0 is
+    # eps): A[c, a], aeps[c], Hxx[c, a, b], Hxe[c, a], Hee[c]
+    d1, d2 = field.rhs.derivatives()
+    pt = np.concatenate([[0.0], zlo[0]])
+    n = zlo.shape[1]
+    checks = [("A", (a,), d1[1 + a]) for a in range(n)] + [("ae", (), d1[0])]
+    checks += [("Hxx", (a, b), d2[min(a, b) + 1, max(a, b) + 1])
+               for a in range(n) for b in range(n)]
+    checks += [("Hxe", (a,), d2[0, 1 + a]) for a in range(n)] + [("Hee", (), d2[0, 0])]
+    for name, idx, pm in checks:
+        val = pm.eval_point(pt)
+        lo, hi = (getattr(fused, name + end)[0, 0][(slice(None), *idx)] for end in ("lo", "hi"))
+        assert np.all(lo <= val) and np.all(val <= hi), (name, idx)
 
 
 @pytest.mark.parametrize("x0", [5e-324, 1e-200, 2.0 ** -600, 2.0 ** -300])

@@ -283,3 +283,82 @@ def test_imulsum_short_sums_are_isum_of_vmul(n):
                   axis=(1, 3))
     for x, y in zip(r, ref):
         assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+# --- vsqr, vsqrt, vdiv, widen_abs against exact rational arithmetic --------
+
+MAXF = np.finfo(float).max
+# exact zeros, subnormals, the smallest normal, powers of two, inexact
+# decimals, and operands whose squares or quotients overflow
+EDGE = sorted({0.0, 5e-324, 3 * 2.0 ** -1074, 2.0 ** -1022, 2.0 ** -537, 1e-160, 0.1, 0.5,
+               1.0, 2.0, 3.0, 1.3e154, 1.5e154, 2.0 ** 1023, 1.7e308, MAXF})
+EDGE_SIGNED = sorted({s * x for x in EDGE for s in (1.0, -1.0)})
+
+
+def _intervals(values):
+    """Every (lo, hi) pair of the values with lo <= hi, as two arrays."""
+    pairs = [(a, b) for a in values for b in values if a <= b]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def _below(x, exact):
+    """x is a sound lower bound of the exact value (-inf allowed)."""
+    return not np.isnan(x) and x != np.inf and (x == -np.inf or Fraction(float(x)) <= exact)
+
+
+def _above(x, exact):
+    return not np.isnan(x) and x != -np.inf and (x == np.inf or exact <= Fraction(float(x)))
+
+
+def test_vsqr_contains_exact_square_range():
+    lo, hi = _intervals(EDGE_SIGNED)
+    with np.errstate(over="ignore"):
+        rlo, rhi = ku.vsqr(lo, hi)
+    for a, b, x, y in zip(lo, hi, rlo, rhi):
+        fa, fb = Fraction(float(a)), Fraction(float(b))
+        sq_lo = 0 if a <= 0 <= b else min(fa * fa, fb * fb)
+        assert _below(x, sq_lo) and x >= 0.0
+        assert _above(y, max(fa * fa, fb * fb))
+        if a == 0.0 and b == 0.0:
+            assert x == 0.0 and y == 0.0
+
+
+def test_vsqrt_contains_exact_root_range():
+    lo, hi = _intervals(EDGE)
+    rlo, rhi = ku.vsqrt(lo, hi)
+    for a, b, x, y in zip(lo, hi, rlo, rhi):
+        # sqrt is increasing: lo^2 <= a and b <= hi^2, checked exactly
+        assert np.isfinite(x) and np.isfinite(y) and 0.0 <= x <= y
+        assert Fraction(float(x)) ** 2 <= Fraction(float(a))
+        assert Fraction(float(b)) <= Fraction(float(y)) ** 2
+        if b == 0.0:
+            assert x == 0.0 and y == 0.0
+    with pytest.raises(ValueError):
+        ku.vsqrt(np.array([-5e-324]), np.array([1.0]))
+
+
+def test_vdiv_contains_exact_quotient_range():
+    nlo, nhi = _intervals(EDGE_SIGNED)
+    dlo, dhi = _intervals([x for x in EDGE_SIGNED if x != 0.0])
+    keep = (dlo > 0) | (dhi < 0)  # denominators that exclude zero
+    dlo, dhi = dlo[keep], dhi[keep]
+    alo, ahi = np.repeat(nlo, len(dlo)), np.repeat(nhi, len(dlo))
+    blo, bhi = np.tile(dlo, len(nlo)), np.tile(dhi, len(nlo))
+    with np.errstate(over="ignore", under="ignore"):
+        rlo, rhi = ku.vdiv(alo, ahi, blo, bhi)
+    for a0, a1, b0, b1, x, y in zip(alo, ahi, blo, bhi, rlo, rhi):
+        qs = [Fraction(float(a)) / Fraction(float(b)) for a in (a0, a1) for b in (b0, b1)]
+        assert _below(x, min(qs)) and _above(y, max(qs))
+        if a0 == 0.0 and a1 == 0.0:
+            assert x == 0.0 and y == 0.0
+
+
+def test_widen_abs_pads_by_at_least_the_exact_amount():
+    lo, hi = _intervals(EDGE_SIGNED)
+    for eps in (0.0, 5e-324, 2.0 ** -1022, 1e-300, 0.1, 1.0, 2.0 ** 1000, MAXF):
+        rlo, rhi = ku.widen_abs(lo, hi, np.full(lo.shape, eps))
+        for a, b, x, y in zip(lo, hi, rlo, rhi):
+            assert _below(x, Fraction(float(a)) - Fraction(eps))
+            assert _above(y, Fraction(float(b)) + Fraction(eps))
+            if eps == 0.0:
+                assert x == a and y == b
