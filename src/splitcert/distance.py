@@ -332,6 +332,8 @@ def distance_fixed_point(
     ``x_proj`` by solving pi_x w(eps, kappa(eps, x)) = x, and y is the
     difference of their pi_y blocks.  The (k1, k2) split and the coordinate
     alignment making y_2(0, .) = 0 are caller-supplied configuration.
+    ``eps_max`` and ``u_box`` are read by nothing: they stay only because
+    ``perfbench/``, :mod:`splitcert.lerman` and demo 03 pass them positionally.
     """
     return _distance(wu, ws, (), k1, k2, u_guess, s_guess)
 
@@ -349,7 +351,8 @@ def distance_nhim_section(
 ) -> DistanceOracle:
     """Distance oracle on the center section {z = z*} for equal-dimension
     center-(un)stable manifolds; both implicit problems run over (x, z) with
-    z pinned to z*, and the jets are restricted to the (eps, x) variables."""
+    z pinned to z*, and the jets are restricted to the (eps, x) variables.
+    ``eps_max`` and ``u_box`` are read by nothing, as in :func:`distance_fixed_point`."""
     return _distance(wcu, wcs, z_star, k1, k2, cu_guess, cs_guess)
 
 
@@ -368,6 +371,7 @@ def distance_unequal(
 
     The center-unstable manifold is a graph over (x, z); its pi_v block is
     fed into the center-stable reparameterization over (x, v, z), and y
-    compares the pi_y blocks.  Output dimension is u = k1 + k2.
+    compares the pi_y blocks.  Output dimension is u = k1 + k2.  ``eps_max``
+    and ``u_box`` are read by nothing, as in :func:`distance_fixed_point`.
     """
     return _distance(wcu, wcs, z_star, k1, k2, cu_guess, cs_guess)

@@ -23,6 +23,10 @@ Step sizes are powers of two, adapted by a coefficient-decay heuristic, so
 runs are deterministic; the final step is clipped to land on T.  A step
 whose rough enclosure fails, whose error estimate is too large or whose
 enclosures are not finite is halved.
+
+The nonrigorous float transports (:func:`point_flow`, :func:`point_flow_jet`)
+run the same series with round-to-nearest kernels at the field's
+coefficient midpoints, in fixed steps and for a batch of points at once.
 """
 
 from __future__ import annotations
@@ -194,23 +198,52 @@ def _tables(field: VectorFieldDef) -> _FieldTables:
 
 
 class _Resolved:
-    """Field table groups with eps powers folded into the coefficients."""
+    """Field table groups with eps powers folded into the coefficients:
+    enclosures for an interval eps, floats (coefficient midpoints times
+    powers of eps) for a float eps."""
 
-    def __init__(self, tb: _FieldTables, eps: Interval):
+    def __init__(self, tb: _FieldTables, eps: Interval | float):
         self.tb = tb
-        self.eps = eps
         maxp = int(max(tb.g_var["epow"].max(), tb.g_f["epow"].max(), 0))
-        plo = np.zeros(maxp + 1); phi = np.zeros(maxp + 1)
-        for e in range(maxp + 1):
-            ep = eps ** e
-            plo[e], phi[e] = ep.lo, ep.hi
+        pw = [eps ** e for e in range(maxp + 1)]
+        if isinstance(eps, Interval):
+            plo, phi = np.array([p.lo for p in pw]), np.array([p.hi for p in pw])
 
-        def resolve(g):
-            rlo, rhi = ku.vmul(g["clo"], g["chi"], plo[g["epow"]], phi[g["epow"]])
-            return {"clo": rlo, "chi": rhi, "rows": g["rows"]}
+            def resolve(g):
+                return ku.vmul(g["clo"], g["chi"], plo[g["epow"]], phi[g["epow"]])
+        else:
+            def resolve(g):
+                c = 0.5 * (g["clo"] + g["chi"]) * np.array(pw)[g["epow"]]
+                return c, c
 
-        self.g_f = resolve(tb.g_f)
-        self.g_var = resolve(tb.g_var)
+        self.g_f, self.g_var = (dict(zip(("clo", "chi"), resolve(g)), rows=g["rows"])
+                                for g in (tb.g_f, tb.g_var))
+
+
+class _Nearest:
+    """Round-to-nearest stand-ins for the kernels :class:`_Series` calls:
+    each reads the ``lo`` operands only and returns one float result as
+    both endpoints.  Every operand counts as scaled, so a float series
+    never reruns a pass through the checked path."""
+
+    @staticmethod
+    def imulsum(alo, ahi, blo, bhi, axis, scaled: bool = False):
+        s = np.add.reduce(alo * blo, axis=axis)
+        return s, s
+
+    @staticmethod
+    def vadd(alo, ahi, blo, bhi):
+        s = alo + blo
+        return s, s
+
+    @staticmethod
+    def vscale(c: float, alo, ahi):
+        s = c * alo
+        return s, s
+
+    @staticmethod
+    def is_scaled(*arrays) -> bool:
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +263,7 @@ class _Series:
        from the field's own rows of the coefficient group;
     2. :meth:`extend_tables`: the field's derivative tables (``Alo``,
        ``aelo``, ``Hxxlo``, ``Hxelo``, ``Heelo`` and their ``hi``) at every
-       order of the bank, in one ``ku.imulsum`` call;
+       order of the bank, in one ``imulsum`` call;
     3. the variational recursion for V, T, Q and S, order by order.
 
     :meth:`extend_to` runs all three.  A caller that can reject a series on
@@ -239,18 +272,22 @@ class _Series:
     a series it keeps.  A series with variational blocks needs
     :meth:`start` before its variational pass.
 
-    Cauchy products use the fused ``ku.imulsum`` path while every stored
-    operand is scaled (``ku.is_scaled``): each pass is checked once, after
-    it ran, and rerun through the checked kernel when one of the operands
-    it wrote fails the check, before a later pass reads them.  A pass
-    writes only its own slots, so the rerun overwrites everything the
+    ``kernels`` is the kernel set the series calls (``imulsum``, ``vadd``,
+    ``vscale``, ``is_scaled``): ``ku`` for enclosures, :class:`_Nearest` for
+    the float transports, which run the same passes in round-to-nearest
+    arithmetic.  Cauchy products use the fused ``imulsum`` path while every
+    stored operand is scaled (``is_scaled``): each pass is checked once,
+    after it ran, and rerun through the checked kernel when one of the
+    operands it wrote fails the check, before a later pass reads them.  A
+    pass writes only its own slots, so the rerun overwrites everything the
     unchecked run wrote.
     """
 
-    def __init__(self, rf: _Resolved, zlo, zhi, P: int, m: int = 0):
+    def __init__(self, rf: _Resolved, zlo, zhi, P: int, m: int = 0, kernels=ku):
         tb = rf.tb
         n = tb.n
         B = zlo.shape[0]
+        self.k = kernels
         self.tb = tb
         self.n = n
         self.m = m
@@ -276,7 +313,7 @@ class _Series:
             self.Heelo, self.Heehi = blank(n)
             self.Tlo, self.Thi = blank(n, n, m)
             self.g_tab = {key: g[key][n:] for key in ("clo", "chi", "rows")}
-        self.scaled = ku.is_scaled(g["clo"], g["chi"], zlo, zhi)
+        self.scaled = kernels.is_scaled(g["clo"], g["chi"], zlo, zhi)
         # orders filled by each pass: z through "state" (the bank one less),
         # tables below "tables", V and S through "var" (T one less)
         self._to = {"state": 0, "tables": 0, "var": 0}
@@ -286,7 +323,7 @@ class _Series:
         and (B, n, m, m)."""
         self.Vlo[:, 0], self.Vhi[:, 0] = V0
         self.Slo[:, 0], self.Shi[:, 0] = S0
-        self.scaled = self.scaled and ku.is_scaled(*V0, *S0)
+        self.scaled = self.scaled and self.k.is_scaled(*V0, *S0)
 
     def _pass(self, name: str, upto: int, run, written):
         """Run ``run(k0, upto, fast)`` over the orders k0..upto-1 that pass
@@ -297,7 +334,7 @@ class _Series:
             return
         if self.scaled:
             run(k0, upto, True)
-            if ku.is_scaled(*written(k0, upto)):
+            if self.k.is_scaled(*written(k0, upto)):
                 self._to[name] = upto
                 return
             self.scaled = False
@@ -330,19 +367,19 @@ class _Series:
 
     def _state_orders(self, k0: int, k1: int, fast: bool):
         """The bank at orders k0..k1-1 and z at orders k0+1..k1."""
-        g = self.g_state
+        g, ks = self.g_state, self.k
         for k in range(k0, k1):
             self.banklo[:, 1 : 1 + self.n, k] = self.zlo[:, k]
             self.bankhi[:, 1 : 1 + self.n, k] = self.zhi[:, k]
             for lidx, ridx, rows in self.tb.depth_groups:
-                slo, shi = ku.imulsum(self.banklo[:, lidx, : k + 1], self.bankhi[:, lidx, : k + 1],
+                slo, shi = ks.imulsum(self.banklo[:, lidx, : k + 1], self.bankhi[:, lidx, : k + 1],
                                       self.banklo[:, ridx, k::-1], self.bankhi[:, ridx, k::-1],
                                       axis=2, scaled=fast)
                 self.banklo[:, rows, k] = slo
                 self.bankhi[:, rows, k] = shi
-            glo, ghi = ku.imulsum(g["clo"], g["chi"], self.banklo[:, g["rows"], k],
+            glo, ghi = ks.imulsum(g["clo"], g["chi"], self.banklo[:, g["rows"], k],
                                   self.bankhi[:, g["rows"], k], axis=2, scaled=fast)
-            self.zlo[:, k + 1], self.zhi[:, k + 1] = ku.vscale(1.0 / (k + 1), glo, ghi)
+            self.zlo[:, k + 1], self.zhi[:, k + 1] = ks.vscale(1.0 / (k + 1), glo, ghi)
 
     def _table_orders(self, k0: int, k1: int, fast: bool):
         """The derivative tables at orders k0..k1-1: one product sum over
@@ -350,7 +387,7 @@ class _Series:
         n, tb, g = self.n, self.tb, self.g_tab
         blo, bhi = (np.ascontiguousarray(np.moveaxis(b[:, g["rows"], k0:k1], 3, 1))
                     for b in (self.banklo, self.bankhi))
-        tlo, thi = ku.imulsum(g["clo"], g["chi"], blo, bhi, axis=3, scaled=fast)
+        tlo, thi = self.k.imulsum(g["clo"], g["chi"], blo, bhi, axis=3, scaled=fast)
         B, K = tlo.shape[:2]
         ks = slice(k0, k1)
         npairs = n * (n + 1) // 2
@@ -373,67 +410,74 @@ class _Series:
 
     def _var_step(self, k: int, fast: bool):
         """V_{k+1}, T_k and S_{k+1} from the tables through order k."""
+        ks = self.k
         inv = 1.0 / (k + 1)
         sl = slice(0, k + 1)
         rs = slice(k, None, -1)
         # V_{k+1} = (sum_{i+j=k} A_i V_j + aeps_k e0^T) / (k+1)
-        slo, shi = ku.imulsum(self.Alo[:, sl, :, :, None], self.Ahi[:, sl, :, :, None],
+        slo, shi = ks.imulsum(self.Alo[:, sl, :, :, None], self.Ahi[:, sl, :, :, None],
                               self.Vlo[:, rs, None, :, :], self.Vhi[:, rs, None, :, :],
                               axis=(1, 3), scaled=fast)
-        slo[:, :, 0], shi[:, :, 0] = ku.vadd(slo[:, :, 0], shi[:, :, 0],
+        slo[:, :, 0], shi[:, :, 0] = ks.vadd(slo[:, :, 0], shi[:, :, 0],
                                              self.aelo[:, k], self.aehi[:, k])
-        self.Vlo[:, k + 1], self.Vhi[:, k + 1] = ku.vscale(inv, slo, shi)
+        self.Vlo[:, k + 1], self.Vhi[:, k + 1] = ks.vscale(inv, slo, shi)
 
         # T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be]
-        self.Tlo[:, k], self.Thi[:, k] = ku.imulsum(
+        self.Tlo[:, k], self.Thi[:, k] = ks.imulsum(
             self.Hxxlo[:, sl, :, :, :, None], self.Hxxhi[:, sl, :, :, :, None],
             self.Vlo[:, rs, None, None, :, :], self.Vhi[:, rs, None, None, :, :],
             axis=(1, 4), scaled=fast)
         # Q1_k[c,al,be] = sum_{i+j=k} T_i[c,a,be] V_j[a,al]
-        q1lo, q1hi = ku.imulsum(self.Tlo[:, sl, :, :, None, :], self.Thi[:, sl, :, :, None, :],
+        q1lo, q1hi = ks.imulsum(self.Tlo[:, sl, :, :, None, :], self.Thi[:, sl, :, :, None, :],
                                 self.Vlo[:, rs, None, :, :, None], self.Vhi[:, rs, None, :, :, None],
                                 axis=(1, 3), scaled=fast)
         # Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a] V_j[a,al], added on eps row/col
-        q2lo, q2hi = ku.imulsum(self.Hxelo[:, sl, :, :, None], self.Hxehi[:, sl, :, :, None],
+        q2lo, q2hi = ks.imulsum(self.Hxelo[:, sl, :, :, None], self.Hxehi[:, sl, :, :, None],
                                 self.Vlo[:, rs, None, :, :], self.Vhi[:, rs, None, :, :],
                                 axis=(1, 3), scaled=fast)
-        q1lo[:, :, 0, :], q1hi[:, :, 0, :] = ku.vadd(q1lo[:, :, 0, :], q1hi[:, :, 0, :], q2lo, q2hi)
-        q1lo[:, :, :, 0], q1hi[:, :, :, 0] = ku.vadd(q1lo[:, :, :, 0], q1hi[:, :, :, 0], q2lo, q2hi)
-        q1lo[:, :, 0, 0], q1hi[:, :, 0, 0] = ku.vadd(q1lo[:, :, 0, 0], q1hi[:, :, 0, 0],
+        q1lo[:, :, 0, :], q1hi[:, :, 0, :] = ks.vadd(q1lo[:, :, 0, :], q1hi[:, :, 0, :], q2lo, q2hi)
+        q1lo[:, :, :, 0], q1hi[:, :, :, 0] = ks.vadd(q1lo[:, :, :, 0], q1hi[:, :, :, 0], q2lo, q2hi)
+        q1lo[:, :, 0, 0], q1hi[:, :, 0, 0] = ks.vadd(q1lo[:, :, 0, 0], q1hi[:, :, 0, 0],
                                                      self.Heelo[:, k], self.Heehi[:, k])
         # S_{k+1} = (sum A_i S_j + Q_k)/(k+1)
-        aslo, ashi = ku.imulsum(self.Alo[:, sl, :, :, None, None], self.Ahi[:, sl, :, :, None, None],
+        aslo, ashi = ks.imulsum(self.Alo[:, sl, :, :, None, None], self.Ahi[:, sl, :, :, None, None],
                                 self.Slo[:, rs, None, :, :, :], self.Shi[:, rs, None, :, :, :],
                                 axis=(1, 3), scaled=fast)
-        tlo, thi = ku.vadd(aslo, ashi, q1lo, q1hi)
-        self.Slo[:, k + 1], self.Shi[:, k + 1] = ku.vscale(inv, tlo, thi)
+        tlo, thi = ks.vadd(aslo, ashi, q1lo, q1hi)
+        self.Slo[:, k + 1], self.Shi[:, k + 1] = ks.vscale(inv, tlo, thi)
 
-    def flat(self, row: int, orders: slice):
-        """Coefficients ``orders`` of one row, each order's state, V and S
-        (when enabled) flattened side by side: (lo, hi) of shape
-        (orders, n + n m + n m m)."""
+    def flat(self, row, orders: slice):
+        """Coefficients ``orders`` of a row (an index) or of a slice of rows,
+        each order's state, V and S (when enabled) flattened side by side:
+        (lo, hi) of shape (orders, n + n m + n m m), behind the rows' axis
+        for a slice."""
         blocks = [(self.zlo, self.zhi)]
         if self.with_var:
             blocks += [(self.Vlo, self.Vhi), (self.Slo, self.Shi)]
         out = []
         for i in range(2):
             parts = [b[i][row, orders] for b in blocks]
-            out.append(np.concatenate([x.reshape(x.shape[0], -1) for x in parts], axis=1))
+            lead = parts[0].ndim - 1
+            out.append(np.concatenate(
+                [x.reshape(*x.shape[:lead], math.prod(x.shape[lead:])) for x in parts], axis=-1))
         return out[0], out[1]
 
     def unflat(self, x):
-        """Split one flattened order back into (state, V, S) blocks."""
+        """Split flattened orders (the last axis) back into (state, V, S)
+        blocks."""
         n, m = self.n, self.m
-        return x[:n], x[n : n + n * m].reshape(n, m), x[n + n * m :].reshape(n, m, m)
+        lead = x.shape[:-1]
+        return (x[..., :n], x[..., n : n + n * m].reshape(*lead, n, m),
+                x[..., n + n * m :].reshape(*lead, n, m, m))
 
-    def eval_flat(self, row: int, h: float, upto: int):
-        """The row's Taylor polynomial through order ``upto`` at time h
-        (Horner), flattened as in :meth:`flat`."""
+    def eval_flat(self, row, h: float, upto: int):
+        """The Taylor polynomial of a row (or a slice of rows) through order
+        ``upto`` at time h (Horner), flattened as in :meth:`flat`."""
         clo, chi = self.flat(row, slice(0, upto + 1))
-        lo, hi = clo[upto], chi[upto]
+        lo, hi = clo[..., upto, :], chi[..., upto, :]
         for k in range(upto - 1, -1, -1):
-            lo, hi = ku.vscale(h, lo, hi)
-            lo, hi = ku.vadd(lo, hi, clo[k], chi[k])
+            lo, hi = self.k.vscale(h, lo, hi)
+            lo, hi = self.k.vadd(lo, hi, clo[..., k, :], chi[..., k, :])
         return lo, hi
 
 
@@ -444,11 +488,9 @@ _ROUGH_ATTEMPTS = 24
 
 
 def _eval_field(field: VectorFieldDef, eps: Interval, box: IntervalBox) -> IntervalBox:
-    """f(eps, box); an evaluation that overflows fails the rough enclosure
-    (``eval_box`` reports an overflow itself, so numpy's warning is off)."""
+    """f(eps, box); an evaluation that overflows fails the rough enclosure."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return field.eval_box(eps, box)
+        return field.eval_box(eps, box)
     except IntervalError as exc:
         raise FlowError(f"rough enclosure: {exc}") from exc
 
@@ -773,99 +815,47 @@ def flow_jet(
 
 
 # ---------------------------------------------------------------------------
-# nonrigorous float twin (shooting, candidate sizing, midpoint diagnostics)
+# nonrigorous float transports (shooting, candidate sizing, midpoint
+# diagnostics): the same series in round-to-nearest arithmetic
+
+def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order: int,
+                     step: float, m: int):
+    """Fixed-step transport of x0 ((n,) or a batch (B, n)) by the float
+    series through order ``order + 1``: the endpoint and, for m = n + 1, its
+    derivatives in (eps, x0), with ``m = 0`` skipping them."""
+    if T < 0:
+        field, T = field.negated(), -T
+    tb = _tables(field)
+    rf = _Resolved(tb, float(eps_val))
+    n = tb.n
+    x = np.array(x0, dtype=float)
+    z = x.reshape(-1, n)
+    V = np.broadcast_to(np.eye(n, m, 1), (len(z), n, m))
+    S = np.zeros((len(z), n, m, m))
+    t = 0.0
+    while t < T:
+        h = min(step, T - t)
+        ser = _Series(rf, z, z, order, m=m, kernels=_Nearest)
+        if m:
+            ser.start((V, V), (S, S))
+        ser.extend_to(order + 1)
+        z, V, S = ser.unflat(ser.eval_flat(slice(None), h, order + 1)[0])
+        t += h
+    lead = x.shape[:-1]
+    return z.reshape(*lead, n), V.reshape(*lead, n, m), S.reshape(*lead, n, m, m)
+
 
 def point_flow_jet(field: VectorFieldDef, eps_val: float, x0, T: float,
                    order: int = 16, step: float = 0.125):
     """Plain float Taylor transport of value, Jacobian and second derivative
-    with respect to (eps, x0).  For locating candidates and midpoint
-    diagnostics only; nothing here is validated."""
-    if T < 0:
-        return point_flow_jet(field.negated(), eps_val, x0, -T, order, step)
-    tb = _tables(field)
-    n = tb.n
-    m = n + 1
-    x = np.asarray(x0, dtype=float).copy()
-    V = np.hstack([np.zeros((n, 1)), np.eye(n)])
-    S = np.zeros((n, m, m))
-    epw_max = int(max(tb.g_var["epow"].max(), 1))
-    epows = np.array([eps_val**e for e in range(epw_max + 1)])
-    coef = (0.5 * (tb.g_var["clo"] + tb.g_var["chi"])) * epows[tb.g_var["epow"]]
-    rows_v = tb.g_var["rows"]
-    npairs = n * (n + 1) // 2
-    t = 0.0
-    while t < T:
-        h = min(step, T - t)
-        P = order
-        zc = np.zeros((P + 2, n)); zc[0] = x
-        Vc = np.zeros((P + 2, n, m)); Vc[0] = V
-        Sc = np.zeros((P + 2, n, m, m)); Sc[0] = S
-        Ac = np.zeros((P + 2, n, n))
-        aec = np.zeros((P + 2, n))
-        Hxxc = np.zeros((P + 2, n, n, n))
-        Hxec = np.zeros((P + 2, n, n))
-        Heec = np.zeros((P + 2, n))
-        Tser = np.zeros((P + 2, n, n, m))
-        bank = np.zeros((tb.n_rows, P + 2))
-        bank[0, 0] = 1.0
-        for k in range(P + 1):
-            bank[1 : 1 + n, k] = zc[k]
-            for lidx, ridx, rws in tb.depth_groups:
-                bank[rws, k] = np.einsum("ri,ri->r", bank[lidx, : k + 1], bank[ridx, k::-1])
-            vals = np.einsum("cm,cm->c", coef, bank[rows_v, k])
-            i0 = 0
-            zc[k + 1] = vals[i0 : i0 + n] / (k + 1); i0 += n
-            Ac[k] = vals[i0 : i0 + n * n].reshape(n, n).T; i0 += n * n
-            aec[k] = vals[i0 : i0 + n]; i0 += n
-            xx = vals[i0 : i0 + npairs * n].reshape(npairs, n); i0 += npairs * n
-            Hxxc[k][:, tb.xx_a, tb.xx_b] = xx.T
-            Hxxc[k][:, tb.xx_b, tb.xx_a] = xx.T
-            Hxec[k] = vals[i0 : i0 + n * n].reshape(n, n).T; i0 += n * n
-            Heec[k] = vals[i0 : i0 + n]
-            AV = np.einsum("kca,kam->cm", Ac[: k + 1], Vc[k::-1])
-            AV[:, 0] += aec[k]
-            Vc[k + 1] = AV / (k + 1)
-            Tser[k] = np.einsum("kcab,kbm->kcam", Hxxc[: k + 1], Vc[k::-1]).sum(axis=0)
-            Qk = np.einsum("kcam,kan->cnm", Tser[: k + 1], Vc[k::-1])
-            q2 = np.einsum("kca,kam->cm", Hxec[: k + 1], Vc[k::-1])
-            Qk[:, 0, :] += q2
-            Qk[:, :, 0] += q2
-            Qk[:, 0, 0] += Heec[k]
-            AS = np.einsum("kca,kanm->cnm", Ac[: k + 1], Sc[k::-1])
-            Sc[k + 1] = (AS + Qk) / (k + 1)
-        hp = np.array([h**k for k in range(P + 2)])
-        x = np.tensordot(hp, zc, axes=(0, 0))
-        V = np.tensordot(hp, Vc, axes=(0, 0))
-        S = np.tensordot(hp, Sc, axes=(0, 0))
-        t += h
-    return x, V, S
+    with respect to (eps, x0), of one point (n,) or a batch (B, n).  For
+    locating candidates and midpoint diagnostics only; nothing here is
+    validated."""
+    return _float_transport(field, eps_val, x0, T, order, step, field.dimension + 1)
 
 
 def point_flow(field: VectorFieldDef, eps_val: float, x0, T: float,
                order: int = 16, step: float = 0.125):
-    """Float Taylor endpoint only (cheap nonrigorous propagation)."""
-    if T < 0:
-        return point_flow(field.negated(), eps_val, x0, -T, order, step)
-    tb = _tables(field)
-    n = tb.n
-    x = np.asarray(x0, dtype=float).copy()
-    epw_max = int(max(tb.g_f["epow"].max(), 1))
-    epows = np.array([eps_val**e for e in range(epw_max + 1)])
-    coef = (0.5 * (tb.g_f["clo"] + tb.g_f["chi"])) * epows[tb.g_f["epow"]]
-    rows_f = tb.g_f["rows"]
-    t = 0.0
-    while t < T:
-        h = min(step, T - t)
-        P = order
-        zc = np.zeros((P + 2, n)); zc[0] = x
-        bank = np.zeros((tb.n_rows, P + 2))
-        bank[0, 0] = 1.0
-        for k in range(P + 1):
-            bank[1 : 1 + n, k] = zc[k]
-            for lidx, ridx, rws in tb.depth_groups:
-                bank[rws, k] = np.einsum("ri,ri->r", bank[lidx, : k + 1], bank[ridx, k::-1])
-            zc[k + 1] = np.einsum("cm,cm->c", coef, bank[rows_f, k]) / (k + 1)
-        hp = np.array([h**k for k in range(P + 2)])
-        x = np.tensordot(hp, zc, axes=(0, 0))
-        t += h
-    return x
+    """Float Taylor endpoint only (cheap nonrigorous propagation) of one
+    point (n,) or a batch (B, n)."""
+    return _float_transport(field, eps_val, x0, T, order, step, 0)[0]

@@ -278,29 +278,33 @@ def global_manifold(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
 # nonrigorous companions (shooting, candidate guesses, midpoint pipeline)
 
 def _approx_w(cfg: LUConfig, side: str):
-    """Cheap float evaluation of the chart-coordinate manifold map."""
+    """Cheap float evaluation of the chart-coordinate manifold map, at one
+    local point v (2,) or at a batch (B, 2) in one transport."""
     field = lu_field(cfg)
     psi = _psi_maps(cfg)[side][0]
     a = _chart_A(cfg)
     ainv = np.linalg.inv(a)
     _, p0 = _p0(cfg)
     T = cfg.T if side == "unstable" else -cfg.T
+    cols = slice(0, 2) if side == "unstable" else slice(2, 4)
 
     def ev(eps: float, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if side == "unstable":
-            v4 = np.array([v[0], v[1], 0.0, 0.0])
-        else:
-            v4 = np.array([0.0, 0.0, v[0], v[1]])
-        x0 = psi.eval_point(np.concatenate([[eps], v4]))
-        xT = point_flow(field, eps, x0, T, order=max(10, cfg.flow.taylor_order))
-        return ainv @ (xT - p0)
+        v4 = np.zeros((*v.shape[:-1], 4))
+        v4[..., cols] = v
+        x0 = np.array([psi.eval_point(np.concatenate([[eps], p])) for p in v4.reshape(-1, 4)])
+        xT = point_flow(field, eps, x0.reshape(v4.shape), T,
+                        order=max(10, cfg.flow.taylor_order))
+        return (xT - p0) @ ainv.T
 
     return ev
 
 
 def locate_homoclinic(cfg: LUConfig, side: str) -> np.ndarray:
-    """Nonrigorous local-chart parameters flowing onto the section point p0."""
+    """Nonrigorous local-chart parameters flowing onto the section point p0.
+
+    Float Newton with central differences; each iteration flows its
+    5-point stencil (v, v +- h e_j) as one batch."""
     field = lu_field(cfg)
     _, p0 = _p0(cfg)
     psi_inv = _psi_maps(cfg)[side][1]
@@ -310,15 +314,12 @@ def locate_homoclinic(cfg: LUConfig, side: str) -> np.ndarray:
     guess = vloc[:2] if side == "unstable" else vloc[2:]
     ev = _approx_w(cfg, side)
     v = np.asarray(guess, dtype=float)
+    h = 1e-9
+    stencil = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     for _ in range(50):
-        fx = ev(0.0, v)[:2]
-        h = 1e-9
-        jac = np.zeros((2, 2))
-        for j in range(2):
-            dv = np.zeros(2)
-            dv[j] = h
-            jac[:, j] = (ev(0.0, v + dv)[:2] - ev(0.0, v - dv)[:2]) / (2 * h)
-        step = np.linalg.solve(jac, fx)
+        w = ev(0.0, v + stencil)[:, :2]
+        jac = np.stack([w[1] - w[2], w[3] - w[4]], axis=1) / (2 * h)
+        step = np.linalg.solve(jac, w[0])
         v = v - step
         if np.max(np.abs(step)) < 1e-18:
             break
@@ -489,27 +490,25 @@ def sample_manifold(cfg: LUConfig, side: str, eps: float, n_params: int = 12,
     """Nonrigorous manifold samples in original coordinates.
 
     Points on a parameter circle in the local chart are flowed for times up
-    to T; rows are (eps, x1, x2, x3, x4).
+    to T, the whole circle as one batch per time step; rows are
+    (eps, x1, x2, x3, x4), all times of the first point first.
     """
     field = lu_field(cfg)
     psi = _psi_maps(cfg)[side][0]
     r = 0.9 * cfg.local_radius
     sgn = 1.0 if side == "unstable" else -1.0
     dt = cfg.T / max(n_times - 1, 1)
-    rows = []
-    for i in range(n_params):
-        th = 2 * np.pi * i / max(n_params, 1)
-        v = np.array([r * np.cos(th), r * np.sin(th)])
-        if side == "unstable":
-            v4 = np.array([v[0], v[1], 0.0, 0.0])
-        else:
-            v4 = np.array([0.0, 0.0, v[0], v[1]])
-        x = psi.eval_point(np.concatenate([[eps], v4]))
-        rows.append(np.concatenate([[eps], x]))
-        for _ in range(n_times - 1):
-            x = point_flow(field, eps, x, sgn * dt)
-            rows.append(np.concatenate([[eps], x]))
-    return np.array(rows)
+    th = 2 * np.pi * np.arange(n_params) / max(n_params, 1)
+    v4 = np.zeros((n_params, 4))
+    v4[:, slice(0, 2) if side == "unstable" else slice(2, 4)] = \
+        np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    x = np.array([psi.eval_point(np.concatenate([[eps], p])) for p in v4]).reshape(n_params, 4)
+    xs = [x]
+    for _ in range(n_times - 1):
+        x = point_flow(field, eps, x, sgn * dt)
+        xs.append(x)
+    pts = np.stack(xs, axis=1).reshape(-1, 4)
+    return np.hstack([np.full((len(pts), 1), eps), pts])
 
 
 def local_enclosure_boxes(cfg: LUConfig, side: str, n_grid: int = 8) -> np.ndarray:

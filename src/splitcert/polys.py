@@ -135,6 +135,7 @@ class PolyMap:
             self._compiled = (clo, chi, factors, slot, width)
         return self._compiled
 
+    @np.errstate(over="ignore", invalid="ignore")
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Enclosure of the map over the box.  Each term is its coefficient
         times ``x_v ** e`` for the variables in order, and each component
@@ -142,7 +143,8 @@ class PolyMap:
         would; the powers of all variables are one array recursion per
         exponent, and the terms of all components go through one array
         product per variable.  A power, term or sum with a non-finite
-        endpoint raises :class:`IntervalError`."""
+        endpoint raises :class:`IntervalError`, with numpy's overflow
+        warnings off."""
         if box.dim != self.nvars:
             raise IntervalError(f"expected {self.nvars} variables, got {box.dim}")
         clo, chi, factors, slot, width = self._compile()

@@ -10,7 +10,8 @@ import pytest
 from splitcert.intervals import Interval, IntervalBox, IntervalError
 from splitcert.jets import Jet2Enclosure, jet2_compose
 from splitcert.polys import PolyMap, VectorFieldDef
-from splitcert.flow import FlowError, FlowSettings, flow_jet, rough_enclosure, taylor_coeffs
+from splitcert.flow import (FlowError, FlowSettings, flow_jet, point_flow, point_flow_jet,
+                            rough_enclosure, taylor_coeffs)
 
 # simple fields (vars: eps, x...)
 F_EXP = VectorFieldDef(1, PolyMap(2, [[(1.0, (0, 1))]]))          # x' = x
@@ -20,6 +21,8 @@ F_CONST = VectorFieldDef(1, PolyMap(2, [[(1.0, (0, 0))]]))        # x' = 1
 F_ZERO = VectorFieldDef(1, PolyMap(2, [[]]))                      # x' = 0
 # x' = x + eps (eps-coupled, solution x = (x0+eps) e^t - eps)
 F_EPS = VectorFieldDef(1, PolyMap(2, [[(1.0, (0, 1)), (1.0, (1, 0))]]))
+# x' = eps x (solution x = x0 e^(eps t))
+F_EPSX = VectorFieldDef(1, PolyMap(2, [[(1.0, (1, 1))]]))
 
 SET = FlowSettings(taylor_order=14, initial_step=0.25)
 
@@ -364,3 +367,86 @@ def test_series_with_tiny_initial_data_contains_exact_coefficients(x0):
             assert Fraction(ser.zlo[row, k, 0]) <= x ** (k + 1) <= Fraction(ser.zhi[row, k, 0])
             dz = (k + 1) * x ** k
             assert Fraction(ser.Vlo[row, k, 0, 1]) <= dz <= Fraction(ser.Vhi[row, k, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# float transports: the same series in round-to-nearest arithmetic
+
+@pytest.mark.parametrize("T", [2.0, -1.5])
+def test_point_flow_jet_eps_times_x_closed_form(T):
+    # x = x0 e^(eps T): V = (dx/deps, dx/dx0) = (x0 T e, e),
+    # S[eps, eps] = x0 T^2 e, S[eps, x0] = S[x0, eps] = T e, S[x0, x0] = 0
+    eps, x0 = 0.3, 0.7
+    e = math.exp(eps * T)
+    x, V, S = point_flow_jet(F_EPSX, eps, [x0], T)
+    assert x.shape == (1,) and V.shape == (1, 2) and S.shape == (1, 2, 2)
+    assert x[0] == pytest.approx(x0 * e, rel=1e-13)
+    assert V[0, 0] == pytest.approx(x0 * T * e, rel=1e-13)
+    assert V[0, 1] == pytest.approx(e, rel=1e-13)
+    assert S[0, 0, 0] == pytest.approx(x0 * T * T * e, rel=1e-13)
+    assert S[0, 0, 1] == S[0, 1, 0] == pytest.approx(T * e, rel=1e-13)
+    assert S[0, 1, 1] == 0.0
+    assert point_flow(F_EPSX, eps, [x0], T)[0] == pytest.approx(x0 * e, rel=1e-13)
+
+
+@pytest.mark.parametrize("T", [0.9, -2.0])
+def test_point_flow_jet_square_closed_form(T):
+    # x' = x^2: x = x0 / (1 - x0 T), dx/dx0 = 1 / (1 - x0 T)^2,
+    # d2x/dx0^2 = 2 T / (1 - x0 T)^3; no eps dependence
+    x0 = 0.5
+    d = 1.0 - x0 * T
+    x, V, S = point_flow_jet(F_SQ, 0.0, [x0], T, order=20, step=1 / 32)
+    assert x[0] == pytest.approx(x0 / d, rel=1e-12)
+    assert V[0, 1] == pytest.approx(1 / d**2, rel=1e-12)
+    assert S[0, 1, 1] == pytest.approx(2 * T / d**3, rel=1e-12)
+    assert V[0, 0] == S[0, 0, 0] == S[0, 0, 1] == S[0, 1, 0] == 0.0
+
+
+def test_point_flow_batch_rows_agree_with_single_calls():
+    from splitcert.lerman import LUConfig, lu_field
+
+    field = lu_field(LUConfig())
+    x0 = np.stack([_criterion5_x0(), -0.5 * _criterion5_x0()[::-1]])
+    for T in (1.3, -0.7):
+        both = point_flow_jet(field, 1e-3, x0, T, order=12)
+        assert both[0].shape == (2, 4) and both[1].shape == (2, 4, 5)
+        assert both[2].shape == (2, 4, 5, 5)
+        xs = point_flow(field, 1e-3, x0, T, order=12)
+        for row in range(2):
+            one = point_flow_jet(field, 1e-3, x0[row], T, order=12)
+            for b, o in zip(both, one):
+                np.testing.assert_allclose(b[row], o, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(xs[row], one[0], rtol=1e-14, atol=1e-15)
+
+
+def test_float_transports_make_no_kernel_calls_or_interval_ops(monkeypatch):
+    # the float transports use their own round-to-nearest kernels, so a
+    # traced run counts validated work only in splitcert.kernels
+    import splitcert.kernels as ku
+    from splitcert.lerman import LUConfig, lu_field
+
+    field = lu_field(LUConfig())
+    x0 = _criterion5_x0()
+    point_flow_jet(field, 0.0, x0, -0.5)  # compiles the field and its negation
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, fn in vars(ku).items():
+        if callable(fn) and not name.startswith("_") and fn.__module__ == ku.__name__:
+            monkeypatch.setattr(ku, name, counted(name, fn))
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__", "__pow__", "sqr", "sqrt"):
+        monkeypatch.setattr(Interval, op, counted(op, getattr(Interval, op)))
+    for T in (0.5, -0.5):
+        point_flow(field, 1e-3, x0, T)
+        point_flow(field, 1e-3, np.stack([x0, x0]), T)
+        point_flow_jet(field, 1e-3, x0, T)
+    assert calls == []
+    Interval(1.0, 2.0) + 1.0  # the counters are installed
+    ku.vadd(0.0, 0.0, 1.0, 1.0)
+    assert calls == ["__add__", "vadd", "vadd"]

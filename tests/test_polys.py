@@ -1,6 +1,7 @@
 """Polynomial maps: evaluation enclosures and symbolic derivatives."""
 
 import hashlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -172,3 +173,16 @@ def test_eval_box_overflow_is_not_hidden_by_a_zero_factor():
             p.eval_box(box)
     v = p.eval_box(IntervalBox([0.5, 1e5, 0.0], [0.5, 1e5, 0.0]))
     assert v[0].contains(1.0) and v[1].contains(0.5) and v[1].width < 1e-15
+
+
+def test_overflowing_eval_box_and_jet_raise_without_a_warning():
+    # x^2 at 1e160 overflows in the square; eval_box reports it as an
+    # IntervalError, also inside PolyMap.jet, and numpy warns of nothing
+    p = PolyMap(1, [[(1.0, (2,))]])
+    box = IntervalBox([1e160], [1e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntervalError, match="overflows"):
+            p.eval_box(box)
+        with pytest.raises(IntervalError, match="overflows"):
+            p.jet(box)
