@@ -21,13 +21,14 @@ margin is a certified lower bound.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intervals import Interval, IntervalBox, IntervalError
+from .intervals import Interval, IntervalBox, IntervalError, _json_pairs
 from .matrices import IntervalMatrix, ivec_norm_ub, sigma_min_lb, spectral_norm_ub
 from .newton import FunctionOracle, newton_verify
 from .distance import DistanceOracle
@@ -95,12 +96,6 @@ class MelnikovCertificate:
         return out
 
     def to_jsonable(self) -> dict:
-        def mat(m):
-            if m is None:
-                return None
-            return [[[float(m.lo[i, j]), float(m.hi[i, j])] for j in range(m.shape[1])]
-                    for i in range(m.shape[0])]
-
         return {
             "problem": {
                 "k1": self.k1,
@@ -110,10 +105,10 @@ class MelnikovCertificate:
                 "epsMax": float(self.eps_max),
             },
             "blocks": {
-                "A11": mat(self.A11),
-                "A22": mat(self.A22),
-                "Delta1": mat(self.Delta1),
-                "Delta2": mat(self.Delta2),
+                "A11": _json_pairs(self.A11),
+                "A22": _json_pairs(self.A22),
+                "Delta1": _json_pairs(self.Delta1),
+                "Delta2": _json_pairs(self.Delta2),
                 "epsDerivBound1": self.eps_deriv_bound_1,
                 "epsDerivBound2": self.eps_deriv_bound_2,
                 "mA11": self.m_A11,
@@ -142,25 +137,37 @@ def _ball_box(p: np.ndarray, R: float) -> IntervalBox:
 
 
 def _subdivided(lo: np.ndarray, hi: np.ndarray, n_sub: int):
+    """The n_sub^dim cells of a uniform grid on the box, first axis fastest."""
     if n_sub <= 1:
         yield IntervalBox(lo, hi)
         return
-    dim = len(lo)
-    edges = [np.linspace(lo[i], hi[i], n_sub + 1) for i in range(dim)]
-    idx = np.zeros(dim, dtype=int)
-    while True:
-        cl = np.array([edges[i][idx[i]] for i in range(dim)])
-        ch = np.array([edges[i][idx[i] + 1] for i in range(dim)])
-        yield IntervalBox(cl, ch)
-        i = 0
-        while i < dim:
-            idx[i] += 1
-            if idx[i] < n_sub:
-                break
-            idx[i] = 0
-            i += 1
-        if i == dim:
-            return
+    edges = [np.linspace(l, h, n_sub + 1) for l, h in zip(lo, hi)]
+    for rev in itertools.product(range(n_sub), repeat=len(lo)):
+        idx = rev[::-1]
+        yield IntervalBox([e[i] for e, i in zip(edges, idx)],
+                          [e[i + 1] for e, i in zip(edges, idx)])
+
+
+def _embed(block: IntervalMatrix, col: int, k: int) -> IntervalMatrix:
+    """The k_i x k_i block in columns col..col+k_i of its k_i x k rows,
+    zeros elsewhere."""
+    lo = np.zeros((block.shape[0], k))
+    hi = np.zeros((block.shape[0], k))
+    lo[:, col : col + block.shape[1]] = block.lo
+    hi[:, col : col + block.shape[1]] = block.hi
+    return IntervalMatrix(lo, hi)
+
+
+def _reference_value(j, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the reference map (y1, dy2/deps) from a distance jet."""
+    return (np.concatenate([j.value.lo[:k1], j.d1.lo[k1:, 0]]),
+            np.concatenate([j.value.hi[:k1], j.d1.hi[k1:, 0]]))
+
+
+def _reference_jacobian(j, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the x-Jacobian of (y1, dy2/deps) from a distance jet."""
+    return (np.vstack([j.d1.lo[:k1, 1:], j.d2lo[k1:, 0, 1:]]),
+            np.vstack([j.d1.hi[:k1, 1:], j.d2hi[k1:, 0, 1:]]))
 
 
 def check_serial(threads: int):
@@ -192,27 +199,7 @@ def assemble_lemma_data(
     j0p = oracle.jet(eps0, p_box)
     if not j0p.value.contains_zero():
         raise IntervalError("y(0, p) enclosure does not contain zero")
-    y1_rows = list(range(k1))
-    y2_rows = list(range(k1, k1 + k2))
-    x1_cols = list(range(1, 1 + k1))
-    x2_cols = list(range(1 + k1, 1 + k1 + k2))
-    x_cols = x1_cols + x2_cols
-
-    cert = MelnikovCertificate(k1=k1, k2=k2, p=prob.p, R=prob.R, eps_max=prob.eps_max,
-                               assumptions=list(prob.assumptions))
-    if k1 > 0:
-        cert.A11 = IntervalMatrix(j0p.d1.lo[np.ix_(y1_rows, x1_cols)],
-                                  j0p.d1.hi[np.ix_(y1_rows, x1_cols)])
-    if k2 > 0:
-        cert.A22 = IntervalMatrix(j0p.d2lo[np.ix_(y2_rows, [0], x2_cols)][:, 0, :],
-                                  j0p.d2hi[np.ix_(y2_rows, [0], x2_cols)][:, 0, :])
-
     jep = oracle.jet(eps_full, p_box)
-    if k1 > 0:
-        cert.eps_deriv_bound_1 = ivec_norm_ub(IntervalBox(jep.d1.lo[y1_rows, 0], jep.d1.hi[y1_rows, 0]))
-    if k2 > 0:
-        cert.eps_deriv_bound_2 = ivec_norm_ub(IntervalBox(jep.d1.lo[y2_rows, 0], jep.d1.hi[y2_rows, 0]))
-
     u_box = _ball_box(prob.p, prob.R)
     jeu = None
     for ebox in _subdivided(np.array([0.0]), np.array([prob.eps_max]), eps_subdivide):
@@ -220,20 +207,24 @@ def assemble_lemma_data(
             j = oracle.jet(Interval(ebox.lo[0], ebox.hi[0]), cell)
             jeu = j if jeu is None else jeu.hull(j)
 
+    # block i is rows r of the reference map (y1, dy2/deps): A_ii is the
+    # diagonal part of its x-Jacobian at (0, p), Delta_i the deviation of
+    # its rows over E x U, and the eps-derivative bound ||dy_i/deps(E, p)||
+    a_lo, a_hi = _reference_jacobian(j0p, k1)
+    d_lo, d_hi = _reference_jacobian(jeu, k1)
+    k = k1 + k2
+
+    def block(r: slice):
+        a = IntervalMatrix(a_lo[r, r], a_hi[r, r])
+        return (a, IntervalMatrix(d_lo[r], d_hi[r]) - _embed(a, r.start, k),
+                ivec_norm_ub(IntervalBox(jep.d1.lo[r, 0], jep.d1.hi[r, 0])))
+
+    cert = MelnikovCertificate(k1=k1, k2=k2, p=prob.p, R=prob.R, eps_max=prob.eps_max,
+                               assumptions=list(prob.assumptions))
     if k1 > 0:
-        d1_block = IntervalMatrix(jeu.d1.lo[np.ix_(y1_rows, x_cols)],
-                                  jeu.d1.hi[np.ix_(y1_rows, x_cols)])
-        a11 = cert.A11
-        emb = IntervalMatrix(np.hstack([a11.lo, np.zeros((k1, k2))]),
-                             np.hstack([a11.hi, np.zeros((k1, k2))]))
-        cert.Delta1 = d1_block - emb
+        cert.A11, cert.Delta1, cert.eps_deriv_bound_1 = block(slice(0, k1))
     if k2 > 0:
-        mixed = IntervalMatrix(jeu.d2lo[np.ix_(y2_rows, [0], x_cols)][:, 0, :],
-                               jeu.d2hi[np.ix_(y2_rows, [0], x_cols)][:, 0, :])
-        a22 = cert.A22
-        emb = IntervalMatrix(np.hstack([np.zeros((k2, k1)), a22.lo]),
-                             np.hstack([np.zeros((k2, k1)), a22.hi]))
-        cert.Delta2 = mixed - emb
+        cert.A22, cert.Delta2, cert.eps_deriv_bound_2 = block(slice(k1, k))
     cert.diagnostics["subdivide"] = subdivide
     cert.diagnostics["eps_subdivide"] = eps_subdivide
     return cert
@@ -253,31 +244,33 @@ def verify_practical(cert: MelnikovCertificate, R: float | None = None,
         # E x B(p, R); shrinking is conservative, enlarging is not
         raise IntervalError("verify_practical cannot enlarge R or eps_max after assembly")
     r_iv = Interval.point(R)
-    ok = True
     if cert.k1 > 0:
-        if cert.A11 is None or cert.Delta1 is None or cert.eps_deriv_bound_1 is None:
-            raise IntervalError("certificate data for the k1 block is missing")
-        cert.m_A11 = sigma_min_lb(cert.A11)
-        cert.norm_Delta1 = spectral_norm_ub(cert.Delta1)
-        margin = (Interval.point(cert.m_A11) * r_iv
-                  - Interval.point(eps_max) * Interval.point(cert.eps_deriv_bound_1)
-                  - Interval.point(cert.norm_Delta1) * r_iv)
-        cert.margin1 = margin.lo
-        ok = ok and cert.margin1 > 0.0
+        cert.m_A11, cert.norm_Delta1, cert.margin1 = _block_margin(
+            "k1", cert.A11, cert.Delta1, cert.eps_deriv_bound_1, r_iv, eps_max)
     if cert.k2 > 0:
-        if cert.A22 is None or cert.Delta2 is None or cert.eps_deriv_bound_2 is None:
-            raise IntervalError("certificate data for the k2 block is missing")
-        cert.m_A22 = sigma_min_lb(cert.A22)
-        cert.norm_Delta2 = spectral_norm_ub(cert.Delta2)
-        margin = (Interval.point(cert.m_A22) * r_iv
-                  - Interval.point(cert.eps_deriv_bound_2)
-                  - Interval.point(cert.norm_Delta2) * r_iv)
-        cert.margin2 = margin.lo
-        ok = ok and cert.margin2 > 0.0
+        cert.m_A22, cert.norm_Delta2, cert.margin2 = _block_margin(
+            "k2", cert.A22, cert.Delta2, cert.eps_deriv_bound_2, r_iv)
     cert.R = R
     cert.eps_max = eps_max
-    cert.verdict = "verified" if ok else "failed"
+    cert.verdict = "verified" if all(m > 0.0 for m in cert.margins()) else "failed"
     return cert
+
+
+def _block_margin(name: str, a: IntervalMatrix | None, delta: IntervalMatrix | None,
+                  eps_bound: float | None, r_iv: Interval, eps_max: float | None = None):
+    """m(A), ||Delta|| and the certified margin m(A) R - e - ||Delta|| R of
+    one block.  e is the eps-derivative bound, times eps_max when that is
+    given (block 1), else as it is (block 2: a product with an exact 1 would
+    still widen it by an ulp)."""
+    if a is None or delta is None or eps_bound is None:
+        raise IntervalError(f"certificate data for the {name} block is missing")
+    m_a = sigma_min_lb(a)
+    norm = spectral_norm_ub(delta)
+    eps_term = Interval.point(eps_bound)
+    if eps_max is not None:
+        eps_term = Interval.point(eps_max) * eps_term
+    margin = Interval.point(m_a) * r_iv - eps_term - Interval.point(norm) * r_iv
+    return m_a, norm, margin.lo
 
 
 _TRANSVERSAL_EPS_SAMPLES = 3
@@ -306,23 +299,21 @@ def verify_transversal(cert: MelnikovCertificate) -> MelnikovCertificate:
         cert.transversal = False
         cert.diagnostics["transversal_check_failed"] = True
         return cert
-    k1, k2 = cert.k1, cert.k2
-    k = k1 + k2
+    k1 = cert.k1
+    k = k1 + cert.k2
+    # Jacobian rows over E x U: block 1 as assembled, block 2 times eps
+    lo = np.zeros((k, k))
+    hi = np.zeros((k, k))
+    if k1 > 0:
+        full1 = cert.Delta1 + _embed(cert.A11, 0, k)
+        lo[:k1], hi[:k1] = full1.lo, full1.hi
+    full2 = cert.Delta2 + _embed(cert.A22, k1, k) if cert.k2 > 0 else None
     n = _TRANSVERSAL_EPS_SAMPLES
     checks = []
     for eps in np.linspace(cert.eps_max / n, cert.eps_max, n):
-        lo = np.zeros((k, k))
-        hi = np.zeros((k, k))
-        if k1 > 0:
-            full1 = cert.Delta1 + IntervalMatrix(
-                np.hstack([cert.A11.lo, np.zeros((k1, k2))]),
-                np.hstack([cert.A11.hi, np.zeros((k1, k2))]))
-            lo[:k1], hi[:k1] = full1.lo, full1.hi
-        if k2 > 0:
-            full2 = (cert.Delta2 + IntervalMatrix(
-                np.hstack([np.zeros((k2, k1)), cert.A22.lo]),
-                np.hstack([np.zeros((k2, k1)), cert.A22.hi]))).mul_interval(Interval.point(eps))
-            lo[k1:], hi[k1:] = full2.lo, full2.hi
+        if full2 is not None:
+            rows = full2.mul_interval(Interval.point(eps))
+            lo[k1:], hi[k1:] = rows.lo, rows.hi
         checks.append(sigma_min_lb(IntervalMatrix(lo, hi)))
     cert.diagnostics["jacobian_sigma_min_samples"] = [float(c) for c in checks]
     cert.transversal = True
@@ -340,39 +331,27 @@ class BoundaryExclusionCertificate:
     reference_refined: IntervalBox | None = None
 
     def to_jsonable(self) -> dict:
-        def box(b):
-            if b is None:
-                return None
-            return [[float(l), float(h)] for l, h in zip(b.lo, b.hi)]
-
         return {
             "verified": self.verified,
             "reason": self.reason,
-            "uBox": box(self.u_box),
+            "uBox": _json_pairs(self.u_box),
             "epsMax": self.eps_max,
             "cellsChecked": self.cells_checked,
-            "failingCell": box(self.failing_cell),
-            "referenceZero": box(self.reference_refined),
+            "failingCell": _json_pairs(self.failing_cell),
+            "referenceZero": _json_pairs(self.reference_refined),
             "toolVersion": TOOL_VERSION,
         }
 
 
 def _reference_map_oracle(oracle: DistanceOracle) -> FunctionOracle:
     """(y1, dy2/deps)(0, x) with its x-Jacobian, from distance jets."""
-    k1, k2 = oracle.k1, oracle.k2
     eps0 = Interval(0.0, 0.0)
 
     def ev(_x, xbox):
-        j = oracle.jet(eps0, xbox)
-        lo = np.concatenate([j.value.lo[:k1], j.d1.lo[k1:, 0]])
-        hi = np.concatenate([j.value.hi[:k1], j.d1.hi[k1:, 0]])
-        return IntervalBox(lo, hi)
+        return IntervalBox(*_reference_value(oracle.jet(eps0, xbox), oracle.k1))
 
     def dv(_x, xbox):
-        j = oracle.jet(eps0, xbox)
-        lo = np.vstack([j.d1.lo[:k1, 1:], j.d2lo[k1:, 0, 1:]])
-        hi = np.vstack([j.d1.hi[:k1, 1:], j.d2hi[k1:, 0, 1:]])
-        return IntervalMatrix(lo, hi)
+        return IntervalMatrix(*_reference_jacobian(oracle.jet(eps0, xbox), oracle.k1))
 
     return FunctionOracle(ev, dv)
 
@@ -394,7 +373,6 @@ def verify_boundary_exclusion(
     eps in (0, eps_max].
     """
     check_serial(threads)
-    k = oracle.dim
     ref = _reference_map_oracle(oracle)
     no_param = IntervalBox([0.0], [0.0])
     cert_ref = newton_verify(ref, no_param, u_box)
@@ -405,14 +383,8 @@ def verify_boundary_exclusion(
     eps_full = Interval(0.0, eps_max)
 
     def cell_excludes(cell: IntervalBox) -> bool:
-        j = oracle.jet(eps_full, cell)
-        for i in range(oracle.k1):
-            if not j.value[i].contains_zero():
-                return True
-        for i in range(oracle.k1, k):
-            if not Interval(j.d1.lo[i, 0], j.d1.hi[i, 0]).contains_zero():
-                return True
-        return False
+        lo, hi = _reference_value(oracle.jet(eps_full, cell), oracle.k1)
+        return bool(np.any((lo > 0.0) | (hi < 0.0)))
 
     # initial face cells: two faces per coordinate
     queue: deque[tuple[IntervalBox, int]] = deque()

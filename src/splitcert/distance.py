@@ -173,6 +173,12 @@ def _nonrigorous_root(w: ManifoldOracle, w_jet: _CachedJet, base_idx: list[int],
     return u
 
 
+# a graph-side candidate box that fails to verify is inflated this many times,
+# by this factor each time
+_GRAPH_ATTEMPTS = 4
+_GRAPH_INFLATE = 3.0
+
+
 def _solve_graph_side(
     w: ManifoldOracle,
     w_jet: _CachedJet,
@@ -180,8 +186,6 @@ def _solve_graph_side(
     eps_box: Interval,
     x_box: IntervalBox,
     guess: np.ndarray,
-    inflate: float = 3.0,
-    attempts: int = 4,
 ) -> tuple[Jet2Enclosure, dict]:
     """Verify the reparameterization kappa and return its jet over (eps, x)."""
     base_idx = list(base_idx)
@@ -203,13 +207,13 @@ def _solve_graph_side(
     val_w = float(np.max(probe.value.width()))
     rad = inv_norm * (float(np.max(x_box.rad())) + 0.6 * val_w) * 3.0 + 1e-15
     last_err: Exception | None = None
-    for _ in range(attempts):
+    for _ in range(_GRAPH_ATTEMPTS):
         k_box = IntervalBox(u0 - rad, u0 + rad)
         try:
             enc = implicit_enclose(g, xfull, k_box, k0=u0, max_refine=3)
         except (ImplicitContractionError, IntervalError) as exc:
             last_err = exc
-            rad *= inflate
+            rad *= _GRAPH_INFLATE
             continue
         k_ref = enc.image
         d1 = g.jet(xfull, k_ref).d1
@@ -219,7 +223,7 @@ def _solve_graph_side(
         kappa_jet = implicit_jet(g, xfull, k_ref)
         return kappa_jet, {"sigma_min_projection": cond, "candidate_radius": rad}
     raise ImplicitContractionError(
-        f"implicit reparameterization failed after {attempts} inflations: {last_err}",
+        f"implicit reparameterization failed after {_GRAPH_ATTEMPTS} inflations: {last_err}",
         IntervalBox(u0 - rad, u0 + rad),
     )
 

@@ -301,3 +301,11 @@ class IntervalBox:
     def __repr__(self):
         comps = " x ".join(f"[{l!r},{h!r}]" for l, h in zip(self.lo, self.hi))
         return f"Box({comps})"
+
+
+def _json_pairs(x) -> list | None:
+    """The [lo, hi] pairs of a box or matrix, nested like its entries, as
+    JSON-ready floats; None stays None."""
+    if x is None:
+        return None
+    return np.stack([x.lo, x.hi], axis=-1).tolist()

@@ -147,7 +147,7 @@ def vsqr(alo, ahi):
 def vsqrt(alo, ahi):
     """Elementwise sqrt enclosure; requires alo >= 0."""
     if np.any(alo < 0):
-        raise ValueError("interval sqrt of a negative lower endpoint")
+        raise _error("interval sqrt of a negative lower endpoint")
     lo = np.maximum(_down(np.sqrt(alo)), 0.0)
     hi = _up(np.sqrt(ahi))
     zero = ahi == 0

@@ -175,32 +175,35 @@ def _gram(m: IntervalMatrix) -> IntervalMatrix:
     return IntervalMatrix(lo, hi)
 
 
+# an overflowing norm bound yields inf (and inf - inf in a padded sum) on
+# purpose; _sqrt_ub or the IntervalMatrix constructor then raises
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def spectral_norm_ub(m: IntervalMatrix) -> float:
     """Upper bound of the Euclidean operator norm over the matrix family."""
     g = _gram(m)
     n = g.shape[0]
-    worst = Interval.point(0.0)
-    for i in range(n):
-        row = Interval(float(g.lo[i, i]), float(g.hi[i, i]))
-        acc = Interval.point(0.0)
-        for j in range(n):
-            if j != i:
-                acc = acc + Interval.point(float(ku.vmag(g.lo[i, j], g.hi[i, j])))
-        tot = row + acc
-        if tot.hi > worst.hi:
-            worst = tot
-        # Gershgorin row bound: lambda_max(G) <= max_i (G_ii + sum |G_ij|)
-    lam = max(worst.hi, 0.0)
-    return Interval(lam, lam).sqrt().hi
+    # Gershgorin row bound: lambda_max(G) <= max_i (G_ii + sum_{j != i} |G_ij|)
+    off = ku.vmag(g.lo, g.hi)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    _, rows = ku.vadd(np.diag(g.lo), np.diag(g.hi), *ku.isum(off, off, axis=1))
+    return _sqrt_ub(float(np.max(rows, initial=0.0)))
 
 
+@_QUIET_OVERFLOW
 def ivec_norm_ub(v: IntervalBox) -> float:
     """Upper bound of the Euclidean norm over all points of the box."""
-    mags = ku.vmag(v.lo, v.hi)
-    acc = Interval.point(0.0)
-    for x in mags:
-        acc = acc + Interval.point(float(x)).sqr()
-    return acc.sqrt().hi
+    # only the upper endpoint of the sum is used: a padded sum of tiny
+    # squares may put the lower one below zero
+    return _sqrt_ub(float(ku.isum(*ku.vsqr(v.lo, v.hi), axis=0)[1]))
+
+
+def _sqrt_ub(x: float) -> float:
+    """Upper bound of sqrt(x) for x >= 0; raises when x overflowed."""
+    if not np.isfinite(x):
+        raise IntervalError(f"norm bound overflows: squared bound {x}")
+    return float(ku.vsqrt(x, x)[1])
 
 
 def _sigma_min_lb_2x2(m: IntervalMatrix) -> float:
@@ -243,56 +246,51 @@ def _igauss(a: IntervalMatrix, rhs_lo: np.ndarray, rhs_hi: np.ndarray):
     """Interval Gaussian elimination with mignitude pivoting.
 
     Solves A X = B for all A in a, B in (rhs_lo, rhs_hi); raises
-    :class:`LinalgError` when a pivot interval contains zero.
+    :class:`LinalgError` when a pivot interval contains zero.  The rows of
+    the augmented matrix [A | B] below a pivot are eliminated together.
     """
     n = a.shape[0]
-    alo = a.lo.copy()
-    ahi = a.hi.copy()
-    blo = rhs_lo.copy()
-    bhi = rhs_hi.copy()
-    perm = list(range(n))
+    lo = np.hstack([a.lo, rhs_lo])
+    hi = np.hstack([a.hi, rhs_hi])
     for k in range(n):
-        migs = ku.vmig(alo[k:, k], ahi[k:, k])
+        migs = ku.vmig(lo[k:, k], hi[k:, k])
         p = k + int(np.argmax(migs))
         if migs[p - k] <= 0.0:
             raise LinalgError("pivot interval contains zero; invertibility unverified")
         if p != k:
-            alo[[k, p]] = alo[[p, k]]
-            ahi[[k, p]] = ahi[[p, k]]
-            blo[[k, p]] = blo[[p, k]]
-            bhi[[k, p]] = bhi[[p, k]]
-            perm[k], perm[p] = perm[p], perm[k]
-        pk_lo, pk_hi = alo[k, k], ahi[k, k]
-        for i in range(k + 1, n):
-            flo, fhi = ku.vdiv(alo[i, k], ahi[i, k], pk_lo, pk_hi)
-            if flo == 0.0 and fhi == 0.0:
-                continue
-            plo, phi = ku.vmul(np.full(n - k, flo), np.full(n - k, fhi), alo[k, k:], ahi[k, k:])
-            alo[i, k:], ahi[i, k:] = ku.vsub(alo[i, k:], ahi[i, k:], plo, phi)
-            alo[i, k] = ahi[i, k] = 0.0
-            plo, phi = ku.vmul(np.full(blo.shape[1], flo), np.full(blo.shape[1], fhi), blo[k], bhi[k])
-            blo[i], bhi[i] = ku.vsub(blo[i], bhi[i], plo, phi)
-    xlo = np.zeros_like(blo)
-    xhi = np.zeros_like(bhi)
+            lo[[k, p]] = lo[[p, k]]
+            hi[[k, p]] = hi[[p, k]]
+        # a zero column below the pivot (structurally triangular systems)
+        # needs no elimination; once done, that column is left unzeroed
+        # because nothing reads it again
+        if lo[k + 1 :, k].any() or hi[k + 1 :, k].any():
+            flo, fhi = ku.vdiv(lo[k + 1 :, k, None], hi[k + 1 :, k, None], lo[k, k], hi[k, k])
+            plo, phi = ku.vmul(flo, fhi, lo[k, k:], hi[k, k:])
+            lo[k + 1 :, k:], hi[k + 1 :, k:] = ku.vsub(lo[k + 1 :, k:], hi[k + 1 :, k:], plo, phi)
+    xlo = np.zeros_like(rhs_lo)
+    xhi = np.zeros_like(rhs_hi)
     for i in range(n - 1, -1, -1):
-        slo, shi = blo[i].copy(), bhi[i].copy()
+        slo, shi = lo[i, n:], hi[i, n:]
         if i + 1 < n:
-            plo, phi = ku.idot(alo[i : i + 1, i + 1 :], ahi[i : i + 1, i + 1 :], xlo[i + 1 :], xhi[i + 1 :])
+            plo, phi = ku.idot(lo[i : i + 1, i + 1 : n], hi[i : i + 1, i + 1 : n], xlo[i + 1 :], xhi[i + 1 :])
             slo, shi = ku.vsub(slo, shi, plo[0], phi[0])
-        xlo[i], xhi[i] = ku.vdiv(slo, shi, np.full(slo.shape, alo[i, i]), np.full(shi.shape, ahi[i, i]))
+        xlo[i], xhi[i] = ku.vdiv(slo, shi, lo[i, i], hi[i, i])
     return xlo, xhi
 
 
-def _precondition(m: IntervalMatrix):
-    c = m.mid()
+def _preconditioned_gauss(m: IntervalMatrix, b: IntervalMatrix):
+    """Midpoint preconditioning, then :func:`_igauss`: returns P A, P B and
+    the enclosure (lo, hi) of X in P A X = P B, P the float inverse of mid(A)."""
     try:
-        p = np.linalg.inv(c)
+        p = np.linalg.inv(m.mid())
     except np.linalg.LinAlgError as exc:
         raise LinalgError("midpoint matrix is singular") from exc
     if not np.all(np.isfinite(p)):
         raise LinalgError("midpoint inverse is not finite")
-    pm = imat_mul(IntervalMatrix.point(p), m)
-    return p, pm
+    p = IntervalMatrix.point(p)
+    pm = imat_mul(p, m)
+    pb = imat_mul(p, b)
+    return pm, pb, *_igauss(pm, pb.lo, pb.hi)
 
 
 def ilinsolve(m: IntervalMatrix, b: IntervalBox) -> IntervalBox:
@@ -304,13 +302,11 @@ def ilinsolve(m: IntervalMatrix, b: IntervalBox) -> IntervalBox:
     n = m.shape[0]
     if m.shape[0] != m.shape[1] or b.dim != n:
         raise IntervalError("ilinsolve needs a square system")
-    p, pm = _precondition(m)
-    pb_lo, pb_hi = ku.idot(p, p, b.lo, b.hi)
-    xlo, xhi = _igauss(pm, pb_lo[:, None], pb_hi[:, None])
+    pm, pb, xlo, xhi = _preconditioned_gauss(m, IntervalMatrix(b.lo[:, None], b.hi[:, None]))
     xlo, xhi = xlo[:, 0], xhi[:, 0]
     # Gauss-Seidel sweep on the preconditioned system
     for i in range(n):
-        slo, shi = pb_lo[i], pb_hi[i]
+        slo, shi = pb.lo[i, 0], pb.hi[i, 0]
         for j in range(n):
             if j == i:
                 continue
@@ -330,10 +326,7 @@ def imatsolve(m: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
     n = m.shape[0]
     if m.shape[0] != m.shape[1] or b.shape[0] != n:
         raise IntervalError("imatsolve needs a square system")
-    p, pm = _precondition(m)
-    pb = imat_mul(IntervalMatrix.point(p), b)
-    xlo, xhi = _igauss(pm, pb.lo, pb.hi)
-    return IntervalMatrix(xlo, xhi)
+    return IntervalMatrix(*_preconditioned_gauss(m, b)[2:])
 
 
 def iinverse(m: IntervalMatrix) -> IntervalMatrix:

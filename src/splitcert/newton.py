@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .intervals import IntervalBox, IntervalError
+from .intervals import IntervalBox, IntervalError, _json_pairs
 from .matrices import IntervalMatrix, LinalgError, ilinsolve
 
 
@@ -48,14 +48,10 @@ class NewtonCertificate:
             "verified": self.verified,
             "iterations": self.iterations,
             "message": self.message,
-            "paramBox": _box_json(self.param_box),
-            "candidateBox": _box_json(self.candidate_box),
-            "refined": _box_json(self.refined),
+            "paramBox": _json_pairs(self.param_box),
+            "candidateBox": _json_pairs(self.candidate_box),
+            "refined": _json_pairs(self.refined),
         }
-
-
-def _box_json(b: IntervalBox) -> list[list[float]]:
-    return [[float(lo), float(hi)] for lo, hi in zip(b.lo, b.hi)]
 
 
 def newton_step(y0, x_box: IntervalBox, y_box: IntervalBox, f: FunctionOracle) -> IntervalBox:

@@ -333,7 +333,7 @@ def test_vsqrt_contains_exact_root_range():
         assert Fraction(float(b)) <= Fraction(float(y)) ** 2
         if b == 0.0:
             assert x == 0.0 and y == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(IntervalError):
         ku.vsqrt(np.array([-5e-324]), np.array([1.0]))
 
 

@@ -6,14 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splitcert.intervals import Interval, IntervalBox
+from splitcert.intervals import Interval, IntervalBox, IntervalError
 from splitcert.matrices import (
     IntervalMatrix,
     LinalgError,
+    _igauss,
     iinverse,
     ilinsolve,
     imat_apply,
     imat_mul,
+    imatsolve,
     ivec_norm_ub,
     sigma_min_lb,
     spectral_norm_ub,
@@ -204,3 +206,130 @@ def test_iinverse_contains_true_inverse():
     inv = iinverse(IntervalMatrix.point(a))
     true_inv = np.linalg.inv(a)
     assert np.all(inv.lo <= true_inv + 1e-9) and np.all(true_inv - 1e-9 <= inv.hi)
+
+
+# --- norm bounds against exact rational arithmetic ---------------------------
+
+def _exact_mul_range(a, b):
+    """Exact range of x*y over x in a, y in b (Fraction endpoint pairs)."""
+    p = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
+    return min(p), max(p)
+
+
+def _exact_sqr_range(a):
+    lo, hi = a
+    m = max(abs(lo), abs(hi))
+    return (Fraction(0) if lo <= 0 <= hi else min(abs(lo), abs(hi)) ** 2), m * m
+
+
+def _exact_gershgorin(m: IntervalMatrix) -> Fraction:
+    """max_i (hi G_ii + sum_{j != i} |G_ij|) of the exact interval Gram
+    matrix G = A^T A, each entry a sum of exact interval products."""
+    r, c = m.shape
+    a = [[(Fraction(float(m.lo[i, j])), Fraction(float(m.hi[i, j]))) for j in range(c)]
+         for i in range(r)]
+    best = Fraction(0)
+    for i in range(c):
+        row = sum(_exact_sqr_range(a[k][i])[1] for k in range(r))
+        for j in range(c):
+            if j != i:
+                ends = [_exact_mul_range(a[k][i], a[k][j]) for k in range(r)]
+                row += max(abs(sum(e[0] for e in ends)), abs(sum(e[1] for e in ends)))
+        best = max(best, row)
+    return best
+
+
+def _random_interval_matrix(rng, r, c, scale):
+    mid = rng.uniform(-1, 1, (r, c))
+    mid[rng.uniform(size=(r, c)) < 0.25] = 0.0
+    rad = rng.uniform(0, 0.1, (r, c)) * (rng.uniform(size=(r, c)) < 0.5)
+    return IntervalMatrix((mid - rad) * scale, (mid + rad) * scale)
+
+
+@pytest.mark.parametrize("scale_exp", [-540, -300, -40, 0, 40, 300])
+def test_spectral_norm_ub_squared_covers_exact_gershgorin(scale_exp):
+    # power-of-two scalings keep the inputs exact; 2^-540 puts the Gram
+    # entries in the subnormal range
+    rng = np.random.default_rng(1000 + scale_exp)
+    for _ in range(25):
+        r, c = (int(x) for x in rng.integers(1, 7, 2))
+        m = _random_interval_matrix(rng, r, c, 2.0 ** scale_exp)
+        ub = spectral_norm_ub(m)
+        assert math.isfinite(ub) and ub >= 0.0
+        assert Fraction(ub) ** 2 >= _exact_gershgorin(m)
+
+
+def test_spectral_norm_ub_exact_zeros():
+    assert spectral_norm_ub(IntervalMatrix.zeros(3, 4)) == 0.0
+    m = IntervalMatrix.point([[0.0, 3.0], [0.0, 4.0]])
+    assert Fraction(spectral_norm_ub(m)) ** 2 >= 25
+    assert spectral_norm_ub(IntervalMatrix.point([[2.0 ** -600]])) > 0.0
+
+
+@pytest.mark.parametrize("scale_exp", [-560, -300, -40, 0, 40, 300])
+def test_ivec_norm_ub_squared_covers_exact_sum_of_squares(scale_exp):
+    rng = np.random.default_rng(2000 + scale_exp)
+    for _ in range(40):
+        m = _random_interval_matrix(rng, 1, int(rng.integers(0, 9)), 2.0 ** scale_exp)
+        v = IntervalBox(m.lo[0], m.hi[0])
+        ub = ivec_norm_ub(v)
+        exact = sum(Fraction(float(max(abs(lo), abs(hi)))) ** 2 for lo, hi in zip(v.lo, v.hi))
+        assert math.isfinite(ub) and Fraction(ub) ** 2 >= exact
+
+
+def test_ivec_norm_ub_exact_zeros_and_subnormal_squares():
+    assert ivec_norm_ub(IntervalBox.point([0.0] * 5)) == 0.0
+    assert ivec_norm_ub(IntervalBox.point([])) == 0.0
+    # the square is subnormal; with four terms the padded sum's lower
+    # endpoint falls below zero, which only the upper endpoint may ignore
+    v = IntervalBox.point([3.2e-162, 0.0, 0.0, 0.0])
+    ub = ivec_norm_ub(v)
+    assert Fraction(ub) ** 2 >= Fraction(3.2e-162) ** 2
+    assert ub <= 1e-160
+
+
+@pytest.mark.parametrize("v", [[1e200, 0.0], [1e154, 1e154], [1e200] * 4, [1e154] * 5])
+def test_ivec_norm_ub_overflow_raises_interval_error(v):
+    # the suite turns RuntimeWarning into an error, so a warning fails too
+    with pytest.raises(IntervalError):
+        ivec_norm_ub(IntervalBox.point(v))
+
+
+@pytest.mark.parametrize("a", [[[1e200]], [[1e154, 1e154], [1e154, 1e154]]])
+def test_spectral_norm_ub_overflow_raises_interval_error(a):
+    with pytest.raises(IntervalError):
+        spectral_norm_ub(IntervalMatrix.point(a))
+
+
+def _exact_solve(a, b):
+    """A^-1 B in exact rationals (Gauss-Jordan on [A | B])."""
+    n, m = b.shape
+    rows = [[Fraction(a[i, j]) for j in range(n)] + [Fraction(v) for v in b[i]]
+            for i in range(n)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [u - f * w for u, w in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def test_igauss_and_imatsolve_contain_exact_solution():
+    # the dominant entry of each column sits off the diagonal, so the
+    # elimination pivots; _igauss runs on the raw system (imatsolve first
+    # preconditions it to nearly the identity)
+    rng = np.random.RandomState(seed=29)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            a = rng.uniform(-1, 1, (n, n)) + 4 * np.eye(n)[rng.permutation(n)]
+            b = rng.uniform(-3, 3, (n, 3))
+            exact = _exact_solve(a, b)
+            x = imatsolve(IntervalMatrix.point(a), IntervalMatrix.point(b))
+            glo, ghi = _igauss(IntervalMatrix.point(a), b, b)
+            for i in range(n):
+                for j in range(3):
+                    assert Fraction(x.lo[i, j]) <= exact[i][j] <= Fraction(x.hi[i, j])
+                    assert Fraction(glo[i, j]) <= exact[i][j] <= Fraction(ghi[i, j])
