@@ -22,7 +22,17 @@ transport times.
 Step sizes are powers of two, adapted by a coefficient-decay heuristic, so
 runs are deterministic; the final step is clipped to land on T.  A step
 whose rough enclosure fails, whose error estimate is too large or whose
-enclosures are not finite is halved.
+enclosures are not finite is halved, and an accepted step whose error
+estimate is far below the tolerance doubles the next one.  The integrator
+remembers the sizes that failed: no doubling returns to a rejected size
+(the clipped last step aside) during the next ``patience`` accepted steps,
+where patience starts at 1 and doubles each time the size fails again, so
+a size that keeps failing is blocked for 1, 2, 4, ... steps in turn
+instead of being retried after every step.  The memory only ever removes a
+doubling.  The rough enclosure's Picard iteration gives up as soon as it
+stops contracting, when the largest width ratio of the Picard image to the
+candidate is at least 1 and has risen since the previous attempt; the
+step is then halved without running the remaining attempts.
 
 The nonrigorous float transports (:func:`point_flow`, :func:`point_flow_jet`)
 run the same series with round-to-nearest kernels at the field's
@@ -500,8 +510,12 @@ def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval,
     """A priori solution enclosure Z over [0, step] from the state box.
 
     Validated by the Picard condition: state + [0, step] f(eps, Z) inside Z.
-    Raises :class:`FlowError` when inflation fails or the field overflows
-    on a candidate (caller halves the step).
+    Each failed attempt inflates the Picard image and tries again, at most
+    ``_ROUGH_ATTEMPTS`` times.  Raises :class:`FlowError` when inflation
+    fails, when the Picard map stops contracting (the largest width ratio
+    of image to candidate is at least 1 and has risen since the previous
+    attempt) or when the field overflows on a candidate (caller halves the
+    step).
     """
     if step <= 0:
         raise IntervalError("rough_enclosure needs a positive step")
@@ -509,7 +523,9 @@ def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval,
     scale = float(np.max(np.abs(state.lo))) + float(np.max(np.abs(state.hi))) + 1.0
     f0 = _eval_field(field, eps, state)
     z = state + f0.mul_interval(hiv)
+    # every widening is outward by at least 1e-18, so no width of z is 0
     z = z.widened(np.maximum(1e-18, 1e-3 * np.maximum(z.rad(), np.max(z.rad()))))
+    ratio = math.inf
     for _ in range(_ROUGH_ATTEMPTS):
         if float(np.max(z.width())) > 100.0 * scale:
             raise FlowError(f"rough enclosure diverges for step {step}")
@@ -519,6 +535,10 @@ def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval,
             fz2 = _eval_field(field, eps, cand)
             cand2 = (state + fz2.mul_interval(hiv)).intersect(cand)
             return cand2 if cand2 is not None else cand
+        prev, ratio = ratio, float(np.max(cand.width() / z.width()))
+        if ratio >= 1.0 and ratio > prev:
+            raise FlowError(f"rough enclosure for step {step}: the Picard map "
+                            f"stopped contracting (width ratio {ratio:.3g})")
         z = cand.widened(0.2 * np.maximum(cand.rad(), 1e-18))
     raise FlowError(f"no rough enclosure for step {step}")
 
@@ -718,6 +738,14 @@ def _pow2_floor(x: float) -> float:
     return 2.0 ** math.floor(math.log2(x))
 
 
+def _block(blocked: dict, size: float, steps: int):
+    """Record a rejected step size: no doubling returns to it during the
+    next ``patience`` accepted steps.  Patience starts at 1 and doubles each
+    time the size fails again before a step of it is accepted."""
+    patience = 2 * blocked[size][0] if size in blocked else 1
+    blocked[size] = (patience, steps + patience)
+
+
 def flow_jet(
     field: VectorFieldDef,
     x0: Jet2Enclosure,
@@ -785,6 +813,8 @@ def flow_jet(
     h_cap = _pow2_floor(settings.initial_step) * 32
     steps = 0
     tol = 4e-14
+    # rejected size -> (patience, accepted-step count it is blocked through)
+    blocked: dict[float, tuple[int, int]] = {}
     while t < T:
         if steps >= settings.max_steps:
             raise FlowError(f"max_steps={settings.max_steps} exceeded at t={t}, T={T}")
@@ -801,15 +831,21 @@ def flow_jet(
             if h <= settings.min_step:
                 raise FlowError(f"step underflow at t={t} of T={T}: "
                                 "no rough enclosure at min_step")
+            if not last:
+                _block(blocked, h, steps)
             h *= 0.5
             continue
         if pieces is None:
+            if not last:
+                _block(blocked, h, steps)
             h = max(hcur * 0.5, settings.min_step)
             continue
         state.advance(pieces, r0lo, r0hi)
         t = T if last else t + hcur
         steps += 1
-        if pieces.err < tol * scale * 1e-4 and h < h_cap:
+        blocked.pop(h, None)
+        if (pieces.err < tol * scale * 1e-4 and h < h_cap
+                and steps > blocked.get(2.0 * h, (0, -1))[1]):
             h *= 2.0
     return state.to_jet(r0lo, r0hi)
 

@@ -69,7 +69,10 @@ def _add_up(a, b):
 
 # An overflowing 2Sum yields inf and NaN intermediates by design and its
 # result is still sound, so the callers of _add_down/_add_up silence numpy's
-# warnings about them (one errstate per pair of endpoints).
+# warnings about them (one errstate per pair of endpoints).  The padded sums
+# of isum and imulsum (four or more terms) overflow to inf the same way before
+# they fall back to the 2Sum chain, so those paths are silenced as a whole,
+# for about 1 us per call; short sums are vadd chains, silenced there.
 _QUIET_2SUM = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -256,6 +259,11 @@ def isum(lo, hi, axis):
     if n <= 3:
         return _chain(lo, hi, axes)
     _bound_terms(n, "isum")
+    return _isum_padded(lo, hi, axes, n)
+
+
+@_QUIET_2SUM
+def _isum_padded(lo, hi, axes, n: int):
     rlo, rhi = _padded_sum(lo, hi, axes, (n - 1) * 2.0 ** -53 * (1.0 + 2.0 ** -30))
     return _where_finite(rlo, rhi, lambda: _chain(lo, hi, axes))
 
@@ -313,11 +321,17 @@ def imulsum(alo, ahi, blo, bhi, axis, scaled: bool = False):
     shape = np.broadcast_shapes(alo.shape, ahi.shape, blo.shape, bhi.shape)
     axes = _axes(len(shape), axis)
     n = math.prod(shape[a] for a in axes)
-
-    def fallback():
+    if n <= 3:
         return isum(*vmul(alo, ahi, blo, bhi), axis)
+    return _imulsum_long(alo, ahi, blo, bhi, axes, n, scaled)
 
-    if n <= 3 or not (scaled or is_scaled(alo, ahi, blo, bhi)):
+
+@_QUIET_2SUM
+def _imulsum_long(alo, ahi, blo, bhi, axes, n: int, scaled: bool):
+    def fallback():
+        return isum(*vmul(alo, ahi, blo, bhi), axes)
+
+    if not (scaled or is_scaled(alo, ahi, blo, bhi)):
         return fallback()
     _bound_terms(n, "imulsum")
     p1 = alo * blo

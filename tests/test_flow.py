@@ -64,12 +64,40 @@ def test_taylor_coeffs_geometric():
 
 
 def test_rough_enclosure_cases():
-    z = rough_enclosure(F_ZERO, IntervalBox([2.0], [2.0]), Interval(0, 0), 0.5)
-    assert z[0].contains(2.0) and z[0].width <= 1e-6
-    z = rough_enclosure(F_CONST, IntervalBox([0.0], [0.0]), Interval(0, 0), 0.1)
-    assert z[0].contains(0.0) and z[0].contains(0.1)
-    z = rough_enclosure(F_EXP, IntervalBox([1.0], [1.0]), Interval(0, 0), 0.1)
-    assert z[0].contains(1.0) and z[0].hi >= math.exp(0.1) * (1 - 1e-12)
+    # point states: the Picard image of F_ZERO has width 0, and no width
+    # ratio may warn; the enclosures are pinned to the bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = rough_enclosure(F_ZERO, IntervalBox([2.0], [2.0]), Interval(0, 0), 0.5)
+        assert z[0].contains(2.0) and z[0].width <= 1e-6
+        assert (z.lo[0], z.hi[0]) == (2.0, 2.0)
+        z = rough_enclosure(F_CONST, IntervalBox([0.0], [0.0]), Interval(0, 0), 0.1)
+        assert z[0].contains(0.0) and z[0].contains(0.1)
+        assert (z.lo[0], z.hi[0]) == (-5e-324, 0.10000000000000002)
+        z = rough_enclosure(F_EXP, IntervalBox([1.0], [1.0]), Interval(0, 0), 0.1)
+        assert z[0].contains(1.0) and z[0].hi >= math.exp(0.1) * (1 - 1e-12)
+        assert (z.lo[0], z.hi[0]) == (0.9999999999999999, 1.1112100550000001)
+
+
+@pytest.mark.parametrize("field, x0, step, most", [
+    (F_SQ, [1.0], 2.0, 3),         # past the blow-up of x0/(1 - t x0) at t = 1
+    (F_ROT, [1.0, 0.0], 1.0, 7),   # h |A| = 1: ran all 24 attempts before
+], ids=["square_past_blowup", "rotation_h1"])
+def test_rough_enclosure_stops_when_picard_stops_contracting(monkeypatch, field, x0, step,
+                                                             most):
+    import splitcert.flow as flow
+
+    calls = []
+    eval_field = flow._eval_field
+
+    def counted(*args):
+        calls.append(1)
+        return eval_field(*args)
+
+    monkeypatch.setattr(flow, "_eval_field", counted)
+    with pytest.raises(FlowError, match="stopped contracting"):
+        rough_enclosure(field, IntervalBox(x0, x0), Interval(0, 0), step)
+    assert len(calls) <= most < flow._ROUGH_ATTEMPTS
 
 
 @pytest.mark.parametrize("settings", [SET])
@@ -194,11 +222,77 @@ def test_field_tables_kept_on_the_field():
     assert not hasattr(flow, "_TABLE_CACHE")
 
 
-def _criterion5_x0():
-    """The first criterion-5 initial condition of the worked example."""
+def _criterion5_x0(index: int = 0):
+    """Criterion-5 initial condition number ``index`` (from 0) of the
+    worked example."""
     rng = np.random.RandomState(20240817)
-    x0 = rng.uniform(-1.0, 1.0, 4)
-    return x0 * rng.uniform(0.05, 0.5) / np.linalg.norm(x0)
+    for _ in range(index + 1):
+        x0 = rng.uniform(-1.0, 1.0, 4)
+        x0 = x0 * rng.uniform(0.05, 0.5) / np.linalg.norm(x0)
+    return x0
+
+
+def _record_attempts(monkeypatch) -> list:
+    """Wrap the flow's one-step function; the returned list fills with one
+    (outcome, step) pair per attempt, outcome "A" (accepted), "E" (error
+    estimate too large) or "R" (rough enclosure failed)."""
+    import splitcert.flow as flow
+
+    attempts = []
+    one_step = flow._one_step
+
+    def step(*args):
+        h = args[6]
+        try:
+            pieces = one_step(*args)
+        except FlowError:
+            attempts.append(("R", h))
+            raise
+        attempts.append(("E" if pieces is None else "A", h))
+        return pieces
+
+    monkeypatch.setattr(flow, "_one_step", step)
+    return attempts
+
+
+def test_step_memory_stops_the_error_oscillation(monkeypatch):
+    # criterion-5 condition #2 used to alternate E 1/4, A 1/8 for 14
+    # attempts: right after a step of 1/8 the doubling test retried 1/4
+    from splitcert.lerman import LUConfig, lu_field
+
+    attempts = _record_attempts(monkeypatch)
+    flow_jet(lu_field(LUConfig()), Jet2Enclosure.identity(IntervalBox.point(_criterion5_x0(1))),
+             Interval(0.0, 0.0), 1.0, SET)
+    assert [h for o, h in attempts if o == "A"] == [0.125] * 8
+    assert {h for o, h in attempts if o != "A"} == {0.25}
+    assert len(attempts) == 11 < 14
+
+
+def test_step_memory_doubles_its_patience_for_a_size_that_keeps_failing(monkeypatch):
+    # rotation: every step of 1/2 asks to double, and the Picard map never
+    # contracts at h = 1; the retries of 1 come after 1, 2, 3, 5 steps
+    attempts = _record_attempts(monkeypatch)
+    j = flow_jet(F_ROT, ident([1.0, 0.0]), Interval(0, 0), 8.0,
+                 FlowSettings(taylor_order=22, initial_step=0.5))
+    assert j.value[0].contains(math.cos(8.0)) and j.value[1].contains(-math.sin(8.0))
+    pattern = "".join("A" if o == "A" else f"{o}{h:g}" for o, h in attempts)
+    assert pattern == "AR1AAR1AAAR1AAAAAR1AAAAA"
+    assert {h for o, h in attempts if o == "A"} == {0.5}
+
+
+def test_step_memory_lets_the_step_grow_again(monkeypatch):
+    # x' = -x^3 from 4: x = 4 / sqrt(1 + 32 t).  The step limit relaxes as
+    # x decays; the sizes rejected at the start (1/4 down to 1/128) and on
+    # the way must not keep the step small
+    attempts = _record_attempts(monkeypatch)
+    cube = VectorFieldDef(1, PolyMap(2, [[(-1.0, (0, 3))]]))
+    j = flow_jet(cube, ident([4.0]), Interval(0, 0), 4.0,
+                 FlowSettings(taylor_order=20, initial_step=0.25))
+    assert j.value[0].contains(4.0 / math.sqrt(129.0))
+    accepted = [h for o, h in attempts if o == "A"]
+    assert max(accepted) == 0.5
+    # the first accepted size, 1/256, would take 1024 steps
+    assert len(accepted) <= 40
 
 
 def test_transport_is_deterministic_within_a_process():

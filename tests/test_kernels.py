@@ -1,5 +1,6 @@
 """Directed-rounding kernels against exact rational arithmetic."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -136,9 +137,7 @@ def test_isum_edge_terms_contain_exact_sum(terms):
     for k in range(len(t)):
         # every prefix length, so the short chain and the bound both run
         lo = np.repeat(t[: k + 1, None], 3, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = ku.isum(lo, lo, axis=0)
-        _assert_encloses(r, lo, lo)
+        _assert_encloses(ku.isum(lo, lo, axis=0), lo, lo)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -267,10 +266,26 @@ def test_imulsum_unscaled_operand_takes_the_checked_path(tiny):
 def test_imulsum_near_overflow_has_no_nan_and_stays_outward():
     rng = np.random.default_rng(9)
     alo, ahi, blo, bhi = _series_operands(rng, 3, lo_exp=480, hi_exp=530)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = ku.imulsum(alo, ahi, blo, bhi, axis=(1, 3))
+    r = ku.imulsum(alo, ahi, blo, bhi, axis=(1, 3))
     assert np.isinf(r[0]).any() or np.isinf(r[1]).any()
     _assert_encloses_exact(r, _exact_mulsum(alo, ahi, blo, bhi, (1, 3)))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_overflowing_sums_are_sound_and_silent(sign):
+    # the overflow fallback is part of the result: no RuntimeWarning
+    x = np.full((4, 1), sign * 1e308)
+    big = np.full((4, 1), 1e200)
+    sq = np.full((4, 1), sign * 1.5e154)   # each square is finite, their sum is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = ku.isum(x, x, axis=0)
+        _assert_encloses(r, x, x)
+        assert (r[1] if sign > 0 else r[0])[0] == sign * np.inf
+        for a, b in ((big, sign * big), (sq, np.abs(sq))):
+            r = ku.imulsum(a, a, b, b, axis=0)
+            _assert_encloses_exact(r, _exact_mulsum(a, a, b, b, (0,)))
+            assert (r[1] if sign > 0 else r[0])[0] == sign * np.inf
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
