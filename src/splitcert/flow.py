@@ -34,9 +34,20 @@ stops contracting, when the largest width ratio of the Picard image to the
 candidate is at least 1 and has risen since the previous attempt; the
 step is then halved without running the remaining attempts.
 
+Every Cauchy product of the series, ``sum_{i+j=k} X_i Y_j`` contracted
+over a state index too, is one fused interval product sum over the last,
+contiguous axis of its operands.  The series blocks are laid out for it:
+the summed (order, state index) pair comes last, left operands keep their
+orders in the usual direction and right operands (V, S and the bank) are
+read in reversed order, V and S through twins stored reversed, so the two
+trailing axes of both operands merge into one with no copy.  The (lo, hi)
+endpoints of every block are stacked on a leading axis, so one numpy call
+gathers or scatters both.
+
 The nonrigorous float transports (:func:`point_flow`, :func:`point_flow_jet`)
 run the same series with round-to-nearest kernels at the field's
-coefficient midpoints, in fixed steps and for a batch of points at once.
+coefficient midpoints, in fixed steps and for a batch of points at once;
+their blocks carry one endpoint.
 """
 
 from __future__ import annotations
@@ -126,6 +137,20 @@ class _FieldTables:
         self.g_var = _make_group([self.f, *A, aeps, *Hxx, *Hxe, Hee])
         self.xx_a = np.array([a for a in range(n) for b in range(a, n)], dtype=int)
         self.xx_b = np.array([b for a in range(n) for b in range(a, n)], dtype=int)
+        # the columns of the table pass's product sums (the rows of g_var
+        # after f's), read into the series' table blocks: row r, state index
+        # s of the left operands [A; Hxe; Hxx] is column left_cols[r, s];
+        # aeps[c] and Hee[c] are columns eps_cols[0, c] and eps_cols[1, c]
+        npairs = len(self.xx_a)
+        pair = np.zeros((n, n), dtype=int)
+        pair[self.xx_a, self.xx_b] = pair[self.xx_b, self.xx_a] = np.arange(npairs)
+        c, a, b = np.ogrid[:n, :n, :n]
+        off_xx, off_xe = n * n + n, n * n + n + npairs * n
+        self.left_cols = np.concatenate([
+            (a * n + c)[:, :, 0],                                   # A[c, a]
+            (off_xe + a * n + c)[:, :, 0],                          # Hxe[c, a]
+            (off_xx + pair[a, b] * n + c).reshape(n * n, n)])       # Hxx[c, a, b]
+        self.eps_cols = np.array([n * n + np.arange(n), off_xe + n * n + np.arange(n)])
         # products grouped by depth for batched extension
         groups: dict[int, list[int]] = {}
         for i, _ in enumerate(self._products):
@@ -137,6 +162,9 @@ class _FieldTables:
              np.array(rows))
             for _, rows in sorted(groups.items())
         ]
+        # per depth group, its left then its right operand rows, for one
+        # gather of both
+        self.depth_operands = [np.concatenate([lidx, ridx]) for lidx, ridx, _ in self.depth_groups]
 
     def _power_row(self, v: int, e: int) -> int:
         key = (("pw", v, e),)
@@ -232,24 +260,22 @@ class _Resolved:
 
 class _Nearest:
     """Round-to-nearest stand-ins for the kernels :class:`_Series` calls:
-    each reads the ``lo`` operands only and returns one float result as
-    both endpoints.  Every operand counts as scaled, so a float series
-    never reruns a pass through the checked path."""
+    each reads the ``lo`` operands only and returns its one float result
+    as a stack of one endpoint, the (1, ...) array that a float series
+    stores.  Every operand counts as scaled, so a float series never reruns
+    a pass through the checked path."""
 
     @staticmethod
-    def imulsum(alo, ahi, blo, bhi, axis, scaled: bool = False):
-        s = np.add.reduce(alo * blo, axis=axis)
-        return s, s
+    def imulsum(alo, ahi, blo, bhi, scaled: bool = False):
+        return np.add.reduce(alo * blo, axis=-1)[None]
 
     @staticmethod
     def vadd(alo, ahi, blo, bhi):
-        s = alo + blo
-        return s, s
+        return (alo + blo)[None]
 
     @staticmethod
     def vscale(c: float, alo, ahi):
-        s = c * alo
-        return s, s
+        return (c * alo)[None]
 
     @staticmethod
     def is_scaled(*arrays) -> bool:
@@ -259,21 +285,56 @@ class _Nearest:
 # ---------------------------------------------------------------------------
 # series engine
 
+def _ends(x):
+    """The (lo, hi) of a stack of endpoints: both are the one endpoint of a
+    float series' stack."""
+    return x[0], x[-1]
+
+
 class _Series:
     """Order-by-order interval Taylor series of a batch of initial boxes.
 
-    Row b of every block is the series of initial box b: state z (B, P+2, n)
-    and, when ``m > 0``, the variational blocks V (B, P+2, n, m) and
-    S (B, P+2, n, m, m).  All rows share the resolved field coefficients,
-    so every kernel call serves the whole batch.
+    All rows b of the batch share the resolved field coefficients, so every
+    kernel call serves the whole batch.  Every block stacks its endpoints
+    on axis 0, ``e`` of them (``ends``: 2, lo and hi, for an enclosure; 1
+    for a float series), and its batch row on axis 1, so that one numpy
+    call gathers or scatters both endpoints.  The blocks are laid out for
+    the Cauchy products ``sum_{i+j=k} X_i Y_j``: the left operand X keeps
+    its orders in the usual direction, the right operand Y is read with its
+    orders reversed, and the contracted state index follows the order axis
+    in both.  V and S keep only a twin whose orders are reversed (order j
+    at index P+1-j), so that ``X[:k+1]`` and the twin's ``[P+1-k:]`` are
+    forward slices over the same (order, state) pairs, their two trailing
+    axes merge into one with no copy, and every variational product is one
+    ``imulsum`` over a contiguous last axis.  The bank's operand rows of a
+    depth group repeat rows (x_1 x_1, x_1 x_2, ...), so they are one gather
+    of both operands, whose right half a reversed view reads backwards.
+
+    * ``bank`` (e, B, rows, P+2): the field's product bank, rows as in
+      :class:`_FieldTables`, orders last.  ``z`` is the view of its state
+      rows 1..n, (e, B, n, P+2).
+    * ``L`` (e, B, 2n + n^2, P+2, n), when ``m > 0``: the left operands
+      A[c, a] (rows 0..n-1), Hxe[c, a] (rows n..2n-1) and Hxx[c, a, b]
+      (row 2n + c n + a), with orders and then the contracted index last;
+      ``E`` (e, B, 2, P+2, n) holds aeps[c] and Hee[c], which are only
+      added.
+    * ``T`` (e, B, n, m, P+2, n): T[c, be, i, a] = T_i[c, a, be], the left
+      operand of Q1.
+    * ``Vr`` (e, B, m, P+2, n) and ``Sr`` (e, B, m m, P+2, n): the reversed
+      twins of V_j[c, al] and S_j[c, al, be] (S flattened to (n, m m)),
+      at index P+1-j.  They are the only copies of V and S; :meth:`flat`
+      reads them back in order.
+
+    A and Hxe share their right operand V and lie next to each other in
+    ``L``, so one product sum gives both A V and Hxe V; each output is the
+    same last-axis reduction as in two calls.
 
     A series is filled in three passes, each from where it stopped:
 
     1. :meth:`extend_state`: z and the bank of products, order by order,
        from the field's own rows of the coefficient group;
-    2. :meth:`extend_tables`: the field's derivative tables (``Alo``,
-       ``aelo``, ``Hxxlo``, ``Hxelo``, ``Heelo`` and their ``hi``) at every
-       order of the bank, in one ``imulsum`` call;
+    2. :meth:`extend_tables`: the field's derivative tables (``L``, ``E``)
+       at every order of the bank, in one ``imulsum`` call;
     3. the variational recursion for V, T, Q and S, order by order.
 
     :meth:`extend_to` runs all three.  A caller that can reject a series on
@@ -301,27 +362,26 @@ class _Series:
         self.tb = tb
         self.n = n
         self.m = m
-        self.banklo = np.zeros((B, tb.n_rows, P + 2))
-        self.bankhi = np.zeros((B, tb.n_rows, P + 2))
-        self.banklo[:, 0, 0] = self.bankhi[:, 0, 0] = 1.0
-        self.zlo = np.zeros((B, P + 2, n)); self.zhi = np.zeros((B, P + 2, n))
-        self.zlo[:, 0] = zlo; self.zhi[:, 0] = zhi
+        self.P = P
+        # a float series carries one endpoint, an enclosure two
+        self.ends = e = 1 if kernels is _Nearest else 2
+        self.bank = np.zeros((e, B, tb.n_rows, P + 2))
+        self.bank[:, :, 0, 0] = 1.0
+        self.z = self.bank[:, :, 1 : 1 + n]
+        # a float series' one endpoint takes zhi, which equals zlo there
+        self.z[0, :, :, 0] = zlo
+        self.z[-1, :, :, 0] = zhi
         self.with_var = m > 0
         g = rf.g_var if self.with_var else rf.g_f
         # the state pass evaluates f alone: the group's first n rows, at the
         # group's padded width; the table pass evaluates the other rows
         self.g_state = {key: g[key][:n] for key in ("clo", "chi", "rows")}
         if self.with_var:
-            def blank(*shape):
-                return np.zeros((B, P + 2, *shape)), np.zeros((B, P + 2, *shape))
-            self.Vlo, self.Vhi = blank(n, m)
-            self.Slo, self.Shi = blank(n, m, m)
-            self.Alo, self.Ahi = blank(n, n)
-            self.aelo, self.aehi = blank(n)
-            self.Hxxlo, self.Hxxhi = blank(n, n, n)
-            self.Hxelo, self.Hxehi = blank(n, n)
-            self.Heelo, self.Heehi = blank(n)
-            self.Tlo, self.Thi = blank(n, n, m)
+            self.L = np.zeros((e, B, 2 * n + n * n, P + 2, n))
+            self.E = np.zeros((e, B, 2, P + 2, n))
+            self.T = np.zeros((e, B, n, m, P + 2, n))
+            self.Vr = np.zeros((e, B, m, P + 2, n))
+            self.Sr = np.zeros((e, B, m * m, P + 2, n))
             self.g_tab = {key: g[key][n:] for key in ("clo", "chi", "rows")}
         self.scaled = kernels.is_scaled(g["clo"], g["chi"], zlo, zhi)
         # orders filled by each pass: z through "state" (the bank one less),
@@ -330,9 +390,11 @@ class _Series:
 
     def start(self, V0, S0):
         """Set the variational initial data: (lo, hi) of shape (B, n, m)
-        and (B, n, m, m)."""
-        self.Vlo[:, 0], self.Vhi[:, 0] = V0
-        self.Slo[:, 0], self.Shi[:, 0] = S0
+        and (B, n, m, m); equal endpoints for a float series."""
+        B, n = self.bank.shape[1], self.n
+        for end in (0, -1):
+            self.Vr[end, :, :, -1] = np.swapaxes(V0[end], -1, -2)
+            self.Sr[end, :, :, -1] = np.swapaxes(S0[end].reshape(B, n, -1), -1, -2)
         self.scaled = self.scaled and self.k.is_scaled(*V0, *S0)
 
     def _pass(self, name: str, upto: int, run, written):
@@ -354,15 +416,13 @@ class _Series:
     def extend_state(self, upto: int):
         """State pass: z through order ``upto``, the bank through ``upto - 1``."""
         self._pass("state", upto, self._state_orders, lambda k0, k1: (
-            self.banklo[:, :, k0:k1], self.bankhi[:, :, k0:k1],
-            self.zlo[:, k0 + 1 : k1 + 1], self.zhi[:, k0 + 1 : k1 + 1]))
+            self.bank[..., k0:k1], self.z[..., k0 + 1 : k1 + 1]))
 
     def extend_tables(self, upto: int):
         """Table pass: the derivative tables at orders below ``upto``."""
         self.extend_state(upto)
         self._pass("tables", upto, self._table_orders, lambda k0, k1: (
-            self.Alo[:, k0:k1], self.Ahi[:, k0:k1], self.Hxxlo[:, k0:k1],
-            self.Hxxhi[:, k0:k1], self.Hxelo[:, k0:k1], self.Hxehi[:, k0:k1]))
+            self.L[:, :, :, k0:k1],))
 
     def extend_to(self, upto: int):
         """Fill coefficients through order ``upto`` (state; V/S when enabled)."""
@@ -370,49 +430,33 @@ class _Series:
             self.extend_state(upto)
             return
         self.extend_tables(upto)
+        P = self.P
         self._pass("var", upto, self._var_orders, lambda k0, k1: (
-            self.Tlo[:, k0:k1], self.Thi[:, k0:k1],
-            self.Vlo[:, k0 + 1 : k1 + 1], self.Vhi[:, k0 + 1 : k1 + 1],
-            self.Slo[:, k0 + 1 : k1 + 1], self.Shi[:, k0 + 1 : k1 + 1]))
+            self.T[..., k0:k1, :], self.Vr[:, :, :, P + 1 - k1 : P + 1 - k0],
+            self.Sr[:, :, :, P + 1 - k1 : P + 1 - k0]))
 
     def _state_orders(self, k0: int, k1: int, fast: bool):
         """The bank at orders k0..k1-1 and z at orders k0+1..k1."""
-        g, ks = self.g_state, self.k
+        g, ks, n, bank = self.g_state, self.k, self.n, self.bank
         for k in range(k0, k1):
-            self.banklo[:, 1 : 1 + self.n, k] = self.zlo[:, k]
-            self.bankhi[:, 1 : 1 + self.n, k] = self.zhi[:, k]
-            for lidx, ridx, rows in self.tb.depth_groups:
-                slo, shi = ks.imulsum(self.banklo[:, lidx, : k + 1], self.bankhi[:, lidx, : k + 1],
-                                      self.banklo[:, ridx, k::-1], self.bankhi[:, ridx, k::-1],
-                                      axis=2, scaled=fast)
-                self.banklo[:, rows, k] = slo
-                self.bankhi[:, rows, k] = shi
-            glo, ghi = ks.imulsum(g["clo"], g["chi"], self.banklo[:, g["rows"], k],
-                                  self.bankhi[:, g["rows"], k], axis=2, scaled=fast)
-            self.zlo[:, k + 1], self.zhi[:, k + 1] = ks.vscale(1.0 / (k + 1), glo, ghi)
+            for (lidx, _, rows), operands in zip(self.tb.depth_groups, self.tb.depth_operands):
+                # both operands' rows in one gather; the right ones read
+                # their orders backwards through a view
+                x = bank[:, :, operands, : k + 1]
+                a, b = x[:, :, : len(lidx)], x[:, :, len(lidx) :, ::-1]
+                bank[:, :, rows, k] = ks.imulsum(a[0], a[-1], b[0], b[-1], fast)
+            x = bank[:, :, g["rows"], k]
+            bank[:, :, 1 : 1 + n, k + 1] = ks.vscale(
+                1.0 / (k + 1), *_ends(ks.imulsum(g["clo"], g["chi"], x[0], x[-1], fast)))
 
     def _table_orders(self, k0: int, k1: int, fast: bool):
         """The derivative tables at orders k0..k1-1: one product sum over
-        the monomials, which are the last and contiguous axis."""
-        n, tb, g = self.n, self.tb, self.g_tab
-        blo, bhi = (np.ascontiguousarray(np.moveaxis(b[:, g["rows"], k0:k1], 3, 1))
-                    for b in (self.banklo, self.bankhi))
-        tlo, thi = self.k.imulsum(g["clo"], g["chi"], blo, bhi, axis=3, scaled=fast)
-        B, K = tlo.shape[:2]
-        ks = slice(k0, k1)
-        npairs = n * (n + 1) // 2
-        for t, A, ae, Hxx, Hxe, Hee in (
-                (tlo, self.Alo, self.aelo, self.Hxxlo, self.Hxelo, self.Heelo),
-                (thi, self.Ahi, self.aehi, self.Hxxhi, self.Hxehi, self.Heehi)):
-            i = 0
-            A[:, ks] = t[..., i : i + n * n].reshape(B, K, n, n).swapaxes(2, 3); i += n * n
-            ae[:, ks] = t[..., i : i + n]; i += n
-            xx = t[..., i : i + npairs * n].reshape(B, K, npairs, n).swapaxes(2, 3)
-            i += npairs * n
-            Hxx[:, ks, :, tb.xx_a, tb.xx_b] = xx
-            Hxx[:, ks, :, tb.xx_b, tb.xx_a] = xx
-            Hxe[:, ks] = t[..., i : i + n * n].reshape(B, K, n, n).swapaxes(2, 3); i += n * n
-            Hee[:, ks] = t[..., i : i + n]
+        the monomials, which are the last axis."""
+        tb, g = self.tb, self.g_tab
+        x = np.moveaxis(self.bank[:, :, g["rows"], k0:k1], 4, 2)
+        t = self.k.imulsum(g["clo"], g["chi"], x[0], x[-1], fast)
+        self.L[:, :, :, k0:k1] = np.moveaxis(t[..., tb.left_cols], 2, 3)
+        self.E[:, :, :, k0:k1] = np.moveaxis(t[..., tb.eps_cols], 2, 3)
 
     def _var_orders(self, k0: int, k1: int, fast: bool):
         for k in range(k0, k1):
@@ -420,57 +464,54 @@ class _Series:
 
     def _var_step(self, k: int, fast: bool):
         """V_{k+1}, T_k and S_{k+1} from the tables through order k."""
-        ks = self.k
+        ks, n, m, e = self.k, self.n, self.m, self.ends
+        B = self.bank.shape[1]
         inv = 1.0 / (k + 1)
-        sl = slice(0, k + 1)
-        rs = slice(k, None, -1)
-        # V_{k+1} = (sum_{i+j=k} A_i V_j + aeps_k e0^T) / (k+1)
-        slo, shi = ks.imulsum(self.Alo[:, sl, :, :, None], self.Ahi[:, sl, :, :, None],
-                              self.Vlo[:, rs, None, :, :], self.Vhi[:, rs, None, :, :],
-                              axis=(1, 3), scaled=fast)
-        slo[:, :, 0], shi[:, :, 0] = ks.vadd(slo[:, :, 0], shi[:, :, 0],
-                                             self.aelo[:, k], self.aehi[:, k])
-        self.Vlo[:, k + 1], self.Vhi[:, k + 1] = ks.vscale(inv, slo, shi)
+        terms = (k + 1) * n
+        j = self.P + 1 - k  # the twins' orders k, k-1, ..., 0
+        v = self.Vr[:, :, :, j:].reshape(e, B, 1, m, terms)
 
-        # T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be]
-        self.Tlo[:, k], self.Thi[:, k] = ks.imulsum(
-            self.Hxxlo[:, sl, :, :, :, None], self.Hxxhi[:, sl, :, :, :, None],
-            self.Vlo[:, rs, None, None, :, :], self.Vhi[:, rs, None, None, :, :],
-            axis=(1, 4), scaled=fast)
-        # Q1_k[c,al,be] = sum_{i+j=k} T_i[c,a,be] V_j[a,al]
-        q1lo, q1hi = ks.imulsum(self.Tlo[:, sl, :, :, None, :], self.Thi[:, sl, :, :, None, :],
-                                self.Vlo[:, rs, None, :, :, None], self.Vhi[:, rs, None, :, :, None],
-                                axis=(1, 3), scaled=fast)
-        # Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a] V_j[a,al], added on eps row/col
-        q2lo, q2hi = ks.imulsum(self.Hxelo[:, sl, :, :, None], self.Hxehi[:, sl, :, :, None],
-                                self.Vlo[:, rs, None, :, :], self.Vhi[:, rs, None, :, :],
-                                axis=(1, 3), scaled=fast)
-        q1lo[:, :, 0, :], q1hi[:, :, 0, :] = ks.vadd(q1lo[:, :, 0, :], q1hi[:, :, 0, :], q2lo, q2hi)
-        q1lo[:, :, :, 0], q1hi[:, :, :, 0] = ks.vadd(q1lo[:, :, :, 0], q1hi[:, :, :, 0], q2lo, q2hi)
-        q1lo[:, :, 0, 0], q1hi[:, :, 0, 0] = ks.vadd(q1lo[:, :, 0, 0], q1hi[:, :, 0, 0],
-                                                     self.Heelo[:, k], self.Heehi[:, k])
+        # [A; Hxe]_i V_j: V_{k+1} = (sum_{i+j=k} A_i V_j + aeps_k e0^T) / (k+1)
+        # and Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a] V_j[a,al]
+        x = self.L[:, :, : 2 * n, : k + 1].reshape(e, B, 2 * n, 1, terms)
+        av = ks.imulsum(x[0], x[-1], v[0], v[-1], fast)
+        av[:, :, :n, 0] = ks.vadd(*_ends(av[:, :, :n, 0]), *_ends(self.E[:, :, 0, k]))
+        self.Vr[:, :, :, j - 1] = np.swapaxes(ks.vscale(inv, *_ends(av[:, :, :n])), -1, -2)
+
+        # T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be], kept as [c,be,a]
+        x = self.L[:, :, 2 * n :, : k + 1].reshape(e, B, n * n, 1, terms)
+        t = ks.imulsum(x[0], x[-1], v[0], v[-1], fast)
+        self.T[..., k, :] = np.swapaxes(t.reshape(e, B, n, n, m), -1, -2)
+        # Q1_k[c,al,be] = sum_{i+j=k} T_i[c,a,be] V_j[a,al], as q[c,be,al];
+        # Q2 is added on the eps row and column, Hee_k at (0, 0)
+        x = self.T[..., : k + 1, :].reshape(e, B, n * m, 1, terms)
+        q = ks.imulsum(x[0], x[-1], v[0], v[-1], fast).reshape(e, B, n, m, m)
+        q2 = _ends(av[:, :, n:])
+        q[..., 0] = ks.vadd(*_ends(q[..., 0]), *q2)
+        q[:, :, :, 0] = ks.vadd(*_ends(q[:, :, :, 0]), *q2)
+        q[:, :, :, 0, 0] = ks.vadd(*_ends(q[:, :, :, 0, 0]), *_ends(self.E[:, :, 1, k]))
+
         # S_{k+1} = (sum A_i S_j + Q_k)/(k+1)
-        aslo, ashi = ks.imulsum(self.Alo[:, sl, :, :, None, None], self.Ahi[:, sl, :, :, None, None],
-                                self.Slo[:, rs, None, :, :, :], self.Shi[:, rs, None, :, :, :],
-                                axis=(1, 3), scaled=fast)
-        tlo, thi = ks.vadd(aslo, ashi, q1lo, q1hi)
-        self.Slo[:, k + 1], self.Shi[:, k + 1] = ks.vscale(inv, tlo, thi)
+        x = self.L[:, :, :n, : k + 1].reshape(e, B, n, 1, terms)
+        s = self.Sr[:, :, :, j:].reshape(e, B, 1, m * m, terms)
+        as_ = ks.imulsum(x[0], x[-1], s[0], s[-1], fast)
+        q = np.swapaxes(q, -1, -2).reshape(e, B, n, m * m)
+        s = ks.vscale(inv, *_ends(ks.vadd(*_ends(as_), *_ends(q))))
+        self.Sr[:, :, :, j - 1] = np.swapaxes(s, -1, -2)
 
     def flat(self, row, orders: slice):
         """Coefficients ``orders`` of a row (an index) or of a slice of rows,
         each order's state, V and S (when enabled) flattened side by side:
-        (lo, hi) of shape (orders, n + n m + n m m), behind the rows' axis
-        for a slice."""
-        blocks = [(self.zlo, self.zhi)]
-        if self.with_var:
-            blocks += [(self.Vlo, self.Vhi), (self.Slo, self.Shi)]
-        out = []
-        for i in range(2):
-            parts = [b[i][row, orders] for b in blocks]
-            lead = parts[0].ndim - 1
-            out.append(np.concatenate(
-                [x.reshape(*x.shape[:lead], math.prod(x.shape[lead:])) for x in parts], axis=-1))
-        return out[0], out[1]
+        the stack of endpoints (e, orders, n + n m + n m m), with the rows'
+        axis after the first for a slice."""
+        idx = np.arange(self.P + 2)[orders]
+        z = np.swapaxes(self.z[:, row][..., idx], -1, -2)
+        if not self.with_var:
+            return z
+        # the twins of V and S, (e, [rows,] m or m m, orders, n), back in order
+        rev = self.P + 1 - idx
+        return np.concatenate([z, *(np.moveaxis(b[:, row][..., rev, :], -3, -1).reshape(
+            *z.shape[:-1], -1) for b in (self.Vr, self.Sr))], axis=-1)
 
     def unflat(self, x):
         """Split flattened orders (the last axis) back into (state, V, S)
@@ -482,13 +523,14 @@ class _Series:
 
     def eval_flat(self, row, h: float, upto: int):
         """The Taylor polynomial of a row (or a slice of rows) through order
-        ``upto`` at time h (Horner), flattened as in :meth:`flat`."""
-        clo, chi = self.flat(row, slice(0, upto + 1))
-        lo, hi = clo[..., upto, :], chi[..., upto, :]
+        ``upto`` at time h (Horner), flattened as in :meth:`flat`: a (lo, hi)
+        pair, or the one-endpoint stack of a float series."""
+        clo, chi = _ends(self.flat(row, slice(0, upto + 1)))
+        x = clo[..., upto, :], chi[..., upto, :]
         for k in range(upto - 1, -1, -1):
-            lo, hi = self.k.vscale(h, lo, hi)
-            lo, hi = self.k.vadd(lo, hi, clo[..., k, :], chi[..., k, :])
-        return lo, hi
+            x = self.k.vscale(h, *_ends(x))
+            x = self.k.vadd(*_ends(x), clo[..., k, :], chi[..., k, :])
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +598,9 @@ def taylor_coeffs(field: VectorFieldDef, state: Jet2Enclosure, order: int,
     ser = _Series(rf, state.value.lo[None], state.value.hi[None], order, m=state.nvars)
     ser.start((state.d1.lo[None], state.d1.hi[None]), (state.d2lo[None], state.d2hi[None]))
     ser.extend_to(order)
-    out = []
-    for k in range(order + 1):
-        out.append(Jet2Enclosure(IntervalBox(ser.zlo[0, k], ser.zhi[0, k]),
-                                 IntervalMatrix(ser.Vlo[0, k], ser.Vhi[0, k]),
-                                 ser.Slo[0, k], ser.Shi[0, k]))
-    return out
+    z, V, S = ser.unflat(ser.flat(0, slice(0, order + 1)))
+    return [Jet2Enclosure(IntervalBox(z[0, k], z[1, k]), IntervalMatrix(V[0, k], V[1, k]),
+                          S[0, k], S[1, k]) for k in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +614,15 @@ def _gronwall(ser: _Series, row: int):
     """Magnitude bounds over the rough enclosure, read from the order-0
     field tables of its series row: d >= max_c sum_a |df_c/dx_a|,
     ce >= |df/deps|, hxx, hxe, hee >= the second-derivative blocks."""
-    jlo, jhi = ser.Alo[row, 0], ser.Ahi[row, 0]
-    jmag = ku.vmag(jlo, jhi)
+    n = ser.n
+    left, eps = ser.L[:, row, :, 0], ser.E[:, row, :, 0]
+    jmag = ku.vmag(*left[:, :n])
     d = float(np.max(ku.isum(jmag, jmag, axis=1)[1]))
 
-    def mag(lo, hi):
-        return float(np.max(ku.vmag(lo[row, 0], hi[row, 0])))
+    def mag(x):
+        return float(np.max(ku.vmag(*x)))
 
-    return (d, mag(ser.aelo, ser.aehi), mag(ser.Hxxlo, ser.Hxxhi),
-            mag(ser.Hxelo, ser.Hxehi), mag(ser.Heelo, ser.Heehi))
+    return (d, mag(eps[:, 0]), mag(left[:, 2 * n :]), mag(left[:, n : 2 * n]), mag(eps[:, 1]))
 
 
 def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
@@ -609,8 +648,8 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
         hp1 = hv ** (P + 1)
         ser = _Series(rf, np.stack([hull.lo, Z.lo]), np.stack([hull.hi, Z.hi]), P + 1, m=mj)
         ser.extend_state(P + 1)
-        rzlo, rzhi = ku.vmul(ser.zlo[1, P + 1], ser.zhi[1, P + 1], hp1.lo, hp1.hi)
-        err = float(np.max(ku.vmag(ser.zlo[0, P], ser.zhi[0, P]))) * h**P \
+        rzlo, rzhi = ku.vmul(*ser.z[:, 1, :, P + 1], hp1.lo, hp1.hi)
+        err = float(np.max(ku.vmag(*ser.z[:, 0, :, P]))) * h**P \
             + float(np.max(ku.vmag(rzlo, rzhi)))
         if not math.isfinite(err):
             raise FlowError(f"non-finite Taylor enclosure for step {h}")

@@ -109,11 +109,12 @@ def _second_rhs(jet: Jet2Enclosure, dk: IntervalMatrix):
     nw = dk.shape[1]
     glo, ghi = jet.d2lo, jet.d2hi
     tlo, thi = ku.vadd(glo[:, :nw, :], ghi[:, :nw, :],
-                       *ku.imulsum(dk.lo.T[None, :, :, None], dk.hi.T[None, :, :, None],
-                                   glo[:, None, nw:, :], ghi[:, None, nw:, :], axis=2))
+                       *ku.imulsum(dk.lo.T[None, :, None, :], dk.hi.T[None, :, None, :],
+                                   glo[:, None, nw:, :].transpose(0, 1, 3, 2),
+                                   ghi[:, None, nw:, :].transpose(0, 1, 3, 2)))
     return ku.vadd(tlo[:, :, :nw], thi[:, :, :nw],
-                   *ku.imulsum(tlo[:, :, nw:, None], thi[:, :, nw:, None],
-                               dk.lo[None, None, :, :], dk.hi[None, None, :, :], axis=2))
+                   *ku.imulsum(tlo[:, :, None, nw:], thi[:, :, None, nw:],
+                               dk.lo.T[None, None], dk.hi.T[None, None]))
 
 
 def _dk_dw(firsts: tuple[IntervalMatrix, IntervalMatrix]) -> IntervalMatrix:

@@ -29,14 +29,17 @@ class Jet2Enclosure:
     __slots__ = ("value", "d1", "d2lo", "d2hi")
 
     def __init__(self, value: IntervalBox, d1: IntervalMatrix, d2lo, d2hi):
-        d2lo = np.asarray(d2lo, dtype=float).copy()
-        d2hi = np.asarray(d2hi, dtype=float).copy()
+        d2lo = np.asarray(d2lo, dtype=float)
+        d2hi = np.asarray(d2hi, dtype=float)
         m = value.dim
         nv = d1.shape[1]
         if d1.shape[0] != m:
             raise IntervalError("d1 rows must match output dimension")
         if d2lo.shape != (m, nv, nv) or d2hi.shape != (m, nv, nv):
             raise IntervalError("d2 must have shape (m, nvars, nvars)")
+        # a NaN endpoint would pass the lo > hi test below (it compares false)
+        if not (np.isfinite(d2lo).all() and np.isfinite(d2hi).all()):
+            raise IntervalError("d2 block endpoints must be finite")
         # symmetrize by intersecting the (a,b) and (b,a) enclosures
         lo = np.maximum(d2lo, np.swapaxes(d2lo, 1, 2))
         hi = np.minimum(d2hi, np.swapaxes(d2hi, 1, 2))
@@ -165,18 +168,20 @@ def compose_d2(o1lo, o1hi, o2lo, o2hi, vlo, vhi, wlo, whi):
     """
     p, nv = wlo.shape[0], vlo.shape[1]
     # term 1, contracting j first: T1[c,i,b] = sum_j o2[c,i,j] V[j,b]
-    t1lo, t1hi = ku.imulsum(o2lo[:, :, :, None], o2hi[:, :, :, None],
-                            vlo[None, None, :, :], vhi[None, None, :, :], axis=2)  # (m, p+1, nv)
+    vtlo, vthi = vlo.T, vhi.T
+    t1lo, t1hi = ku.imulsum(o2lo[:, :, None, :], o2hi[:, :, None, :],
+                            vtlo[None, None], vthi[None, None])  # (m, p+1, nv)
     # then i: term1[c,a,b] = sum_i T1[c,i,b] V[i,a]
-    term1lo, term1hi = ku.imulsum(t1lo[:, :, None, :], t1hi[:, :, None, :],
-                                  vlo[None, :, :, None], vhi[None, :, :, None], axis=1)  # (m, nv, nv)
-    # term 2 over the eps-extended W
-    welo = np.zeros((p + 1, nv, nv))
-    wehi = np.zeros((p + 1, nv, nv))
-    welo[1:] = wlo
-    wehi[1:] = whi
-    term2lo, term2hi = ku.imulsum(o1lo[:, :, None, None], o1hi[:, :, None, None],
-                                  welo[None, :, :, :], wehi[None, :, :, :], axis=1)
+    t1lo, t1hi = t1lo.transpose(0, 2, 1)[:, None], t1hi.transpose(0, 2, 1)[:, None]
+    term1lo, term1hi = ku.imulsum(t1lo, t1hi, vtlo[None, :, None, :],
+                                  vthi[None, :, None, :])  # (m, nv, nv)
+    # term 2 over the eps-extended W, its (p+1) axis last
+    welo = np.zeros((nv, nv, p + 1))
+    wehi = np.zeros((nv, nv, p + 1))
+    welo[:, :, 1:] = wlo.transpose(1, 2, 0)
+    wehi[:, :, 1:] = whi.transpose(1, 2, 0)
+    term2lo, term2hi = ku.imulsum(o1lo[:, None, None, :], o1hi[:, None, None, :],
+                                  welo[None], wehi[None])
     return ku.vadd(term1lo, term1hi, term2lo, term2hi)
 
 

@@ -8,9 +8,11 @@ exact, which preserves exact zeros.  Reductions of four or more terms
 (``isum``) instead take one float sum per endpoint and pad it by an
 a-priori bound on its rounding error, valid for any summation order;
 sums of three or fewer terms stay 2Sum chains.  ``imulsum`` fuses an
-elementwise product with such a reduction (every Cauchy product and matrix
-product of the package): its terms are the unwidened float products, and
-one pad covers their rounding and the summation's.  Because numpy chooses
+elementwise product with such a reduction over the last axis (every Cauchy
+product and matrix product of the package): its terms are the unwidened
+float products, and one pad covers their rounding and the summation's.
+The padded sums stack their two endpoints, so one reduction, one pad and
+one outward rounding serve both.  Because numpy chooses
 the summation order, the last bits of a long sum may differ between numpy
 builds or CPUs; every result still encloses the exact sum.
 
@@ -190,28 +192,34 @@ def _axes(ndim: int, axis) -> tuple:
     return tuple(a % ndim for a in axis)
 
 
-def _padded_sum(lo, hi, axes, c):
-    """One float sum per endpoint over ``axes``, padded outward by
-    ``up(c * fl(sum |x|))`` and rounded outward once more; the float sum is
-    kept where every term is zero."""
-    slo = np.add.reduce(lo, axis=axes)
-    shi = np.add.reduce(hi, axis=axes)
-    alo = np.add.reduce(np.abs(lo), axis=axes)
-    ahi = np.add.reduce(np.abs(hi), axis=axes)
-    rlo = np.where(alo == 0, slo, _down(slo - _up(c * alo)))
-    rhi = np.where(ahi == 0, shi, _up(shi + _up(c * ahi)))
-    return rlo, rhi
+# per-endpoint signs and rounding directions of a (lo, hi) stack, shaped to
+# broadcast against a stacked result with d axes (the endpoint axis first)
+_SIGN = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * (d - 1)) for d in range(1, 17)]
+_OUTWARD = [np.array([-_INF, _INF]).reshape((2,) + (1,) * (d - 1)) for d in range(1, 17)]
 
 
-def _where_finite(rlo, rhi, fallback):
-    """Keep (rlo, rhi) where both are finite; elsewhere take the (lo, hi)
-    pair that ``fallback()`` returns."""
-    # one test for the common case: the sum is finite only if both are
-    if np.isfinite(rlo + rhi).all():
-        return rlo, rhi
-    ok = np.isfinite(rlo) & np.isfinite(rhi)
-    flo, fhi = fallback()
-    return np.where(ok, rlo, flo), np.where(ok, rhi, fhi)
+def _padded_sum(t, axes, c):
+    """The (lo, hi) terms stacked on axis 0 of ``t``, summed over ``axes``:
+    one float sum per endpoint, padded outward by ``up(c * fl(sum |x|))``
+    and rounded outward once more, by one reduction, one pad and one
+    ``nextafter`` for both endpoints; the float sum is kept where every
+    term is zero.  Returns the (2, ...) stack of the results; ``t`` is
+    overwritten."""
+    s = np.add.reduce(t, axis=axes)
+    a = np.add.reduce(np.abs(t, out=t), axis=axes)
+    d = s.ndim - 1
+    r = np.nextafter(s + _SIGN[d] * _up(c * a), _OUTWARD[d])
+    return np.where(a == 0, s, r)
+
+
+def _where_finite(r, fallback):
+    """Keep the entries of the (lo, hi) stack ``r`` where both endpoints are
+    finite; elsewhere take the (lo, hi) pair that ``fallback()`` returns."""
+    ok = np.isfinite(r)
+    if ok.all():
+        return r
+    ok = ok.all(axis=0)
+    return np.where(ok, r, np.array(fallback()))
 
 
 def _bound_terms(n: int, kernel: str):
@@ -264,8 +272,9 @@ def isum(lo, hi, axis):
 
 @_QUIET_2SUM
 def _isum_padded(lo, hi, axes, n: int):
-    rlo, rhi = _padded_sum(lo, hi, axes, (n - 1) * 2.0 ** -53 * (1.0 + 2.0 ** -30))
-    return _where_finite(rlo, rhi, lambda: _chain(lo, hi, axes))
+    r = _padded_sum(np.array((lo, hi)), tuple(a + 1 for a in axes),
+                    (n - 1) * 2.0 ** -53 * (1.0 + 2.0 ** -30))
+    return _where_finite(r, lambda: _chain(lo, hi, axes))
 
 
 def is_scaled(*arrays) -> bool:
@@ -276,19 +285,29 @@ def is_scaled(*arrays) -> bool:
     return not ((x < _SCALE_MIN) & (x != 0)).any()
 
 
-def imulsum(alo, ahi, blo, bhi, axis, scaled: bool = False):
-    """Enclosure of the sum over ``axis`` of the elementwise interval
-    products a*b (operands broadcast); as a set it is what
-    ``isum(*vmul(a, b), axis)`` encloses.
+def imulsum(alo, ahi, blo, bhi, scaled: bool = False):
+    """Enclosure of the sum over the last axis of the elementwise interval
+    products a*b; as a set it is what ``isum(*vmul(a, b), -1)`` encloses.
+
+    The operands are float arrays that broadcast against each other, and
+    ``alo``/``ahi`` (``blo``/``bhi``) share a shape.  The result is the
+    (2, ...) stack of the (lo, hi) sums, so ``lo, hi = imulsum(...)``
+    unpacks it.  The reduced axis is the last one because that is the
+    contiguous one: a caller that lays out its operands with the summed
+    indices last, merged into one axis, pays one reduction over contiguous
+    memory.
 
     For n >= 4 terms whose operands meet the scaling precondition (every
     nonzero operand entry at least 2^-511 in magnitude, :func:`is_scaled`),
     the terms are ``t = min`` (``max``) of the four float products of the
-    endpoints, with no per-product widening and no zero masks.  Each
-    endpoint is one float sum ``s = fl(sum t)`` padded by
-    ``e = up(c * fl(sum |t|))`` with ``c = n 2^-53 (1 + 2^-30)``, then
-    rounded outward once more.  This is Rump's a-priori summation bound
-    (BIT 39, 1999) extended by one rounding per product.
+    endpoints, with no per-product widening and no zero masks.  The two
+    endpoints' terms are stacked, so one reduction gives both float sums
+    ``s = fl(sum t)``, one more both magnitude sums ``a = fl(sum |t|)``,
+    and each endpoint is ``s`` padded by ``e = up(c * a)`` with
+    ``c = n 2^-53 (1 + 2^-30)`` (``s - e`` for lo, ``s + e`` for hi; the
+    negation is exact), then rounded outward by one ``nextafter`` whose
+    direction is -inf for lo and +inf for hi.  This is Rump's a-priori
+    summation bound (BIT 39, 1999) extended by one rounding per product.
 
     Why ``e`` bounds the distance from ``s`` to the exact endpoint
     ``sum m``, where ``m`` is the exact min (max) of the four exact
@@ -306,42 +325,49 @@ def imulsum(alo, ahi, blo, bhi, axis, scaled: bool = False):
       <= n u / (1 - 2(n-1)u) * a <= c * a`` while ``n < 2^21``; ``c`` is
       exact in floats and the step up after the rounded product gives
       ``e >= c * a``.
+    * The float difference ``fl(s - e)`` may lie above ``s - e`` by one
+      rounding, and ``nextafter(fl(x), -inf) <= x`` for every finite ``x``
+      (rounding to nearest never passes the neighbouring float), so the
+      final step toward -inf gives a lower bound; likewise toward +inf for
+      hi.  The stacked evaluation does the same float operations on each
+      endpoint as two separate ones would, so its results are bit-identical
+      to theirs.
 
     Where ``a == 0`` every term is exactly 0 (a nonzero product would be at
     least 2^-1022), so the sum is exact and structural zeros stay 0.
 
-    The result is ``isum(*vmul(a, b), axis)`` instead for n <= 3 terms (so
+    The result is ``isum(*vmul(a, b), -1)`` instead for n <= 3 terms (so
     short sums are bit-identical to it), where an operand may underflow,
-    and at entries whose fused result is not finite.  ``scaled=True`` is
-    the caller's promise that the operands meet the precondition, which
-    skips the scan; a caller that checks only after the call must discard
-    the result when the check fails.
+    and at entries whose fused result is not finite (``_where_finite``).
+    ``scaled=True`` is the caller's promise that the operands meet the
+    precondition, which skips the scan; a caller that checks only after the
+    call must discard the result when the check fails.
     """
-    alo, ahi, blo, bhi = (np.asarray(x, dtype=float) for x in (alo, ahi, blo, bhi))
-    shape = np.broadcast_shapes(alo.shape, ahi.shape, blo.shape, bhi.shape)
-    axes = _axes(len(shape), axis)
-    n = math.prod(shape[a] for a in axes)
+    n = max(alo.shape[-1], blo.shape[-1])
     if n <= 3:
-        return isum(*vmul(alo, ahi, blo, bhi), axis)
-    return _imulsum_long(alo, ahi, blo, bhi, axes, n, scaled)
+        return np.array(isum(*vmul(alo, ahi, blo, bhi), -1))
+    return _imulsum_long(alo, ahi, blo, bhi, n, scaled)
 
 
 @_QUIET_2SUM
-def _imulsum_long(alo, ahi, blo, bhi, axes, n: int, scaled: bool):
+def _imulsum_long(alo, ahi, blo, bhi, n: int, scaled: bool):
     def fallback():
-        return isum(*vmul(alo, ahi, blo, bhi), axes)
+        return isum(*vmul(alo, ahi, blo, bhi), -1)
 
     if not (scaled or is_scaled(alo, ahi, blo, bhi)):
-        return fallback()
+        return np.array(fallback())
     _bound_terms(n, "imulsum")
     p1 = alo * blo
     p2 = alo * bhi
     p3 = ahi * blo
     p4 = ahi * bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    rlo, rhi = _padded_sum(lo, hi, axes, n * 2.0 ** -53 * (1.0 + 2.0 ** -30))
-    return _where_finite(rlo, rhi, fallback)
+    t = np.empty((2, *p1.shape))
+    np.minimum(p1, p2, out=t[0])
+    np.maximum(p1, p2, out=t[1])
+    np.minimum(t[0], np.minimum(p3, p4, out=p1), out=t[0])
+    np.maximum(t[1], np.maximum(p3, p4, out=p2), out=t[1])
+    r = _padded_sum(t, -1, n * 2.0 ** -53 * (1.0 + 2.0 ** -30))
+    return _where_finite(r, fallback)
 
 
 def idot(alo, ahi, blo, bhi):
@@ -358,8 +384,7 @@ def idot(alo, ahi, blo, bhi):
     if vec:
         b_lo = b_lo[:, None]
         b_hi = b_hi[:, None]
-    rlo, rhi = imulsum(a_lo[:, :, None], a_hi[:, :, None], b_lo[None, :, :], b_hi[None, :, :],
-                       axis=1)
+    rlo, rhi = imulsum(a_lo[:, None, :], a_hi[:, None, :], b_lo.T[None], b_hi.T[None])
     if vec:
         return rlo[:, 0], rhi[:, 0]
     return rlo, rhi

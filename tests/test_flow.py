@@ -378,7 +378,8 @@ def _batch_series(field, zlo, zhi, V0, S0, P):
     return ser
 
 
-TABLES = ("Alo", "Ahi", "aelo", "aehi", "Hxxlo", "Hxxhi", "Hxelo", "Hxehi", "Heelo", "Heehi")
+# the derivative tables: left operands [A; Hxe; Hxx] and the added aeps, Hee
+TABLES = ("L", "E")
 
 
 def _lu_rows():
@@ -405,9 +406,11 @@ def test_batched_series_rows_equal_single_series():
         one = _batch_series(field, zlo[row : row + 1], zhi[row : row + 1],
                             (Vlo[row : row + 1], Vhi[row : row + 1]),
                             (Slo[row : row + 1], Shi[row : row + 1]), P)
-        for name in ("zlo", "zhi", "Vlo", "Vhi", "Slo", "Shi", "Tlo", "Thi", "banklo", "bankhi",
-                     *TABLES):
-            assert getattr(both, name)[row].tobytes() == getattr(one, name)[0].tobytes(), name
+        # every block stacks (lo, hi) on axis 0 and the batch row on axis 1;
+        # z is a view of the bank, V and S live in their reversed twins
+        for name in ("bank", "Vr", "Sr", "T", *TABLES):
+            x, y = getattr(both, name)[:, row], getattr(one, name)[:, 0]
+            assert x.tobytes() == y.tobytes(), name
 
 
 def test_one_call_tables_equal_tables_built_order_by_order(monkeypatch):
@@ -437,10 +440,73 @@ def test_one_call_tables_equal_tables_built_order_by_order(monkeypatch):
     checks += [("Hxx", (a, b), d2[min(a, b) + 1, max(a, b) + 1])
                for a in range(n) for b in range(n)]
     checks += [("Hxe", (a,), d2[0, 1 + a]) for a in range(n)] + [("Hee", (), d2[0, 0])]
+    L, E = fused.L[:, 0, :, 0], fused.E[:, 0, :, 0]
+    blocks = {"A": L[:, :n], "Hxe": L[:, n : 2 * n], "Hxx": L[:, 2 * n :].reshape(2, n, n, n),
+              "ae": E[:, 0], "Hee": E[:, 1]}
     for name, idx, pm in checks:
         val = pm.eval_point(pt)
-        lo, hi = (getattr(fused, name + end)[0, 0][(slice(None), *idx)] for end in ("lo", "hi"))
+        lo, hi = blocks[name][(slice(None), slice(None), *idx)]
         assert np.all(lo <= val) and np.all(val <= hi), (name, idx)
+
+
+def _jet_mul(a, b):
+    """Product of two order-2 jets (value, gradient, Hessian) in Fractions."""
+    (av, ag, ah), (bv, bg, bh) = a, b
+    r = range(len(ag))
+    return (av * bv, [av * bg[i] + bv * ag[i] for i in r],
+            [[av * bh[i][j] + bv * ah[i][j] + ag[i] * bg[j] + bg[i] * ag[j] for j in r]
+             for i in r])
+
+
+def _jet_lin(*terms):
+    """sum c * jet over (c, jet) pairs."""
+    r = range(len(terms[0][1][1]))
+    return (sum(c * j[0] for c, j in terms),
+            [sum(c * j[1][i] for c, j in terms) for i in r],
+            [[sum(c * j[2][i][k] for c, j in terms) for k in r] for i in r])
+
+
+def test_variational_coefficients_contain_the_exact_rational_series():
+    # x' = y + eps x^2, y' = -x + x y over (eps, x, y), at a point eps: the
+    # Taylor coefficients z_k of the solution, as order-2 jets in
+    # w = (eps, x0, y0), by the Cauchy recursion in Fractions.  Their
+    # gradients and Hessians are V_k and S_k; the eps x^2 term gives the
+    # Hxe cross terms and x^2, x y the Hxx V V terms of the recursion.
+    import splitcert.flow as flow
+
+    field = VectorFieldDef(2, PolyMap(3, [[(1.0, (0, 0, 1)), (1.0, (1, 2, 0))],
+                                          [(-1.0, (0, 1, 0)), (1.0, (0, 1, 1))]]))
+    eps, P = 0.375, 6
+    starts = np.array([[0.5, -0.25], [-0.75, 0.625]])
+    rf = flow._Resolved(flow._tables(field), Interval(eps, eps))
+    ser = flow._Series(rf, starts, starts, P, m=3)
+    V0 = np.broadcast_to(np.eye(2, 3, 1), (2, 2, 3))
+    S0 = np.zeros((2, 2, 3, 3))
+    ser.start((V0, V0), (S0, S0))
+    ser.extend_to(P)
+    zero = [[Fraction(0)] * 3 for _ in range(3)]
+    e = (Fraction(eps), [Fraction(1), Fraction(0), Fraction(0)], zero)
+    for row, (x0, y0) in enumerate(starts):
+        xs = [(Fraction(x0), [Fraction(0), Fraction(1), Fraction(0)], zero)]
+        ys = [(Fraction(y0), [Fraction(0), Fraction(0), Fraction(1)], zero)]
+        for k in range(P):
+            xx = _jet_lin(*((1, _jet_mul(xs[i], xs[k - i])) for i in range(k + 1)))
+            xy = _jet_lin(*((1, _jet_mul(xs[i], ys[k - i])) for i in range(k + 1)))
+            inv = Fraction(1, k + 1)
+            xs.append(_jet_lin((inv, ys[k]), (inv, _jet_mul(e, xx))))
+            ys.append(_jet_lin((-inv, xs[k]), (inv, xy)))
+        z, V, S = ser.unflat(ser.flat(row, slice(0, P + 1)))
+        for k in range(P + 1):
+            for c, jet in enumerate((xs[k], ys[k])):
+                exact = [((0, k, c), jet[0])]
+                exact += [((0, k, c, a), jet[1][a]) for a in range(3)]
+                exact += [((0, k, c, a, b), jet[2][a][b]) for a in range(3) for b in range(3)]
+                for idx, x in exact:
+                    block = (z, V, S)[len(idx) - 3]
+                    lo, hi = Fraction(block[idx]), Fraction(block[(1, *idx[1:])])
+                    assert lo <= x <= hi, (row, k, idx)
+                    assert hi - lo <= Fraction(1, 2**40) * (1 + abs(x)), (row, k, idx)
+        assert any(jet[2][0][1] != 0 for jet in xs) and any(jet[2][1][2] != 0 for jet in ys)
 
 
 @pytest.mark.parametrize("x0", [5e-324, 1e-200, 2.0 ** -600, 2.0 ** -300])
@@ -457,10 +523,11 @@ def test_series_with_tiny_initial_data_contains_exact_coefficients(x0):
     assert not ser.scaled
     for row, x in enumerate((x0, 0.5)):
         x = Fraction(x)
+        z, V, _ = ser.unflat(ser.flat(row, slice(0, P + 1)))
         for k in range(P + 1):
-            assert Fraction(ser.zlo[row, k, 0]) <= x ** (k + 1) <= Fraction(ser.zhi[row, k, 0])
+            assert Fraction(z[0, k, 0]) <= x ** (k + 1) <= Fraction(z[1, k, 0])
             dz = (k + 1) * x ** k
-            assert Fraction(ser.Vlo[row, k, 0, 1]) <= dz <= Fraction(ser.Vhi[row, k, 0, 1])
+            assert Fraction(V[0, k, 0, 1]) <= dz <= Fraction(V[1, k, 0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,22 @@ def test_d2_symmetrized_by_intersection():
         Jet2Enclosure(val, d1, d2lo, d2hi)
 
 
+@pytest.mark.parametrize("end, bad", [("lo", np.nan), ("hi", np.nan), ("lo", -np.inf),
+                                      ("hi", np.inf), ("hi", -np.inf)])
+def test_non_finite_d2_endpoints_are_rejected(end, bad):
+    # a NaN compares false, so a NaN block would pass the lo > hi test; an
+    # infinite one is no bounded enclosure, as IntervalBox/IntervalMatrix
+    # require of the value and d1
+    val = IntervalBox([0.0], [1.0])
+    d1 = IntervalMatrix.zeros(1, 2)
+    d2 = {"lo": np.full((1, 2, 2), -1.0), "hi": np.full((1, 2, 2), 1.0)}
+    d2[end][0, 1, 1] = bad
+    with pytest.raises(IntervalError, match="d2 block endpoints must be finite"):
+        Jet2Enclosure(val, d1, d2["lo"], d2["hi"])
+    with pytest.raises(IntervalError, match="must be finite"):
+        IntervalMatrix(np.full((1, 2), -1.0), np.full((1, 2), bad))
+
+
 def test_jet_sub_for_distance_functions():
     g = PolyMap(2, [[(1.0, (0, 2))]])
     box = IntervalBox([0.0, -0.1], [0.0, 0.1])

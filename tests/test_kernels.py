@@ -192,10 +192,11 @@ def _assert_encloses_exact(r, exact):
 
 
 def _series_operands(rng, k, lo_exp=-30, hi_exp=30):
-    """A-like (2, k+1, 4, 4, 1) and V-like (2, k+1, 1, 4, 5) operands of the
-    batch-2 V contraction (n = 4, m = 5), summed over axes (1, 3): mixed
-    signs, point and wide (zero-straddling) entries, row c=1 of A and
-    column 2 of V exactly zero."""
+    """A-like (2, 4, 1, T) and V-like (2, 1, 5, T) operands of the batch-2
+    V contraction (n = 4, m = 5) in the series layout: the summed indices
+    (order, state) merged into the last axis, T = 4 (k+1).  Mixed signs,
+    point and wide (zero-straddling) entries, row c=1 of A and column 2 of
+    V exactly zero."""
 
     def draw(shape):
         mid = rng.standard_normal(shape) * 2.0 ** rng.integers(lo_exp, hi_exp + 1, shape)
@@ -203,12 +204,13 @@ def _series_operands(rng, k, lo_exp=-30, hi_exp=30):
         rad = np.where(u < 0.4, 0.0, np.abs(mid) * np.where(u < 0.8, 2.0 ** -40, 1.5))
         return mid - rad, mid + rad
 
-    alo, ahi = draw((2, k + 1, 4, 4, 1))
-    blo, bhi = draw((2, k + 1, 1, 4, 5))
+    T = 4 * (k + 1)
+    alo, ahi = draw((2, 4, 1, T))
+    blo, bhi = draw((2, 1, 5, T))
     for x in (alo, ahi):
-        x[:, :, 1] = 0.0
+        x[:, 1] = 0.0
     for x in (blo, bhi):
-        x[..., 2] = 0.0
+        x[:, :, 2] = 0.0
     return alo, ahi, blo, bhi
 
 
@@ -217,8 +219,9 @@ def test_imulsum_vmul_contain_exact_at_series_shapes(k):
     rng = np.random.default_rng(40 + k)
     alo, ahi, blo, bhi = _series_operands(rng, k)
     assert ku.is_scaled(alo, ahi, blo, bhi)
-    exact = _exact_mulsum(alo, ahi, blo, bhi, (1, 3))
-    r = ku.imulsum(alo, ahi, blo, bhi, axis=(1, 3))
+    exact = _exact_mulsum(alo, ahi, blo, bhi, (3,))
+    r = ku.imulsum(alo, ahi, blo, bhi)
+    assert r.shape == (2, 2, 4, 5)
     _assert_encloses_exact(r, exact)
     # structural zeros stay exactly zero
     for x in r:
@@ -227,14 +230,33 @@ def test_imulsum_vmul_contain_exact_at_series_shapes(k):
     plo, phi = ku.vmul(alo, ahi, blo, bhi)
     _assert_encloses_exact((plo, phi),
                            _exact_mulsum(alo[..., None], ahi[..., None],
-                                         blo[..., None], bhi[..., None], (5,)))
+                                         blo[..., None], bhi[..., None], (4,)))
+
+
+@pytest.mark.parametrize("k", [3, 18])
+def test_imulsum_stacked_finish_equals_the_per_endpoint_finish(k):
+    # reference: each endpoint summed, padded and rounded on its own
+    rng = np.random.default_rng(60 + k)
+    alo, ahi, blo, bhi = _series_operands(rng, k)
+    n = alo.shape[-1]
+    p = [x * y for x in (alo, ahi) for y in (blo, bhi)]
+    c = n * 2.0 ** -53 * (1.0 + 2.0 ** -30)
+    ref = []
+    for t, direction in ((np.minimum.reduce(p), -np.inf), (np.maximum.reduce(p), np.inf)):
+        s, a = np.add.reduce(t, axis=-1), np.add.reduce(np.abs(t), axis=-1)
+        pad = np.nextafter(c * a, np.inf)
+        r = np.nextafter(s + pad if direction > 0 else s - pad, direction)
+        ref.append(np.where(a == 0, s, r))
+    r = ku.imulsum(alo, ahi, blo, bhi, scaled=True)
+    for x, y in zip(r, ref):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_idot_contains_exact_product():
     rng = np.random.default_rng(3)
     alo, ahi, blo, bhi = _series_operands(rng, 0)
-    a = (alo[0, 0, :, :, 0], ahi[0, 0, :, :, 0])  # (4, 4), row 1 zero
-    b = (blo[1, 0, 0], bhi[1, 0, 0])              # (4, 5), column 2 zero
+    a = (alo[0, :, 0], ahi[0, :, 0])        # (4, 4), row 1 zero
+    b = (blo[1, 0].T, bhi[1, 0].T)          # (4, 5), column 2 zero
     exact = _exact_mulsum(a[0][:, :, None], a[1][:, :, None], b[0][None], b[1][None], (1,))
     r = ku.idot(*a, *b)
     _assert_encloses_exact(r, exact)
@@ -249,16 +271,18 @@ def test_imulsum_unscaled_operand_takes_the_checked_path(tiny):
     # bound does not hold: the kernel must notice and fall back
     rng = np.random.default_rng(5)
     alo, ahi, blo, bhi = _series_operands(rng, 1)
-    alo[0, 0, 0, 0, 0] = ahi[0, 0, 0, 0, 0] = tiny
-    blo[0, :, 0, :, 0] = bhi[0, :, 0, :, 0] = tiny
+    alo[0, 0, 0, 0] = ahi[0, 0, 0, 0] = tiny
+    blo[0, 0, 0, :] = bhi[0, 0, 0, :] = tiny
     assert not ku.is_scaled(alo, ahi, blo, bhi)
-    r = ku.imulsum(alo, ahi, blo, bhi, axis=(1, 3))
-    ref = ku.isum(*ku.vmul(alo, ahi, blo, bhi), axis=(1, 3))
+    r = ku.imulsum(alo, ahi, blo, bhi)
+    ref = ku.isum(*ku.vmul(alo, ahi, blo, bhi), axis=-1)
     assert np.array_equal(r[0], ref[0]) and np.array_equal(r[1], ref[1])
-    _assert_encloses_exact(r, _exact_mulsum(alo, ahi, blo, bhi, (1, 3)))
+    _assert_encloses_exact(r, _exact_mulsum(alo, ahi, blo, bhi, (3,)))
+    # structural zeros stay exactly zero on the checked path too
+    assert np.all(r[:, :, 1, :] == 0.0) and np.all(r[:, :, :, 2] == 0.0)
     # four products that each underflow to zero: the sum is not zero
     x = np.full(4, tiny)
-    slo, shi = ku.imulsum(x, x, x, x, axis=0)
+    slo, shi = ku.imulsum(x, x, x, x)
     assert Fraction(float(slo)) <= 4 * Fraction(tiny) ** 2 <= Fraction(float(shi))
     assert float(shi) > 0.0
 
@@ -266,36 +290,35 @@ def test_imulsum_unscaled_operand_takes_the_checked_path(tiny):
 def test_imulsum_near_overflow_has_no_nan_and_stays_outward():
     rng = np.random.default_rng(9)
     alo, ahi, blo, bhi = _series_operands(rng, 3, lo_exp=480, hi_exp=530)
-    r = ku.imulsum(alo, ahi, blo, bhi, axis=(1, 3))
+    r = ku.imulsum(alo, ahi, blo, bhi)
     assert np.isinf(r[0]).any() or np.isinf(r[1]).any()
-    _assert_encloses_exact(r, _exact_mulsum(alo, ahi, blo, bhi, (1, 3)))
+    assert np.isfinite(r).any()
+    _assert_encloses_exact(r, _exact_mulsum(alo, ahi, blo, bhi, (3,)))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_overflowing_sums_are_sound_and_silent(sign):
     # the overflow fallback is part of the result: no RuntimeWarning
     x = np.full((4, 1), sign * 1e308)
-    big = np.full((4, 1), 1e200)
-    sq = np.full((4, 1), sign * 1.5e154)   # each square is finite, their sum is not
+    big = np.full((1, 4), 1e200)
+    sq = np.full((1, 4), sign * 1.5e154)   # each square is finite, their sum is not
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         r = ku.isum(x, x, axis=0)
         _assert_encloses(r, x, x)
         assert (r[1] if sign > 0 else r[0])[0] == sign * np.inf
         for a, b in ((big, sign * big), (sq, np.abs(sq))):
-            r = ku.imulsum(a, a, b, b, axis=0)
-            _assert_encloses_exact(r, _exact_mulsum(a, a, b, b, (0,)))
+            r = ku.imulsum(a, a, b, b)
+            _assert_encloses_exact(r, _exact_mulsum(a, a, b, b, (1,)))
             assert (r[1] if sign > 0 else r[0])[0] == sign * np.inf
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_imulsum_short_sums_are_isum_of_vmul(n):
     rng = np.random.default_rng(70 + n)
-    alo, ahi, blo, bhi = _series_operands(rng, n - 1)
-    r = ku.imulsum(alo[..., :1, :], ahi[..., :1, :], blo[..., :1, :], bhi[..., :1, :],
-                   axis=(1, 3))
-    ref = ku.isum(*ku.vmul(alo[..., :1, :], ahi[..., :1, :], blo[..., :1, :], bhi[..., :1, :]),
-                  axis=(1, 3))
+    alo, ahi, blo, bhi = (x[..., :n] for x in _series_operands(rng, 0))
+    r = ku.imulsum(alo, ahi, blo, bhi)
+    ref = ku.isum(*ku.vmul(alo, ahi, blo, bhi), axis=-1)
     for x, y in zip(r, ref):
         assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
