@@ -119,11 +119,21 @@ class _CachedJet:
 
 
 def _graph_goracle(w_jet: _CachedJet, base_idx: Sequence[int], kx: int) -> GOracle:
-    """g(eps, base, kappa) = pi_base w(eps, kappa) - base as a jet oracle."""
+    """g(eps, base, kappa) = pi_base w(eps, kappa) - base as a jet oracle.
+
+    The oracle remembers its last (X, K) pair and jet, keyed by endpoint
+    bytes as :class:`_CachedJet` is: the verified image is asked for three
+    times in a row (the sigma_min check, ``implicit_first`` and
+    ``implicit_jet``) and assembled once.  One entry per oracle, and one
+    oracle per graph-side solve, so the memo cannot grow."""
     base_idx = list(base_idx)
     kk = len(base_idx)
+    last = {}
 
     def gjet(x_box: IntervalBox, k_box: IntervalBox) -> Jet2Enclosure:
+        key = (x_box.lo.tobytes(), x_box.hi.tobytes(), k_box.lo.tobytes(), k_box.hi.tobytes())
+        if key in last:
+            return last[key]
         eps = x_box[0]
         jw = w_jet(eps, k_box).project(base_idx)
         nv = 1 + kx + kk
@@ -139,7 +149,9 @@ def _graph_goracle(w_jet: _CachedJet, base_idx: Sequence[int], kx: int) -> GOrac
         d2hi[np.ix_(range(m), sel, sel)] = jw.d2hi
         xb = x_box[1:]
         value = jw.value - IntervalBox(xb.lo, xb.hi)
-        return Jet2Enclosure(value, IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
+        last.clear()
+        last[key] = Jet2Enclosure(value, IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
+        return last[key]
 
     return GOracle(kx=kx, kk=kk, jet=gjet)
 
@@ -166,7 +178,10 @@ def _nonrigorous_root(w: ManifoldOracle, w_jet: _CachedJet, base_idx: list[int],
     u = np.array(guess, dtype=float)
     for _ in range(60):
         val, jac = _float_jacobian(w, w_jet, base_idx, eps_mid, u)
-        step = np.linalg.solve(jac, val - x_target)
+        try:
+            step = np.linalg.solve(jac, val - x_target)
+        except np.linalg.LinAlgError as exc:
+            raise ConditionError("projection Jacobian is numerically singular") from exc
         u = u - step
         if np.max(np.abs(step)) < 1e-15 * max(1.0, float(np.max(np.abs(u)))):
             break

@@ -171,9 +171,9 @@ class IntervalBox:
         hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
         if lo.shape != hi.shape or lo.ndim != 1:
             raise IntervalError("box endpoints must be matching 1-d arrays")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise IntervalError("box endpoints must be finite")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise IntervalError("box has a component with lo > hi")
         lo.setflags(write=False)
         hi.setflags(write=False)

@@ -43,7 +43,7 @@ class Jet2Enclosure:
         # symmetrize by intersecting the (a,b) and (b,a) enclosures
         lo = np.maximum(d2lo, np.swapaxes(d2lo, 1, 2))
         hi = np.minimum(d2hi, np.swapaxes(d2hi, 1, 2))
-        if np.any(lo > hi + 0.0):
+        if (lo > hi).any():
             raise IntervalError("mixed-partial enclosures do not intersect")
         lo.setflags(write=False)
         hi.setflags(write=False)

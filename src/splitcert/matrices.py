@@ -36,9 +36,9 @@ class IntervalMatrix:
         hi = np.atleast_2d(np.asarray(hi, dtype=float)).copy()
         if lo.shape != hi.shape or lo.ndim != 2:
             raise IntervalError("matrix endpoints must be matching 2-d arrays")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise IntervalError("matrix endpoints must be finite")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise IntervalError("matrix entry with lo > hi")
         lo.setflags(write=False)
         hi.setflags(write=False)

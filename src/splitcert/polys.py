@@ -78,6 +78,7 @@ class PolyMap:
         self.components = comps
         self._derivs = None
         self._compiled = None
+        self._stacked = None
 
     @property
     def out_dim(self) -> int:
@@ -184,33 +185,53 @@ class PolyMap:
             out[i] = s
         return out
 
+    def _stacked_map(self) -> tuple["PolyMap", np.ndarray]:
+        """The value, first partials and second partials as one map, built on
+        first use and kept: the m value components, then the m components of
+        each ``d1[v]`` in variable order, then those of each ``d2[a, b]`` in
+        the order of :meth:`derivatives`.  Also returns, for each (a, b),
+        the index of its second-partial block (both triangles)."""
+        if self._stacked is None:
+            d1maps, d2maps = self.derivatives()
+            parts = [self, *d1maps, *d2maps.values()]
+            stacked = PolyMap(self.nvars, [comp for pm in parts for comp in pm.components])
+            pair = np.zeros((self.nvars, self.nvars), dtype=int)
+            for k, (a, b) in enumerate(d2maps):
+                pair[a, b] = pair[b, a] = k
+            self._stacked = (stacked, pair)
+        return self._stacked
+
+    def _split(self, flat, pair):
+        """Value (m,), Jacobian (m, nv) and mirrored Hessian (m, nv, nv) of
+        an array laid out as :meth:`_stacked_map`'s outputs."""
+        m, nv = self.out_dim, self.nvars
+        d1 = flat[m : m * (1 + nv)].reshape(nv, m).T
+        d2 = flat[m * (1 + nv) :].reshape(nv * (nv + 1) // 2, m)[pair].transpose(2, 0, 1)
+        return flat[:m], d1, d2
+
     def jet(self, box: IntervalBox) -> Jet2Enclosure:
-        """Order-2 jet enclosure over the box (variables include eps)."""
-        d1maps, d2maps = self.derivatives()
-        value = self.eval_box(box)
-        cols = [pv.eval_box(box) for pv in d1maps]
-        d1lo = np.stack([c.lo for c in cols], axis=1)
-        d1hi = np.stack([c.hi for c in cols], axis=1)
-        nv = self.nvars
-        d2lo = np.zeros((self.out_dim, nv, nv))
-        d2hi = np.zeros((self.out_dim, nv, nv))
-        for (a, b), pm in d2maps.items():
-            sec = pm.eval_box(box)
-            d2lo[:, a, b] = d2lo[:, b, a] = sec.lo
-            d2hi[:, a, b] = d2hi[:, b, a] = sec.hi
-        return Jet2Enclosure(value, IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
+        """Order-2 jet enclosure over the box (variables include eps).
+
+        One ``eval_box`` of :meth:`_stacked_map` encloses the value and every
+        partial at once.  Each output equals that of its own map's
+        ``eval_box`` bit for bit: the powers come from the same recursion,
+        each term takes its factors in variable order, and each component
+        folds its terms in monomial order.  Past its last term a component
+        shorter than the widest adds exact +0.0 padding, which never changes
+        a sum that starts at +0.0.  An overflow in any partial raises
+        :class:`IntervalError`, as its own evaluation would."""
+        stacked, pair = self._stacked_map()
+        flat = stacked.eval_box(box)
+        vlo, d1lo, d2lo = self._split(flat.lo, pair)
+        vhi, d1hi, d2hi = self._split(flat.hi, pair)
+        return Jet2Enclosure(IntervalBox(vlo, vhi), IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
 
     def jet_point(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonrigorous value/Jacobian/Hessian at a point."""
-        x = np.asarray(x, dtype=float)
-        d1maps, d2maps = self.derivatives()
-        val = self.eval_point(x)
-        d1 = np.stack([p.eval_point(x) for p in d1maps], axis=1)
-        nv = self.nvars
-        d2 = np.zeros((self.out_dim, nv, nv))
-        for (a, b), pm in d2maps.items():
-            d2[:, a, b] = d2[:, b, a] = pm.eval_point(x)
-        return val, d1, d2
+        """Nonrigorous value/Jacobian/Hessian at a point: one ``eval_point``
+        of :meth:`_stacked_map`, which evaluates each component as its own
+        map would."""
+        stacked, pair = self._stacked_map()
+        return self._split(stacked.eval_point(x), pair)
 
     @staticmethod
     def affine(nvars: int, const, matrix) -> "PolyMap":

@@ -1,8 +1,12 @@
 """Distance-function oracles on toy systems with closed forms."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from splitcert import distance
 from splitcert.distance import (
     ConditionError,
     ManifoldOracle,
@@ -12,6 +16,7 @@ from splitcert.distance import (
 )
 from splitcert.implicit import ImplicitContractionError
 from splitcert.intervals import Interval, IntervalBox, IntervalError
+from splitcert.jets import Jet2Enclosure
 from splitcert.polys import PolyMap
 
 
@@ -106,6 +111,17 @@ def test_singular_projection_raises():
     with pytest.raises((ConditionError, ImplicitContractionError, IntervalError)):
         d = distance_fixed_point(bad, WS_NEG, 0.0, XBOX, k1=1, k2=0)
         d.jet(Interval(0.0, 0.0), XBOX)
+
+
+def test_singular_float_jacobian_raises_condition_error():
+    # pi_x w = u^2: the float Newton starts at u = 0, where the central
+    # difference of u^2 is exactly zero and np.linalg.solve would fail
+    bad = poly_manifold(PolyMap(2, [[(1.0, (0, 2))], [(1.0, (0, 1))]]),
+                        x_proj=(0,), y_proj=(1,))
+    d = distance_fixed_point(bad, WS_NEG, 0.0, XBOX, k1=1, k2=0)
+    with pytest.raises(ConditionError, match="numerically singular") as info:
+        d.jet(Interval(0.0, 0.0), XBOX)
+    assert type(info.value) is ConditionError
 
 
 def test_projection_partition_checked_at_build():
@@ -210,3 +226,72 @@ def test_unequal_feedthrough_chain_rule():
         assert j.d1[0, 1].contains(2 * x - 2 * 0.09 * x)
     d2 = 2 - 2 * 0.09
     assert j.d2lo[0, 1, 1] <= d2 <= j.d2hi[0, 1, 1]
+
+
+# --- the graph-side g-jet memo ---------------------------------------------
+
+def _toy_oracles():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import toy_pair
+    finally:
+        sys.path.pop(0)
+    return toy_pair(np.array([[3.0, 0.75], [1.25, 2.875]]), 0.3125)
+
+
+def test_graph_side_assembles_its_verified_jet_once(monkeypatch):
+    # between implicit_enclose returning k_ref and implicit_jet returning,
+    # _solve_graph_side asks for g.jet(X, k_ref) three times (sigma_min
+    # check, implicit_first, implicit_jet); each assembly projects one
+    # manifold jet, so one projection means one assembly
+    counts, window = [], []
+    project = Jet2Enclosure.project
+
+    def counting_project(self, rows):
+        if window:
+            counts[-1] += 1
+        return project(self, rows)
+
+    def spy_enclose(*args, **kwargs):
+        enc = enclose(*args, **kwargs)
+        counts.append(0)
+        window.append(True)
+        return enc
+
+    def spy_jet(*args, **kwargs):
+        out = jet(*args, **kwargs)
+        window.clear()
+        return out
+
+    enclose, jet = distance.implicit_enclose, distance.implicit_jet
+    monkeypatch.setattr(Jet2Enclosure, "project", counting_project)
+    monkeypatch.setattr(distance, "implicit_enclose", spy_enclose)
+    monkeypatch.setattr(distance, "implicit_jet", spy_jet)
+    wu, ws = _toy_oracles()
+    d = distance_fixed_point(wu, ws, 0.01, IntervalBox([-0.2, -0.2], [0.2, 0.2]), k1=0, k2=2)
+    d.jet(Interval(0.0, 0.01), IntervalBox([0.0, -0.1], [0.1, 0.0]))
+    # two raw queries (box and mean-value centre), one solve per side each
+    assert counts == [1, 1, 1, 1]
+
+
+def test_graph_goracle_memo_is_never_stale():
+    wu, _ = _toy_oracles()
+
+    def goracle():
+        return distance._graph_goracle(distance._CachedJet(wu.jet, 4), [0, 1], 2)
+
+    x = IntervalBox([0.0, -0.1, -0.1], [0.01, 0.1, 0.1])
+    k1 = IntervalBox([-0.12, -0.12], [0.12, 0.12])
+    k2 = IntervalBox([-0.11, -0.12], [0.12, 0.12])
+    g = goracle()
+    seq = [(x, k1), (x, k2), (x, k1), (IntervalBox([0.0, -0.1, -0.1], [0.0, 0.1, 0.1]), k1)]
+    for xb, kb in seq:
+        got, fresh = g.jet(xb, kb), goracle().jet(xb, kb)
+        for a, b in ((got.value.lo, fresh.value.lo), (got.value.hi, fresh.value.hi),
+                     (got.d1.lo, fresh.d1.lo), (got.d1.hi, fresh.d1.hi),
+                     (got.d2lo, fresh.d2lo), (got.d2hi, fresh.d2hi)):
+            assert np.array_equal(a, b)
+    # the same pair twice in a row is served from the memo
+    assert g.jet(*seq[-1]) is g.jet(*seq[-1])
+    k2a, k2b = g.jet(x, k2), g.jet(x, k1)
+    assert not np.array_equal(k2a.value.lo, k2b.value.lo)

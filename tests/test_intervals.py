@@ -152,3 +152,18 @@ def test_vectorized_containment_bulk():
     for op, ref in [(ku.vadd, x + y), (ku.vsub, x - y), (ku.vmul, x * y)]:
         lo, hi = op(alo, ahi, blo, bhi)
         assert np.all(lo <= ref) and np.all(ref <= hi)
+
+
+@pytest.mark.parametrize("end, bad", [("lo", np.nan), ("hi", np.nan), ("lo", np.inf),
+                                      ("lo", -np.inf), ("hi", np.inf), ("hi", -np.inf)])
+def test_box_rejects_non_finite_endpoints(end, bad):
+    ends = {"lo": np.array([-1.0, 0.0]), "hi": np.array([1.0, 2.0])}
+    ends[end][1] = bad
+    with pytest.raises(IntervalError, match="box endpoints must be finite"):
+        IntervalBox(ends["lo"], ends["hi"])
+
+
+def test_box_rejects_lo_above_hi():
+    with pytest.raises(IntervalError, match="box has a component with lo > hi"):
+        IntervalBox([0.0, 1.0], [1.0, 1.0 - 2.0**-52])
+    IntervalBox([0.0, 1.0], [1.0, 1.0])

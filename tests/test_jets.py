@@ -110,7 +110,7 @@ def test_d2_symmetrized_by_intersection():
 
 
 @pytest.mark.parametrize("end, bad", [("lo", np.nan), ("hi", np.nan), ("lo", -np.inf),
-                                      ("hi", np.inf), ("hi", -np.inf)])
+                                      ("lo", np.inf), ("hi", np.inf), ("hi", -np.inf)])
 def test_non_finite_d2_endpoints_are_rejected(end, bad):
     # a NaN compares false, so a NaN block would pass the lo > hi test; an
     # infinite one is no bounded enclosure, as IntervalBox/IntervalMatrix
@@ -123,6 +123,17 @@ def test_non_finite_d2_endpoints_are_rejected(end, bad):
         Jet2Enclosure(val, d1, d2["lo"], d2["hi"])
     with pytest.raises(IntervalError, match="must be finite"):
         IntervalMatrix(np.full((1, 2), -1.0), np.full((1, 2), bad))
+
+
+def test_d2_diagonal_with_lo_above_hi_is_rejected():
+    val = IntervalBox([0.0], [1.0])
+    d1 = IntervalMatrix.zeros(1, 2)
+    d2lo, d2hi = np.zeros((1, 2, 2)), np.zeros((1, 2, 2))
+    d2lo[0, 1, 1] = 2.0**-1074
+    with pytest.raises(IntervalError, match="mixed-partial enclosures do not intersect"):
+        Jet2Enclosure(val, d1, d2lo, d2hi)
+    d2lo[0, 1, 1] = -0.0
+    Jet2Enclosure(val, d1, d2lo, d2hi)
 
 
 def test_jet_sub_for_distance_functions():

@@ -333,3 +333,21 @@ def test_igauss_and_imatsolve_contain_exact_solution():
                 for j in range(3):
                     assert Fraction(x.lo[i, j]) <= exact[i][j] <= Fraction(x.hi[i, j])
                     assert Fraction(glo[i, j]) <= exact[i][j] <= Fraction(ghi[i, j])
+
+
+@pytest.mark.parametrize("end, bad", [("lo", np.nan), ("hi", np.nan), ("lo", np.inf),
+                                      ("lo", -np.inf), ("hi", np.inf), ("hi", -np.inf)])
+def test_matrix_rejects_non_finite_endpoints(end, bad):
+    ends = {"lo": np.full((2, 2), -1.0), "hi": np.full((2, 2), 1.0)}
+    ends[end][1, 0] = bad
+    with pytest.raises(IntervalError, match="matrix endpoints must be finite"):
+        IntervalMatrix(ends["lo"], ends["hi"])
+
+
+def test_matrix_rejects_lo_above_hi():
+    lo, hi = np.zeros((2, 2)), np.ones((2, 2))
+    lo[0, 1] = 1.0 + 2.0**-52
+    with pytest.raises(IntervalError, match="matrix entry with lo > hi"):
+        IntervalMatrix(lo, hi)
+    lo[0, 1] = 1.0
+    IntervalMatrix(lo, hi)

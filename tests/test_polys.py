@@ -96,10 +96,13 @@ def test_derivative_maps_built_once_and_field_tables_unchanged():
     box = IntervalBox([0.0, -1.0, 0.5], [0.1, 2.0, 1.5])
     d1, d2 = p.derivatives()
     first = p.jet(box)
+    stacked = p._stacked_map()
     p.jet_point([0.05, 0.5, 1.0])
     again = p.jet(box)
     d1b, d2b = p.derivatives()
     assert d1b is d1 and d2b is d2
+    # the stacked map of value, d1 and d2 that jet evaluates is kept too
+    assert p._stacked_map() is stacked and stacked[0].out_dim == 1 + 3 + 6
     assert all(x is y for x, y in zip(d1, d1b)) and all(d2[k] is d2b[k] for k in d2)
     assert np.array_equal(first.d2lo, again.d2lo) and np.array_equal(first.d2hi, again.d2hi)
     # the flow's compiled tables read the same cached maps ...
@@ -186,3 +189,77 @@ def test_overflowing_eval_box_and_jet_raise_without_a_warning():
             p.eval_box(box)
         with pytest.raises(IntervalError, match="overflows"):
             p.jet(box)
+
+
+def _random_map(rng, nvars: int, m: int) -> PolyMap:
+    """A seeded map with point and interval coefficients; its first
+    component is empty and its second a constant."""
+    comps = [[], [(float(rng.uniform(-2, 2)), (0,) * nvars)]]
+    for _ in range(m - 2):
+        comp = []
+        for _ in range(int(rng.integers(1, 6))):
+            c = float(rng.uniform(-2, 2))
+            if rng.random() < 0.4:
+                c = Interval(c, c + float(rng.uniform(0, 1e-3)))
+            comp.append((c, tuple(int(e) for e in rng.integers(0, 4, nvars))))
+        comps.append(comp)
+    return PolyMap(nvars, comps)
+
+
+def _jet_maps():
+    rng = np.random.default_rng(12)
+    return [lu_field(LUConfig()).rhs, _hk_polys(LUConfig()), *_toy_maps(),
+            *[_random_map(rng, nv, m) for nv, m in ((1, 3), (2, 4), (3, 5), (5, 4))]]
+
+
+def test_jet_equals_per_map_evaluation():
+    # one eval_box of the stacked map gives each partial bit for bit as its
+    # own map's eval_box
+    rng = np.random.default_rng(5)
+    for pm in _jet_maps():
+        d1maps, d2maps = pm.derivatives()
+        for _ in range(10):
+            mid = rng.uniform(-1.5, 1.5, pm.nvars)
+            rad = rng.uniform(0.0, 0.3, pm.nvars) * (rng.random(pm.nvars) < 0.7)
+            box = IntervalBox(mid - rad, mid + rad)
+            j = pm.jet(box)
+            val = pm.eval_box(box)
+            assert np.array_equal(j.value.lo, val.lo) and np.array_equal(j.value.hi, val.hi)
+            for v, dv in enumerate(d1maps):
+                col = dv.eval_box(box)
+                assert np.array_equal(j.d1.lo[:, v], col.lo) and np.array_equal(j.d1.hi[:, v], col.hi)
+            for (a, b), dab in d2maps.items():
+                sec = dab.eval_box(box)
+                for lo, hi in ((j.d2lo[:, a, b], j.d2hi[:, a, b]), (j.d2lo[:, b, a], j.d2hi[:, b, a])):
+                    assert np.array_equal(lo, sec.lo) and np.array_equal(hi, sec.hi)
+
+
+def test_jet_point_equals_per_map_eval_point():
+    rng = np.random.default_rng(6)
+    for pm in _jet_maps():
+        d1maps, d2maps = pm.derivatives()
+        for _ in range(5):
+            x = rng.uniform(-1.5, 1.5, pm.nvars)
+            val, d1, d2 = pm.jet_point(x)
+            assert np.array_equal(val, pm.eval_point(x))
+            assert np.array_equal(d1, np.stack([dv.eval_point(x) for dv in d1maps], axis=1))
+            for (a, b), dab in d2maps.items():
+                assert np.array_equal(d2[:, a, b], dab.eval_point(x))
+                assert np.array_equal(d2[:, b, a], dab.eval_point(x))
+
+
+def test_jet_raises_when_a_partial_overflows():
+    # p = 0.6e308 (x^2 y + x y^2): at x = y = 0.8 the value and first
+    # partials are finite, but d2p/dxdy = 1.2e308 (x + y) overflows
+    p = PolyMap(2, [[(0.6e308, (2, 1)), (0.6e308, (1, 2))]])
+    box = IntervalBox([0.8, 0.8], [0.8, 0.8])
+    d1maps, d2maps = p.derivatives()
+    p.eval_box(box)
+    for dv in d1maps:
+        dv.eval_box(box)
+    with pytest.raises(IntervalError):
+        d2maps[0, 1].eval_box(box)
+    with pytest.raises(IntervalError):
+        p.jet(box)
+    p.jet(IntervalBox([0.5, 0.5], [0.5, 0.5]))
+
