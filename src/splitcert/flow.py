@@ -6,13 +6,17 @@ a polynomial field q' = f(eps, q).  Each step evaluates one batched interval
 Taylor series of the solution and of its first and second variational
 equations: row 0 starts at the current set and gives the Taylor polynomial,
 row 1 starts at a Picard rough enclosure of the step and gives the Lagrange
-remainders.  The series is filled in three passes.  The state pass gives
-the solution coefficients alone, and with them the step's error estimate:
-a step that fails the estimate is rejected here, before any variational
-work.  For a step that is kept, one fused product sum then fills the
-field's derivative tables at every order, the Gronwall-type rough bounds
-that start row 1's variational blocks come from its order-0 tables, and the
-variational pass runs the first and second variational recursions.
+remainders, and a third, state-only row starts at the Lohner centre point
+with the coefficients of the point eps at the middle of the eps box and
+gives the centre's image.  The series is filled in three passes.  The state
+pass gives the solution coefficients of all three rows, and with them the
+step's error estimate: a step that fails the estimate is rejected here,
+before any variational work.  For a step that is kept, one fused product
+sum then fills the field's derivative tables at every order for the first
+two rows, the Gronwall-type rough bounds that start row 1's variational
+blocks come from its order-0 tables, and the variational pass runs the
+first and second variational recursions on those two rows.  One Horner
+evaluation gives the set's and the centre's polynomials side by side.
 
 The transported set is a Lohner-style QR-factored representation with a
 doubleton term carrying the initial-condition/parameter correlation
@@ -132,9 +136,11 @@ class _FieldTables:
         Hxe = [self._compile(d2[0, 1 + a]) for a in range(n)]
         Hee = self._compile(d2[0, 0])
         self.n_rows = 1 + n + len(self._products)
-        # grouped (padded rectangular) tables: one fused evaluation per order
-        self.g_f = _make_group([self.f])
+        # grouped (padded rectangular) tables: one fused evaluation per order.
+        # f's own group is the first n rows: a derivative has no more terms
+        # than its component, so the padded width is f's alone
         self.g_var = _make_group([self.f, *A, aeps, *Hxx, *Hxe, Hee])
+        self.g_f = {key: g[:n] for key, g in self.g_var.items()}
         self.xx_a = np.array([a for a in range(n) for b in range(a, n)], dtype=int)
         self.xx_b = np.array([b for a in range(n) for b in range(a, n)], dtype=int)
         # the columns of the table pass's product sums (the rows of g_var
@@ -242,7 +248,7 @@ class _Resolved:
 
     def __init__(self, tb: _FieldTables, eps: Interval | float):
         self.tb = tb
-        maxp = int(max(tb.g_var["epow"].max(), tb.g_f["epow"].max(), 0))
+        maxp = int(max(tb.g_var["epow"].max(), 0))
         pw = [eps ** e for e in range(maxp + 1)]
         if isinstance(eps, Interval):
             plo, phi = np.array([p.lo for p in pw]), np.array([p.hi for p in pw])
@@ -254,8 +260,8 @@ class _Resolved:
                 c = 0.5 * (g["clo"] + g["chi"]) * np.array(pw)[g["epow"]]
                 return c, c
 
-        self.g_f, self.g_var = (dict(zip(("clo", "chi"), resolve(g)), rows=g["rows"])
-                                for g in (tb.g_f, tb.g_var))
+        self.g_var = dict(zip(("clo", "chi"), resolve(tb.g_var)), rows=tb.g_var["rows"])
+        self.g_f = {key: g[: tb.n] for key, g in self.g_var.items()}
 
 
 class _Nearest:
@@ -294,8 +300,13 @@ def _ends(x):
 class _Series:
     """Order-by-order interval Taylor series of a batch of initial boxes.
 
-    All rows b of the batch share the resolved field coefficients, so every
-    kernel call serves the whole batch.  Every block stacks its endpoints
+    Every kernel call serves the whole batch.  The leading rows share the
+    resolved field coefficients ``rf``; the trailing ``len(state_rf)`` rows
+    are state-only, each with its own coefficients ``state_rf[i]`` (the
+    step's centre point at the point eps).  The state pass runs every row,
+    its coefficient group per row, (B, n, w), so each row's sums are those
+    of a series of its own; the tables and the variational blocks exist
+    for the ``nvar`` leading rows only.  Every block stacks its endpoints
     on axis 0, ``e`` of them (``ends``: 2, lo and hi, for an enclosure; 1
     for a float series), and its batch row on axis 1, so that one numpy
     call gathers or scatters both endpoints.  The blocks are laid out for
@@ -313,14 +324,14 @@ class _Series:
     * ``bank`` (e, B, rows, P+2): the field's product bank, rows as in
       :class:`_FieldTables`, orders last.  ``z`` is the view of its state
       rows 1..n, (e, B, n, P+2).
-    * ``L`` (e, B, 2n + n^2, P+2, n), when ``m > 0``: the left operands
+    * ``L`` (e, nvar, 2n + n^2, P+2, n), when ``m > 0``: the left operands
       A[c, a] (rows 0..n-1), Hxe[c, a] (rows n..2n-1) and Hxx[c, a, b]
       (row 2n + c n + a), with orders and then the contracted index last;
-      ``E`` (e, B, 2, P+2, n) holds aeps[c] and Hee[c], which are only
+      ``E`` (e, nvar, 2, P+2, n) holds aeps[c] and Hee[c], which are only
       added.
-    * ``T`` (e, B, n, m, P+2, n): T[c, be, i, a] = T_i[c, a, be], the left
-      operand of Q1.
-    * ``Vr`` (e, B, m, P+2, n) and ``Sr`` (e, B, m m, P+2, n): the reversed
+    * ``T`` (e, nvar, n, m, P+2, n): T[c, be, i, a] = T_i[c, a, be], the
+      left operand of Q1.
+    * ``Vr`` (e, nvar, m, P+2, n) and ``Sr`` (e, nvar, m m, P+2, n): the reversed
       twins of V_j[c, al] and S_j[c, al, be] (S flattened to (n, m m)),
       at index P+1-j.  They are the only copies of V and S; :meth:`flat`
       reads them back in order.
@@ -351,10 +362,12 @@ class _Series:
     after it ran, and rerun through the checked kernel when one of the
     operands it wrote fails the check, before a later pass reads them.  A
     pass writes only its own slots, so the rerun overwrites everything the
-    unchecked run wrote.
+    unchecked run wrote.  The flag is the series', not a row's: when one
+    row's operands fail the check, every row takes the checked kernel.
     """
 
-    def __init__(self, rf: _Resolved, zlo, zhi, P: int, m: int = 0, kernels=ku):
+    def __init__(self, rf: _Resolved, zlo, zhi, P: int, m: int = 0, kernels=ku,
+                 state_rf: tuple[_Resolved, ...] = ()):
         tb = rf.tb
         n = tb.n
         B = zlo.shape[0]
@@ -363,6 +376,8 @@ class _Series:
         self.n = n
         self.m = m
         self.P = P
+        # the leading rows; the trailing len(state_rf) rows are state-only
+        self.nvar = nv = B - len(state_rf)
         # a float series carries one endpoint, an enclosure two
         self.ends = e = 1 if kernels is _Nearest else 2
         self.bank = np.zeros((e, B, tb.n_rows, P + 2))
@@ -372,18 +387,25 @@ class _Series:
         self.z[0, :, :, 0] = zlo
         self.z[-1, :, :, 0] = zhi
         self.with_var = m > 0
-        g = rf.g_var if self.with_var else rf.g_f
-        # the state pass evaluates f alone: the group's first n rows, at the
-        # group's padded width; the table pass evaluates the other rows
-        self.g_state = {key: g[key][:n] for key in ("clo", "chi", "rows")}
+        # the state pass evaluates f alone (g_f, the first n rows of g_var),
+        # each row with its own coefficients: (B, n, w)
+        def per_row(key):
+            c = rf.g_f[key]
+            return np.concatenate([np.broadcast_to(c, (nv, *c.shape)),
+                                   *(r.g_f[key][None] for r in state_rf)])
+
+        self.g_state = {"clo": per_row("clo"), "chi": per_row("chi"), "rows": rf.g_f["rows"]}
+        coeffs = [self.g_state["clo"], self.g_state["chi"]]
         if self.with_var:
-            self.L = np.zeros((e, B, 2 * n + n * n, P + 2, n))
-            self.E = np.zeros((e, B, 2, P + 2, n))
-            self.T = np.zeros((e, B, n, m, P + 2, n))
-            self.Vr = np.zeros((e, B, m, P + 2, n))
-            self.Sr = np.zeros((e, B, m * m, P + 2, n))
-            self.g_tab = {key: g[key][n:] for key in ("clo", "chi", "rows")}
-        self.scaled = kernels.is_scaled(g["clo"], g["chi"], zlo, zhi)
+            self.L = np.zeros((e, nv, 2 * n + n * n, P + 2, n))
+            self.E = np.zeros((e, nv, 2, P + 2, n))
+            self.T = np.zeros((e, nv, n, m, P + 2, n))
+            self.Vr = np.zeros((e, nv, m, P + 2, n))
+            self.Sr = np.zeros((e, nv, m * m, P + 2, n))
+            # the table pass evaluates the other rows of g_var
+            self.g_tab = {key: rf.g_var[key][n:] for key in ("clo", "chi", "rows")}
+            coeffs += [self.g_tab["clo"], self.g_tab["chi"]]
+        self.scaled = kernels.is_scaled(*coeffs, zlo, zhi)
         # orders filled by each pass: z through "state" (the bank one less),
         # tables below "tables", V and S through "var" (T one less)
         self._to = {"state": 0, "tables": 0, "var": 0}
@@ -391,7 +413,7 @@ class _Series:
     def start(self, V0, S0):
         """Set the variational initial data: (lo, hi) of shape (B, n, m)
         and (B, n, m, m); equal endpoints for a float series."""
-        B, n = self.bank.shape[1], self.n
+        B, n = self.nvar, self.n
         for end in (0, -1):
             self.Vr[end, :, :, -1] = np.swapaxes(V0[end], -1, -2)
             self.Sr[end, :, :, -1] = np.swapaxes(S0[end].reshape(B, n, -1), -1, -2)
@@ -453,7 +475,7 @@ class _Series:
         """The derivative tables at orders k0..k1-1: one product sum over
         the monomials, which are the last axis."""
         tb, g = self.tb, self.g_tab
-        x = np.moveaxis(self.bank[:, :, g["rows"], k0:k1], 4, 2)
+        x = np.moveaxis(self.bank[:, : self.nvar, g["rows"], k0:k1], 4, 2)
         t = self.k.imulsum(g["clo"], g["chi"], x[0], x[-1], fast)
         self.L[:, :, :, k0:k1] = np.moveaxis(t[..., tb.left_cols], 2, 3)
         self.E[:, :, :, k0:k1] = np.moveaxis(t[..., tb.eps_cols], 2, 3)
@@ -464,8 +486,7 @@ class _Series:
 
     def _var_step(self, k: int, fast: bool):
         """V_{k+1}, T_k and S_{k+1} from the tables through order k."""
-        ks, n, m, e = self.k, self.n, self.m, self.ends
-        B = self.bank.shape[1]
+        ks, n, m, e, B = self.k, self.n, self.m, self.ends, self.nvar
         inv = 1.0 / (k + 1)
         terms = (k + 1) * n
         j = self.P + 1 - k  # the twins' orders k, k-1, ..., 0
@@ -503,10 +524,13 @@ class _Series:
         """Coefficients ``orders`` of a row (an index) or of a slice of rows,
         each order's state, V and S (when enabled) flattened side by side:
         the stack of endpoints (e, orders, n + n m + n m m), with the rows'
-        axis after the first for a slice."""
+        axis after the first for a slice.  A state-only row gives its state
+        alone, and a tuple of rows gives theirs side by side."""
+        if isinstance(row, tuple):
+            return np.concatenate([self.flat(r, orders) for r in row], axis=-1)
         idx = np.arange(self.P + 2)[orders]
         z = np.swapaxes(self.z[:, row][..., idx], -1, -2)
-        if not self.with_var:
+        if not self.with_var or (isinstance(row, int) and row >= self.nvar):
             return z
         # the twins of V and S, (e, [rows,] m or m m, orders, n), back in order
         rev = self.P + 1 - idx
@@ -522,9 +546,9 @@ class _Series:
                 x[..., n + n * m :].reshape(*lead, n, m, m))
 
     def eval_flat(self, row, h: float, upto: int):
-        """The Taylor polynomial of a row (or a slice of rows) through order
-        ``upto`` at time h (Horner), flattened as in :meth:`flat`: a (lo, hi)
-        pair, or the one-endpoint stack of a float series."""
+        """The Taylor polynomial of a row (a slice or a tuple of rows) through
+        order ``upto`` at time h (Horner), flattened as in :meth:`flat`: a
+        (lo, hi) pair, or the one-endpoint stack of a float series."""
         clo, chi = _ends(self.flat(row, slice(0, upto + 1)))
         x = clo[..., upto, :], chi[..., upto, :]
         for k in range(upto - 1, -1, -1):
@@ -547,6 +571,17 @@ def _eval_field(field: VectorFieldDef, eps: Interval, box: IntervalBox) -> Inter
         raise FlowError(f"rough enclosure: {exc}") from exc
 
 
+def _picard_image(state: IntervalBox, f: IntervalBox, hiv: Interval) -> IntervalBox:
+    """state + [0, step] f; an image that overflows, though f is finite,
+    fails the rough enclosure."""
+    try:
+        with np.errstate(over="ignore"):
+            return state + f.mul_interval(hiv)
+    except IntervalError as exc:  # a non-finite endpoint
+        raise FlowError(f"rough enclosure: the Picard image overflows for step {hiv.hi}") \
+            from exc
+
+
 def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval,
                     step: float) -> IntervalBox:
     """A priori solution enclosure Z over [0, step] from the state box.
@@ -556,26 +591,23 @@ def rough_enclosure(field: VectorFieldDef, state: IntervalBox, eps: Interval,
     ``_ROUGH_ATTEMPTS`` times.  Raises :class:`FlowError` when inflation
     fails, when the Picard map stops contracting (the largest width ratio
     of image to candidate is at least 1 and has risen since the previous
-    attempt) or when the field overflows on a candidate (caller halves the
-    step).
+    attempt) or when the field or its Picard image overflows on a candidate
+    (caller halves the step).
     """
     if step <= 0:
         raise IntervalError("rough_enclosure needs a positive step")
     hiv = Interval(0.0, step)
     scale = float(np.max(np.abs(state.lo))) + float(np.max(np.abs(state.hi))) + 1.0
-    f0 = _eval_field(field, eps, state)
-    z = state + f0.mul_interval(hiv)
+    z = _picard_image(state, _eval_field(field, eps, state), hiv)
     # every widening is outward by at least 1e-18, so no width of z is 0
     z = z.widened(np.maximum(1e-18, 1e-3 * np.maximum(z.rad(), np.max(z.rad()))))
     ratio = math.inf
     for _ in range(_ROUGH_ATTEMPTS):
         if float(np.max(z.width())) > 100.0 * scale:
             raise FlowError(f"rough enclosure diverges for step {step}")
-        fz = _eval_field(field, eps, z)
-        cand = state + fz.mul_interval(hiv)
+        cand = _picard_image(state, _eval_field(field, eps, z), hiv)
         if cand.is_subset(z):
-            fz2 = _eval_field(field, eps, cand)
-            cand2 = (state + fz2.mul_interval(hiv)).intersect(cand)
+            cand2 = _picard_image(state, _eval_field(field, eps, cand), hiv).intersect(cand)
             return cand2 if cand2 is not None else cand
         prev, ratio = ratio, float(np.max(cand.width() / z.width()))
         if ratio >= 1.0 and ratio > prev:
@@ -629,14 +661,18 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
               hull: IntervalBox, xhat, h: float, P: int, err_max: float) -> _StepPieces | None:
     """One-step flow jet over (eps, x_k), remainders included.
 
-    One batch-2 series to order P+1 serves the step: row 0 starts at the
-    hull and gives the Taylor polynomial, row 1 starts at the rough
-    enclosure Z of the step and gives the Lagrange remainders.  Its state
-    pass comes first and gives the error estimate
-    ``|z_P(row 0)| h^P + |z_{P+1}(row 1)| h^(P+1)``; when that exceeds
-    ``err_max`` the step is rejected (None) before any table, Gronwall or
-    variational work.  Raises :class:`FlowError` when the rough enclosure
-    fails or a piece is not finite (the caller halves the step).
+    One series to order P+1 serves the step, with three state rows and two
+    variational ones: row 0 starts at the hull and gives the Taylor
+    polynomial of the set, row 1 starts at the rough enclosure Z of the step
+    and gives the Lagrange remainders, and the state-only row 2 starts at
+    the centre point ``xhat`` with the point-eps coefficients ``rf_pt`` and
+    gives the image of the centre.  The state pass comes first and gives
+    the error estimate ``|z_P(row 0)| h^P + |z_{P+1}(row 1)| h^(P+1)``; when
+    that exceeds ``err_max`` the step is rejected (None) before any table,
+    Gronwall or variational work.  One Horner evaluates the polynomials of
+    rows 0 and 2 side by side, and both take row 1's state remainder.
+    Raises :class:`FlowError` when the rough enclosure fails or a piece is
+    not finite (the caller halves the step).
     """
     n = tb.n
     Z = rough_enclosure(tb.field, hull, eps, h)
@@ -646,7 +682,8 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
     with np.errstate(over="ignore", invalid="ignore"):
         hv = Interval.point(h)
         hp1 = hv ** (P + 1)
-        ser = _Series(rf, np.stack([hull.lo, Z.lo]), np.stack([hull.hi, Z.hi]), P + 1, m=mj)
+        ser = _Series(rf, np.stack([hull.lo, Z.lo, xhat]), np.stack([hull.hi, Z.hi, xhat]),
+                      P + 1, m=mj, state_rf=(rf_pt,))
         ser.extend_state(P + 1)
         rzlo, rzhi = ku.vmul(*ser.z[:, 1, :, P + 1], hp1.lo, hp1.hi)
         err = float(np.max(ku.vmag(*ser.z[:, 0, :, P]))) * h**P \
@@ -670,22 +707,20 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
                    np.stack([zero, np.full_like(zero, etaS)])))
         ser.extend_to(P + 1)
 
-        # Taylor polynomial of row 0 plus the Lagrange remainder of row 1
-        plo, phi = ser.eval_flat(0, h, P)
+        # Taylor polynomials of rows 0 and 2 plus the Lagrange remainders of
+        # row 1: (z, V, S) of the set, then z of the centre
+        plo, phi = ser.eval_flat((0, 2), h, P)
         clo, chi = ser.flat(1, slice(P + 1, P + 2))
         vlo, vhi = ku.vmul(clo[0, n:], chi[0, n:], hp1.lo, hp1.hi)
-        lo, hi = ku.vadd(plo, phi, np.concatenate([rzlo, vlo]), np.concatenate([rzhi, vhi]))
-        pieces = _StepPieces()
-        pieces.err = err
-        pieces.val_lo, pieces.Mlo, pieces.Slo = ser.unflat(lo)
-        pieces.val_hi, pieces.Mhi, pieces.Shi = ser.unflat(hi)
-
-        serp = _Series(rf_pt, xhat[None], xhat[None], P)
-        serp.extend_to(P)
-        plo, phi = serp.eval_flat(0, h, P)
-        pieces.phi_lo, pieces.phi_hi = ku.vadd(plo, phi, rzlo, rzhi)
-    if not all(np.isfinite(x).all() for x in (lo, hi, pieces.phi_lo, pieces.phi_hi)):
+        lo, hi = ku.vadd(plo, phi, np.concatenate([rzlo, vlo, rzlo]),
+                         np.concatenate([rzhi, vhi, rzhi]))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise FlowError(f"non-finite Taylor enclosure for step {h}")
+    pieces = _StepPieces()
+    pieces.err = err
+    pieces.val_lo, pieces.Mlo, pieces.Slo = ser.unflat(lo[:-n])
+    pieces.val_hi, pieces.Mhi, pieces.Shi = ser.unflat(hi[:-n])
+    pieces.phi_lo, pieces.phi_hi = lo[-n:], hi[-n:]
     return pieces
 
 

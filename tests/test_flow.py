@@ -354,6 +354,20 @@ def test_overflowing_rough_enclosure_halves_then_underflows():
             rough_enclosure(F_SQ, IntervalBox([1e160], [1e160]), Interval(0, 0), 2.0 ** -560)
 
 
+def test_overflowing_picard_image_fails_the_rough_enclosure():
+    # x' = x^2 from 1.2e154: f(x0) = 1.44e308 is finite, but its Picard
+    # image x0 + [0, 2] f(x0) overflows; that must fail the rough enclosure
+    # (a FlowError) with no warning, so the transport halves the step down
+    # to min_step instead of aborting
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FlowError, match="Picard image overflows"):
+            rough_enclosure(F_SQ, IntervalBox.point([1.2e154]), Interval(0, 0), 2.0)
+        with pytest.raises(FlowError, match="step underflow at t=0.0 of T=4.0"):
+            flow_jet(F_SQ, ident([1.2e154]), Interval(0, 0), 4.0,
+                     FlowSettings(taylor_order=8, initial_step=2.0, min_step=2**-20))
+
+
 def test_non_finite_step_raises_flow_error_without_warnings():
     # x' = x^2 from 1e100: the Taylor coefficients x0^(k+1) overflow from
     # order 3 on although the step is tiny; no step may advance on them
@@ -447,6 +461,84 @@ def test_one_call_tables_equal_tables_built_order_by_order(monkeypatch):
         val = pm.eval_point(pt)
         lo, hi = blocks[name][(slice(None), slice(None), *idx)]
         assert np.all(lo <= val) and np.all(val <= hi), (name, idx)
+
+
+def _lu_step(monkeypatch, eps: Interval, err_max: float = math.inf):
+    """One validated step (h = 1/8, order 14) of the worked example's field
+    from a small box around a criterion-5 point: the step's pieces and every
+    series the step built."""
+    import splitcert.flow as flow
+    from splitcert.lerman import LUConfig, lu_field
+
+    built = []
+    init = flow._Series.__init__
+
+    def record(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(flow._Series, "__init__", record)
+    tb = flow._tables(lu_field(LUConfig()))
+    x = _criterion5_x0()
+    hull = IntervalBox(x - 1e-6, x + 1e-6)
+    rf, rf_pt = flow._Resolved(tb, eps), flow._Resolved(tb, Interval.point(eps.mid))
+    pieces = flow._one_step(tb, rf, rf_pt, eps, hull, hull.mid(), 0.125, 14, err_max)
+    monkeypatch.undo()
+    return pieces, built
+
+
+def _centre_reference(ser, eps: Interval):
+    """The image of the centre point (row 2 of the step's series ``ser``)
+    as the standalone point-eps series gives it: its Horner polynomial plus
+    the state remainder of ``ser``'s row 1."""
+    import splitcert.flow as flow
+
+    h, P = 0.125, 14
+    xhat = ser.z[0, 2, :, 0]
+    rf_pt = flow._Resolved(ser.tb, Interval.point(eps.mid))
+    ref = flow._Series(rf_pt, xhat[None], xhat[None], P)
+    ref.extend_to(P)
+    plo, phi = ref.eval_flat(0, h, P)
+    hp1 = Interval.point(h) ** (P + 1)
+    rz = flow.ku.vmul(*ser.z[:, 1, :, P + 1], hp1.lo, hp1.hi)
+    return flow.ku.vadd(plo, phi, *rz)
+
+
+@pytest.mark.parametrize("eps", [Interval(0.0, 0.0), Interval(3e-8, 3e-8),
+                                 Interval(-1e-7, 1e-7)], ids=["zero", "point", "symmetric"])
+def test_centre_row_equals_the_standalone_point_series(monkeypatch, eps):
+    # the centre point rides in the step's series as a state-only row with
+    # the point-eps coefficients; its image is the standalone series' bits
+    pieces, (ser,) = _lu_step(monkeypatch, eps)
+    lo, hi = _centre_reference(ser, eps)
+    assert ser.scaled
+    assert pieces.phi_lo.tobytes() == lo.tobytes() and pieces.phi_hi.tobytes() == hi.tobytes()
+
+
+def test_centre_row_on_the_checked_path_contains_the_standalone_midpoint(monkeypatch):
+    # an eps box with a 0 endpoint sends the whole series down the checked
+    # path, the centre row too: its bits may move, its enclosure still holds
+    eps = Interval(0.0, 1e-7)
+    pieces, (ser,) = _lu_step(monkeypatch, eps)
+    lo, hi = _centre_reference(ser, eps)
+    mid = 0.5 * (lo + hi)
+    assert np.all(pieces.phi_lo <= mid) and np.all(mid <= pieces.phi_hi)
+
+
+def test_one_series_per_step_attempt_with_two_variational_rows(monkeypatch):
+    eps = Interval(-1e-7, 1e-7)
+    pieces, built = _lu_step(monkeypatch, eps)
+    assert pieces is not None and len(built) == 1
+    ser = built[0]
+    # three state rows (set, rough enclosure, centre), two variational ones
+    assert ser.bank.shape[1] == 3 and ser.nvar == 2
+    assert ser.g_state["clo"].shape[0] == 3
+    for name in ("L", "E", "T", "Vr", "Sr"):
+        assert getattr(ser, name).shape[1] == 2, name
+    # a rejected attempt builds its one series too, and runs no variational pass
+    pieces, built = _lu_step(monkeypatch, eps, err_max=0.0)
+    assert pieces is None and len(built) == 1
+    assert built[0]._to == {"state": 15, "tables": 0, "var": 0}
 
 
 def _jet_mul(a, b):
