@@ -47,16 +47,17 @@ class ManifoldOracle:
     output coordinates play the roles of the graph base (x), the measured
     splitting directions (y), and optionally the feed-through (v) and
     center (z) coordinates; together they must partition the outputs.
-    ``approx(eps, params)`` is an optional cheap nonrigorous evaluation used
-    only for locating candidate boxes.
+    ``approx(eps, params)`` is a cheap nonrigorous evaluation of the
+    parameterization, used only for locating candidate boxes: the float
+    Newton of the graph side differentiates it by central differences.
     """
 
     jet: Callable[[Interval, IntervalBox], Jet2Enclosure]
     x_proj: tuple[int, ...]
     y_proj: tuple[int, ...]
+    approx: Callable
     v_proj: tuple[int, ...] = ()
     z_proj: tuple[int, ...] = ()
-    approx: Callable | None = None
 
     def check_partition(self) -> int:
         """The projections must cover the outputs 0..d-1, each exactly once;
@@ -156,12 +157,10 @@ def _graph_goracle(w_jet: _CachedJet, base_idx: Sequence[int], kx: int) -> GOrac
     return GOracle(kx=kx, kk=kk, jet=gjet)
 
 
-def _float_jacobian(w: ManifoldOracle, w_jet: _CachedJet, base_idx: list[int], eps_mid: float,
+def _float_jacobian(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
                     u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonrigorous value and Jacobian of pi_base w(eps_mid, .) at u."""
-    if w.approx is None:
-        jw = w_jet(Interval.point(eps_mid), IntervalBox.point(u)).project(base_idx)
-        return jw.value.mid(), 0.5 * (jw.d1.lo[:, 1:] + jw.d1.hi[:, 1:])
+    """Nonrigorous value and Jacobian of pi_base w(eps_mid, .) at u, the
+    Jacobian by central differences of ``w.approx``."""
     h = 1e-7 * max(1.0, float(np.max(np.abs(u))))
     jac = np.zeros((len(base_idx), len(u)))
     for j in range(len(u)):
@@ -172,12 +171,12 @@ def _float_jacobian(w: ManifoldOracle, w_jet: _CachedJet, base_idx: list[int], e
     return np.asarray(w.approx(eps_mid, u))[base_idx], jac
 
 
-def _nonrigorous_root(w: ManifoldOracle, w_jet: _CachedJet, base_idx: list[int], eps_mid: float,
+def _nonrigorous_root(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
                       x_target: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Float Newton for pi_base w(eps, u) = x_target from the given guess."""
     u = np.array(guess, dtype=float)
     for _ in range(60):
-        val, jac = _float_jacobian(w, w_jet, base_idx, eps_mid, u)
+        val, jac = _float_jacobian(w, base_idx, eps_mid, u)
         try:
             step = np.linalg.solve(jac, val - x_target)
         except np.linalg.LinAlgError as exc:
@@ -208,9 +207,9 @@ def _solve_graph_side(
     g = _graph_goracle(w_jet, base_idx, kx)
     xfull = IntervalBox(np.concatenate([[eps_box.lo], x_box.lo]),
                         np.concatenate([[eps_box.hi], x_box.hi]))
-    u0 = _nonrigorous_root(w, w_jet, base_idx, eps_box.mid, x_box.mid(), guess)
+    u0 = _nonrigorous_root(w, base_idx, eps_box.mid, x_box.mid(), guess)
     # candidate radius from the nonrigorous slope and the box extent
-    _, jac = _float_jacobian(w, w_jet, base_idx, eps_box.mid, u0)
+    _, jac = _float_jacobian(w, base_idx, eps_box.mid, u0)
     try:
         inv_norm = np.linalg.norm(np.linalg.inv(jac), 2)
     except np.linalg.LinAlgError as exc:

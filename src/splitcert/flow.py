@@ -18,6 +18,11 @@ blocks come from its order-0 tables, and the variational pass runs the
 first and second variational recursions on those two rows.  One Horner
 evaluation gives the set's and the centre's polynomials side by side.
 
+The field's value and derivative tables are compiled once from the stacked
+value/derivative map that :meth:`PolyMap.jet` evaluates, in its layout:
+one padded coefficient group over a shared bank of monomial products, f's
+rows first, with the table blocks read through :meth:`PolyMap._split`.
+
 The transported set is a Lohner-style QR-factored representation with a
 doubleton term carrying the initial-condition/parameter correlation
 (x in xhat + C r0 + Q r), which controls the wrapping effect over long
@@ -110,12 +115,20 @@ def _iexp_ub(x: float) -> float:
 # compiled field: series bank of products, monomial tables
 
 class _FieldTables:
-    """Symbolic derivatives of a field compiled to a shared product bank.
+    """The field's value and derivative map compiled to a shared product bank.
 
     Bank rows are time series: row 0 is the constant series, rows 1..n alias
     the state components, later rows are pairwise products of earlier rows
     (grouped by depth so one batched convolution per depth fills an order).
-    A table entry is (coefficient, eps power, bank row).
+
+    ``g_var`` is :meth:`PolyMap._stacked_map` of the field's right-hand side,
+    the map that :meth:`PolyMap.jet` evaluates, padded into rectangular
+    arrays for one fused evaluation per order: one row per component (f's n
+    rows first, then its first and second partials in the stacked order),
+    one column per monomial, an entry (coefficient, eps power, bank row).
+    The table pass evaluates the rows after f's; ``left_cols`` and
+    ``eps_cols`` name their columns as :meth:`PolyMap._split` reads the
+    stacked layout.
     """
 
     def __init__(self, field: VectorFieldDef):
@@ -128,35 +141,19 @@ class _FieldTables:
         self._products: list[tuple[int, int]] = []  # (left_row, right_row)
         self._depth: list[int] = [0] * (1 + n)
 
-        d1, d2 = field.rhs.derivatives()
-        self.f = self._compile(field.rhs)
-        aeps = self._compile(d1[0])
-        A = [self._compile(d1[1 + a]) for a in range(n)]
-        Hxx = [self._compile(d2[1 + a, 1 + b]) for a in range(n) for b in range(a, n)]
-        Hxe = [self._compile(d2[0, 1 + a]) for a in range(n)]
-        Hee = self._compile(d2[0, 0])
+        stacked, pair = field.rhs._stacked_map()
+        self.g_var = self._compile(stacked)
         self.n_rows = 1 + n + len(self._products)
-        # grouped (padded rectangular) tables: one fused evaluation per order.
-        # f's own group is the first n rows: a derivative has no more terms
-        # than its component, so the padded width is f's alone
-        self.g_var = _make_group([self.f, *A, aeps, *Hxx, *Hxe, Hee])
-        self.g_f = {key: g[:n] for key, g in self.g_var.items()}
-        self.xx_a = np.array([a for a in range(n) for b in range(a, n)], dtype=int)
-        self.xx_b = np.array([b for a in range(n) for b in range(a, n)], dtype=int)
         # the columns of the table pass's product sums (the rows of g_var
         # after f's), read into the series' table blocks: row r, state index
         # s of the left operands [A; Hxe; Hxx] is column left_cols[r, s];
         # aeps[c] and Hee[c] are columns eps_cols[0, c] and eps_cols[1, c]
-        npairs = len(self.xx_a)
-        pair = np.zeros((n, n), dtype=int)
-        pair[self.xx_a, self.xx_b] = pair[self.xx_b, self.xx_a] = np.arange(npairs)
-        c, a, b = np.ogrid[:n, :n, :n]
-        off_xx, off_xe = n * n + n, n * n + n + npairs * n
+        _, d1, d2 = field.rhs._split(np.arange(stacked.out_dim) - n, pair)
         self.left_cols = np.concatenate([
-            (a * n + c)[:, :, 0],                                   # A[c, a]
-            (off_xe + a * n + c)[:, :, 0],                          # Hxe[c, a]
-            (off_xx + pair[a, b] * n + c).reshape(n * n, n)])       # Hxx[c, a, b]
-        self.eps_cols = np.array([n * n + np.arange(n), off_xe + n * n + np.arange(n)])
+            d1[:, 1:],                                              # A[c, a]
+            d2[:, 0, 1:],                                           # Hxe[c, a]
+            d2[:, 1:, 1:].reshape(n * n, n)])                       # Hxx[c, a, b]
+        self.eps_cols = np.array([d1[:, 0], d2[:, 0, 0]])
         # products grouped by depth for batched extension
         groups: dict[int, list[int]] = {}
         for i, _ in enumerate(self._products):
@@ -201,34 +198,19 @@ class _FieldTables:
             row = self._new_product(row, self._power_row(v, e), prefix)
         return row
 
-    def _compile(self, pm: PolyMap):
-        """Per component: (coeff_lo, coeff_hi, eps_pow, bank_row) arrays."""
-        out = []
-        for comp in pm.components:
-            clo = np.array([c.lo for c, _ in comp])
-            chi = np.array([c.hi for c, _ in comp])
-            epow = np.array([e[0] for _, e in comp], dtype=int)
-            rows = np.array([self._monomial_row(tuple(e[1:])) for _, e in comp], dtype=int)
-            out.append((clo, chi, epow, rows))
-        return out
-
-
-def _make_group(tables):
-    """Pad compiled tables into rectangular arrays for fused evaluation."""
-    comps = []
-    for t in tables:
-        comps.extend(t)
-    width = max((len(c[0]) for c in comps), default=0)
-    width = max(width, 1)
-    C = len(comps)
-    clo = np.zeros((C, width)); chi = np.zeros((C, width))
-    epw = np.zeros((C, width), dtype=int)
-    rows = np.zeros((C, width), dtype=int)
-    for i, (lo, hi, ep, rw) in enumerate(comps):
-        k = len(lo)
-        clo[i, :k] = lo; chi[i, :k] = hi
-        epw[i, :k] = ep; rows[i, :k] = rw
-    return {"clo": clo, "chi": chi, "epow": epw, "rows": rows}
+    def _compile(self, pm: PolyMap) -> dict:
+        """The map's (coeff_lo, coeff_hi, eps_pow, bank_row) arrays, each
+        monomial at its slot of :meth:`PolyMap._compile`'s zero-padded grid
+        (at least one column wide); a pad is the exact 0 times bank row 0."""
+        clo, chi, _, slot, width = pm._compile()
+        exps = [e for comp in pm.components for _, e in comp]
+        shape = (pm.out_dim, max(width, 1))
+        g = {"clo": np.zeros(shape), "chi": np.zeros(shape),
+             "epow": np.zeros(shape, dtype=int), "rows": np.zeros(shape, dtype=int)}
+        g["clo"][slot], g["chi"][slot] = clo, chi
+        g["epow"][slot] = [e[0] for e in exps]
+        g["rows"][slot] = [self._monomial_row(e[1:]) for e in exps]
+        return g
 
 
 def _tables(field: VectorFieldDef) -> _FieldTables:
@@ -248,20 +230,26 @@ class _Resolved:
 
     def __init__(self, tb: _FieldTables, eps: Interval | float):
         self.tb = tb
-        maxp = int(max(tb.g_var["epow"].max(), 0))
-        pw = [eps ** e for e in range(maxp + 1)]
+        g = tb.g_var
+        e = g["epow"]
+        powers = range(int(max(e.max(), 0)) + 1)
         if isinstance(eps, Interval):
+            # over eps = [0, q] or [q, 0], c eps^p (p >= 1) is the hull of 0
+            # and c q^p, whose 0 stays exact: the outward steps of ``**`` and
+            # vmul would move it to a subnormal, which fails is_scaled and
+            # sends every pass of the series down the checked path
+            half = (eps.lo == 0.0) != (eps.hi == 0.0)
+            base = Interval.point(eps.lo + eps.hi) if half else eps
+            pw = [base ** p for p in powers]
             plo, phi = np.array([p.lo for p in pw]), np.array([p.hi for p in pw])
-
-            def resolve(g):
-                return ku.vmul(g["clo"], g["chi"], plo[g["epow"]], phi[g["epow"]])
+            lo, hi = ku.vmul(g["clo"], g["chi"], plo[e], phi[e])
+            if half:
+                pos = e > 0
+                lo = np.where(pos, np.minimum(lo, 0.0), lo)
+                hi = np.where(pos, np.maximum(hi, 0.0), hi)
         else:
-            def resolve(g):
-                c = 0.5 * (g["clo"] + g["chi"]) * np.array(pw)[g["epow"]]
-                return c, c
-
-        self.g_var = dict(zip(("clo", "chi"), resolve(tb.g_var)), rows=tb.g_var["rows"])
-        self.g_f = {key: g[: tb.n] for key, g in self.g_var.items()}
+            lo = hi = 0.5 * (g["clo"] + g["chi"]) * np.array([eps ** p for p in powers])[e]
+        self.g_var = {"clo": lo, "chi": hi, "rows": g["rows"]}
 
 
 class _Nearest:
@@ -387,14 +375,14 @@ class _Series:
         self.z[0, :, :, 0] = zlo
         self.z[-1, :, :, 0] = zhi
         self.with_var = m > 0
-        # the state pass evaluates f alone (g_f, the first n rows of g_var),
-        # each row with its own coefficients: (B, n, w)
+        # the state pass evaluates f alone (the first n rows of g_var), each
+        # row with its own coefficients: (B, n, w)
         def per_row(key):
-            c = rf.g_f[key]
+            c = rf.g_var[key][:n]
             return np.concatenate([np.broadcast_to(c, (nv, *c.shape)),
-                                   *(r.g_f[key][None] for r in state_rf)])
+                                   *(r.g_var[key][None, :n] for r in state_rf)])
 
-        self.g_state = {"clo": per_row("clo"), "chi": per_row("chi"), "rows": rf.g_f["rows"]}
+        self.g_state = {"clo": per_row("clo"), "chi": per_row("chi"), "rows": rf.g_var["rows"][:n]}
         coeffs = [self.g_state["clo"], self.g_state["chi"]]
         if self.with_var:
             self.L = np.zeros((e, nv, 2 * n + n * n, P + 2, n))

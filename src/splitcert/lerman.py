@@ -217,8 +217,7 @@ def _chart_A(cfg: LUConfig) -> np.ndarray:
     ])
 
 
-def chart_V(cfg: LUConfig, direction: str, box: IntervalBox,
-            eps_state_dim: int = 4) -> Jet2Enclosure:
+def chart_V(cfg: LUConfig, direction: str, box: IntervalBox) -> Jet2Enclosure:
     """Affine intersection chart x = p0 + A w, or its verified inverse."""
     a = _chart_A(cfg)
     p0_box, _ = _p0(cfg)

@@ -190,7 +190,9 @@ class PolyMap:
         first use and kept: the m value components, then the m components of
         each ``d1[v]`` in variable order, then those of each ``d2[a, b]`` in
         the order of :meth:`derivatives`.  Also returns, for each (a, b),
-        the index of its second-partial block (both triangles)."""
+        the index of its second-partial block (both triangles).  The flow's
+        field tables compile this same map, so this method and
+        :meth:`_split` are the one place that knows the layout."""
         if self._stacked is None:
             d1maps, d2maps = self.derivatives()
             parts = [self, *d1maps, *d2maps.values()]
@@ -203,7 +205,9 @@ class PolyMap:
 
     def _split(self, flat, pair):
         """Value (m,), Jacobian (m, nv) and mirrored Hessian (m, nv, nv) of
-        an array laid out as :meth:`_stacked_map`'s outputs."""
+        an array laid out as :meth:`_stacked_map`'s outputs: its endpoints
+        for :meth:`jet`, and the column indices of its components for the
+        flow's field tables."""
         m, nv = self.out_dim, self.nvars
         d1 = flat[m : m * (1 + nv)].reshape(nv, m).T
         d2 = flat[m * (1 + nv) :].reshape(nv * (nv + 1) // 2, m)[pair].transpose(2, 0, 1)

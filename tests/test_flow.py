@@ -427,10 +427,25 @@ def test_batched_series_rows_equal_single_series():
             assert x.tobytes() == y.tobytes(), name
 
 
-def test_one_call_tables_equal_tables_built_order_by_order(monkeypatch):
+def _with_extra_rows(field):
+    """The field plus x1^2 x3^2 and eps x1 x3 in its first component: the
+    partials of x1^2 x3^2 need bank rows (x1 x3^2, x1^2 x3) that f lacks,
+    and eps x1 x3 adds entries to aeps and Hxe."""
+    comps = [list(c) for c in field.rhs.components]
+    comps[0] += [(1.0, (0, 2, 0, 2, 0)), (0.5, (1, 1, 0, 1, 0))]
+    return VectorFieldDef(field.dimension, PolyMap(field.rhs.nvars, comps))
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["lu", "extra_rows"])
+def test_one_call_tables_equal_tables_built_order_by_order(monkeypatch, extra):
     import splitcert.flow as flow
 
     field, zlo, zhi, V0, _, P = _lu_rows()
+    if extra:
+        field = _with_extra_rows(field)
+        tb, n = flow._tables(field), field.dimension
+        added = {tb._row_of[(("pw", 0, i), ("pw", 2, j))] for i, j in ((1, 2), (2, 1))}
+        assert added <= set(tb.g_var["rows"][n:].flat) - set(tb.g_var["rows"][:n].flat)
     m = V0[0].shape[-1]
     fused = _series(field, zlo, zhi, P, m)
     fused.extend_state(P)
@@ -505,10 +520,12 @@ def _centre_reference(ser, eps: Interval):
 
 
 @pytest.mark.parametrize("eps", [Interval(0.0, 0.0), Interval(3e-8, 3e-8),
-                                 Interval(-1e-7, 1e-7)], ids=["zero", "point", "symmetric"])
+                                 Interval(-1e-7, 1e-7), Interval(0.0, 1e-7)],
+                         ids=["zero", "point", "symmetric", "zero_endpoint"])
 def test_centre_row_equals_the_standalone_point_series(monkeypatch, eps):
     # the centre point rides in the step's series as a state-only row with
-    # the point-eps coefficients; its image is the standalone series' bits
+    # the point-eps coefficients; its image is the standalone series' bits.
+    # An eps box with an exact-0 endpoint keeps the series on the fast path.
     pieces, (ser,) = _lu_step(monkeypatch, eps)
     lo, hi = _centre_reference(ser, eps)
     assert ser.scaled
@@ -516,13 +533,47 @@ def test_centre_row_equals_the_standalone_point_series(monkeypatch, eps):
 
 
 def test_centre_row_on_the_checked_path_contains_the_standalone_midpoint(monkeypatch):
-    # an eps box with a 0 endpoint sends the whole series down the checked
-    # path, the centre row too: its bits may move, its enclosure still holds
-    eps = Interval(0.0, 1e-7)
+    # an eps endpoint below 2^-511 makes the resolved coefficients fail the
+    # scaling check, which sends the whole series down the checked path, the
+    # centre row too: its bits may move, its enclosure still holds
+    eps = Interval(2.0 ** -600, 1e-7)
     pieces, (ser,) = _lu_step(monkeypatch, eps)
+    assert not ser.scaled
     lo, hi = _centre_reference(ser, eps)
     mid = 0.5 * (lo + hi)
     assert np.all(pieces.phi_lo <= mid) and np.all(mid <= pieces.phi_hi)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["upper", "lower"])
+def test_resolved_coefficients_keep_an_exact_zero_eps_endpoint(sign):
+    # over eps = [0, e] or [-e, 0], each resolved c eps^p encloses the exact
+    # product set, and an endpoint of it that is exactly 0 stays exactly 0
+    import splitcert.flow as flow
+
+    e = 1e-7
+    c1, c2 = Interval(0.1, 0.1), Interval(-0.3, 0.2)
+    field = VectorFieldDef(2, PolyMap(3, [
+        [(c1, (0, 1, 0)), (-0.7, (1, 0, 1)), (c2, (2, 1, 0)), (0.1, (3, 0, 0))],
+        [(1.0, (1, 0, 0)), (-1.3, (2, 0, 1)), (c2, (1, 1, 1)), (2.5, (0, 0, 2))]]))
+    eps = Interval(0.0, e) if sign > 0 else Interval(-e, 0.0)
+    tb = flow._tables(field)
+    rf = flow._Resolved(tb, eps)
+    ends = [Fraction(eps.lo), Fraction(eps.hi)]
+    zeros = 0
+    for idx in np.ndindex(*tb.g_var["clo"].shape):
+        p = int(tb.g_var["epow"][idx])
+        cs = [Fraction(tb.g_var["clo"][idx]), Fraction(tb.g_var["chi"][idx])]
+        prods = [c * t ** p for c in cs for t in ends]
+        lo, hi = rf.g_var["clo"][idx], rf.g_var["chi"][idx]
+        assert Fraction(lo) <= min(prods) and max(prods) <= Fraction(hi), idx
+        if min(prods) == 0 and max(prods) != 0:
+            zeros += 1
+            assert lo == 0.0, idx
+        if max(prods) == 0 and min(prods) != 0:
+            zeros += 1
+            assert hi == 0.0, idx
+    assert zeros >= 4
+    assert flow.ku.is_scaled(rf.g_var["clo"], rf.g_var["chi"])
 
 
 def test_one_series_per_step_attempt_with_two_variational_rows(monkeypatch):

@@ -83,15 +83,15 @@ def test_vector_field_validation():
 
 def _tables_digest(tb) -> str:
     depth = [[a.tolist() for a in g] for g in tb.depth_groups]
-    h = hashlib.sha256(repr((tb.n_rows, depth, [tb.xx_a.tolist(), tb.xx_b.tolist()])).encode())
-    for g in (tb.g_f, tb.g_var):
-        for key in ("clo", "chi", "epow", "rows"):
-            dtype = "<f8" if key in ("clo", "chi") else "<i8"
-            h.update(np.ascontiguousarray(g[key], dtype=dtype).tobytes())
+    h = hashlib.sha256(repr((tb.n_rows, depth, tb.left_cols.tolist(),
+                             tb.eps_cols.tolist())).encode())
+    for key in ("clo", "chi", "epow", "rows"):
+        dtype = "<f8" if key in ("clo", "chi") else "<i8"
+        h.update(np.ascontiguousarray(tb.g_var[key], dtype=dtype).tobytes())
     return h.hexdigest()
 
 
-def test_derivative_maps_built_once_and_field_tables_unchanged():
+def test_derivative_maps_built_once_and_field_tables_unchanged(monkeypatch):
     p = PolyMap(3, [[(2.0, (0, 2, 1)), (-1.0, (1, 0, 1)), (0.5, (0, 0, 0))]])
     box = IntervalBox([0.0, -1.0, 0.5], [0.1, 2.0, 1.5])
     d1, d2 = p.derivatives()
@@ -105,14 +105,19 @@ def test_derivative_maps_built_once_and_field_tables_unchanged():
     assert p._stacked_map() is stacked and stacked[0].out_dim == 1 + 3 + 6
     assert all(x is y for x, y in zip(d1, d1b)) and all(d2[k] is d2b[k] for k in d2)
     assert np.array_equal(first.d2lo, again.d2lo) and np.array_equal(first.d2hi, again.d2hi)
-    # the flow's compiled tables read the same cached maps ...
+    # the flow's compiled tables read the same cached maps: they compile
+    # the very stacked map that jet evaluates ...
     field = lu_field(LUConfig())
     maps = field.rhs.derivatives()
+    compiled = []
+    compile_ = _FieldTables._compile
+    monkeypatch.setattr(_FieldTables, "_compile",
+                        lambda self, pm: compiled.append(pm) or compile_(self, pm))
     tb = _FieldTables(field)
     assert field.rhs.derivatives() is maps
-    # ... and compile to arrays identical to those of the per-table partial
-    # maps the flow used to build (digest taken from that construction)
-    assert _tables_digest(tb) == "f5c7cc59a93dc2c5655b4d4971125adf50a37eb63b0a2df8589d993d99d7d872"
+    assert len(compiled) == 1 and compiled[0] is field.rhs._stacked_map()[0]
+    # ... and compile to these arrays, in the stacked layout
+    assert _tables_digest(tb) == "4bcf532fd23c10918342c3b661b8da75a76acd9e4db8c6fd35030feebf920dc7"
 
 
 def _eval_box_scalar(pm: PolyMap, box: IntervalBox):
