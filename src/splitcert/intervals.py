@@ -4,7 +4,9 @@ An :class:`Interval` is a closed bounded interval ``[lo, hi]`` of reals with
 float endpoints.  Every arithmetic result encloses the exact real-arithmetic
 image of its operands; see :mod:`splitcert.kernels` for the rounding model.
 An :class:`IntervalBox` is a product of intervals with fixed dimension, the
-substrate for enclosures of vectors and of sets of parameters.
+substrate for enclosures of vectors and of sets of parameters; it shares its
+endpoint rules and elementwise operations with
+:class:`~splitcert.matrices.IntervalMatrix` through one private base class.
 """
 
 from __future__ import annotations
@@ -161,49 +163,48 @@ SQRT2 = Interval(2.0, 2.0).sqrt()
 INV_SQRT2 = 1.0 / SQRT2
 
 
-class IntervalBox:
-    """A product of intervals, stored as paired (lo, hi) float arrays."""
+class _IntervalArray:
+    """Paired (lo, hi) float arrays of one fixed rank, the common part of
+    :class:`IntervalBox` (rank 1) and :class:`~splitcert.matrices.IntervalMatrix`
+    (rank 2).
+
+    The constructor keeps one read-only float copy of each endpoint array,
+    so a later change to the caller's arrays does not reach the enclosure,
+    and rejects non-finite endpoints and lo > hi.  Every operation below is
+    elementwise and returns an instance of the caller's class.
+    """
 
     __slots__ = ("lo", "hi")
+    _rank: int
+    _name: str  # "box" or "matrix", for the error messages
+    _crossed: str  # the lo > hi message
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
-        hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise IntervalError("box endpoints must be matching 1-d arrays")
+        lo = np.array(lo, dtype=float, ndmin=self._rank, order="C")
+        hi = np.array(hi, dtype=float, ndmin=self._rank, order="C")
+        if lo.shape != hi.shape or lo.ndim != self._rank:
+            raise IntervalError(
+                f"{self._name} endpoints must be matching {self._rank}-d arrays")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise IntervalError("box endpoints must be finite")
+            raise IntervalError(f"{self._name} endpoints must be finite")
         if (lo > hi).any():
-            raise IntervalError("box has a component with lo > hi")
+            raise IntervalError(self._crossed)
         lo.setflags(write=False)
         hi.setflags(write=False)
         self.lo = lo
         self.hi = hi
 
-    @staticmethod
-    def from_intervals(components: Iterable[Interval]) -> "IntervalBox":
-        comps = list(components)
-        return IntervalBox([c.lo for c in comps], [c.hi for c in comps])
+    @classmethod
+    def point(cls, x):
+        x = np.asarray(x, dtype=float)
+        return cls(x, x)
 
-    @staticmethod
-    def point(x) -> "IntervalBox":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return IntervalBox(x, x)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def __len__(self):
-        return self.dim
-
-    def __getitem__(self, i) -> Interval:
-        if isinstance(i, (int, np.integer)):
-            return Interval(float(self.lo[i]), float(self.hi[i]))
-        return IntervalBox(self.lo[i], self.hi[i])
-
-    def components(self) -> list[Interval]:
-        return [self[i] for i in range(self.dim)]
+    def __getitem__(self, key):
+        """An entry as an :class:`Interval`; a slice as the caller's class."""
+        lo, hi = self.lo[key], self.hi[key]
+        if np.ndim(lo) == 0:
+            return Interval(float(lo), float(hi))
+        return type(self)(lo, hi)
 
     # -- queries ---------------------------------------------------------
 
@@ -218,72 +219,97 @@ class IntervalBox:
         return self.hi - self.lo
 
     def max_width(self) -> float:
-        return float(np.max(self.hi - self.lo)) if self.dim else 0.0
+        return float(np.max(self.hi - self.lo, initial=0.0))
 
     def contains_point(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
 
-    def contains_box(self, other: "IntervalBox") -> bool:
+    def contains(self, other) -> bool:
         return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
 
     def contains_zero(self) -> bool:
         return bool(np.all(self.lo <= 0.0) and np.all(0.0 <= self.hi))
 
-    def is_subset(self, other: "IntervalBox") -> bool:
-        return other.contains_box(self)
+    def is_subset(self, other) -> bool:
+        return other.contains(self)
 
-    def is_interior_subset(self, other: "IntervalBox") -> bool:
-        """Strict per-component containment (acceptance test of interval Newton)."""
+    def is_interior_subset(self, other) -> bool:
+        """Strict per-entry containment (acceptance test of interval Newton)."""
         return bool(np.all(other.lo < self.lo) and np.all(self.hi < other.hi))
 
     # -- arithmetic ------------------------------------------------------
 
-    def _pair_with(self, other):
-        if isinstance(other, IntervalBox):
+    @staticmethod
+    def _pair(other):
+        if isinstance(other, _IntervalArray):
             return other.lo, other.hi
         arr = np.asarray(other, dtype=float)
         return arr, arr
 
     def __add__(self, other):
-        blo, bhi = self._pair_with(other)
-        return IntervalBox(*ku.vadd(self.lo, self.hi, blo, bhi))
+        return type(self)(*ku.vadd(self.lo, self.hi, *self._pair(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        blo, bhi = self._pair_with(other)
-        return IntervalBox(*ku.vsub(self.lo, self.hi, blo, bhi))
+        return type(self)(*ku.vsub(self.lo, self.hi, *self._pair(other)))
 
     def __rsub__(self, other):
-        blo, bhi = self._pair_with(other)
-        return IntervalBox(*ku.vsub(blo, bhi, self.lo, self.hi))
+        return type(self)(*ku.vsub(*self._pair(other), self.lo, self.hi))
 
     def __neg__(self):
-        return IntervalBox(-self.hi, -self.lo)
+        return type(self)(-self.hi, -self.lo)
 
-    def scale(self, c: float) -> "IntervalBox":
-        return IntervalBox(*ku.vscale(float(c), self.lo, self.hi))
+    def scale(self, c: float):
+        return type(self)(*ku.vscale(float(c), self.lo, self.hi))
 
-    def mul_interval(self, c: Interval) -> "IntervalBox":
-        lo, hi = ku.vmul(self.lo, self.hi, np.full(self.dim, c.lo), np.full(self.dim, c.hi))
-        return IntervalBox(lo, hi)
+    def mul_interval(self, c: Interval):
+        shape = self.lo.shape
+        return type(self)(*ku.vmul(self.lo, self.hi, np.full(shape, c.lo), np.full(shape, c.hi)))
 
     # -- set operations --------------------------------------------------
 
-    def hull(self, other: "IntervalBox") -> "IntervalBox":
-        return IntervalBox(*ku.vhull(self.lo, self.hi, other.lo, other.hi))
+    def hull(self, other):
+        return type(self)(*ku.vhull(self.lo, self.hi, other.lo, other.hi))
 
-    def intersect(self, other: "IntervalBox") -> "IntervalBox | None":
+    def intersect(self, other):
         lo = np.maximum(self.lo, other.lo)
         hi = np.minimum(self.hi, other.hi)
         if np.any(lo > hi):
             return None
-        return IntervalBox(lo, hi)
+        return type(self)(lo, hi)
 
-    def widened(self, eps) -> "IntervalBox":
+    def widened(self, eps):
+        """Each entry padded outward by |eps| (broadcast to the entries)."""
         eps = np.broadcast_to(np.abs(np.asarray(eps, dtype=float)), self.lo.shape)
-        return IntervalBox(*ku.widen_abs(self.lo, self.hi, eps))
+        return type(self)(*ku.widen_abs(self.lo, self.hi, eps))
+
+
+class IntervalBox(_IntervalArray):
+    """A product of intervals, stored as paired (lo, hi) float arrays."""
+
+    __slots__ = ()
+    _rank = 1
+    _name = "box"
+    _crossed = "box has a component with lo > hi"
+
+    contains_box = _IntervalArray.contains
+
+    @staticmethod
+    def from_intervals(components: Iterable[Interval]) -> "IntervalBox":
+        comps = list(components)
+        return IntervalBox([c.lo for c in comps], [c.hi for c in comps])
+
+    @property
+    def dim(self) -> int:
+        return self.lo.shape[0]
+
+    def __len__(self):
+        return self.dim
+
+    def components(self) -> list[Interval]:
+        return [self[i] for i in range(self.dim)]
 
     def concat(self, other: "IntervalBox") -> "IntervalBox":
         return IntervalBox(np.concatenate([self.lo, other.lo]),

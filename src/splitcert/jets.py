@@ -126,10 +126,7 @@ class Jet2Enclosure:
 
     def widened(self, value_eps=0.0, d1_eps=0.0, d2_eps=0.0) -> "Jet2Enclosure":
         val = self.value.widened(value_eps) if np.any(np.asarray(value_eps) > 0) else self.value
-        d1 = self.d1
-        if np.any(np.asarray(d1_eps) > 0):
-            lo, hi = ku.widen_abs(d1.lo, d1.hi, np.broadcast_to(d1_eps, d1.lo.shape))
-            d1 = IntervalMatrix(lo, hi)
+        d1 = self.d1.widened(d1_eps) if np.any(np.asarray(d1_eps) > 0) else self.d1
         d2lo, d2hi = self.d2lo, self.d2hi
         if np.any(np.asarray(d2_eps) > 0):
             d2lo, d2hi = ku.widen_abs(d2lo, d2hi, np.broadcast_to(d2_eps, d2lo.shape))

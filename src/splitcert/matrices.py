@@ -19,36 +19,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels as ku
-from .intervals import Interval, IntervalBox, IntervalError
+from .intervals import Interval, IntervalBox, IntervalError, _IntervalArray
 
 
 class LinalgError(IntervalError):
     """Raised when invertibility cannot be verified."""
 
 
-class IntervalMatrix:
+class IntervalMatrix(_IntervalArray):
     """Rectangular grid of intervals stored as paired (lo, hi) arrays."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ()
+    _rank = 2
+    _name = "matrix"
+    _crossed = "matrix entry with lo > hi"
 
-    def __init__(self, lo, hi):
-        lo = np.atleast_2d(np.asarray(lo, dtype=float)).copy()
-        hi = np.atleast_2d(np.asarray(hi, dtype=float)).copy()
-        if lo.shape != hi.shape or lo.ndim != 2:
-            raise IntervalError("matrix endpoints must be matching 2-d arrays")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise IntervalError("matrix endpoints must be finite")
-        if (lo > hi).any():
-            raise IntervalError("matrix entry with lo > hi")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        self.lo = lo
-        self.hi = hi
-
-    @staticmethod
-    def point(a) -> "IntervalMatrix":
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        return IntervalMatrix(a, a)
+    contains_matrix = _IntervalArray.contains_point
 
     @staticmethod
     def from_rows(rows) -> "IntervalMatrix":
@@ -71,62 +57,9 @@ class IntervalMatrix:
     def shape(self) -> tuple[int, int]:
         return self.lo.shape
 
-    def __getitem__(self, ij) -> Interval:
-        i, j = ij
-        if isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer)):
-            return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
-        return IntervalMatrix(self.lo[i, j], self.hi[i, j])
-
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def rad(self) -> np.ndarray:
-        m = self.mid()
-        return np.maximum(self.hi - m, m - self.lo)
-
-    def width(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    def max_width(self) -> float:
-        return float(np.max(self.hi - self.lo))
-
     @property
     def T(self) -> "IntervalMatrix":
         return IntervalMatrix(self.lo.T, self.hi.T)
-
-    def contains_matrix(self, a) -> bool:
-        a = np.asarray(a, dtype=float)
-        return bool(np.all(self.lo <= a) and np.all(a <= self.hi))
-
-    def contains(self, other: "IntervalMatrix") -> bool:
-        return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
-
-    def hull(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        return IntervalMatrix(*ku.vhull(self.lo, self.hi, other.lo, other.hi))
-
-    def intersect(self, other: "IntervalMatrix") -> "IntervalMatrix | None":
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return None
-        return IntervalMatrix(lo, hi)
-
-    def __add__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        return IntervalMatrix(*ku.vadd(self.lo, self.hi, other.lo, other.hi))
-
-    def __sub__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        return IntervalMatrix(*ku.vsub(self.lo, self.hi, other.lo, other.hi))
-
-    def __neg__(self) -> "IntervalMatrix":
-        return IntervalMatrix(-self.hi, -self.lo)
-
-    def scale(self, c: float) -> "IntervalMatrix":
-        return IntervalMatrix(*ku.vscale(float(c), self.lo, self.hi))
-
-    def mul_interval(self, c: Interval) -> "IntervalMatrix":
-        clo = np.full(self.shape, c.lo)
-        chi = np.full(self.shape, c.hi)
-        return IntervalMatrix(*ku.vmul(self.lo, self.hi, clo, chi))
 
     def __matmul__(self, other):
         if isinstance(other, IntervalMatrix):
