@@ -187,7 +187,7 @@ def main_certify_root(argv=None) -> int:
 
     def dv(xb: IntervalBox, yb: IntervalBox) -> IntervalMatrix:
         jet = pm.jet(xb.concat(yb))
-        return IntervalMatrix(jet.d1.lo[:, kx:], jet.d1.hi[:, kx:])
+        return jet.d1[:, kx:]
 
     cert = newton_verify(FunctionOracle(ev, dv), x_box, y_box, y0=y0, max_refine=max_refine)
     with open(args.out, "w") as fh:

@@ -172,8 +172,9 @@ def _float_jacobian(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
 
 
 def _nonrigorous_root(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
-                      x_target: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """Float Newton for pi_base w(eps, u) = x_target from the given guess."""
+                      x_target: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float Newton for pi_base w(eps, u) = x_target from the given guess:
+    the root and the Jacobian of the last Newton step."""
     u = np.array(guess, dtype=float)
     for _ in range(60):
         val, jac = _float_jacobian(w, base_idx, eps_mid, u)
@@ -184,7 +185,7 @@ def _nonrigorous_root(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
         u = u - step
         if np.max(np.abs(step)) < 1e-15 * max(1.0, float(np.max(np.abs(u)))):
             break
-    return u
+    return u, jac
 
 
 # a graph-side candidate box that fails to verify is inflated this many times,
@@ -207,9 +208,8 @@ def _solve_graph_side(
     g = _graph_goracle(w_jet, base_idx, kx)
     xfull = IntervalBox(np.concatenate([[eps_box.lo], x_box.lo]),
                         np.concatenate([[eps_box.hi], x_box.hi]))
-    u0 = _nonrigorous_root(w, base_idx, eps_box.mid, x_box.mid(), guess)
     # candidate radius from the nonrigorous slope and the box extent
-    _, jac = _float_jacobian(w, base_idx, eps_box.mid, u0)
+    u0, jac = _nonrigorous_root(w, base_idx, eps_box.mid, x_box.mid(), guess)
     try:
         inv_norm = np.linalg.norm(np.linalg.inv(jac), 2)
     except np.linalg.LinAlgError as exc:
@@ -231,7 +231,7 @@ def _solve_graph_side(
             continue
         k_ref = enc.image
         d1 = g.jet(xfull, k_ref).d1
-        cond = sigma_min_lb(IntervalMatrix(d1.lo[:, 1 + kx :], d1.hi[:, 1 + kx :]))
+        cond = sigma_min_lb(d1[:, 1 + kx :])
         if cond <= 0.0:
             raise ConditionError("projection derivative enclosure is not verified invertible")
         kappa_jet = implicit_jet(g, xfull, k_ref)

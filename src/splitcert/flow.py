@@ -96,19 +96,19 @@ class FlowSettings:
 
 
 def _iexp_ub(x: float) -> float:
-    """Rigorous upper bound of e^x for x >= 0 (interval Taylor plus tail)."""
+    """Rigorous upper bound of e^x for x >= 0: the Taylor sum to order 14
+    plus a tail bound, on floats, each operation rounded up by one ulp."""
     if x <= 0.0:
         return 1.0
     if x > 1.0:
         half = _iexp_ub(x / 2.0)
-        return (Interval.point(half) * Interval.point(half)).hi
-    acc = Interval.point(1.0)
-    term = Interval.point(1.0)
-    xi = Interval(x, x)
+        return math.nextafter(half * half, math.inf)
+    acc = term = 1.0
     for k in range(1, 15):
-        term = term * xi * (1.0 / k)
-        acc = acc + term
-    return (acc + term * 2.0).hi  # geometric tail bound, ratio <= 1/15
+        term = math.nextafter(math.nextafter(term * x, math.inf) / k, math.inf)
+        acc = math.nextafter(acc + term, math.inf)
+    # geometric tail bound, ratio <= 1/15
+    return math.nextafter(acc + 2.0 * term, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,9 @@ class _Resolved:
         powers = range(int(max(e.max(), 0)) + 1)
         if isinstance(eps, Interval):
             # over eps = [0, q] or [q, 0], c eps^p (p >= 1) is the hull of 0
-            # and c q^p, whose 0 stays exact: the outward steps of ``**`` and
-            # vmul would move it to a subnormal, which fails is_scaled and
-            # sends every pass of the series down the checked path
+            # and c q^p, whose 0 stays exact: ``**`` keeps it, but the outward
+            # step of vmul would move it to a subnormal, which fails
+            # is_scaled and sends every pass of the series down the checked path
             half = (eps.lo == 0.0) != (eps.hi == 0.0)
             base = Interval.point(eps.lo + eps.hi) if half else eps
             pw = [base ** p for p in powers]

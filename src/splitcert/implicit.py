@@ -63,7 +63,7 @@ class ImplicitEnclosure:
 
 def _dg_dk(g: GOracle, jet: Jet2Enclosure) -> IntervalMatrix:
     cols = g.kappa_cols()
-    return IntervalMatrix(jet.d1.lo[:, cols], jet.d1.hi[:, cols])
+    return jet.d1[:, cols]
 
 
 def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None,
@@ -94,9 +94,8 @@ def implicit_first(g: GOracle, x_box: IntervalBox, k_box: IntervalBox) -> tuple[
     """(dk/deps, dk/dx) enclosures over X, evaluated on the verified K."""
     jet = g.jet(x_box, k_box)
     nw = 1 + g.kx
-    d1 = -imatsolve(_dg_dk(g, jet), IntervalMatrix(jet.d1.lo[:, :nw], jet.d1.hi[:, :nw]))
-    return (IntervalMatrix(d1.lo[:, :1], d1.hi[:, :1]),
-            IntervalMatrix(d1.lo[:, 1:], d1.hi[:, 1:]))
+    d1 = -imatsolve(_dg_dk(g, jet), jet.d1[:, :nw])
+    return d1[:, :1], d1[:, 1:]
 
 
 def _second_rhs(jet: Jet2Enclosure, dk: IntervalMatrix):

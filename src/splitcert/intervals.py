@@ -133,11 +133,8 @@ class Interval:
             raise IntervalError("only nonnegative integer powers are supported")
         if n == 0:
             return Interval(1.0, 1.0)
-        if n == 1:
-            return self
-        half = self ** (n // 2)
-        sq = half.sqr()
-        return sq * self if n % 2 else sq
+        lo, hi = ku._ipow({1: (np.float64(self.lo), np.float64(self.hi))}, n)
+        return Interval(float(lo), float(hi))
 
     # -- set operations --------------------------------------------------
 

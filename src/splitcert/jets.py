@@ -92,22 +92,20 @@ class Jet2Enclosure:
     # -- block access --------------------------------------------------------
 
     def dstate(self) -> IntervalMatrix:
-        return IntervalMatrix(self.d1.lo[:, 1:], self.d1.hi[:, 1:])
+        return self.d1[:, 1:]
 
     # -- algebra -------------------------------------------------------------
 
     def project(self, rows) -> "Jet2Enclosure":
         rows = list(rows)
-        val = IntervalBox(self.value.lo[rows], self.value.hi[rows])
-        d1 = IntervalMatrix(self.d1.lo[rows], self.d1.hi[rows])
-        return Jet2Enclosure(val, d1, self.d2lo[rows], self.d2hi[rows])
+        return Jet2Enclosure(self.value[rows], self.d1[rows], self.d2lo[rows], self.d2hi[rows])
 
     def take_vars(self, var_idx) -> "Jet2Enclosure":
         """Restrict to a subset of variables (index 0 must stay first)."""
         var_idx = list(var_idx)
         if var_idx[0] != 0:
             raise IntervalError("variable subset must keep eps as index 0")
-        d1 = IntervalMatrix(self.d1.lo[:, var_idx], self.d1.hi[:, var_idx])
+        d1 = self.d1[:, var_idx]
         lo = self.d2lo[np.ix_(range(self.out_dim), var_idx, var_idx)]
         hi = self.d2hi[np.ix_(range(self.out_dim), var_idx, var_idx)]
         return Jet2Enclosure(self.value, d1, lo, hi)

@@ -149,6 +149,24 @@ def vsqr(alo, ahi):
     return lo, hi
 
 
+def _ipow(memo: dict, n: int):
+    """Enclosure of x ** n (n >= 1), elementwise, by square and multiply: the
+    square of x ** (n // 2), times x for odd n.  ``memo`` maps an exponent
+    to its (lo, hi) arrays, holds ``x ** 1`` and gains every power formed.
+    An odd power is monotone, so an exactly-0 endpoint of x stays an
+    exactly-0 endpoint of x ** n, which the outward step of vmul would
+    move to a subnormal."""
+    if n not in memo:
+        lo, hi = vsqr(*_ipow(memo, n // 2))
+        if n % 2:
+            xlo, xhi = memo[1]
+            lo, hi = vmul(lo, hi, xlo, xhi)
+            lo = np.where(xlo == 0.0, 0.0, lo)
+            hi = np.where(xhi == 0.0, 0.0, hi)
+        memo[n] = lo, hi
+    return memo[n]
+
+
 def vsqrt(alo, ahi):
     """Elementwise sqrt enclosure; requires alo >= 0."""
     if np.any(alo < 0):

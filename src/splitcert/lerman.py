@@ -250,15 +250,14 @@ def _ic_jet(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
 
 
 def global_manifold(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
-                    eps_box: Interval, v_box: IntervalBox,
-                    settings: FlowSettings | None = None) -> Jet2Enclosure:
+                    eps_box: Interval, v_box: IntervalBox) -> Jet2Enclosure:
     """Jet of the transported manifold in intersection-chart coordinates.
 
     Composes the local graph with the straightening chart, transports by
-    the flow for +-T (unstable/stable), and maps into the affine chart at
+    the flow for +-T (unstable/stable) with ``cfg.flow``, and maps into the
+    affine chart at
     p0; output variables are (eps, a, b) with a, b the local parameters.
     """
-    settings = settings or cfg.flow
     field = lu_field(cfg)
     ic = _ic_jet(cfg, side, local, eps_box, v_box)
     ic_center = _ic_jet(cfg, side, local, Interval.point(eps_box.mid),
@@ -267,7 +266,7 @@ def global_manifold(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
     if T == 0:
         flowed = ic
     else:
-        flowed = flow_jet(field, ic, eps_box, T, settings,
+        flowed = flow_jet(field, ic, eps_box, T, cfg.flow,
                           domain=v_box, x0_center=ic_center)
     vinv = chart_V(cfg, "inverse", flowed.value)
     return jet2_compose(vinv, flowed)

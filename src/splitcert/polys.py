@@ -44,18 +44,6 @@ def _times_int(c: Interval, e: int) -> Interval:
     return Interval(lo, hi)
 
 
-def _power(memo: dict, e: int):
-    """``x ** e`` for every variable of a box at once, by the recursion of
-    ``Interval.__pow__`` (square of ``x ** (e // 2)``, times x for odd e),
-    so each entry is bit-identical to the scalar power; ``memo`` maps an
-    exponent to its (lo, hi) arrays and holds ``x ** 1``."""
-    if e not in memo:
-        half = _power(memo, e // 2)
-        sq = ku.vsqr(*half)
-        memo[e] = ku.vmul(*sq, *memo[1]) if e % 2 else sq
-    return memo[e]
-
-
 class PolyMap:
     """A polynomial map R^nvars -> R^m given by monomial lists."""
 
@@ -152,7 +140,7 @@ class PolyMap:
         memo = {1: (box.lo, box.hi)}
         tlo, thi = clo.copy(), chi.copy()
         for v, rows, exps, which in factors:
-            pows = [_power(memo, int(e)) for e in exps]
+            pows = [ku._ipow(memo, int(e)) for e in exps]
             plo = np.array([p[0][v] for p in pows])[which]
             phi = np.array([p[1][v] for p in pows])[which]
             if not (np.isfinite(plo).all() and np.isfinite(phi).all()):

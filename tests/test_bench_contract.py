@@ -82,3 +82,15 @@ CALLS = [
 @pytest.mark.parametrize("name, args, kwargs", CALLS, ids=[c[0] for c in CALLS])
 def test_benchmark_call_binds(name, args, kwargs):
     inspect.signature(getattr(splitcert, name)).bind(*args, **kwargs)
+
+
+def test_benchmark_methods_on_boxes_and_matrices():
+    # workloads.py builds boxes from lists, reads box midpoints and checks
+    # A22 and Delta2 of a certificate through these names
+    box = splitcert.IntervalBox.point(np.array([0.5, -1.0]))
+    assert isinstance(box, splitcert.IntervalBox)
+    assert np.array_equal(box.mid(), [0.5, -1.0])
+    assert splitcert.IntervalBox([-0.2, -0.2], [0.2, 0.2]).contains_point([0.1, -0.2])
+    m = splitcert.IntervalMatrix(np.zeros((2, 2)), np.ones((2, 2)))
+    assert m.contains_matrix(np.full((2, 2), 0.5)) and not m.contains_matrix(2.0 * np.eye(2))
+    assert np.array_equal(m.width(), np.ones((2, 2)))

@@ -295,3 +295,29 @@ def test_graph_goracle_memo_is_never_stale():
     assert g.jet(*seq[-1]) is g.jet(*seq[-1])
     k2a, k2b = g.jet(x, k2), g.jet(x, k1)
     assert not np.array_equal(k2a.value.lo, k2b.value.lo)
+
+
+def test_graph_side_solve_takes_its_jacobian_from_the_float_newton(monkeypatch):
+    # the candidate radius reuses the Jacobian of the Newton's last step, so
+    # every float Jacobian (2k+1 approx calls each) is one Newton iteration
+    inside = []
+    calls = []
+    jac, root = distance._float_jacobian, distance._nonrigorous_root
+
+    def counted_jac(*args):
+        calls.append(bool(inside))
+        return jac(*args)
+
+    def marked_root(*args):
+        inside.append(True)
+        try:
+            return root(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(distance, "_float_jacobian", counted_jac)
+    monkeypatch.setattr(distance, "_nonrigorous_root", marked_root)
+    d = distance_fixed_point(WU_PARAB, WS_FLAT, 0.0, XBOX, k1=0, k2=1)
+    j = d.jet(Interval(0.0, 0.0), XBOX)
+    assert j.value[0].contains(0.0)
+    assert calls and all(calls)

@@ -10,8 +10,8 @@ import pytest
 from splitcert.intervals import Interval, IntervalBox, IntervalError
 from splitcert.jets import Jet2Enclosure, jet2_compose
 from splitcert.polys import PolyMap, VectorFieldDef
-from splitcert.flow import (FlowError, FlowSettings, flow_jet, point_flow, point_flow_jet,
-                            rough_enclosure, taylor_coeffs)
+from splitcert.flow import (FlowError, FlowSettings, _iexp_ub, flow_jet, point_flow,
+                            point_flow_jet, rough_enclosure, taylor_coeffs)
 
 # simple fields (vars: eps, x...)
 F_EXP = VectorFieldDef(1, PolyMap(2, [[(1.0, (0, 1))]]))          # x' = x
@@ -754,3 +754,17 @@ def test_float_transports_make_no_kernel_calls_or_interval_ops(monkeypatch):
     Interval(1.0, 2.0) + 1.0  # the counters are installed
     ku.vadd(0.0, 0.0, 1.0, 1.0)
     assert calls == ["__add__", "vadd", "vadd"]
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 2.0 ** -30, 1e-3, 0.1, 0.25, 0.5,
+                               0.75, 1.0, 3.0, 10.0, 100.0])
+def test_iexp_ub_bounds_the_exponential(x):
+    # the 60-term partial sum is below e^x; up to x = 0.5 it equals e^x far
+    # below 1e-13, and the bound (the order-14 Taylor sum plus twice its last
+    # term) is that tight there.  From x = 0.75 on, that tail term alone is
+    # above 1e-13 of e^x (8e-12 at x = 1), so only soundness is checked
+    partial = sum(Fraction(x) ** k / math.factorial(k) for k in range(60))
+    ub = Fraction(_iexp_ub(x))
+    assert ub >= partial
+    if x <= 0.5:
+        assert ub <= partial * (1 + Fraction(1, 10 ** 13))

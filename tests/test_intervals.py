@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from splitcert.intervals import Interval, IntervalBox, IntervalError
+from splitcert.matrices import IntervalMatrix
 
 
 def ulps(x: float, n: int = 1) -> float:
@@ -167,3 +168,37 @@ def test_box_rejects_lo_above_hi():
     with pytest.raises(IntervalError, match="box has a component with lo > hi"):
         IntervalBox([0.0, 1.0], [1.0, 1.0 - 2.0**-52])
     IntervalBox([0.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("cls, shape", [(IntervalBox, (3,)), (IntervalMatrix, (2, 3))],
+                         ids=["box", "matrix"])
+def test_endpoints_are_read_only_copies_of_the_callers_arrays(cls, shape):
+    lo, hi = np.zeros(shape), np.ones(shape)
+    a = cls(lo, hi)
+    p = cls.point(hi)
+    lo[...] = 5.0  # the caller mutates its arrays afterwards
+    hi[...] = -5.0
+    assert np.all(a.lo == 0.0) and np.all(a.hi == 1.0)
+    assert np.all(p.lo == 1.0) and np.all(p.hi == 1.0)
+    for b in (a, p, a + a, -a, a.hull(p), a.widened(0.5), a[:1]):
+        assert type(b) is cls
+        for end in (b.lo, b.hi):
+            assert not end.flags.writeable
+            with pytest.raises(ValueError):
+                end[(0,) * len(shape)] = 2.0
+    assert a.lo.shape == shape and a.lo.dtype == np.float64
+
+
+def test_endpoint_arrays_keep_their_rank():
+    with pytest.raises(IntervalError, match="box endpoints must be matching 1-d arrays"):
+        IntervalBox(np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(IntervalError, match="matrix endpoints must be matching 2-d arrays"):
+        IntervalMatrix(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
+    with pytest.raises(IntervalError, match="box endpoints must be matching 1-d arrays"):
+        IntervalBox([0.0, 1.0], [1.0])
+    # a scalar or a vector is lifted to the class's rank
+    assert IntervalBox(0.0, 1.0).lo.shape == (1,)
+    assert IntervalMatrix([0.0, 1.0], [1.0, 2.0]).shape == (1, 2)
+    m = IntervalMatrix.point(np.arange(6.0).reshape(2, 3))
+    assert m[1, 2] == Interval(5.0, 5.0)
+    assert m.contains_matrix(m.mid()) and m.contains(m) and m.T.lo.flags.c_contiguous

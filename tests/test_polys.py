@@ -268,3 +268,23 @@ def test_jet_raises_when_a_partial_overflows():
         p.jet(box)
     p.jet(IntervalBox([0.5, 0.5], [0.5, 0.5]))
 
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+def test_odd_power_keeps_an_exact_zero_endpoint(n, sign):
+    # x^n is monotone for odd n: [0, q]^n = [0, q^n] and [-q, 0]^n = [-q^n, 0]
+    # exactly, so ``**`` keeps the 0; eval_box takes the same power and then
+    # multiplies it by the coefficient 1, whose vmul may move the 0 by one
+    # outward step but no further (the power itself used to take one more)
+    step = float(np.nextafter(0.0, 1.0))
+    pm = PolyMap(1, [[(1.0, (n,))]])
+    for q in (1e-7, 0.75, 1.5, 2.0 ** -600, 1e40):
+        lo, hi = sorted((0.0, sign * q))
+        exact_lo, exact_hi = Fraction(lo) ** n, Fraction(hi) ** n
+        p = Interval(lo, hi) ** n
+        assert Fraction(p.lo) <= exact_lo and exact_hi <= Fraction(p.hi)
+        assert (p.lo if sign > 0 else p.hi) == 0.0
+        v = pm.eval_box(IntervalBox([lo], [hi]))[0]
+        assert Fraction(v.lo) <= exact_lo and exact_hi <= Fraction(v.hi)
+        assert abs(v.lo if sign > 0 else v.hi) <= step
