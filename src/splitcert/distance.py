@@ -224,7 +224,7 @@ def _solve_graph_side(
     for _ in range(_GRAPH_ATTEMPTS):
         k_box = IntervalBox(u0 - rad, u0 + rad)
         try:
-            enc = implicit_enclose(g, xfull, k_box, k0=u0, max_refine=3)
+            enc = implicit_enclose(g, xfull, k_box, k0=u0)
         except (ImplicitContractionError, IntervalError) as exc:
             last_err = exc
             rad *= _GRAPH_INFLATE

@@ -2,7 +2,7 @@
 
 The image enclosure comes from the parameterized interval Newton method:
 once ``k0 - [dg/dk(X,K)]^-1 [g(X,k0)]`` lands strictly inside K, every
-(eps, x) in X has a unique kappa(eps, x) in the refined box.  With
+(eps, x) in X has a unique kappa(eps, x) in that step's box.  With
 w = (eps, x), the derivatives follow from interval solves of the
 differentiated identity,
 
@@ -66,12 +66,13 @@ def _dg_dk(g: GOracle, jet: Jet2Enclosure) -> IntervalMatrix:
     return jet.d1[:, cols]
 
 
-def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None,
-                     max_refine: int = 8) -> ImplicitEnclosure:
-    """Verify kappa(eps, x) in K for all (eps, x) in X; refined image returned.
+def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None) -> ImplicitEnclosure:
+    """Verify kappa(eps, x) in K for all (eps, x) in X by one interval Newton step.
 
-    Raises :class:`ImplicitContractionError` when the Newton contraction
-    cannot be verified (shrink X or enlarge K and retry).
+    The image is N(k0, X, K) intersected with K, from the step whose landing
+    strictly inside K certifies existence and uniqueness; k0 defaults to
+    mid(K).  Raises :class:`ImplicitContractionError` when that step does not
+    land strictly inside K (shrink X or enlarge K and retry).
     """
     if x_box.dim != 1 + g.kx or k_box.dim != g.kk:
         raise IntervalError("implicit_enclose: box dimensions do not match oracle")
@@ -82,7 +83,7 @@ def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None
     def dv(xb: IntervalBox, kb: IntervalBox) -> IntervalMatrix:
         return _dg_dk(g, g.jet(xb, kb))
 
-    cert = newton_verify(FunctionOracle(ev, dv), x_box, k_box, y0=k0, max_refine=max_refine)
+    cert = newton_verify(FunctionOracle(ev, dv), x_box, k_box, y0=k0, max_refine=0)
     if not cert.verified:
         raise ImplicitContractionError(
             f"implicit contraction failed: {cert.message}", cert.refined

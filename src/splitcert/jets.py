@@ -122,14 +122,6 @@ class Jet2Enclosure:
         lo, hi = ku.vadd(self.d2lo, self.d2hi, other.d2lo, other.d2hi)
         return Jet2Enclosure(self.value + other.value, self.d1 + other.d1, lo, hi)
 
-    def widened(self, value_eps=0.0, d1_eps=0.0, d2_eps=0.0) -> "Jet2Enclosure":
-        val = self.value.widened(value_eps) if np.any(np.asarray(value_eps) > 0) else self.value
-        d1 = self.d1.widened(d1_eps) if np.any(np.asarray(d1_eps) > 0) else self.d1
-        d2lo, d2hi = self.d2lo, self.d2hi
-        if np.any(np.asarray(d2_eps) > 0):
-            d2lo, d2hi = ku.widen_abs(d2lo, d2hi, np.broadcast_to(d2_eps, d2lo.shape))
-        return Jet2Enclosure(val, d1, d2lo, d2hi)
-
     def hull(self, other: "Jet2Enclosure") -> "Jet2Enclosure":
         lo, hi = ku.vhull(self.d2lo, self.d2hi, other.d2lo, other.d2hi)
         return Jet2Enclosure(self.value.hull(other.value), self.d1.hull(other.d1), lo, hi)

@@ -10,8 +10,8 @@ The two norm bounds are the workhorses of the splitting certificates:
   for invertible ``A``), with a closed-form Gram eigenvalue for the 1x1 and
   2x2 cases and a verified-inverse route for larger matrices.
 
-Interval linear solves use midpoint preconditioning followed by interval
-Gaussian elimination and a Gauss-Seidel sweep.
+Interval linear solves use midpoint preconditioning followed by one
+interval Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -71,6 +71,16 @@ class IntervalMatrix(_IntervalArray):
             return imat_apply(self, IntervalBox.point(arr))
         return imat_mul(self, IntervalMatrix.point(arr))
 
+    def __getitem__(self, key):
+        """An entry as an :class:`Interval`, any other index as a matrix that
+        keeps a dropped axis as length 1: ``m[i]`` is the (1, c) row i and
+        ``m[:, j]`` the (r, 1) column j (lifted as a row, then transposed)."""
+        item = super().__getitem__(key)
+        if isinstance(item, IntervalMatrix) and isinstance(key, tuple) and len(key) > 1 \
+                and isinstance(key[-1], (int, np.integer)):
+            return item.T
+        return item
+
     def __repr__(self):
         return f"IntervalMatrix(lo={self.lo!r}, hi={self.hi!r})"
 
@@ -93,14 +103,14 @@ def imat_mul(m: IntervalMatrix, n: IntervalMatrix) -> IntervalMatrix:
 def _gram(m: IntervalMatrix) -> IntervalMatrix:
     """Interval enclosure of {A^T A : A in m}, diagonal tightened with vsqr."""
     g = imat_mul(m.T, m)
-    n = g.shape[0]
+    # column j's squares sit on row j of the transpose; a sum over the last
+    # axis adds them in the order a sum over column j alone does (a sum over
+    # axis 0 would not, and would move last bits)
+    dlo, dhi = ku.isum(*ku.vsqr(m.lo.T, m.hi.T), axis=1)
     glo = g.lo.copy()
     ghi = g.hi.copy()
-    for j in range(n):
-        slo, shi = ku.vsqr(m.lo[:, j], m.hi[:, j])
-        dlo, dhi = ku.isum(slo, shi, axis=0)
-        glo[j, j] = max(glo[j, j], float(dlo))
-        ghi[j, j] = min(ghi[j, j], float(dhi))
+    np.fill_diagonal(glo, np.maximum(np.diag(glo), dlo))
+    np.fill_diagonal(ghi, np.minimum(np.diag(ghi), dhi))
     # symmetrize off-diagonal by intersection: A^T A is symmetric, so the
     # (i,j) and (j,i) enclosures both contain the same entry
     lo = np.maximum(glo, glo.T)
@@ -212,8 +222,11 @@ def _igauss(a: IntervalMatrix, rhs_lo: np.ndarray, rhs_hi: np.ndarray):
 
 
 def _preconditioned_gauss(m: IntervalMatrix, b: IntervalMatrix):
-    """Midpoint preconditioning, then :func:`_igauss`: returns P A, P B and
-    the enclosure (lo, hi) of X in P A X = P B, P the float inverse of mid(A)."""
+    """Midpoint preconditioning, then :func:`_igauss`: the enclosure (lo, hi)
+    of X in P A X = P B, P the float inverse of mid(A)."""
+    n = m.shape[0]
+    if m.shape[1] != n or b.shape[0] != n:
+        raise IntervalError(f"interval solve needs a square system, got {m.shape} and {b.shape}")
     try:
         p = np.linalg.inv(m.mid())
     except np.linalg.LinAlgError as exc:
@@ -221,45 +234,20 @@ def _preconditioned_gauss(m: IntervalMatrix, b: IntervalMatrix):
     if not np.all(np.isfinite(p)):
         raise LinalgError("midpoint inverse is not finite")
     p = IntervalMatrix.point(p)
-    pm = imat_mul(p, m)
     pb = imat_mul(p, b)
-    return pm, pb, *_igauss(pm, pb.lo, pb.hi)
+    return _igauss(imat_mul(p, m), pb.lo, pb.hi)
 
 
 def ilinsolve(m: IntervalMatrix, b: IntervalBox) -> IntervalBox:
-    """Enclosure of {A^-1 u : A in m, u in b}.
-
-    Midpoint preconditioning, interval Gaussian elimination, then one
-    Gauss-Seidel refinement sweep (intersection keeps the result sound).
-    """
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1] or b.dim != n:
-        raise IntervalError("ilinsolve needs a square system")
-    pm, pb, xlo, xhi = _preconditioned_gauss(m, IntervalMatrix(b.lo[:, None], b.hi[:, None]))
-    xlo, xhi = xlo[:, 0], xhi[:, 0]
-    # Gauss-Seidel sweep on the preconditioned system
-    for i in range(n):
-        slo, shi = pb.lo[i, 0], pb.hi[i, 0]
-        for j in range(n):
-            if j == i:
-                continue
-            plo, phi = ku.vmul(pm.lo[i, j], pm.hi[i, j], xlo[j], xhi[j])
-            slo, shi = ku.vsub(slo, shi, plo, phi)
-        tlo, thi = ku.vdiv(slo, shi, pm.lo[i, i], pm.hi[i, i])
-        lo = max(xlo[i], float(tlo))
-        hi = min(xhi[i], float(thi))
-        if lo > hi:
-            raise LinalgError("empty Gauss-Seidel intersection (inconsistent enclosure)")
-        xlo[i], xhi[i] = lo, hi
-    return IntervalBox(xlo, xhi)
+    """Enclosure of {A^-1 u : A in m, u in b}: the one-column case of
+    :func:`imatsolve`."""
+    xlo, xhi = _preconditioned_gauss(m, IntervalMatrix(b.lo[:, None], b.hi[:, None]))
+    return IntervalBox(xlo[:, 0], xhi[:, 0])
 
 
 def imatsolve(m: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
-    """Columnwise ilinsolve: enclosure of {A^-1 B}."""
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1] or b.shape[0] != n:
-        raise IntervalError("imatsolve needs a square system")
-    return IntervalMatrix(*_preconditioned_gauss(m, b)[2:])
+    """Enclosure of {A^-1 B : A in m, B in b}, all columns in one elimination."""
+    return IntervalMatrix(*_preconditioned_gauss(m, b))
 
 
 def iinverse(m: IntervalMatrix) -> IntervalMatrix:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitcert import distance
+from splitcert import distance, newton
 from splitcert.distance import (
     ConditionError,
     ManifoldOracle,
@@ -272,6 +272,30 @@ def test_graph_side_assembles_its_verified_jet_once(monkeypatch):
     d.jet(Interval(0.0, 0.01), IntervalBox([0.0, -0.1], [0.1, 0.0]))
     # two raw queries (box and mean-value centre), one solve per side each
     assert counts == [1, 1, 1, 1]
+
+
+def test_graph_side_takes_one_newton_step_per_verified_attempt(monkeypatch):
+    # a step that lands strictly inside K certifies kappa on its own, and
+    # the graph side keeps that step's box instead of refining it
+    steps, verified = [], []
+    step, enclose = newton.newton_step, distance.implicit_enclose
+
+    def counted_step(*args, **kwargs):
+        steps[-1] += 1
+        return step(*args, **kwargs)
+
+    def spy_enclose(*args, **kwargs):
+        steps.append(0)
+        enc = enclose(*args, **kwargs)
+        verified.append(steps[-1])
+        return enc
+
+    monkeypatch.setattr(newton, "newton_step", counted_step)
+    monkeypatch.setattr(distance, "implicit_enclose", spy_enclose)
+    wu, ws = _toy_oracles()
+    d = distance_fixed_point(wu, ws, 0.01, IntervalBox([-0.2, -0.2], [0.2, 0.2]), k1=0, k2=2)
+    d.jet(Interval(0.0, 0.01), IntervalBox([0.0, -0.1], [0.1, 0.0]))
+    assert verified == [1, 1, 1, 1]
 
 
 def test_graph_goracle_memo_is_never_stale():

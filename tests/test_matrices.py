@@ -335,6 +335,33 @@ def test_igauss_and_imatsolve_contain_exact_solution():
                     assert Fraction(glo[i, j]) <= exact[i][j] <= Fraction(ghi[i, j])
 
 
+def test_ilinsolve_is_the_one_column_imatsolve():
+    # on this system a Gauss-Seidel sweep after the elimination tightens the
+    # second component; the solve is one elimination, bit for bit the
+    # column of imatsolve, and holds the exact solution (6, 17/2)
+    a = np.array([[2.5, -2.0], [-2.0, 1.5]])
+    b = np.array([-2.0, 0.75])
+    x = ilinsolve(IntervalMatrix.point(a), IntervalBox.point(b))
+    col = imatsolve(IntervalMatrix.point(a), IntervalMatrix.point(b[:, None]))
+    assert np.array_equal(x.lo, col.lo[:, 0]) and np.array_equal(x.hi, col.hi[:, 0])
+    exact = _exact_solve(a, b[:, None])
+    assert [row[0] for row in exact] == [6, Fraction(17, 2)]
+    for i in range(2):
+        assert Fraction(x.lo[i]) <= exact[i][0] <= Fraction(x.hi[i])
+
+
+def test_matrix_index_keeps_a_dropped_axis_as_length_one():
+    m = IntervalMatrix(np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(2, 3) + 0.5)
+    col = m[:, 1]
+    assert col.shape == (2, 1) and np.array_equal(col.lo, [[1.0], [4.0]])
+    assert m[:, -1].shape == (2, 1) and m[1:, 2].shape == (1, 1)
+    row = m[1]
+    assert row.shape == (1, 3) and np.array_equal(row.hi, [[3.5, 4.5, 5.5]])
+    assert m[1, :].shape == (1, 3)
+    entry = m[1, 2]
+    assert isinstance(entry, Interval) and (entry.lo, entry.hi) == (5.0, 5.5)
+
+
 @pytest.mark.parametrize("end, bad", [("lo", np.nan), ("hi", np.nan), ("lo", np.inf),
                                       ("lo", -np.inf), ("hi", np.inf), ("hi", -np.inf)])
 def test_matrix_rejects_non_finite_endpoints(end, bad):
