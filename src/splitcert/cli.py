@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,7 @@ _LU_KEYS = {
 
 
 def _flow_settings(doc: dict) -> FlowSettings:
+    """The worked example's flow settings with the keys of ``doc`` replaced."""
     _check_keys(doc, _FLOW_KEYS, "flow")
     kw = {}
     if "taylorOrder" in doc:
@@ -74,7 +76,7 @@ def _flow_settings(doc: dict) -> FlowSettings:
         kw["min_step"] = float(doc["minStep"])
     if "maxSteps" in doc:
         kw["max_steps"] = int(doc["maxSteps"])
-    return FlowSettings(**kw)
+    return replace(LUConfig().flow, **kw)
 
 
 def _lu_config(doc: dict) -> LUConfig:
@@ -90,11 +92,11 @@ def _lu_config(doc: dict) -> LUConfig:
     ):
         if json_key in doc:
             kw[attr] = doc[json_key]
-    if "flow" in doc:
-        kw["flow"] = _flow_settings(doc["flow"])
-    if "fallbackT" in doc:
-        kw["fallback_T"] = tuple(float(t) for t in doc["fallbackT"])
     try:
+        if "flow" in doc:
+            kw["flow"] = _flow_settings(doc["flow"])
+        if "fallbackT" in doc:
+            kw["fallback_T"] = tuple(float(t) for t in doc["fallbackT"])
         return LUConfig(**kw)
     except (TypeError, ValueError, IntervalError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc

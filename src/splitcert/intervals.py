@@ -258,9 +258,6 @@ class _IntervalArray:
     def __neg__(self):
         return type(self)(-self.hi, -self.lo)
 
-    def scale(self, c: float):
-        return type(self)(*ku.vscale(float(c), self.lo, self.hi))
-
     def mul_interval(self, c: Interval):
         shape = self.lo.shape
         return type(self)(*ku.vmul(self.lo, self.hi, np.full(shape, c.lo), np.full(shape, c.hi)))

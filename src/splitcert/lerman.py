@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .intervals import INV_SQRT2, Interval, IntervalBox, IntervalError
 from .jets import Jet2Enclosure, jet2_compose, jet2_stack
 from .matrices import IntervalMatrix, iinverse
 from .polys import PolyMap, VectorFieldDef
-from .flow import FlowError, FlowSettings, flow_jet, point_flow, point_flow_jet
+from .flow import FlowSettings, flow_jet, point_flow, point_flow_jet
 from .distance import ConditionError, DistanceOracle, ManifoldOracle, distance_fixed_point
-from .implicit import ImplicitContractionError
 from .degree import (MelnikovCertificate, SplittingProblem, assemble_lemma_data, check_serial,
                      verify_practical, verify_transversal)
 
@@ -64,6 +63,12 @@ class LUConfig:
                      "second_deriv_bound"):
             if getattr(self, name) <= 0:
                 raise IntervalError(f"{name} must be positive")
+        for name in ("subdivide", "eps_subdivide"):
+            n = getattr(self, name)
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                raise IntervalError(f"{name} must be an integer >= 1, got {n!r}")
+        if not all(t > 0 for t in self.fallback_T):
+            raise IntervalError(f"fallback_T entries must be positive, got {self.fallback_T}")
 
 
 @dataclass(frozen=True)
@@ -154,47 +159,61 @@ def integrals_HK(cfg: LUConfig, x_box: IntervalBox) -> tuple[Interval, Interval]
     return vals[0], vals[1]
 
 
+def _straightening(slots: slice, c: Interval) -> PolyMap:
+    """The chart v -> v + c (a^3 + a b^2, a^2 b + b^3) over (eps, v1..v4),
+    (a, b) = v[slots], the cubic added on the other two slots; the chart
+    keeps a and b, so -c gives its inverse."""
+    E = np.eye(5, dtype=int)  # exponent rows of eps, v1..v4
+    a, b = E[1 + slots.start], E[2 + slots.start]
+    comps, j = [], 0
+    for k in range(4):
+        comp = [(1.0, E[1 + k])]
+        if k not in range(4)[slots]:
+            comp += [(c, (3 - j) * a + j * b), (c, (1 - j) * a + (2 + j) * b)]
+            j += 1
+        comps.append(comp)
+    return PolyMap(5, comps)
+
+
+@dataclass(frozen=True)
+class _Side:
+    """What tells the two manifolds apart: the signed transport time, the
+    chart slots holding the local parameters (a, b), and the straightening
+    chart with its closed-form inverse (variables eps, v1..v4)."""
+
+    T: float
+    slots: slice
+    psi: PolyMap
+    psi_inv: PolyMap
+
+    def embed(self, v, fill: float = 0.0) -> np.ndarray:
+        """Local parameters (..., 2) in their slots of (..., 4), ``fill`` elsewhere."""
+        v = np.asarray(v, dtype=float)
+        v4 = np.full((*v.shape[:-1], 4), fill)
+        v4[..., self.slots] = v
+        return v4
+
+    def stack(self, local: Jet2Enclosure, graph: Jet2Enclosure) -> Jet2Enclosure:
+        """Jets of the local parameters and of the graph, in slot order."""
+        return jet2_stack(local, graph) if self.slots.start == 0 else jet2_stack(graph, local)
+
+
 @lru_cache(maxsize=None)
-def _psi_maps(cfg: LUConfig):
-    """Chart polynomials straightening the local manifolds (vars: eps, v1..v4)."""
-    c = INV_SQRT2
-
-    def mono(cf, *exps):
-        return (cf, tuple(exps))
-
-    psi_u = PolyMap(5, [
-        [mono(1.0, 0, 1, 0, 0, 0)],
-        [mono(1.0, 0, 0, 1, 0, 0)],
-        [mono(1.0, 0, 0, 0, 1, 0), mono(c, 0, 3, 0, 0, 0), mono(c, 0, 1, 2, 0, 0)],
-        [mono(1.0, 0, 0, 0, 0, 1), mono(c, 0, 2, 1, 0, 0), mono(c, 0, 0, 3, 0, 0)],
-    ])
-    psi_u_inv = PolyMap(5, [
-        [mono(1.0, 0, 1, 0, 0, 0)],
-        [mono(1.0, 0, 0, 1, 0, 0)],
-        [mono(1.0, 0, 0, 0, 1, 0), mono(-c, 0, 3, 0, 0, 0), mono(-c, 0, 1, 2, 0, 0)],
-        [mono(1.0, 0, 0, 0, 0, 1), mono(-c, 0, 2, 1, 0, 0), mono(-c, 0, 0, 3, 0, 0)],
-    ])
-    # stable chart mirrors the unstable one under (x1,x2,x3,x4) -> (x3,x4,x1,x2)
-    psi_s = PolyMap(5, [
-        [mono(1.0, 0, 1, 0, 0, 0), mono(c, 0, 0, 0, 3, 0), mono(c, 0, 0, 0, 1, 2)],
-        [mono(1.0, 0, 0, 1, 0, 0), mono(c, 0, 0, 0, 2, 1), mono(c, 0, 0, 0, 0, 3)],
-        [mono(1.0, 0, 0, 0, 1, 0)],
-        [mono(1.0, 0, 0, 0, 0, 1)],
-    ])
-    psi_s_inv = PolyMap(5, [
-        [mono(1.0, 0, 1, 0, 0, 0), mono(-c, 0, 0, 0, 3, 0), mono(-c, 0, 0, 0, 1, 2)],
-        [mono(1.0, 0, 0, 1, 0, 0), mono(-c, 0, 0, 0, 2, 1), mono(-c, 0, 0, 0, 0, 3)],
-        [mono(1.0, 0, 0, 0, 1, 0)],
-        [mono(1.0, 0, 0, 0, 0, 1)],
-    ])
-    return {"unstable": (psi_u, psi_u_inv), "stable": (psi_s, psi_s_inv)}
+def _side(cfg: LUConfig, side: str) -> _Side:
+    """The unstable manifold flows forward from the slots (v1, v2); the
+    stable one backward from (v3, v4), its chart the unstable one's mirror
+    under (x1, x2, x3, x4) -> (x3, x4, x1, x2)."""
+    if side not in ("unstable", "stable"):
+        raise ValueError(f"unknown manifold side {side!r}")
+    T, slots = (cfg.T, slice(0, 2)) if side == "unstable" else (-cfg.T, slice(2, 4))
+    return _Side(T, slots, _straightening(slots, INV_SQRT2), _straightening(slots, -INV_SQRT2))
 
 
 def chart_psi(cfg: LUConfig, side: str, direction: str, v_box: IntervalBox,
               eps_box: Interval | None = None) -> Jet2Enclosure:
     """Jet of the straightening chart (or its closed-form inverse) on a box."""
-    fw, inv = _psi_maps(cfg)[side]
-    pm = fw if direction == "forward" else inv
+    s = _side(cfg, side)
+    pm = s.psi if direction == "forward" else s.psi_inv
     eps_box = eps_box or Interval(0.0, 0.0)
     full = IntervalBox(np.concatenate([[eps_box.lo], v_box.lo]),
                        np.concatenate([[eps_box.hi], v_box.hi]))
@@ -219,18 +238,16 @@ def _chart_A(cfg: LUConfig) -> np.ndarray:
 
 def chart_V(cfg: LUConfig, direction: str, box: IntervalBox) -> Jet2Enclosure:
     """Affine intersection chart x = p0 + A w, or its verified inverse."""
-    a = _chart_A(cfg)
+    a = IntervalMatrix.point(_chart_A(cfg))
     p0_box, _ = _p0(cfg)
     if direction == "forward":
-        val = (IntervalMatrix.point(a) @ box) + p0_box
-        d1 = IntervalMatrix(np.hstack([np.zeros((4, 1)), a]),
-                            np.hstack([np.zeros((4, 1)), a]))
-        return Jet2Enclosure.affine(val, d1)
-    ainv = iinverse(IntervalMatrix.point(a))
-    val = ainv @ (box - p0_box)
-    d1 = IntervalMatrix(np.hstack([np.zeros((4, 1)), ainv.lo]),
-                        np.hstack([np.zeros((4, 1)), ainv.hi]))
-    return Jet2Enclosure.affine(val, d1)
+        m, val = a, (a @ box) + p0_box
+    else:
+        m = iinverse(a)
+        val = m @ (box - p0_box)
+    zero = np.zeros((4, 1))
+    return Jet2Enclosure.affine(val, IntervalMatrix(np.hstack([zero, m.lo]),
+                                                    np.hstack([zero, m.hi])))
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +256,7 @@ def chart_V(cfg: LUConfig, direction: str, box: IntervalBox) -> Jet2Enclosure:
 def _ic_jet(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
             eps_box: Interval, v_box: IntervalBox) -> Jet2Enclosure:
     """Jet of the flow initial condition Psi(side)(graph point) in (eps, a, b)."""
-    ident = Jet2Enclosure.identity(v_box)
-    graph = local.jet(eps_box, v_box)
-    if side == "unstable":
-        v4 = jet2_stack(ident, graph)       # (a, b, w1, w2)
-    else:
-        v4 = jet2_stack(graph, ident)       # (w1, w2, a, b)
+    v4 = _side(cfg, side).stack(Jet2Enclosure.identity(v_box), local.jet(eps_box, v_box))
     psi = chart_psi(cfg, side, "forward", v4.value, eps_box)
     return jet2_compose(psi, v4)
 
@@ -255,19 +267,15 @@ def global_manifold(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
 
     Composes the local graph with the straightening chart, transports by
     the flow for +-T (unstable/stable) with ``cfg.flow``, and maps into the
-    affine chart at
-    p0; output variables are (eps, a, b) with a, b the local parameters.
+    affine chart at p0; output variables are (eps, a, b) with a, b the local
+    parameters.
     """
-    field = lu_field(cfg)
     ic = _ic_jet(cfg, side, local, eps_box, v_box)
     ic_center = _ic_jet(cfg, side, local, Interval.point(eps_box.mid),
                         IntervalBox.point(v_box.mid()))
-    T = cfg.T if side == "unstable" else -cfg.T
-    if T == 0:
-        flowed = ic
-    else:
-        flowed = flow_jet(field, ic, eps_box, T, cfg.flow,
-                          domain=v_box, x0_center=ic_center)
+    T = _side(cfg, side).T
+    flowed = ic if T == 0 else flow_jet(lu_field(cfg), ic, eps_box, T, cfg.flow,
+                                        domain=v_box, x0_center=ic_center)
     vinv = chart_V(cfg, "inverse", flowed.value)
     return jet2_compose(vinv, flowed)
 
@@ -279,19 +287,14 @@ def _approx_w(cfg: LUConfig, side: str):
     """Cheap float evaluation of the chart-coordinate manifold map, at one
     local point v (2,) or at a batch (B, 2) in one transport."""
     field = lu_field(cfg)
-    psi = _psi_maps(cfg)[side][0]
-    a = _chart_A(cfg)
-    ainv = np.linalg.inv(a)
+    s = _side(cfg, side)
+    ainv = np.linalg.inv(_chart_A(cfg))
     _, p0 = _p0(cfg)
-    T = cfg.T if side == "unstable" else -cfg.T
-    cols = slice(0, 2) if side == "unstable" else slice(2, 4)
 
     def ev(eps: float, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        v4 = np.zeros((*v.shape[:-1], 4))
-        v4[..., cols] = v
-        x0 = np.array([psi.eval_point(np.concatenate([[eps], p])) for p in v4.reshape(-1, 4)])
-        xT = point_flow(field, eps, x0.reshape(v4.shape), T,
+        v4 = s.embed(v)
+        x0 = np.array([s.psi.eval_point(np.concatenate([[eps], p])) for p in v4.reshape(-1, 4)])
+        xT = point_flow(field, eps, x0.reshape(v4.shape), s.T,
                         order=max(10, cfg.flow.taylor_order))
         return (xT - p0) @ ainv.T
 
@@ -305,13 +308,10 @@ def locate_homoclinic(cfg: LUConfig, side: str) -> np.ndarray:
     5-point stencil (v, v +- h e_j) as one batch."""
     field = lu_field(cfg)
     _, p0 = _p0(cfg)
-    psi_inv = _psi_maps(cfg)[side][1]
-    T = cfg.T if side == "unstable" else -cfg.T
-    back = point_flow(field, 0.0, p0, -T, order=max(10, cfg.flow.taylor_order))
-    vloc = psi_inv.eval_point(np.concatenate([[0.0], back]))
-    guess = vloc[:2] if side == "unstable" else vloc[2:]
+    s = _side(cfg, side)
+    back = point_flow(field, 0.0, p0, -s.T, order=max(10, cfg.flow.taylor_order))
+    v = np.asarray(s.psi_inv.eval_point(np.concatenate([[0.0], back]))[s.slots], dtype=float)
     ev = _approx_w(cfg, side)
-    v = np.asarray(guess, dtype=float)
     h = 1e-9
     stencil = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     for _ in range(50):
@@ -328,27 +328,19 @@ def midpoint_mixed_second(cfg: LUConfig) -> np.ndarray:
     """Nonrigorous d2y/deps dx(0, 0): the midpoint pipeline value.
 
     Runs the same composition as the rigorous pipeline with float
-    arithmetic and the local graphs pinned to zero; used as a fail-fast
-    check and for fallback diagnostics.
+    arithmetic and the local graphs pinned to zero: the float reference
+    that criterion 7 and the tests hold the rigorous A22 block against.
     """
     field = lu_field(cfg)
-    a = _chart_A(cfg)
-    ainv = np.linalg.inv(a)
+    ainv = np.linalg.inv(_chart_A(cfg))
     _, p0 = _p0(cfg)
     out = {}
     for side in ("unstable", "stable"):
-        v_hat = locate_homoclinic(cfg, side)
-        psi = _psi_maps(cfg)[side][0]
-        T = cfg.T if side == "unstable" else -cfg.T
-        if side == "unstable":
-            v4 = np.array([v_hat[0], v_hat[1], 0.0, 0.0])
-            cols = [1, 2]
-        else:
-            v4 = np.array([0.0, 0.0, v_hat[0], v_hat[1]])
-            cols = [3, 4]
-        val5, d15, d25 = psi.jet_point(np.concatenate([[0.0], v4]))
-        x0 = val5
-        xT, V, S = point_flow_jet(field, 0.0, x0, T, order=max(12, cfg.flow.taylor_order))
+        s = _side(cfg, side)
+        cols = 1 + np.arange(4)[s.slots]     # the local parameters among (eps, v1..v4)
+        v4 = s.embed(locate_homoclinic(cfg, side))
+        x0, d15, d25 = s.psi.jet_point(np.concatenate([[0.0], v4]))
+        xT, V, S = point_flow_jet(field, 0.0, x0, s.T, order=max(12, cfg.flow.taylor_order))
         # chain through the chart columns of psi (d2 psi in the plane is zero
         # only along the straight coordinates; include it exactly)
         dpsi = d15[:, cols]                     # 4 x 2
@@ -409,30 +401,21 @@ def _lu_assumptions(cfg: LUConfig) -> list[str]:
 
 def build_distance_oracle(cfg: LUConfig) -> DistanceOracle:
     """Manifold oracles, shooting guesses and the chart-space distance oracle."""
-    local_u = make_local_graph(cfg, "unstable")
-    local_s = make_local_graph(cfg, "stable")
-
-    def wu_jet(eps_box: Interval, v_box: IntervalBox) -> Jet2Enclosure:
-        return global_manifold(cfg, "unstable", local_u, eps_box, v_box)
-
-    def ws_jet(eps_box: Interval, v_box: IntervalBox) -> Jet2Enclosure:
-        return global_manifold(cfg, "stable", local_s, eps_box, v_box)
-
-    wu = ManifoldOracle(jet=wu_jet, x_proj=(0, 1), y_proj=(2, 3),
-                        approx=_approx_w(cfg, "unstable"))
-    ws = ManifoldOracle(jet=ws_jet, x_proj=(0, 1), y_proj=(2, 3),
-                        approx=_approx_w(cfg, "stable"))
-    guess_u = locate_homoclinic(cfg, "unstable")
-    guess_s = locate_homoclinic(cfg, "stable")
     r = cfg.local_radius
-    for g, side in ((guess_u, "unstable"), (guess_s, "stable")):
-        if np.max(np.abs(g)) >= r:
+    oracles, guesses = [], []
+    for side in ("unstable", "stable"):
+        guess = locate_homoclinic(cfg, side)
+        if np.max(np.abs(guess)) >= r:
             raise ConditionError(
-                f"{side} homoclinic preimage {g} leaves the local graph domain "
+                f"{side} homoclinic preimage {guess} leaves the local graph domain "
                 f"[-{r}, {r}]^2 at T={cfg.T}")
+        jet = partial(global_manifold, cfg, side, make_local_graph(cfg, side))
+        oracles.append(ManifoldOracle(jet=jet, x_proj=(0, 1), y_proj=(2, 3),
+                                      approx=_approx_w(cfg, side)))
+        guesses.append(guess)
     u_box = IntervalBox([-cfg.R, -cfg.R], [cfg.R, cfg.R])
-    return distance_fixed_point(wu, ws, cfg.eps_max, u_box, k1=0, k2=2,
-                                u_guess=guess_u, s_guess=guess_s)
+    return distance_fixed_point(*oracles, cfg.eps_max, u_box, k1=0, k2=2,
+                                u_guess=guesses[0], s_guess=guesses[1])
 
 
 def run_theorem_proof(cfg: LUConfig) -> MelnikovCertificate:
@@ -447,7 +430,6 @@ def run_theorem_proof(cfg: LUConfig) -> MelnikovCertificate:
     """
     start = time.time()
     attempts = [cfg.T] + [t for t in cfg.fallback_T if t <= cfg.T]
-    last_exc: Exception | None = None
     cert: MelnikovCertificate | None = None
     for t_used in attempts:
         cfg_t = cfg if t_used == cfg.T else replace(cfg, T=t_used)
@@ -468,8 +450,7 @@ def run_theorem_proof(cfg: LUConfig) -> MelnikovCertificate:
                     f"from T={cfg.T}")
             if cert.verified:
                 break
-        except (FlowError, ImplicitContractionError, ConditionError, IntervalError) as exc:
-            last_exc = exc
+        except IntervalError as exc:  # every stage's error derives from it
             cert = MelnikovCertificate(k1=0, k2=2, p=np.zeros(2), R=cfg.R,
                                        eps_max=cfg.eps_max,
                                        assumptions=_lu_assumptions(cfg_t))
@@ -492,39 +473,28 @@ def sample_manifold(cfg: LUConfig, side: str, eps: float, n_params: int = 12,
     (eps, x1, x2, x3, x4), all times of the first point first.
     """
     field = lu_field(cfg)
-    psi = _psi_maps(cfg)[side][0]
+    s = _side(cfg, side)
     r = 0.9 * cfg.local_radius
-    sgn = 1.0 if side == "unstable" else -1.0
-    dt = cfg.T / max(n_times - 1, 1)
+    dt = s.T / max(n_times - 1, 1)
     th = 2 * np.pi * np.arange(n_params) / max(n_params, 1)
-    v4 = np.zeros((n_params, 4))
-    v4[:, slice(0, 2) if side == "unstable" else slice(2, 4)] = \
-        np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    x = np.array([psi.eval_point(np.concatenate([[eps], p])) for p in v4]).reshape(n_params, 4)
+    v4 = s.embed(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+    x = np.array([s.psi.eval_point(np.concatenate([[eps], p])) for p in v4]).reshape(n_params, 4)
     xs = [x]
     for _ in range(n_times - 1):
-        x = point_flow(field, eps, x, sgn * dt)
+        x = point_flow(field, eps, x, dt)
         xs.append(x)
     pts = np.stack(xs, axis=1).reshape(-1, 4)
     return np.hstack([np.full((len(pts), 1), eps), pts])
 
 
 def local_enclosure_boxes(cfg: LUConfig, side: str, n_grid: int = 8) -> np.ndarray:
-    """Grid of rigorous local-graph boxes: per row lo/hi for each coordinate."""
-    local = make_local_graph(cfg, side)
-    r = cfg.local_radius
-    d = local.value_radius
-    edges = np.linspace(-r, r, n_grid + 1)
-    rows = []
-    for i in range(n_grid):
-        for j in range(n_grid):
-            alo, ahi = edges[i], edges[i + 1]
-            blo, bhi = edges[j], edges[j + 1]
-            if side == "unstable":
-                lo = [alo, blo, -d, -d]
-                hi = [ahi, bhi, d, d]
-            else:
-                lo = [-d, -d, alo, blo]
-                hi = [d, d, ahi, bhi]
-            rows.append(np.array(lo + hi))
-    return np.array(rows)
+    """Grid of rigorous local-graph boxes, per row lo/hi of each coordinate: the local
+    slots tile [-r, r]^2 row-major (a outer, b inner), the graph slots are [-d, d]."""
+    s = _side(cfg, side)
+    d = make_local_graph(cfg, side).value_radius
+    edges = np.linspace(-cfg.local_radius, cfg.local_radius, n_grid + 1)
+
+    def corner(e):  # one end of every cell, row-major
+        return np.stack([np.repeat(e, n_grid), np.tile(e, n_grid)], axis=1)
+
+    return np.hstack([s.embed(corner(edges[:-1]), -d), s.embed(corner(edges[1:]), d)])

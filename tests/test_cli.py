@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from splitcert.cli import main_certify_root, main_export_samples, main_lu_verify
 
@@ -74,6 +75,49 @@ def test_lu_verify_unknown_keys_rejected(tmp_path):
 def test_lu_verify_invalid_values_rejected(tmp_path):
     cfg = write(tmp_path / "c.json", {"R": -1.0})
     assert main_lu_verify(["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+
+
+BAD_CERT_SETTINGS = ({"subdivide": 1.5}, {"subdivide": 0}, {"epsSubdivide": -2},
+                     {"fallbackT": [5.0, -1.0]})
+
+
+def test_lu_verify_bad_certificate_settings_rejected(tmp_path, capsys, monkeypatch):
+    # rejected at config time with exit 2, before any transport runs
+    import splitcert.cli
+
+    def no_run(cfg):
+        raise AssertionError("the pipeline ran on a bad config")
+
+    monkeypatch.setattr(splitcert.cli, "run_theorem_proof", no_run)
+    for doc in BAD_CERT_SETTINGS:
+        cfg = write(tmp_path / "c.json", doc)
+        assert main_lu_verify(["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2, doc
+        assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_lu_config_rejects_bad_certificate_settings():
+    from splitcert.intervals import IntervalError
+    from splitcert.lerman import LUConfig
+    for kw in ({"subdivide": 1.5}, {"subdivide": 0}, {"eps_subdivide": -2},
+               {"subdivide": True}, {"fallback_T": (5.0, -1.0)}, {"fallback_T": (0.0,)}):
+        with pytest.raises(IntervalError):
+            LUConfig(**kw)
+    # the benchmark's explicit settings stay valid
+    LUConfig(subdivide=1, eps_subdivide=1, fallback_T=())
+    LUConfig(subdivide=3, eps_subdivide=2, fallback_T=(5.0, 7.5))
+
+
+def test_lu_config_partial_flow_keeps_worked_example_defaults():
+    from splitcert.cli import _lu_config
+    from splitcert.lerman import LUConfig
+    default = LUConfig().flow
+    cfg = _lu_config({"flow": {"initialStep": 0.125}})
+    assert cfg.flow.taylor_order == 18 and cfg.flow == default
+    cfg = _lu_config({"flow": {"minStep": 1e-5}})
+    assert cfg.flow.taylor_order == 18 and cfg.flow.initial_step == default.initial_step
+    assert cfg.flow.min_step == 1e-5
+    assert _lu_config({}).flow == default
 
 
 def test_lu_verify_short_transport_fails_fast(tmp_path):

@@ -1,5 +1,6 @@
 """The 4-d worked example: field, integrals, charts, transport, pipeline."""
 
+import hashlib
 from collections import defaultdict
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from splitcert.lerman import (
     make_local_graph,
     midpoint_mixed_second,
     _approx_w,
+    _side,
     _hk_polys,
     _chart_A,
     _p0,
@@ -89,6 +91,37 @@ def test_chart_psi_mirror_symmetry():
         pu = chart_psi(CFG, "unstable", "forward", IntervalBox.point(v)).value.mid()
         ps = chart_psi(CFG, "stable", "forward", IntervalBox.point(v[swap])).value.mid()
         assert np.allclose(pu[swap], ps, atol=1e-15)
+
+
+# sha256 of each straightening map's per-component (coefficient lo,
+# coefficient hi, exponents) lists, as the monomial-by-monomial charts gave
+CHART_DIGESTS = {
+    ("unstable", "psi"): "edd8b4413784b8b687aedef8a700e82646a5d60f2e252f0773856f8eafb8d2ba",
+    ("unstable", "psi_inv"): "05fe8fa04b71d744494d6dad78042074866d342206ae675826e6d86152f2b2a5",
+    ("stable", "psi"): "d53a5120df06e571423b5d26a5476d60a28c17b3cc3328d9297a05c0fc203894",
+    ("stable", "psi_inv"): "33a79eb2b7191a99cc8933d43de298e76898a6c29321d29fd97bd6f26bedef09",
+}
+
+
+def test_straightening_charts_pinned():
+    # the charts come from one rule; a reordered monomial would move last
+    # bits of every compiled array, which the float checks above miss
+    for (side, name), digest in CHART_DIGESTS.items():
+        pm = getattr(_side(CFG, side), name)
+        terms = [[(c.lo, c.hi, e) for c, e in comp] for comp in pm.components]
+        assert hashlib.sha256(repr(terms).encode()).hexdigest() == digest, (side, name)
+
+
+def test_side_record():
+    u, s = _side(CFG, "unstable"), _side(CFG, "stable")
+    assert (u.T, s.T) == (CFG.T, -CFG.T)
+    assert (u.slots, s.slots) == (slice(0, 2), slice(2, 4))
+    assert _side(CFG, "stable") is s
+    v = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(u.embed(v), [[1, 2, 0, 0], [3, 4, 0, 0]])
+    assert np.array_equal(s.embed(v[0], -5.0), [-5, -5, 1, 2])
+    with pytest.raises(ValueError):
+        chart_psi(CFG, "Unstable", "forward", IntervalBox.point([0.0] * 4))
 
 
 def test_chart_V_orthogonality_and_anchors():
@@ -300,13 +333,24 @@ def test_sample_manifold_conserves_integrals():
 
 
 def test_local_enclosure_boxes_halfwidth():
+    # both sides: the local slots tile [-r, r]^2 row-major (a outer, b
+    # inner), the graph slots are exactly +-d
     from splitcert.lerman import local_enclosure_boxes
-    local = make_local_graph(CFG, "unstable")
-    rows = local_enclosure_boxes(CFG, "unstable", n_grid=4)
-    assert rows.shape == (16, 8)
-    for row in rows:
-        lo, hi = row[:4], row[4:]
-        assert np.all(hi[2:] - lo[2:] <= 2 * local.value_radius + 1e-18)
+    r = CFG.local_radius
+    for side, loc, graph in (("unstable", [0, 1], [2, 3]), ("stable", [2, 3], [0, 1])):
+        d = make_local_graph(CFG, side).value_radius
+        assert d <= CFG.lipschitz * r * (1 + 1e-15)
+        for n in (1, 2, 3):
+            rows = local_enclosure_boxes(CFG, side, n_grid=n)
+            assert rows.shape == (n * n, 8)
+            lo, hi = rows[:, :4], rows[:, 4:]
+            assert np.all(lo[:, graph] == -d) and np.all(hi[:, graph] == d)
+            edges = np.linspace(-r, r, n + 1)
+            cells = [(i, j) for i in range(n) for j in range(n)]
+            for k, (i, j) in enumerate(cells):
+                assert lo[k, loc].tolist() == [edges[i], edges[j]]
+                assert hi[k, loc].tolist() == [edges[i + 1], edges[j + 1]]
+            assert lo[0, loc].tolist() == [-r, -r] and hi[-1, loc].tolist() == [r, r]
 
 
 def test_global_manifold_jet_contains_finite_differences():
