@@ -53,6 +53,19 @@ trailing axes of both operands merge into one with no copy.  The (lo, hi)
 endpoints of every block are stacked on a leading axis, so one numpy call
 gathers or scatters both.
 
+The second variational block S is symmetric in its two parameter indices:
+it holds the mixed partials of a C^2 flow.  The series keeps it once, as
+the m (m + 1) / 2 pairs (al, be) with al >= be, and so runs its products
+over those pairs only; the full block is mirrored back from them once per
+step.  One triangle is sound because every exact datum the recursion
+encloses is symmetric: the exact S of the flow, the second partials Hxx
+of the field, the start of row 0 (S0 = 0, or a symmetric jet) and the
+start of row 1 (the same [-etaS, etaS] in every entry), so the recursion
+gives the pair (al, be) and its mirror (be, al) the same exact
+coefficients, and an enclosure of one encloses the other.  A start that
+is not symmetric as an interval block is first intersected with its
+mirror, which keeps the exact (symmetric) data.
+
 The nonrigorous float transports (:func:`point_flow`, :func:`point_flow_jet`)
 run the same series with round-to-nearest kernels at the field's
 coefficient midpoints, in fixed steps and for a batch of points at once;
@@ -62,14 +75,16 @@ their blocks carry one endpoint.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import kernels as ku
 from .intervals import Interval, IntervalBox, IntervalError
 from .jets import Jet2Enclosure, compose_d2, with_eps_row
-from .matrices import IntervalMatrix, iinverse
+from .matrices import IntervalMatrix
 from .polys import PolyMap, VectorFieldDef
 
 
@@ -95,20 +110,32 @@ class FlowSettings:
                                 f"(the only representation), got {self.wrapping_control!r}")
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _iexp_ub(x: float) -> float:
-    """Rigorous upper bound of e^x for x >= 0: the Taylor sum to order 14
-    plus a tail bound, on floats, each operation rounded up by one ulp."""
+    """Rigorous upper bound of e^x for x >= 0: x is halved (exactly) to at
+    most 1, where the Taylor sum to order 14 plus a tail bound is taken,
+    and the result squared back once per halving, on floats, each operation
+    rounded up by one ulp.  Above log(max float), and for a non-finite x,
+    the bound is inf."""
     if x <= 0.0:
         return 1.0
-    if x > 1.0:
-        half = _iexp_ub(x / 2.0)
-        return math.nextafter(half * half, math.inf)
+    if not x < _LOG_MAX:
+        return math.inf
+    halvings = 0
+    while x > 1.0:
+        x /= 2.0
+        halvings += 1
     acc = term = 1.0
     for k in range(1, 15):
         term = math.nextafter(math.nextafter(term * x, math.inf) / k, math.inf)
         acc = math.nextafter(acc + term, math.inf)
     # geometric tail bound, ratio <= 1/15
-    return math.nextafter(acc + 2.0 * term, math.inf)
+    acc = math.nextafter(acc + 2.0 * term, math.inf)
+    for _ in range(halvings):
+        acc = math.nextafter(acc * acc, math.inf)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +312,21 @@ def _ends(x):
     return x[0], x[-1]
 
 
+@lru_cache(maxsize=None)
+def _pairs(m: int):
+    """The pairs (al, be), al >= be, that hold a symmetric m x m block,
+    column by column: (0, 0), (1, 0), ..., (m-1, 0), (1, 1), (2, 1), ...,
+    so the first m pairs are the eps column (al, 0).  Returns the arrays
+    ``al`` and ``be`` of the pairs and the (m, m) array ``mirror`` that
+    gives the pair of (al, be) and of (be, al) alike; built once per m."""
+    al, be = np.tril_indices(m)
+    order = np.lexsort((al, be))
+    al, be = al[order], be[order]
+    mirror = np.empty((m, m), dtype=int)
+    mirror[al, be] = mirror[be, al] = np.arange(len(al))
+    return al, be, mirror
+
+
 class _Series:
     """Order-by-order interval Taylor series of a batch of initial boxes.
 
@@ -309,6 +351,11 @@ class _Series:
     depth group repeat rows (x_1 x_1, x_1 x_2, ...), so they are one gather
     of both operands, whose right half a reversed view reads backwards.
 
+    The symmetric S is kept on the pairs p = (al, be) with al >= be, in the
+    order of :func:`_pairs` (the eps column (al, 0) first), and every block
+    that meets it in a product is written per pair once per order, so its
+    product sums read contiguous views with no gather.
+
     * ``bank`` (e, B, rows, P+2): the field's product bank, rows as in
       :class:`_FieldTables`, orders last.  ``z`` is the view of its state
       rows 1..n, (e, B, n, P+2).
@@ -317,16 +364,21 @@ class _Series:
       (row 2n + c n + a), with orders and then the contracted index last;
       ``E`` (e, nvar, 2, P+2, n) holds aeps[c] and Hee[c], which are only
       added.
-    * ``T`` (e, nvar, n, m, P+2, n): T[c, be, i, a] = T_i[c, a, be], the
-      left operand of Q1.
-    * ``Vr`` (e, nvar, m, P+2, n) and ``Sr`` (e, nvar, m m, P+2, n): the reversed
-      twins of V_j[c, al] and S_j[c, al, be] (S flattened to (n, m m)),
-      at index P+1-j.  They are the only copies of V and S; :meth:`flat`
-      reads them back in order.
+    * ``T`` (e, nvar, n, npairs, P+2, n): T[c, p, i, a] = T_i[c, a, be],
+      p = (al, be), the left operand of Q1.
+    * ``Vp`` (e, nvar, npairs, P+2, n): the V pair twin, the reversed twin
+      of V_j[c, al] for the pair p = (al, be) at index P+1-j.  Its first m
+      pairs are (al, 0), al = 0..m-1, so its view ``Vr`` = ``Vp[:, :, :m]``
+      (e, nvar, m, P+2, n) is the reversed twin of V itself; the other
+      pairs repeat its columns.
+    * ``Sr`` (e, nvar, npairs, P+2, n): the reversed twin of
+      S_j[c, al, be] for the pair p = (al, be).  ``Vr`` and ``Sr`` are the
+      only copies of V and S; :meth:`flat` reads them back in order.
 
-    A and Hxe share their right operand V and lie next to each other in
-    ``L``, so one product sum gives both A V and Hxe V; each output is the
-    same last-axis reduction as in two calls.
+    The three left operands [A; Hxe; Hxx] share their right operand V and
+    lie next to each other in ``L``, so one product sum gives A V, Hxe V
+    and Hxx V; each output is the same last-axis reduction as in separate
+    calls.
 
     A series is filled in three passes, each from where it stopped:
 
@@ -385,11 +437,13 @@ class _Series:
         self.g_state = {"clo": per_row("clo"), "chi": per_row("chi"), "rows": rf.g_var["rows"][:n]}
         coeffs = [self.g_state["clo"], self.g_state["chi"]]
         if self.with_var:
+            npairs = len(_pairs(m)[0])
             self.L = np.zeros((e, nv, 2 * n + n * n, P + 2, n))
             self.E = np.zeros((e, nv, 2, P + 2, n))
-            self.T = np.zeros((e, nv, n, m, P + 2, n))
-            self.Vr = np.zeros((e, nv, m, P + 2, n))
-            self.Sr = np.zeros((e, nv, m * m, P + 2, n))
+            self.T = np.zeros((e, nv, n, npairs, P + 2, n))
+            self.Vp = np.zeros((e, nv, npairs, P + 2, n))
+            self.Vr = self.Vp[:, :, :m]
+            self.Sr = np.zeros((e, nv, npairs, P + 2, n))
             # the table pass evaluates the other rows of g_var
             self.g_tab = {key: rf.g_var[key][n:] for key in ("clo", "chi", "rows")}
             coeffs += [self.g_tab["clo"], self.g_tab["chi"]]
@@ -400,12 +454,26 @@ class _Series:
 
     def start(self, V0, S0):
         """Set the variational initial data: (lo, hi) of shape (B, n, m)
-        and (B, n, m, m); equal endpoints for a float series."""
-        B, n = self.nvar, self.n
+        and (B, n, m, m); equal endpoints for a float series.  Each pair
+        (al, be) of S takes the intersection of S0[..., al, be] and its
+        mirror S0[..., be, al], which both enclose the one exact entry;
+        raises :class:`IntervalError` when they do not intersect."""
+        al, be, _ = _pairs(self.m)
+        lo = np.maximum(S0[0][..., al, be], S0[0][..., be, al])
+        hi = np.minimum(S0[-1][..., al, be], S0[-1][..., be, al])
+        if not (lo <= hi).all():
+            raise IntervalError("mixed-partial enclosures do not intersect")
+        self.start_pairs(V0, (lo, hi))
+
+    def start_pairs(self, V0, Sp0):
+        """:meth:`start` from S0 already on the pairs: (lo, hi) of shape
+        (B, n, npairs), as :meth:`split` gives them."""
+        m = self.m
         for end in (0, -1):
             self.Vr[end, :, :, -1] = np.swapaxes(V0[end], -1, -2)
-            self.Sr[end, :, :, -1] = np.swapaxes(S0[end].reshape(B, n, -1), -1, -2)
-        self.scaled = self.scaled and self.k.is_scaled(*V0, *S0)
+            self.Sr[end, :, :, -1] = np.swapaxes(Sp0[end], -1, -2)
+        self.Vp[:, :, m:, -1] = self.Vp[:, :, _pairs(m)[0][m:], -1]
+        self.scaled = self.scaled and self.k.is_scaled(*V0, *Sp0)
 
     def _pass(self, name: str, upto: int, run, written):
         """Run ``run(k0, upto, fast)`` over the orders k0..upto-1 that pass
@@ -442,8 +510,8 @@ class _Series:
         self.extend_tables(upto)
         P = self.P
         self._pass("var", upto, self._var_orders, lambda k0, k1: (
-            self.T[..., k0:k1, :], self.Vr[:, :, :, P + 1 - k1 : P + 1 - k0],
-            self.Sr[:, :, :, P + 1 - k1 : P + 1 - k0]))
+            self.T[..., k0:k1, :], self.Vr[..., P + 1 - k1 : P + 1 - k0, :],
+            self.Sr[..., P + 1 - k1 : P + 1 - k0, :]))
 
     def _state_orders(self, k0: int, k1: int, fast: bool):
         """The bank at orders k0..k1-1 and z at orders k0+1..k1."""
@@ -475,63 +543,76 @@ class _Series:
     def _var_step(self, k: int, fast: bool):
         """V_{k+1}, T_k and S_{k+1} from the tables through order k."""
         ks, n, m, e, B = self.k, self.n, self.m, self.ends, self.nvar
+        al, be, _ = _pairs(m)
+        npairs = len(al)
         inv = 1.0 / (k + 1)
         terms = (k + 1) * n
         j = self.P + 1 - k  # the twins' orders k, k-1, ..., 0
-        v = self.Vr[:, :, :, j:].reshape(e, B, 1, m, terms)
+        vp = self.Vp[:, :, :, j:]
 
-        # [A; Hxe]_i V_j: V_{k+1} = (sum_{i+j=k} A_i V_j + aeps_k e0^T) / (k+1)
-        # and Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a] V_j[a,al]
-        x = self.L[:, :, : 2 * n, : k + 1].reshape(e, B, 2 * n, 1, terms)
-        av = ks.imulsum(x[0], x[-1], v[0], v[-1], fast)
-        av[:, :, :n, 0] = ks.vadd(*_ends(av[:, :, :n, 0]), *_ends(self.E[:, :, 0, k]))
-        self.Vr[:, :, :, j - 1] = np.swapaxes(ks.vscale(inv, *_ends(av[:, :, :n])), -1, -2)
+        # [A; Hxe; Hxx]_i V_j in one product sum: V_{k+1} = (sum_{i+j=k} A_i
+        # V_j + aeps_k e0^T) / (k+1), Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a]
+        # V_j[a,al] and T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be]
+        x = self.L[:, :, :, : k + 1].reshape(e, B, 2 * n + n * n, 1, terms)
+        v = vp[:, :, :m].reshape(e, B, 1, m, terms)
+        lv = ks.imulsum(x[0], x[-1], v[0], v[-1], fast)
+        av = lv[:, :, :n]
+        av[..., 0] = ks.vadd(*_ends(av[..., 0]), *_ends(self.E[:, :, 0, k]))
+        self.Vr[:, :, :, j - 1] = np.swapaxes(ks.vscale(inv, *_ends(av)), -1, -2)
+        self.Vp[:, :, m:, j - 1] = self.Vp[:, :, al[m:], j - 1]
+        # T_k per pair p = (al, be): T[c, p, k, a] = T_k[c, a, be]
+        t = lv[:, :, 2 * n :].reshape(e, B, n, n, m)
+        self.T[..., k, :] = np.swapaxes(t, -1, -2)[:, :, :, be]
 
-        # T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be], kept as [c,be,a]
-        x = self.L[:, :, 2 * n :, : k + 1].reshape(e, B, n * n, 1, terms)
-        t = ks.imulsum(x[0], x[-1], v[0], v[-1], fast)
-        self.T[..., k, :] = np.swapaxes(t.reshape(e, B, n, n, m), -1, -2)
-        # Q1_k[c,al,be] = sum_{i+j=k} T_i[c,a,be] V_j[a,al], as q[c,be,al];
-        # Q2 is added on the eps row and column, Hee_k at (0, 0)
-        x = self.T[..., : k + 1, :].reshape(e, B, n * m, 1, terms)
-        q = ks.imulsum(x[0], x[-1], v[0], v[-1], fast).reshape(e, B, n, m, m)
-        q2 = _ends(av[:, :, n:])
-        q[..., 0] = ks.vadd(*_ends(q[..., 0]), *q2)
-        q[:, :, :, 0] = ks.vadd(*_ends(q[:, :, :, 0]), *q2)
-        q[:, :, :, 0, 0] = ks.vadd(*_ends(q[:, :, :, 0, 0]), *_ends(self.E[:, :, 1, k]))
+        # Q1_k[c,p] = sum_{i+j=k} T_i[c,a,be] V_j[a,al] over the pairs; Q2
+        # is added on the eps column (al, 0) and once more at (0, 0), Hee_k
+        # at (0, 0)
+        x = self.T[..., : k + 1, :].reshape(e, B, n, npairs, terms)
+        y = vp.reshape(e, B, 1, npairs, terms)
+        q = ks.imulsum(x[0], x[-1], y[0], y[-1], fast)
+        q2 = lv[:, :, n : 2 * n]
+        q[..., :m] = ks.vadd(*_ends(q[..., :m]), *_ends(q2))
+        q[..., 0] = ks.vadd(*_ends(q[..., 0]), *_ends(q2[..., 0]))
+        q[..., 0] = ks.vadd(*_ends(q[..., 0]), *_ends(self.E[:, :, 1, k]))
 
-        # S_{k+1} = (sum A_i S_j + Q_k)/(k+1)
+        # S_{k+1} = (sum A_i S_j + Q_k)/(k+1) over the pairs
         x = self.L[:, :, :n, : k + 1].reshape(e, B, n, 1, terms)
-        s = self.Sr[:, :, :, j:].reshape(e, B, 1, m * m, terms)
+        s = self.Sr[:, :, :, j:].reshape(e, B, 1, npairs, terms)
         as_ = ks.imulsum(x[0], x[-1], s[0], s[-1], fast)
-        q = np.swapaxes(q, -1, -2).reshape(e, B, n, m * m)
         s = ks.vscale(inv, *_ends(ks.vadd(*_ends(as_), *_ends(q))))
         self.Sr[:, :, :, j - 1] = np.swapaxes(s, -1, -2)
 
     def flat(self, row, orders: slice):
         """Coefficients ``orders`` of a row (an index) or of a slice of rows,
         each order's state, V and S (when enabled) flattened side by side:
-        the stack of endpoints (e, orders, n + n m + n m m), with the rows'
-        axis after the first for a slice.  A state-only row gives its state
-        alone, and a tuple of rows gives theirs side by side."""
+        the stack of endpoints (e, orders, n + n m + n npairs), S on its
+        pairs, with the rows' axis after the first for a slice.  A
+        state-only row gives its state alone, and a tuple of rows gives
+        theirs side by side."""
         if isinstance(row, tuple):
             return np.concatenate([self.flat(r, orders) for r in row], axis=-1)
         idx = np.arange(self.P + 2)[orders]
         z = np.swapaxes(self.z[:, row][..., idx], -1, -2)
         if not self.with_var or (isinstance(row, int) and row >= self.nvar):
             return z
-        # the twins of V and S, (e, [rows,] m or m m, orders, n), back in order
+        # the twins of V and S, (e, [rows,] m or npairs, orders, n), back in order
         rev = self.P + 1 - idx
         return np.concatenate([z, *(np.moveaxis(b[:, row][..., rev, :], -3, -1).reshape(
             *z.shape[:-1], -1) for b in (self.Vr, self.Sr))], axis=-1)
 
-    def unflat(self, x):
+    def split(self, x):
         """Split flattened orders (the last axis) back into (state, V, S)
-        blocks."""
+        blocks, S on its pairs: (..., n, npairs)."""
         n, m = self.n, self.m
         lead = x.shape[:-1]
         return (x[..., :n], x[..., n : n + n * m].reshape(*lead, n, m),
-                x[..., n + n * m :].reshape(*lead, n, m, m))
+                x[..., n + n * m :].reshape(*lead, n, m * (m + 1) // 2))
+
+    def unflat(self, x):
+        """:meth:`split` with S mirrored back from its pairs to the full
+        (..., n, m, m) block, which is symmetric bit for bit."""
+        z, V, Sp = self.split(x)
+        return z, V, Sp[..., _pairs(self.m)[2]]
 
     def eval_flat(self, row, h: float, upto: int):
         """The Taylor polynomial of a row (a slice or a tuple of rows) through
@@ -681,14 +762,19 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
         if err > err_max:
             return None
         ser.extend_tables(P + 1)
-        # Gronwall rough bounds for the variational blocks over the step
+        # Gronwall rough bounds for the variational blocks over the step, h d
+        # on floats rounded up (an exact 0 kept); a bound that overflows
+        # fails the step, which halves it
         d, ce, hxx, hxe, hee = _gronwall(ser, 1)
-        eh = _iexp_ub((hv * d).hi)
-        etaV = ((Interval.point(eh) - 1.0) + hv * ce * eh).hi
-        vr_lo, vr_hi = ku.widen_abs(eye, eye, np.full((n, mj), etaV))
-        vm = (Interval.point(float(ku.vmag(vr_lo, vr_hi).max())) * n).hi  # column sum bound
-        qb = Interval.point(hxx) * vm * vm + Interval.point(2.0 * hxe) * vm + hee
-        etaS = (hv * eh * qb).hi
+        eh = _iexp_ub(math.nextafter(h * d, math.inf) if d != 0.0 else 0.0)
+        try:
+            etaV = ((Interval.point(eh) - 1.0) + hv * ce * eh).hi
+            vr_lo, vr_hi = ku.widen_abs(eye, eye, np.full((n, mj), etaV))
+            vm = (Interval.point(float(ku.vmag(vr_lo, vr_hi).max())) * n).hi  # column sum bound
+            qb = Interval.point(hxx) * vm * vm + Interval.point(2.0 * hxe) * vm + hee
+            etaS = (hv * eh * qb).hi
+        except IntervalError as exc:
+            raise FlowError(f"the Gronwall bound overflows for step {h}") from exc
         zero = np.zeros((n, mj, mj))
         ser.start((np.stack([eye, vr_lo]), np.stack([eye, vr_hi])),
                   (np.stack([zero, np.full_like(zero, -etaS)]),
@@ -712,6 +798,24 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
     return pieces
 
 
+def _frame_inverse(q):
+    """Enclosure (lo, hi) of the inverse of the float square matrix ``q``,
+    a nearly orthogonal frame, as q^T + [-rho, rho] entrywise: the bound
+    is derived in :meth:`_LohnerState.advance`.  Raises :class:`FlowError`
+    when delta >= 1/2."""
+    n = len(q)
+    eye = np.eye(n)
+    glo, ghi = ku.idot(q.T, q.T, q, q)
+    elo, ehi = ku.vsub(eye, eye, glo, ghi)
+    mag = ku.vmag(elo, ehi)
+    delta = float(np.max(ku.isum(mag, mag, axis=1)[1]))
+    if not delta < 0.5:
+        raise FlowError(f"the Lohner frame is not near orthogonal: ||I - Q^T Q|| <= {delta:.3g}")
+    rho = math.nextafter(delta / math.nextafter(1.0 - delta, -math.inf), math.inf)
+    rho = math.nextafter(rho * float(np.max(np.abs(q))), math.inf)
+    return ku.widen_abs(q.T, q.T, rho)
+
+
 class _LohnerState:
     """x in xhat + C r0 + Q r;  V in C + Q Rv;  W in What + Q Rw."""
 
@@ -732,6 +836,21 @@ class _LohnerState:
         return IntervalBox(lo, hi)
 
     def advance(self, pieces: _StepPieces, r0lo, r0hi):
+        """Move the set through one step's pieces into the new frame Q'.
+
+        Q' is the float Q factor of mid([Mx]) Q, orthogonal up to rounding,
+        and its inverse is enclosed from its transpose (:func:`_frame_inverse`).
+        Let G = Q'^T Q' (exact) and E = I - G.  One interval product gives
+        [G], and delta = max_i sum_j max |I - [G]|_ij, rounded up, bounds
+        ||E||_inf.  For delta < 1 the Neumann series gives G^-1 = I + F with
+        F = sum_{k>=1} E^k, ||F||_inf <= delta / (1 - delta), and
+        Q'^-1 = G^-1 Q'^T, so Q'^-1 - Q'^T = F Q'^T and entrywise
+        |(F Q'^T)_ij| <= sum_k |F_ik| |Q'_jk| <= ||F||_inf max|Q'|.  So
+        Q'^-1 lies in Q'^T + [-rho, rho] with rho = delta / (1 - delta)
+        max|Q'|, each operation rounded up (1 - delta rounded down).  A
+        delta >= 1/2 raises :class:`FlowError`; a QR factor's delta is a
+        few ulps.
+        """
         n, m = self.C.shape
         mxlo, mxhi = pieces.Mlo[:, 1:], pieces.Mhi[:, 1:]
         # P = [Mx] C + [Meps] e0^T
@@ -742,20 +861,20 @@ class _LohnerState:
         Cn = 0.5 * (plo + phi)
         mq = (0.5 * (mxlo + mxhi)) @ self.Q
         qn, _ = np.linalg.qr(mq)
-        qinv = iinverse(IntervalMatrix.point(qn))
+        qilo, qihi = _frame_inverse(qn)
         mxq_lo, mxq_hi = ku.idot(mxlo, mxhi, self.Q, self.Q)
         # Lohner transition in the new frame, formed FIRST so its midpoint is
         # near-triangular; associating the products the other way lets the
         # entrywise rotation penalty compound exponentially
-        g_lo, g_hi = ku.idot(qinv.lo, qinv.hi, mxq_lo, mxq_hi)
+        g_lo, g_hi = ku.idot(qilo, qihi, mxq_lo, mxq_hi)
         dlo, dhi = ku.vsub(plo, phi, Cn, Cn)
-        qd_lo, qd_hi = ku.idot(qinv.lo, qinv.hi, dlo, dhi)
+        qd_lo, qd_hi = ku.idot(qilo, qihi, dlo, dhi)
         # state residual
         t1 = ku.idot(qd_lo, qd_hi, r0lo, r0hi)
         t2 = ku.idot(g_lo, g_hi, self.rlo, self.rhi)
         xn = 0.5 * (pieces.phi_lo + pieces.phi_hi)
         t3 = ku.vsub(pieces.phi_lo, pieces.phi_hi, xn, xn)
-        t3 = ku.idot(qinv.lo, qinv.hi, *t3)
+        t3 = ku.idot(qilo, qihi, *t3)
         rlo, rhi = ku.vadd(*t1, *t2)
         rlo, rhi = ku.vadd(rlo, rhi, *t3)
         # V residual
@@ -767,7 +886,7 @@ class _LohnerState:
                                   ext_lo, ext_hi, self.What, self.What)
         wn = 0.5 * (pw_lo + pw_hi)
         dw = ku.vsub(pw_lo, pw_hi, wn, wn)
-        dw = ku.idot(qinv.lo, qinv.hi, dw[0].reshape(n, -1), dw[1].reshape(n, -1))
+        dw = ku.idot(qilo, qihi, dw[0].reshape(n, -1), dw[1].reshape(n, -1))
         gr_lo, gr_hi = ku.idot(g_lo, g_hi, self.Rwlo.reshape(n, -1), self.Rwhi.reshape(n, -1))
         rw_lo, rw_hi = ku.vadd(dw[0], dw[1], gr_lo, gr_hi)
         self.xhat = xn
@@ -929,17 +1048,19 @@ def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order:
     x = np.array(x0, dtype=float)
     z = x.reshape(-1, n)
     V = np.broadcast_to(np.eye(n, m, 1), (len(z), n, m))
-    S = np.zeros((len(z), n, m, m))
+    # S rides from step to step on its pairs, mirrored once at the end
+    Sp = np.zeros((len(z), n, m * (m + 1) // 2))
     t = 0.0
     while t < T:
         h = min(step, T - t)
         ser = _Series(rf, z, z, order, m=m, kernels=_Nearest)
         if m:
-            ser.start((V, V), (S, S))
+            ser.start_pairs((V, V), (Sp, Sp))
         ser.extend_to(order + 1)
-        z, V, S = ser.unflat(ser.eval_flat(slice(None), h, order + 1)[0])
+        z, V, Sp = ser.split(ser.eval_flat(slice(None), h, order + 1)[0])
         t += h
     lead = x.shape[:-1]
+    S = Sp[..., _pairs(m)[2]]
     return z.reshape(*lead, n), V.reshape(*lead, n, m), S.reshape(*lead, n, m, m)
 
 

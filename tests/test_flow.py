@@ -9,6 +9,7 @@ import pytest
 
 from splitcert.intervals import Interval, IntervalBox, IntervalError
 from splitcert.jets import Jet2Enclosure, jet2_compose
+from splitcert.matrices import IntervalMatrix
 from splitcert.polys import PolyMap, VectorFieldDef
 from splitcert.flow import (FlowError, FlowSettings, _iexp_ub, flow_jet, point_flow,
                             point_flow_jet, rough_enclosure, taylor_coeffs)
@@ -368,6 +369,30 @@ def test_overflowing_picard_image_fails_the_rough_enclosure():
                      FlowSettings(taylor_order=8, initial_step=2.0, min_step=2**-20))
 
 
+@pytest.mark.parametrize("index, value", [(0, math.inf), (0, 1e308), (2, 1.7e308)],
+                         ids=["d_inf", "d_overflows", "hxx_overflows"])
+def test_overflowing_gronwall_bound_halves_the_step(monkeypatch, index, value):
+    # a Gronwall bound that is infinite or overflows (e^(h d), or etaS
+    # through hxx) fails the step with a FlowError, which halves it
+    import splitcert.flow as flow
+
+    gronwall = flow._gronwall
+    calls = []
+
+    def first_overflows(ser, row):
+        bounds = list(gronwall(ser, row))
+        calls.append(1)
+        if len(calls) == 1:
+            bounds[index] = value
+        return tuple(bounds)
+
+    monkeypatch.setattr(flow, "_gronwall", first_overflows)
+    attempts = _record_attempts(monkeypatch)
+    j = flow_jet(F_EXP, ident([1.0]), Interval(0, 0), 0.5, SET)
+    assert attempts[:2] == [("R", 0.25), ("A", 0.125)]
+    assert j.value[0].contains(math.exp(0.5))
+
+
 def test_non_finite_step_raises_flow_error_without_warnings():
     # x' = x^2 from 1e100: the Taylor coefficients x0^(k+1) overflow from
     # order 3 on although the step is tiny; no step may advance on them
@@ -422,9 +447,111 @@ def test_batched_series_rows_equal_single_series():
                             (Slo[row : row + 1], Shi[row : row + 1]), P)
         # every block stacks (lo, hi) on axis 0 and the batch row on axis 1;
         # z is a view of the bank, V and S live in their reversed twins
-        for name in ("bank", "Vr", "Sr", "T", *TABLES):
+        for name in ("bank", "Vr", "Vp", "Sr", "T", *TABLES):
             x, y = getattr(both, name)[:, row], getattr(one, name)[:, 0]
             assert x.tobytes() == y.tobytes(), name
+
+
+def test_unflat_mirrors_the_pairs_to_a_bitwise_symmetric_block():
+    # S is kept on the pairs (al, be), al >= be, eps column first, and
+    # mirrored back to a block that is symmetric bit for bit, for an
+    # enclosure and for the float series alike
+    import splitcert.flow as flow
+
+    field, zlo, zhi, V0, S0, P = _lu_rows()
+    al, be, mirror = flow._pairs(5)
+    assert len(al) == 15 and np.all(al >= be)
+    assert list(zip(al[:5], be[:5])) == [(a, 0) for a in range(5)]
+    assert np.array_equal(mirror[al, be], np.arange(15)) and np.array_equal(mirror, mirror.T)
+    ser = _batch_series(field, zlo, zhi, V0, S0, P)
+    flat = ser.flat(slice(None), slice(0, P + 1))
+    _, _, Sp = ser.split(flat)
+    _, _, S = ser.unflat(flat)
+    assert S.shape == (2, 2, P + 1, 4, 5, 5) and Sp.shape == (2, 2, P + 1, 4, 15)
+    assert S.tobytes() == np.swapaxes(S, -1, -2).tobytes()
+    assert S[..., al, be].tobytes() == Sp.tobytes()
+    assert np.any(S[..., 1:, 1:] != 0)
+    _, _, S = point_flow_jet(field, 0.0, zlo, 2.0, order=10, step=0.5)
+    assert S.shape == (2, 4, 5, 5) and np.any(S != 0)
+    assert S.tobytes() == np.swapaxes(S, -1, -2).tobytes()
+
+
+def test_start_intersects_the_second_block_with_its_mirror():
+    # each pair starts at the intersection of S0[al, be] and S0[be, al],
+    # as a jet stores it; disjoint mirrors raise
+    import splitcert.flow as flow
+
+    field, zlo, zhi, V0, (Slo, Shi), P = _lu_rows()
+    Slo, Shi = Slo.copy(), Shi.copy()
+    Slo[1, 0, 1, 2], Shi[1, 0, 1, 2] = -1e-5, 2e-6
+    Slo[1, 0, 2, 1], Shi[1, 0, 2, 1] = -3e-6, 1e-5
+    ser = _series(field, zlo, zhi, P, 5)
+    ser.start(V0, (Slo, Shi))
+    p = flow._pairs(5)[2][2, 1]
+    assert (ser.Sr[0, 1, p, -1, 0], ser.Sr[1, 1, p, -1, 0]) == (-3e-6, 2e-6)
+    jet = Jet2Enclosure(IntervalBox(zlo[1], zhi[1]), IntervalMatrix(V0[0][1], V0[1][1]),
+                        Slo[1], Shi[1])
+    _, _, S = ser.unflat(ser.flat(1, slice(0, 1)))
+    assert S[0, 0].tobytes() == jet.d2lo.tobytes() and S[1, 0].tobytes() == jet.d2hi.tobytes()
+    Slo[1, 0, 2, 1] = 3e-6
+    with pytest.raises(IntervalError, match="do not intersect"):
+        _series(field, zlo, zhi, P, 5).start(V0, (Slo, Shi))
+
+
+def test_three_product_sums_per_variational_order(monkeypatch):
+    # [A; Hxe; Hxx] V, then Q1 = T V and A S over the pairs
+    import splitcert.flow as flow
+
+    field, zlo, zhi, V0, S0, P = _lu_rows()
+    ser = _series(field, zlo, zhi, P, 5)
+    ser.start(V0, S0)
+    ser.extend_tables(P)
+    calls = []
+    imulsum = flow.ku.imulsum
+    monkeypatch.setattr(flow.ku, "imulsum", lambda *a, **k: calls.append(1) or imulsum(*a, **k))
+    ser.extend_to(P)
+    assert ser.scaled and ser._to["var"] == P
+    assert len(calls) == 3 * P
+
+
+def _fraction_inverse(a):
+    """Inverse of a square matrix of Fractions by Gauss-Jordan elimination."""
+    n = len(a)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[p] = rows[p], rows[k]
+        piv = rows[k][k]
+        rows[k] = [x / piv for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                f = rows[i][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [r[n:] for r in rows]
+
+
+@pytest.mark.parametrize("n, seed, scale", [(4, 11, 1.0), (5, 12, 1.0), (5, 13, 1.1),
+                                            (1, 0, 0.8)])
+def test_frame_inverse_contains_the_exact_inverse(n, seed, scale):
+    # Q from a float QR factorisation (scaled: a frame off orthogonal, whose
+    # delta is far from 0; 0.8 I makes the bound delta/(1-delta) max|Q| exact)
+    import splitcert.flow as flow
+
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    q = scale * q if n > 1 else np.array([[scale]])
+    lo, hi = flow._frame_inverse(q)
+    exact = _fraction_inverse([[Fraction(x) for x in row] for row in q])
+    for i, j in np.ndindex(n, n):
+        assert Fraction(lo[i, j]) <= exact[i][j] <= Fraction(hi[i, j]), (i, j)
+    if scale == 1.0:
+        assert np.max(hi - lo) < 1e-14
+
+
+def test_frame_inverse_rejects_a_frame_far_from_orthogonal():
+    import splitcert.flow as flow
+
+    with pytest.raises(FlowError, match="not near orthogonal"):
+        flow._frame_inverse(2.0 * np.eye(4))
 
 
 def _with_extra_rows(field):
@@ -768,3 +895,9 @@ def test_iexp_ub_bounds_the_exponential(x):
     assert ub >= partial
     if x <= 0.5:
         assert ub <= partial * (1 + Fraction(1, 10 ** 13))
+
+
+@pytest.mark.parametrize("x", [710.0, 1.7e308, math.inf, math.nan])
+def test_iexp_ub_is_infinite_above_the_float_range(x):
+    # e^x overflows above log(max float); a non-finite x halves forever
+    assert _iexp_ub(x) == math.inf
