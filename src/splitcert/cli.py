@@ -57,25 +57,31 @@ def _check_keys(doc: dict, allowed: set[str], where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-_FLOW_KEYS = {"taylorOrder", "initialStep", "minStep", "maxSteps"}
+# flow key -> (FlowSettings field, conversion)
+_FLOW_KEYS = {"taylorOrder": ("taylor_order", int), "initialStep": ("initial_step", float),
+              "minStep": ("min_step", float), "maxSteps": ("max_steps", int)}
 _LU_KEYS = {
     "problem", "lam", "omega", "epsMax", "R", "T", "localRadius", "lipschitz",
     "secondDerivBound", "flow", "subdivide", "epsSubdivide", "fallbackT",
 }
 
 
+def _convert(doc: dict, key: str, kind, default=None):
+    """``kind(doc[key])``, or ``default`` when the key is absent; a value
+    that ``kind`` rejects is a :class:`ConfigError`."""
+    if key not in doc:
+        return default
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {key!r}: {exc}") from exc
+
+
 def _flow_settings(doc: dict) -> FlowSettings:
     """The worked example's flow settings with the keys of ``doc`` replaced."""
-    _check_keys(doc, _FLOW_KEYS, "flow")
-    kw = {}
-    if "taylorOrder" in doc:
-        kw["taylor_order"] = int(doc["taylorOrder"])
-    if "initialStep" in doc:
-        kw["initial_step"] = float(doc["initialStep"])
-    if "minStep" in doc:
-        kw["min_step"] = float(doc["minStep"])
-    if "maxSteps" in doc:
-        kw["max_steps"] = int(doc["maxSteps"])
+    _check_keys(doc, set(_FLOW_KEYS), "flow")
+    kw = {attr: _convert(doc, key, kind) for key, (attr, kind) in _FLOW_KEYS.items()
+          if key in doc}
     return replace(LUConfig().flow, **kw)
 
 
@@ -96,7 +102,7 @@ def _lu_config(doc: dict) -> LUConfig:
         if "flow" in doc:
             kw["flow"] = _flow_settings(doc["flow"])
         if "fallbackT" in doc:
-            kw["fallback_T"] = tuple(float(t) for t in doc["fallbackT"])
+            kw["fallback_T"] = _convert(doc, "fallbackT", lambda v: tuple(map(float, v)))
         return LUConfig(**kw)
     except (TypeError, ValueError, IntervalError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -176,8 +182,10 @@ def main_certify_root(argv=None) -> int:
         pm = _parse_polymap(doc["map"], x_box.dim + y_box.dim)
         if pm.out_dim != y_box.dim:
             raise ConfigError("map output dimension must match Y")
-        y0 = np.asarray(doc["y0"], dtype=float) if "y0" in doc else None
-        max_refine = int(doc.get("maxRefine", 8))
+        y0 = _convert(doc, "y0", lambda v: np.asarray(v, dtype=float))
+        if y0 is not None and y0.shape != (y_box.dim,):
+            raise ConfigError(f"y0 must have one entry per Y component ({y_box.dim})")
+        max_refine = _convert(doc, "maxRefine", int, 8)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -217,14 +225,14 @@ def main_export_samples(argv=None) -> int:
     try:
         doc = _load_json(args.config)
         _check_keys(doc, _EXPORT_KEYS, "config")
-        eps = float(doc.get("eps", 0.0))
+        eps = _convert(doc, "eps", float, 0.0)
         sides = doc.get("sides", ["unstable", "stable"])
         for s in sides:
             if s not in ("unstable", "stable"):
                 raise ConfigError(f"unknown side {s!r}")
-        n_params = int(doc.get("nParams", 12))
-        n_times = int(doc.get("nTimes", 40))
-        box_grid = int(doc.get("boxGrid", 8))
+        n_params = _convert(doc, "nParams", int, 12)
+        n_times = _convert(doc, "nTimes", int, 40)
+        box_grid = _convert(doc, "boxGrid", int, 8)
         cfg = _lu_config(doc.get("lu", {}))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

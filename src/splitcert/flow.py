@@ -23,10 +23,10 @@ value/derivative map that :meth:`PolyMap.jet` evaluates, in its layout:
 one padded coefficient group over a shared bank of monomial products, f's
 rows first, with the table blocks read through :meth:`PolyMap._split`.
 
-The transported set is a Lohner-style QR-factored representation with a
-doubleton term carrying the initial-condition/parameter correlation
-(x in xhat + C r0 + Q r), which controls the wrapping effect over long
-transport times.
+The transported set is a Lohner-style QR-factored representation,
+x in xhat + C r0 + Q r and [V | W] in [C | What] + Q [Rv | Rw], whose
+doubleton term C r0 carries the initial-condition/parameter correlation and
+controls the wrapping effect over long transport times.
 
 Step sizes are powers of two, adapted by a coefficient-decay heuristic, so
 runs are deterministic; the final step is clipped to land on T.  A step
@@ -101,10 +101,10 @@ class FlowSettings:
     max_steps: int = 100000
 
     def __post_init__(self):
-        if self.taylor_order < 2:
+        if not self.taylor_order >= 2:
             raise IntervalError("taylor_order must be at least 2")
-        if not (0 < self.min_step <= self.initial_step):
-            raise IntervalError("steps must be positive with min_step <= initial_step")
+        if not (0 < self.min_step <= self.initial_step < math.inf):
+            raise IntervalError("steps must be positive and finite with min_step <= initial_step")
         if self.wrapping_control != "parallelepiped":
             raise IntervalError("wrapping_control must be 'parallelepiped' "
                                 f"(the only representation), got {self.wrapping_control!r}")
@@ -708,7 +708,7 @@ def taylor_coeffs(field: VectorFieldDef, state: Jet2Enclosure, order: int,
 # one validated step
 
 class _StepPieces:
-    __slots__ = ("phi_lo", "phi_hi", "val_lo", "val_hi", "Mlo", "Mhi", "Slo", "Shi", "err")
+    __slots__ = ("phi_lo", "phi_hi", "Mlo", "Mhi", "Slo", "Shi", "err")
 
 
 def _gronwall(ser: _Series, row: int):
@@ -792,8 +792,8 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
         raise FlowError(f"non-finite Taylor enclosure for step {h}")
     pieces = _StepPieces()
     pieces.err = err
-    pieces.val_lo, pieces.Mlo, pieces.Slo = ser.unflat(lo[:-n])
-    pieces.val_hi, pieces.Mhi, pieces.Shi = ser.unflat(hi[:-n])
+    _, pieces.Mlo, pieces.Slo = ser.unflat(lo[:-n])
+    _, pieces.Mhi, pieces.Shi = ser.unflat(hi[:-n])
     pieces.phi_lo, pieces.phi_hi = lo[-n:], hi[-n:]
     return pieces
 
@@ -817,16 +817,20 @@ def _frame_inverse(q):
 
 
 class _LohnerState:
-    """x in xhat + C r0 + Q r;  V in C + Q Rv;  W in What + Q Rw."""
+    """x in xhat + C r0 + Q r;  [V | W] in [C | What] + Q [Rv | Rw].
 
-    def __init__(self, xhat, C, Q, r, Rv, What, Rw):
+    D = [V | W] is one block of m + m^2 columns (W's (m, m) flattened), with
+    one midpoint ``dmid``, one residual (``rdlo``, ``rdhi``) and one update
+    per step; ``C`` is the view ``dmid[:, :m]``."""
+
+    def __init__(self, xhat, Q, r, dmid, rd):
         self.xhat = xhat
-        self.C = C
         self.Q = Q
         self.rlo, self.rhi = r
-        self.Rvlo, self.Rvhi = Rv
-        self.What = What
-        self.Rwlo, self.Rwhi = Rw
+        self.dmid = dmid
+        self.rdlo, self.rdhi = rd
+        self.m = m = math.isqrt(4 * dmid.shape[1] + 1) // 2  # from m + m^2 columns
+        self.C = dmid[:, :m]
 
     def hull(self, r0lo, r0hi) -> IntervalBox:
         clo, chi = ku.idot(self.C, self.C, r0lo, r0hi)
@@ -838,8 +842,10 @@ class _LohnerState:
     def advance(self, pieces: _StepPieces, r0lo, r0hi):
         """Move the set through one step's pieces into the new frame Q'.
 
-        Q' is the float Q factor of mid([Mx]) Q, orthogonal up to rounding,
-        and its inverse is enclosed from its transpose (:func:`_frame_inverse`).
+        D' in mid(P_D) + Q' ([Q'^-1](P_D - mid) + [Q'^-1 [Mx] Q] Rd), P_D =
+        [P_V | P_W].  Q' is the float Q factor of mid([Mx]) Q, orthogonal up
+        to rounding, and its inverse is enclosed from its transpose
+        (:func:`_frame_inverse`).
         Let G = Q'^T Q' (exact) and E = I - G.  One interval product gives
         [G], and delta = max_i sum_j max |I - [G]|_ij, rounded up, bounds
         ||E||_inf.  For delta < 1 the Neumann series gives G^-1 = I + F with
@@ -851,14 +857,18 @@ class _LohnerState:
         delta >= 1/2 raises :class:`FlowError`; a QR factor's delta is a
         few ulps.
         """
-        n, m = self.C.shape
+        n, m = len(self.xhat), self.m
         mxlo, mxhi = pieces.Mlo[:, 1:], pieces.Mhi[:, 1:]
-        # P = [Mx] C + [Meps] e0^T
-        plo, phi = ku.idot(mxlo, mxhi, self.C, self.C)
-        add_lo = np.zeros((n, m)); add_hi = np.zeros((n, m))
-        add_lo[:, 0] = pieces.Mlo[:, 0]; add_hi[:, 0] = pieces.Mhi[:, 0]
-        plo, phi = ku.vadd(plo, phi, add_lo, add_hi)
-        Cn = 0.5 * (plo + phi)
+        # (lo, hi) of P_D: P_V = [Mx] C + [Meps] e0^T, then P_W = [Mx] What +
+        # S2[Vext, Vext]
+        pd = np.empty((2, n, m + m * m))
+        pd[:, :, :m] = ku.idot(mxlo, mxhi, self.C, self.C)
+        pd[:, :, 0] = ku.vadd(*pd[:, :, 0], pieces.Mlo[:, 0], pieces.Mhi[:, 0])
+        what = self.dmid[:, m:].reshape(n, m, m)
+        pw = compose_d2(pieces.Mlo, pieces.Mhi, pieces.Slo, pieces.Shi,
+                        *with_eps_row(*self._mid_plus_qr(m)), what, what)
+        pd[:, :, m:] = np.reshape(pw, (2, n, -1))
+        dmid = 0.5 * (pd[0] + pd[1])
         mq = (0.5 * (mxlo + mxhi)) @ self.Q
         qn, _ = np.linalg.qr(mq)
         qilo, qihi = _frame_inverse(qn)
@@ -867,47 +877,33 @@ class _LohnerState:
         # near-triangular; associating the products the other way lets the
         # entrywise rotation penalty compound exponentially
         g_lo, g_hi = ku.idot(qilo, qihi, mxq_lo, mxq_hi)
-        dlo, dhi = ku.vsub(plo, phi, Cn, Cn)
+        dlo, dhi = ku.vsub(*pd, dmid, dmid)
         qd_lo, qd_hi = ku.idot(qilo, qihi, dlo, dhi)
-        # state residual
-        t1 = ku.idot(qd_lo, qd_hi, r0lo, r0hi)
+        # state residual, from V's columns of [Q'^-1](P_D - mid)
+        t1 = ku.idot(qd_lo[:, :m], qd_hi[:, :m], r0lo, r0hi)
         t2 = ku.idot(g_lo, g_hi, self.rlo, self.rhi)
         xn = 0.5 * (pieces.phi_lo + pieces.phi_hi)
-        t3 = ku.vsub(pieces.phi_lo, pieces.phi_hi, xn, xn)
-        t3 = ku.idot(qilo, qihi, *t3)
+        t3 = ku.idot(qilo, qihi, *ku.vsub(pieces.phi_lo, pieces.phi_hi, xn, xn))
         rlo, rhi = ku.vadd(*t1, *t2)
-        rlo, rhi = ku.vadd(rlo, rhi, *t3)
-        # V residual
-        t4 = ku.idot(g_lo, g_hi, self.Rvlo, self.Rvhi)
-        rvlo, rvhi = ku.vadd(qd_lo, qd_hi, *t4)
-        # W: P_w = [Mx] What + S2[Vext, Vext];  W' = P_w + Q' G Rw
-        ext_lo, ext_hi = with_eps_row(*self._v_full())
-        pw_lo, pw_hi = compose_d2(pieces.Mlo, pieces.Mhi, pieces.Slo, pieces.Shi,
-                                  ext_lo, ext_hi, self.What, self.What)
-        wn = 0.5 * (pw_lo + pw_hi)
-        dw = ku.vsub(pw_lo, pw_hi, wn, wn)
-        dw = ku.idot(qilo, qihi, dw[0].reshape(n, -1), dw[1].reshape(n, -1))
-        gr_lo, gr_hi = ku.idot(g_lo, g_hi, self.Rwlo.reshape(n, -1), self.Rwhi.reshape(n, -1))
-        rw_lo, rw_hi = ku.vadd(dw[0], dw[1], gr_lo, gr_hi)
+        self.rlo, self.rhi = ku.vadd(rlo, rhi, *t3)
+        # derivative residual
+        gr = ku.idot(g_lo, g_hi, self.rdlo, self.rdhi)
+        self.rdlo, self.rdhi = ku.vadd(qd_lo, qd_hi, *gr)
         self.xhat = xn
-        self.C = Cn
         self.Q = qn
-        self.rlo, self.rhi = rlo, rhi
-        self.Rvlo, self.Rvhi = rvlo, rvhi
-        self.What = wn
-        self.Rwlo, self.Rwhi = rw_lo.reshape(n, m, m), rw_hi.reshape(n, m, m)
+        self.dmid = dmid
+        self.C = dmid[:, :m]
 
-    def _v_full(self):
-        qv = ku.idot(self.Q, self.Q, self.Rvlo, self.Rvhi)
-        return ku.vadd(*qv, self.C, self.C)
+    def _mid_plus_qr(self, cols: int):
+        """mid + Q R over the leading ``cols`` columns of D: (lo, hi)."""
+        qr = ku.idot(self.Q, self.Q, self.rdlo[:, :cols], self.rdhi[:, :cols])
+        return ku.vadd(*qr, self.dmid[:, :cols], self.dmid[:, :cols])
 
     def to_jet(self, r0lo, r0hi) -> Jet2Enclosure:
-        n, m = self.C.shape
-        value = self.hull(r0lo, r0hi)
-        vlo, vhi = self._v_full()
-        qw = ku.idot(self.Q, self.Q, self.Rwlo.reshape(n, -1), self.Rwhi.reshape(n, -1))
-        wlo, whi = ku.vadd(qw[0].reshape(n, m, m), qw[1].reshape(n, m, m), self.What, self.What)
-        return Jet2Enclosure(value, IntervalMatrix(vlo, vhi), wlo, whi)
+        n, m = len(self.xhat), self.m
+        dlo, dhi = self._mid_plus_qr(self.dmid.shape[1])
+        return Jet2Enclosure(self.hull(r0lo, r0hi), IntervalMatrix(dlo[:, :m], dhi[:, :m]),
+                             dlo[:, m:].reshape(n, m, m), dhi[:, m:].reshape(n, m, m))
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +939,11 @@ def flow_jet(
     ``x0_center`` (a tight jet of the initial condition at the domain
     midpoint) enables the doubleton initialization that keeps long
     transports tight.  ``T`` may be negative (backward flow).  Raises
-    :class:`FlowError` on step underflow or when max_steps is exceeded.
+    :class:`FlowError` on step underflow or when max_steps is exceeded, and
+    :class:`IntervalError` on a non-finite ``T``.
     """
+    if not math.isfinite(T):  # a NaN T would skip the step loop below
+        raise IntervalError(f"the transport time must be finite, got T={T}")
     settings = settings or FlowSettings()
     if x0.out_dim != field.dimension:
         raise IntervalError("initial jet dimension does not match the field")
@@ -971,23 +970,21 @@ def flow_jet(
         r0lo = np.concatenate([[min(eps.lo - eps.mid, 0.0)], np.zeros(m - 1)])
         r0hi = np.concatenate([[max(eps.hi - eps.mid, 0.0)], np.zeros(m - 1)])
 
-    C0 = 0.5 * (x0.d1.lo + x0.d1.hi)
+    # the derivative block [V | W] of x0: its midpoint and residual
+    dlo = np.hstack([x0.d1.lo, x0.d2lo.reshape(n, -1)])
+    dhi = np.hstack([x0.d1.hi, x0.d2hi.reshape(n, -1)])
+    dmid = 0.5 * (dlo + dhi)
+    rdlo, rdhi = ku.vsub(dlo, dhi, dmid, dmid)
     if x0_center is not None and domain is not None:
         base = x0_center.value
         xhat = base.mid()
         blo, bhi = ku.vsub(base.lo, base.hi, xhat, xhat)
-        d1d = ku.vsub(x0.d1.lo, x0.d1.hi, C0, C0)
-        tlo, thi = ku.idot(*d1d, r0lo, r0hi)
+        tlo, thi = ku.idot(rdlo[:, :m], rdhi[:, :m], r0lo, r0hi)
         rlo, rhi = ku.vadd(blo, bhi, tlo, thi)
     else:
         xhat = x0.value.mid()
         rlo, rhi = ku.vsub(x0.value.lo, x0.value.hi, xhat, xhat)
-    w0 = 0.5 * (x0.d2lo + x0.d2hi)
-    state = _LohnerState(
-        xhat, C0, np.eye(n), (rlo, rhi),
-        ku.vsub(x0.d1.lo, x0.d1.hi, C0, C0),
-        w0, ku.vsub(x0.d2lo, x0.d2hi, w0, w0),
-    )
+    state = _LohnerState(xhat, np.eye(n), (rlo, rhi), dmid, (rdlo, rdhi))
 
     t = 0.0
     h = _pow2_floor(settings.initial_step)
@@ -1040,6 +1037,8 @@ def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order:
     """Fixed-step transport of x0 ((n,) or a batch (B, n)) by the float
     series through order ``order + 1``: the endpoint and, for m = n + 1, its
     derivatives in (eps, x0), with ``m = 0`` skipping them."""
+    if not math.isfinite(T):
+        raise IntervalError(f"the transport time must be finite, got T={T}")
     if T < 0:
         field, T = field.negated(), -T
     tb = _tables(field)

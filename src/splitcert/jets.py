@@ -63,10 +63,6 @@ class Jet2Enclosure:
         """Total differentiation variables including eps."""
         return self.d1.shape[1]
 
-    @property
-    def state_dim(self) -> int:
-        return self.nvars - 1
-
     # -- builders ----------------------------------------------------------
 
     @staticmethod

@@ -17,6 +17,7 @@ are consumed as declared inputs and listed in the certificate assumptions.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import lru_cache, partial
@@ -61,14 +62,16 @@ class LUConfig:
         check_serial(self.threads)
         for name in ("lam", "omega", "eps_max", "R", "T", "local_radius", "lipschitz",
                      "second_deriv_bound"):
-            if getattr(self, name) <= 0:
-                raise IntervalError(f"{name} must be positive")
+            x = getattr(self, name)
+            if not 0 < x < math.inf:
+                raise IntervalError(f"{name} must be positive and finite, got {x!r}")
         for name in ("subdivide", "eps_subdivide"):
             n = getattr(self, name)
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise IntervalError(f"{name} must be an integer >= 1, got {n!r}")
-        if not all(t > 0 for t in self.fallback_T):
-            raise IntervalError(f"fallback_T entries must be positive, got {self.fallback_T}")
+        if not all(0 < t < math.inf for t in self.fallback_T):
+            raise IntervalError(f"fallback_T entries must be positive and finite, "
+                                f"got {self.fallback_T}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI commands: configs, exit codes, files, reproducibility."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,19 @@ def test_certify_root_malformed(tmp_path):
     assert main_certify_root(["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
 
 
+@pytest.mark.parametrize("doc", [{"maxRefine": "abc"}, {"maxRefine": [1]}, {"y0": "abc"},
+                                 {"y0": [1.4, 1.4]}, {"y0": [[1.4]]}],
+                         ids=["maxRefine", "maxRefine_list", "y0", "y0_length", "y0_shape"])
+def test_certify_root_bad_values_are_config_errors(tmp_path, capsys, doc):
+    # a value that does not convert, or a y0 of the wrong length, is a
+    # configuration error (exit 2), not a traceback or a failed certificate
+    cfg = write(tmp_path / "c.json", {**SQRT2_CFG, **doc})
+    out = tmp_path / "o.json"
+    assert main_certify_root(["--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_root_reproducible(tmp_path):
     cfg = write(tmp_path / "c.json", SQRT2_CFG)
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -78,7 +92,10 @@ def test_lu_verify_invalid_values_rejected(tmp_path):
 
 
 BAD_CERT_SETTINGS = ({"subdivide": 1.5}, {"subdivide": 0}, {"epsSubdivide": -2},
-                     {"fallbackT": [5.0, -1.0]})
+                     {"fallbackT": [5.0, -1.0]}, {"fallbackT": [5.0, float("inf")]},
+                     {"T": float("nan")}, {"R": float("inf")},
+                     {"flow": {"initialStep": float("inf")}},
+                     {"flow": {"taylorOrder": "many"}})
 
 
 def test_lu_verify_bad_certificate_settings_rejected(tmp_path, capsys, monkeypatch):
@@ -100,7 +117,9 @@ def test_lu_config_rejects_bad_certificate_settings():
     from splitcert.intervals import IntervalError
     from splitcert.lerman import LUConfig
     for kw in ({"subdivide": 1.5}, {"subdivide": 0}, {"eps_subdivide": -2},
-               {"subdivide": True}, {"fallback_T": (5.0, -1.0)}, {"fallback_T": (0.0,)}):
+               {"subdivide": True}, {"fallback_T": (5.0, -1.0)}, {"fallback_T": (0.0,)},
+               {"fallback_T": (math.inf,)}, {"T": math.nan}, {"R": math.inf},
+               {"eps_max": math.nan}):
         with pytest.raises(IntervalError):
             LUConfig(**kw)
     # the benchmark's explicit settings stay valid
@@ -170,6 +189,17 @@ def test_export_samples_empty(tmp_path):
     assert main_export_samples(["--config", cfg, "--out-dir", str(out_dir)]) == 0
     samples = (out_dir / "samples.csv").read_text().splitlines()
     assert samples == ["eps,x1,x2,x3,x4,side"]
+
+
+@pytest.mark.parametrize("doc", [{"eps": "small"}, {"nParams": "many"}, {"nTimes": None},
+                                 {"boxGrid": 1e400}],
+                         ids=["eps", "nParams", "nTimes", "boxGrid"])
+def test_export_samples_bad_values_are_config_errors(tmp_path, capsys, doc):
+    cfg = write(tmp_path / "c.json", doc)
+    out_dir = tmp_path / "exp"
+    assert main_export_samples(["--config", cfg, "--out-dir", str(out_dir)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_export_samples_bad_side(tmp_path):

@@ -28,6 +28,14 @@ F_EPSX = VectorFieldDef(1, PolyMap(2, [[(1.0, (1, 1))]]))
 SET = FlowSettings(taylor_order=14, initial_step=0.25)
 
 
+@pytest.mark.parametrize("kw", [{"initial_step": math.inf}, {"initial_step": math.nan},
+                                {"min_step": math.nan}, {"taylor_order": math.nan}],
+                         ids=["initial_inf", "initial_nan", "min_nan", "order_nan"])
+def test_flow_settings_reject_non_finite_values(kw):
+    with pytest.raises(IntervalError):
+        FlowSettings(**kw)
+
+
 def test_wrapping_control_accepts_only_parallelepiped():
     assert FlowSettings(wrapping_control="parallelepiped").wrapping_control == "parallelepiped"
     with pytest.raises(IntervalError):
@@ -210,6 +218,16 @@ def test_step_failure_reports():
 def test_flow_zero_time_is_identity():
     j0 = ident([1.0, 2.0])
     assert flow_jet(F_ROT, j0, Interval(0, 0), 0.0, SET) is j0
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_time_raises_before_any_step(T):
+    # a NaN T would skip the step loop and hand back the start untransported
+    with pytest.raises(IntervalError, match="finite"):
+        flow_jet(F_ROT, ident([1.0, 2.0]), Interval(0, 0), T, SET)
+    for transport in (point_flow, point_flow_jet):
+        with pytest.raises(IntervalError, match="finite"):
+            transport(F_ROT, 0.0, np.array([1.0, 2.0]), T)
 
 
 def test_field_tables_kept_on_the_field():
@@ -512,6 +530,36 @@ def test_three_product_sums_per_variational_order(monkeypatch):
     ser.extend_to(P)
     assert ser.scaled and ser._to["var"] == P
     assert len(calls) == 3 * P
+
+
+def test_one_residual_update_per_accepted_step(monkeypatch):
+    # V and W share one midpoint and one residual, so an accepted step makes
+    # 10 interval products: [Mx] C, the frame inverse's Q'^T Q', [Mx] Q,
+    # [G], [Q'^-1](P_D - mid) and [G] Rd for both blocks at once, the state
+    # residual's three and Q Rv for Vext
+    import splitcert.flow as flow
+    from splitcert.lerman import LUConfig, lu_field
+
+    counts = []
+    idot, advance = flow.ku.idot, flow._LohnerState.advance
+
+    def counted(*args):
+        counts[-1] += 1
+        return idot(*args)
+
+    def advance_counted(self, *args):
+        counts.append(0)
+        with monkeypatch.context() as mp:
+            mp.setattr(flow.ku, "idot", counted)
+            advance(self, *args)
+        n, m = self.Q.shape[0], self.m
+        assert self.dmid.shape == self.rdlo.shape == self.rdhi.shape == (n, m + m * m)
+        assert np.shares_memory(self.C, self.dmid)
+
+    monkeypatch.setattr(flow._LohnerState, "advance", advance_counted)
+    flow_jet(lu_field(LUConfig()), Jet2Enclosure.identity(IntervalBox.point(_criterion5_x0())),
+             Interval(0.0, 0.0), 1.0, SET)
+    assert len(counts) >= 1 and set(counts) == {10}
 
 
 def _fraction_inverse(a):
