@@ -68,13 +68,18 @@ _LU_KEYS = {
 
 def _convert(doc: dict, key: str, kind, default=None):
     """``kind(doc[key])``, or ``default`` when the key is absent; a value
-    that ``kind`` rejects is a :class:`ConfigError`."""
+    that ``kind`` rejects, or whose numbers are not all finite, is a
+    :class:`ConfigError`."""
     if key not in doc:
         return default
     try:
-        return kind(doc[key])
+        value = kind(doc[key])
+        finite = bool(np.isfinite(np.asarray(value, dtype=float)).all())
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {key!r}: {exc}") from exc
+    if not finite:
+        raise ConfigError(f"invalid {key!r}: {doc[key]!r} is not finite")
+    return value
 
 
 def _flow_settings(doc: dict) -> FlowSettings:

@@ -29,10 +29,11 @@ doubleton term C r0 carries the initial-condition/parameter correlation and
 controls the wrapping effect over long transport times.
 
 Step sizes are powers of two, adapted by a coefficient-decay heuristic, so
-runs are deterministic; the final step is clipped to land on T.  A step
-whose rough enclosure fails, whose error estimate is too large or whose
-enclosures are not finite is halved, and an accepted step whose error
-estimate is far below the tolerance doubles the next one.  The integrator
+runs are deterministic (:class:`_StepRule`); an initial step that reaches
+T is taken as given, and the step that reaches T is one clipped step.  A
+step whose rough enclosure fails, whose error estimate is too large or
+whose enclosures are not finite is halved, and an accepted step whose
+error estimate is far below the tolerance doubles the next one.  The integrator
 remembers the sizes that failed: no doubling returns to a rejected size
 (the clipped last step aside) during the next ``patience`` accepted steps,
 where patience starts at 1 and doubles each time the size fails again, so
@@ -68,8 +69,10 @@ mirror, which keeps the exact (symmetric) data.
 
 The nonrigorous float transports (:func:`point_flow`, :func:`point_flow_jet`)
 run the same series with round-to-nearest kernels at the field's
-coefficient midpoints, in fixed steps and for a batch of points at once;
-their blocks carry one endpoint.
+coefficient midpoints, for a batch of points at once; their blocks carry
+one endpoint.  Each batch row takes its own steps by the same
+:class:`_StepRule`, its error estimate read from the last two
+coefficients of its float series.
 """
 
 from __future__ import annotations
@@ -310,6 +313,14 @@ def _ends(x):
     """The (lo, hi) of a stack of endpoints: both are the one endpoint of a
     float series' stack."""
     return x[0], x[-1]
+
+
+def _split(x, n: int, m: int):
+    """The (state, V, S) blocks of flattened coefficients (the last axis,
+    n + n m + n npairs wide), S on its pairs: (..., n, npairs)."""
+    lead = x.shape[:-1]
+    return (x[..., :n], x[..., n : n + n * m].reshape(*lead, n, m),
+            x[..., n + n * m :].reshape(*lead, n, m * (m + 1) // 2))
 
 
 @lru_cache(maxsize=None)
@@ -603,10 +614,7 @@ class _Series:
     def split(self, x):
         """Split flattened orders (the last axis) back into (state, V, S)
         blocks, S on its pairs: (..., n, npairs)."""
-        n, m = self.n, self.m
-        lead = x.shape[:-1]
-        return (x[..., :n], x[..., n : n + n * m].reshape(*lead, n, m),
-                x[..., n + n * m :].reshape(*lead, n, m * (m + 1) // 2))
+        return _split(x, self.n, self.m)
 
     def unflat(self, x):
         """:meth:`split` with S mirrored back from its pairs to the full
@@ -915,12 +923,69 @@ def _pow2_floor(x: float) -> float:
     return 2.0 ** math.floor(math.log2(x))
 
 
-def _block(blocked: dict, size: float, steps: int):
-    """Record a rejected step size: no doubling returns to it during the
-    next ``patience`` accepted steps.  Patience starts at 1 and doubles each
-    time the size fails again before a step of it is accepted."""
-    patience = 2 * blocked[size][0] if size in blocked else 1
-    blocked[size] = (patience, steps + patience)
+# the error bound of a step is _TOL (max|x| + 1) at the step's start
+_TOL = 4e-14
+
+
+class _StepRule:
+    """The step sizes of one transport over [0, T], T > 0.
+
+    The initial step is used as given when it reaches T; otherwise it is
+    floored to a power of two, and so is every size after it.  The step
+    that reaches T is one clipped step.  A step whose error estimate is
+    above ``_TOL (max|x| + 1)`` is rejected (a step at ``min_step`` is kept
+    whatever its estimate), and a rejected step halves, to no less than
+    ``min_step``.  An accepted step whose estimate is below 1e-4 of that
+    bound doubles the next one, up to 32 times the floored initial step,
+    unless the doubled size is blocked: a rejected size (the clipped last
+    step aside) is not doubled into during the next ``patience`` accepted
+    steps, where patience starts at 1 and doubles each time the size fails
+    again before a step of it is accepted.
+
+    Each attempt reads ``hcur`` and ``last`` after :meth:`propose`, then
+    calls :meth:`accept` or :meth:`reject`; ``t`` is the time reached.
+    """
+
+    __slots__ = ("T", "t", "h", "cap", "min_step", "max_steps", "steps", "blocked",
+                 "hcur", "last")
+
+    def __init__(self, T: float, initial: float, min_step: float, max_steps: int):
+        self.T, self.t = T, 0.0
+        self.h = initial if initial >= T else _pow2_floor(initial)
+        self.cap = 32 * _pow2_floor(initial)
+        self.min_step, self.max_steps = min_step, max_steps
+        self.steps = 0
+        # rejected size -> (patience, accepted-step count it is blocked through)
+        self.blocked: dict[float, tuple[int, int]] = {}
+
+    def propose(self):
+        """Size the next attempt: ``hcur``, and ``last`` when it reaches T.
+        Raises :class:`FlowError` after ``max_steps`` accepted steps."""
+        if self.steps >= self.max_steps:
+            raise FlowError(f"max_steps={self.max_steps} exceeded at t={self.t}, T={self.T}")
+        rest = self.T - self.t
+        self.last = rest <= self.h * (1 + 1e-12)
+        if not self.last:
+            self.h = _pow2_floor(self.h)
+        self.hcur = rest if self.last else self.h
+
+    def bound(self, scale: float) -> float:
+        """The error bound of the proposed step, ``scale`` = max|x| + 1."""
+        return _TOL * scale if self.hcur > self.min_step * (1 + 1e-12) else math.inf
+
+    def reject(self):
+        if not self.last:
+            patience = 2 * self.blocked[self.h][0] if self.h in self.blocked else 1
+            self.blocked[self.h] = (patience, self.steps + patience)
+        self.h = max(self.hcur * 0.5, self.min_step)
+
+    def accept(self, err: float, scale: float):
+        self.t = self.T if self.last else self.t + self.hcur
+        self.steps += 1
+        self.blocked.pop(self.h, None)
+        if (err < _TOL * scale * 1e-4 and self.h < self.cap
+                and self.steps > self.blocked.get(2.0 * self.h, (0, -1))[1]):
+            self.h *= 2.0
 
 
 def flow_jet(
@@ -986,45 +1051,25 @@ def flow_jet(
         rlo, rhi = ku.vsub(x0.value.lo, x0.value.hi, xhat, xhat)
     state = _LohnerState(xhat, np.eye(n), (rlo, rhi), dmid, (rdlo, rdhi))
 
-    t = 0.0
-    h = _pow2_floor(settings.initial_step)
-    h_cap = _pow2_floor(settings.initial_step) * 32
-    steps = 0
-    tol = 4e-14
-    # rejected size -> (patience, accepted-step count it is blocked through)
-    blocked: dict[float, tuple[int, int]] = {}
-    while t < T:
-        if steps >= settings.max_steps:
-            raise FlowError(f"max_steps={settings.max_steps} exceeded at t={t}, T={T}")
-        h = _pow2_floor(min(h, max(T - t, settings.min_step)))
-        last = (T - t) <= h * (1 + 1e-12)
-        hcur = (T - t) if last else h
+    rule = _StepRule(T, settings.initial_step, settings.min_step, settings.max_steps)
+    while rule.t < T:
+        rule.propose()
         hull = state.hull(r0lo, r0hi)
         scale = float(np.max(np.abs(hull.mid()))) + 1.0
-        # a step at min_step is kept whatever its error estimate
-        err_max = tol * scale if hcur > settings.min_step * (1 + 1e-12) else math.inf
         try:
-            pieces = _one_step(tb, rf, rf_pt, eps, hull, state.xhat, hcur, P, err_max)
+            pieces = _one_step(tb, rf, rf_pt, eps, hull, state.xhat, rule.hcur, P,
+                               rule.bound(scale))
         except FlowError:
-            if h <= settings.min_step:
-                raise FlowError(f"step underflow at t={t} of T={T}: "
+            if rule.hcur <= settings.min_step:
+                raise FlowError(f"step underflow at t={rule.t} of T={T}: "
                                 "no rough enclosure at min_step")
-            if not last:
-                _block(blocked, h, steps)
-            h *= 0.5
+            rule.reject()
             continue
         if pieces is None:
-            if not last:
-                _block(blocked, h, steps)
-            h = max(hcur * 0.5, settings.min_step)
+            rule.reject()
             continue
         state.advance(pieces, r0lo, r0hi)
-        t = T if last else t + hcur
-        steps += 1
-        blocked.pop(h, None)
-        if (pieces.err < tol * scale * 1e-4 and h < h_cap
-                and steps > blocked.get(2.0 * h, (0, -1))[1]):
-            h *= 2.0
+        rule.accept(pieces.err, scale)
     return state.to_jet(r0lo, r0hi)
 
 
@@ -1034,9 +1079,13 @@ def flow_jet(
 
 def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order: int,
                      step: float, m: int):
-    """Fixed-step transport of x0 ((n,) or a batch (B, n)) by the float
-    series through order ``order + 1``: the endpoint and, for m = n + 1, its
-    derivatives in (eps, x0), with ``m = 0`` skipping them."""
+    """Transport of x0 ((n,) or a batch (B, n)) by the float series through
+    order ``order + 1``: the endpoint and, for m = n + 1, its derivatives in
+    (eps, x0), with ``m = 0`` skipping them.  Each row takes the steps of
+    its own :class:`_StepRule` from the initial step ``step``, with the
+    error estimate ``|z_P| h^P + |z_{P+1}| h^(P+1)``, P = ``order``, so a
+    batch row equals its single call bit for bit.  Raises
+    :class:`FlowError` on a non-finite estimate or state."""
     if not math.isfinite(T):
         raise IntervalError(f"the transport time must be finite, got T={T}")
     if T < 0:
@@ -1045,29 +1094,54 @@ def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order:
     rf = _Resolved(tb, float(eps_val))
     n = tb.n
     x = np.array(x0, dtype=float)
-    z = x.reshape(-1, n)
-    V = np.broadcast_to(np.eye(n, m, 1), (len(z), n, m))
-    # S rides from step to step on its pairs, mirrored once at the end
-    Sp = np.zeros((len(z), n, m * (m + 1) // 2))
-    t = 0.0
-    while t < T:
-        h = min(step, T - t)
+    # each row's state, V and S (on its pairs) flattened side by side, as
+    # the series evaluates them
+    y = np.zeros((x.size // n, n + n * m + n * m * (m + 1) // 2))
+    y[:, :n] = x.reshape(-1, n)
+    y[:, n : n + n * m] = np.eye(n, m, 1).ravel()
+    rules = [_StepRule(T, step, FlowSettings.min_step, FlowSettings.max_steps) for _ in y]
+    while any(rule.t < T for rule in rules):
+        z, V, Sp = _split(y, n, m)
         ser = _Series(rf, z, z, order, m=m, kernels=_Nearest)
-        if m:
-            ser.start_pairs((V, V), (Sp, Sp))
-        ser.extend_to(order + 1)
-        z, V, Sp = ser.split(ser.eval_flat(slice(None), h, order + 1)[0])
-        t += h
-    lead = x.shape[:-1]
-    S = Sp[..., _pairs(m)[2]]
-    return z.reshape(*lead, n), V.reshape(*lead, n, m), S.reshape(*lead, n, m, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ser.extend_state(order + 1)
+            # per row: max|x|, max|z_P| and max|z_{P+1}|
+            mags = np.abs(ser.z[0][..., [0, order, order + 1]]).max(axis=1).tolist()
+            keep = []
+            for rule, (x_mag, zp, zp1) in zip(rules, mags):
+                kept = rule.t < T
+                if kept:
+                    rule.propose()
+                    h = rule.hcur
+                    err = zp * h**order + zp1 * h ** (order + 1)
+                    if not math.isfinite(err):
+                        raise FlowError(f"non-finite float Taylor series at t={rule.t}, T={T}")
+                    kept = err <= rule.bound(x_mag + 1.0)
+                    if kept:
+                        rule.accept(err, x_mag + 1.0)
+                    else:
+                        rule.reject()
+                keep.append(kept)
+            if any(keep):
+                if m:
+                    ser.start_pairs((V, V), (Sp, Sp))
+                    ser.extend_to(order + 1)
+                # a rejected or finished row keeps its state
+                h = np.array([[rule.hcur] for rule in rules])
+                y = np.where(np.array(keep)[:, None],
+                             ser.eval_flat(slice(None), h, order + 1)[0], y)
+                if not np.isfinite(y).all():
+                    raise FlowError(f"non-finite float transport before T={T}")
+    z, V, Sp = _split(y.reshape(*x.shape[:-1], y.shape[1]), n, m)
+    return z, V, Sp[..., _pairs(m)[2]]
 
 
 def point_flow_jet(field: VectorFieldDef, eps_val: float, x0, T: float,
                    order: int = 16, step: float = 0.125):
     """Plain float Taylor transport of value, Jacobian and second derivative
-    with respect to (eps, x0), of one point (n,) or a batch (B, n).  For
-    locating candidates and midpoint diagnostics only; nothing here is
+    with respect to (eps, x0), of one point (n,) or a batch (B, n), in
+    adaptive steps from the initial step ``step`` (:func:`_float_transport`).
+    For locating candidates and midpoint diagnostics only; nothing here is
     validated."""
     return _float_transport(field, eps_val, x0, T, order, step, field.dimension + 1)
 
@@ -1075,5 +1149,6 @@ def point_flow_jet(field: VectorFieldDef, eps_val: float, x0, T: float,
 def point_flow(field: VectorFieldDef, eps_val: float, x0, T: float,
                order: int = 16, step: float = 0.125):
     """Float Taylor endpoint only (cheap nonrigorous propagation) of one
-    point (n,) or a batch (B, n)."""
+    point (n,) or a batch (B, n), in adaptive steps from the initial step
+    ``step`` (:func:`_float_transport`)."""
     return _float_transport(field, eps_val, x0, T, order, step, 0)[0]

@@ -53,8 +53,10 @@ def test_certify_root_malformed(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [{"maxRefine": "abc"}, {"maxRefine": [1]}, {"y0": "abc"},
-                                 {"y0": [1.4, 1.4]}, {"y0": [[1.4]]}],
-                         ids=["maxRefine", "maxRefine_list", "y0", "y0_length", "y0_shape"])
+                                 {"y0": [1.4, 1.4]}, {"y0": [[1.4]]}, {"y0": [math.nan]},
+                                 {"y0": [-math.inf]}],
+                         ids=["maxRefine", "maxRefine_list", "y0", "y0_length", "y0_shape",
+                              "y0_nan", "y0_inf"])
 def test_certify_root_bad_values_are_config_errors(tmp_path, capsys, doc):
     # a value that does not convert, or a y0 of the wrong length, is a
     # configuration error (exit 2), not a traceback or a failed certificate
@@ -192,8 +194,8 @@ def test_export_samples_empty(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [{"eps": "small"}, {"nParams": "many"}, {"nTimes": None},
-                                 {"boxGrid": 1e400}],
-                         ids=["eps", "nParams", "nTimes", "boxGrid"])
+                                 {"boxGrid": 1e400}, {"eps": math.nan}, {"eps": math.inf}],
+                         ids=["eps", "nParams", "nTimes", "boxGrid", "eps_nan", "eps_inf"])
 def test_export_samples_bad_values_are_config_errors(tmp_path, capsys, doc):
     cfg = write(tmp_path / "c.json", doc)
     out_dir = tmp_path / "exp"

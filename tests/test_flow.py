@@ -274,6 +274,21 @@ def _record_attempts(monkeypatch) -> list:
     return attempts
 
 
+def test_criterion5_transports_take_a_pinned_step_sequence(monkeypatch):
+    # the ten criterion-5 transports (T = 1, order 14, initial step 1/4):
+    # a change to the step rule or the rough enclosure shows here as a
+    # changed count
+    from splitcert.lerman import LUConfig, lu_field
+
+    field = lu_field(LUConfig())
+    attempts = _record_attempts(monkeypatch)
+    for index in range(10):
+        flow_jet(field, Jet2Enclosure.identity(IntervalBox.point(_criterion5_x0(index))),
+                 Interval(0.0, 0.0), 1.0, SET)
+    outcomes = [o for o, _ in attempts]
+    assert (outcomes.count("A"), outcomes.count("E") + outcomes.count("R")) == (111, 25)
+
+
 def test_step_memory_stops_the_error_oscillation(monkeypatch):
     # criterion-5 condition #2 used to alternate E 1/4, A 1/8 for 14
     # attempts: right after a step of 1/8 the doubling test retried 1/4
@@ -881,21 +896,83 @@ def test_point_flow_jet_square_closed_form(T):
     assert V[0, 0] == S[0, 0, 0] == S[0, 0, 1] == S[0, 1, 0] == 0.0
 
 
-def test_point_flow_batch_rows_agree_with_single_calls():
+def _count_series(monkeypatch) -> list:
+    """Count the series the flow builds: the returned list fills with one
+    entry per :class:`_Series`."""
+    import splitcert.flow as flow
+
+    built = []
+    init = flow._Series.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(flow._Series, "__init__", counted)
+    return built
+
+
+def test_point_flow_batch_rows_agree_with_single_calls(monkeypatch):
+    # each row takes its own steps, so a batch row equals its single call
+    # bit for bit, also when the rows take different numbers of steps
     from splitcert.lerman import LUConfig, lu_field
 
     field = lu_field(LUConfig())
     x0 = np.stack([_criterion5_x0(), -0.5 * _criterion5_x0()[::-1]])
+    built = _count_series(monkeypatch)
+    series = {}
     for T in (1.3, -0.7):
         both = point_flow_jet(field, 1e-3, x0, T, order=12)
         assert both[0].shape == (2, 4) and both[1].shape == (2, 4, 5)
         assert both[2].shape == (2, 4, 5, 5)
         xs = point_flow(field, 1e-3, x0, T, order=12)
         for row in range(2):
+            built.clear()
             one = point_flow_jet(field, 1e-3, x0[row], T, order=12)
+            series[T, row] = len(built)
             for b, o in zip(both, one):
-                np.testing.assert_allclose(b[row], o, rtol=1e-14, atol=1e-15)
-            np.testing.assert_allclose(xs[row], one[0], rtol=1e-14, atol=1e-15)
+                assert b[row].tobytes() == o.tobytes()
+            assert xs[row].tobytes() == one[0].tobytes()
+    # at T = 1.3 the first row needs more steps (16 series against 11)
+    assert series[1.3, 0] > series[1.3, 1]
+
+
+@pytest.mark.parametrize("T", [0.1, 0.125, -0.125])
+def test_float_transport_within_the_initial_step_takes_one_series(monkeypatch, T):
+    # a transport that the initial step reaches is one clipped step, not
+    # a walk down in powers of two
+    built = _count_series(monkeypatch)
+    for transport in (point_flow, point_flow_jet):
+        built.clear()
+        x = transport(F_SQ, 0.0, [0.5], T, order=20, step=0.125)
+        assert len(built) == 1
+        assert x[0] == pytest.approx(0.5 / (1.0 - 0.5 * T), rel=1e-14)
+
+
+def test_float_transport_blow_up_raises(monkeypatch):
+    # x' = x^2 from 1 blows up at t = 1: the steps shrink to min_step and
+    # the series overflows, which raises instead of looping
+    built = _count_series(monkeypatch)
+    for transport in (point_flow, point_flow_jet):
+        built.clear()
+        with pytest.raises(FlowError, match="non-finite"):
+            transport(F_SQ, 0.0, [1.0], 2.0)
+        assert len(built) < 1000
+
+
+@pytest.mark.parametrize("T", [9.0, -9.0])
+def test_float_endpoint_lies_in_the_validated_enclosure(T):
+    # from the section point p0 the float endpoint stays within 1e-12 of
+    # the validated flow_jet enclosure of the same point (width ~2.5e-9);
+    # fixed steps of 1/8 were 1.9e-7 off
+    from splitcert.lerman import LUConfig, _p0, lu_field
+
+    field = lu_field(LUConfig())
+    _, p0 = _p0(LUConfig())
+    j = flow_jet(field, ident(p0), Interval(0.0, 0.0), T,
+                 FlowSettings(taylor_order=18, initial_step=0.125))
+    x = point_flow(field, 0.0, p0, T, order=18)
+    assert np.all(j.value.lo - 1e-12 <= x) and np.all(x <= j.value.hi + 1e-12)
 
 
 def test_float_transports_make_no_kernel_calls_or_interval_ops(monkeypatch):
