@@ -49,10 +49,14 @@ over a state index too, is one fused interval product sum over the last,
 contiguous axis of its operands.  The series blocks are laid out for it:
 the summed (order, state index) pair comes last, left operands keep their
 orders in the usual direction and right operands (V, S and the bank) are
-read in reversed order, V and S through twins stored reversed, so the two
-trailing axes of both operands merge into one with no copy.  The (lo, hi)
-endpoints of every block are stacked on a leading axis, so one numpy call
-gathers or scatters both.
+read in reversed order, V and S through twins stored reversed, so the
+trailing axes of both operands merge into one with no copy.  Two products
+that add up share one sum: the second variational recursion's T V and
+A S are two slots of one left block (T, A) and one right block (V, S),
+side by side at each order, so each order of the variational pass is
+two product sums.  The (lo, hi) endpoints of every block are stacked on a
+leading axis, so one numpy call gathers or scatters both.  Every division
+by an order k+1 divides by the integer itself, outward.
 
 The second variational block S is symmetric in its two parameter indices:
 it holds the mixed partials of a C^2 flow.  The series keeps it once, as
@@ -284,22 +288,27 @@ class _Resolved:
 
 class _Nearest:
     """Round-to-nearest stand-ins for the kernels :class:`_Series` calls:
-    each reads the ``lo`` operands only and returns its one float result
-    as a stack of one endpoint, the (1, ...) array that a float series
-    stores.  Every operand counts as scaled, so a float series never reruns
-    a pass through the checked path."""
+    each returns its one float result as a stack of one endpoint, the
+    (1, ...) array that a float series stores; the (lo, hi) kernels read
+    the ``lo`` operands only, the ``stack_`` kernels take such stacks.
+    Every operand counts as scaled, so a float series never reruns a pass
+    through the checked path."""
 
     @staticmethod
     def imulsum(alo, ahi, blo, bhi, scaled: bool = False):
         return np.add.reduce(alo * blo, axis=-1)[None]
 
     @staticmethod
-    def vadd(alo, ahi, blo, bhi):
-        return (alo + blo)[None]
-
-    @staticmethod
     def vscale(c: float, alo, ahi):
         return (c * alo)[None]
+
+    @staticmethod
+    def stack_add(a, b):
+        return a + b
+
+    @staticmethod
+    def stack_divint(d: int, x):
+        return x / d
 
     @staticmethod
     def is_scaled(*arrays) -> bool:
@@ -338,6 +347,15 @@ def _pairs(m: int):
     return al, be, mirror
 
 
+@lru_cache(maxsize=None)
+def _slots(m: int):
+    """The columns of a joined row [V | S on its pairs] (m + npairs wide)
+    that fill the two slots of each pair p = (al, be) of the right block
+    ``VS``: (npairs, 2), V's column al and S's column m + p."""
+    al = _pairs(m)[0]
+    return np.stack([al, m + np.arange(len(al))], axis=-1)
+
+
 class _Series:
     """Order-by-order interval Taylor series of a batch of initial boxes.
 
@@ -358,7 +376,12 @@ class _Series:
     at index P+1-j), so that ``X[:k+1]`` and the twin's ``[P+1-k:]`` are
     forward slices over the same (order, state) pairs, their two trailing
     axes merge into one with no copy, and every variational product is one
-    ``imulsum`` over a contiguous last axis.  The bank's operand rows of a
+    ``imulsum`` over a contiguous last axis.  The second product sum of an
+    order adds T V and A S: T and A are two slots of one left block ``TA``
+    and the twins of V and S the matching two slots of one right block
+    ``VS``, so ``TA[..., :k+1, :, :]`` and ``VS[..., P+1-k:, :, :]`` are
+    forward slices over the same (order, slot, state) triples and merge
+    into one contiguous last axis too.  The bank's operand rows of a
     depth group repeat rows (x_1 x_1, x_1 x_2, ...), so they are one gather
     of both operands, whose right half a reversed view reads backwards.
 
@@ -375,28 +398,33 @@ class _Series:
       (row 2n + c n + a), with orders and then the contracted index last;
       ``E`` (e, nvar, 2, P+2, n) holds aeps[c] and Hee[c], which are only
       added.
-    * ``T`` (e, nvar, n, npairs, P+2, n): T[c, p, i, a] = T_i[c, a, be],
-      p = (al, be), the left operand of Q1.
-    * ``Vp`` (e, nvar, npairs, P+2, n): the V pair twin, the reversed twin
-      of V_j[c, al] for the pair p = (al, be) at index P+1-j.  Its first m
-      pairs are (al, 0), al = 0..m-1, so its view ``Vr`` = ``Vp[:, :, :m]``
-      (e, nvar, m, P+2, n) is the reversed twin of V itself; the other
-      pairs repeat its columns.
-    * ``Sr`` (e, nvar, npairs, P+2, n): the reversed twin of
-      S_j[c, al, be] for the pair p = (al, be).  ``Vr`` and ``Sr`` are the
-      only copies of V and S; :meth:`flat` reads them back in order.
+    * ``TA`` (e, nvar, n, npairs, P+2, 2, n), the left operand of
+      Q1 + A S: slot 0 is the view ``T``, T[c, p, i, a] = T_i[c, a, be]
+      for the pair p = (al, be); slot 1 holds A_i[c, a] for every pair,
+      written by the table pass.
+    * ``VS`` (e, nvar, npairs, P+2, 2, n), the right operand: slot 0 is
+      the view ``Vp``, the V pair twin, the reversed twin of V_j[c, al]
+      for the pair p = (al, be) at index P+1-j; slot 1 is the view ``Sr``,
+      the reversed twin of S_j[c, al, be].  The first m pairs are (al, 0),
+      al = 0..m-1, so the view ``Vr`` = ``Vp[:, :, :m]`` (e, nvar, m, P+2,
+      n) is the reversed twin of V itself; the other pairs repeat its
+      columns.  ``Vr`` and ``Sr`` are the only copies of V and S;
+      :meth:`flat` reads them back in order.
 
     The three left operands [A; Hxe; Hxx] share their right operand V and
     lie next to each other in ``L``, so one product sum gives A V, Hxe V
     and Hxx V; each output is the same last-axis reduction as in separate
-    calls.
+    calls.  The second product sum gives Q1 + A S, and one row joins A V
+    and Q1 + A S for two adds (the eps-column terms aeps, Q2 and Hee)
+    and one division by k+1.
 
     A series is filled in three passes, each from where it stopped:
 
     1. :meth:`extend_state`: z and the bank of products, order by order,
        from the field's own rows of the coefficient group;
-    2. :meth:`extend_tables`: the field's derivative tables (``L``, ``E``)
-       at every order of the bank, in one ``imulsum`` call;
+    2. :meth:`extend_tables`: the field's derivative tables (``L``, ``E``
+       and A's slot of ``TA``) at every order of the bank, in one
+       ``imulsum`` call;
     3. the variational recursion for V, T, Q and S, order by order.
 
     :meth:`extend_to` runs all three.  A caller that can reject a series on
@@ -405,16 +433,17 @@ class _Series:
     a series it keeps.  A series with variational blocks needs
     :meth:`start` before its variational pass.
 
-    ``kernels`` is the kernel set the series calls (``imulsum``, ``vadd``,
-    ``vscale``, ``is_scaled``): ``ku`` for enclosures, :class:`_Nearest` for
-    the float transports, which run the same passes in round-to-nearest
-    arithmetic.  Cauchy products use the fused ``imulsum`` path while every
-    stored operand is scaled (``is_scaled``): each pass is checked once,
-    after it ran, and rerun through the checked kernel when one of the
-    operands it wrote fails the check, before a later pass reads them.  A
-    pass writes only its own slots, so the rerun overwrites everything the
-    unchecked run wrote.  The flag is the series', not a row's: when one
-    row's operands fail the check, every row takes the checked kernel.
+    ``kernels`` is the kernel set the series calls (``imulsum``,
+    ``stack_add``, ``stack_divint``, ``vscale``, ``is_scaled``): ``ku``
+    for enclosures, :class:`_Nearest` for the float transports, which run
+    the same passes in round-to-nearest arithmetic.  Cauchy products use
+    the fused ``imulsum`` path while every stored operand is scaled
+    (``is_scaled``): each pass is checked once, after it ran, and rerun
+    through the checked kernel when one of the operands it wrote fails the
+    check, before a later pass reads them.  A pass writes only its own
+    slots, so the rerun overwrites everything the unchecked run wrote.  The
+    flag is the series', not a row's: when one row's operands fail the
+    check, every row takes the checked kernel.
     """
 
     def __init__(self, rf: _Resolved, zlo, zhi, P: int, m: int = 0, kernels=ku,
@@ -451,10 +480,11 @@ class _Series:
             npairs = len(_pairs(m)[0])
             self.L = np.zeros((e, nv, 2 * n + n * n, P + 2, n))
             self.E = np.zeros((e, nv, 2, P + 2, n))
-            self.T = np.zeros((e, nv, n, npairs, P + 2, n))
-            self.Vp = np.zeros((e, nv, npairs, P + 2, n))
+            self.TA = np.zeros((e, nv, n, npairs, P + 2, 2, n))
+            self.T = self.TA[..., 0, :]
+            self.VS = np.zeros((e, nv, npairs, P + 2, 2, n))
+            self.Vp, self.Sr = self.VS[..., 0, :], self.VS[..., 1, :]
             self.Vr = self.Vp[:, :, :m]
-            self.Sr = np.zeros((e, nv, npairs, P + 2, n))
             # the table pass evaluates the other rows of g_var
             self.g_tab = {key: rf.g_var[key][n:] for key in ("clo", "chi", "rows")}
             coeffs += [self.g_tab["clo"], self.g_tab["chi"]]
@@ -535,8 +565,8 @@ class _Series:
                 a, b = x[:, :, : len(lidx)], x[:, :, len(lidx) :, ::-1]
                 bank[:, :, rows, k] = ks.imulsum(a[0], a[-1], b[0], b[-1], fast)
             x = bank[:, :, g["rows"], k]
-            bank[:, :, 1 : 1 + n, k + 1] = ks.vscale(
-                1.0 / (k + 1), *_ends(ks.imulsum(g["clo"], g["chi"], x[0], x[-1], fast)))
+            bank[:, :, 1 : 1 + n, k + 1] = ks.stack_divint(
+                k + 1, ks.imulsum(g["clo"], g["chi"], x[0], x[-1], fast))
 
     def _table_orders(self, k0: int, k1: int, fast: bool):
         """The derivative tables at orders k0..k1-1: one product sum over
@@ -546,6 +576,8 @@ class _Series:
         t = self.k.imulsum(g["clo"], g["chi"], x[0], x[-1], fast)
         self.L[:, :, :, k0:k1] = np.moveaxis(t[..., tb.left_cols], 2, 3)
         self.E[:, :, :, k0:k1] = np.moveaxis(t[..., tb.eps_cols], 2, 3)
+        # A's slot of TA, the same for every pair
+        self.TA[..., k0:k1, 1, :] = self.L[:, :, : self.n, None, k0:k1]
 
     def _var_orders(self, k0: int, k1: int, fast: bool):
         for k in range(k0, k1):
@@ -554,44 +586,42 @@ class _Series:
     def _var_step(self, k: int, fast: bool):
         """V_{k+1}, T_k and S_{k+1} from the tables through order k."""
         ks, n, m, e, B = self.k, self.n, self.m, self.ends, self.nvar
-        al, be, _ = _pairs(m)
-        npairs = len(al)
-        inv = 1.0 / (k + 1)
+        be = _pairs(m)[1]
+        npairs = len(be)
         terms = (k + 1) * n
         j = self.P + 1 - k  # the twins' orders k, k-1, ..., 0
-        vp = self.Vp[:, :, :, j:]
 
-        # [A; Hxe; Hxx]_i V_j in one product sum: V_{k+1} = (sum_{i+j=k} A_i
-        # V_j + aeps_k e0^T) / (k+1), Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a]
-        # V_j[a,al] and T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be]
+        # [A; Hxe; Hxx]_i V_j in one product sum: (A V)_k, Q2_k[c,al] =
+        # sum_{i+j=k} Hxe_i[c,a] V_j[a,al] and T_k[c,a,be] = sum_{i+j=k}
+        # Hxx_i[c,a,b] V_j[b,be]; V's slot of VS is read through a copy
         x = self.L[:, :, :, : k + 1].reshape(e, B, 2 * n + n * n, 1, terms)
-        v = vp[:, :, :m].reshape(e, B, 1, m, terms)
+        v = self.Vr[:, :, :, j:].reshape(e, B, 1, m, terms)
         lv = ks.imulsum(x[0], x[-1], v[0], v[-1], fast)
-        av = lv[:, :, :n]
-        av[..., 0] = ks.vadd(*_ends(av[..., 0]), *_ends(self.E[:, :, 0, k]))
-        self.Vr[:, :, :, j - 1] = np.swapaxes(ks.vscale(inv, *_ends(av)), -1, -2)
-        self.Vp[:, :, m:, j - 1] = self.Vp[:, :, al[m:], j - 1]
         # T_k per pair p = (al, be): T[c, p, k, a] = T_k[c, a, be]
         t = lv[:, :, 2 * n :].reshape(e, B, n, n, m)
         self.T[..., k, :] = np.swapaxes(t, -1, -2)[:, :, :, be]
 
-        # Q1_k[c,p] = sum_{i+j=k} T_i[c,a,be] V_j[a,al] over the pairs; Q2
-        # is added on the eps column (al, 0) and once more at (0, 0), Hee_k
-        # at (0, 0)
-        x = self.T[..., : k + 1, :].reshape(e, B, n, npairs, terms)
-        y = vp.reshape(e, B, 1, npairs, terms)
+        # Q1_k + (A S)_k over the pairs in one product sum: sum_{i+j=k}
+        # T_i[c,a,be] V_j[a,al] + A_i[c,a] S_j[a,p], the slots of TA and VS
+        # side by side
+        x = self.TA[..., : k + 1, :, :].reshape(e, B, n, npairs, 2 * terms)
+        y = self.VS[:, :, :, j:].reshape(e, B, 1, npairs, 2 * terms)
         q = ks.imulsum(x[0], x[-1], y[0], y[-1], fast)
-        q2 = lv[:, :, n : 2 * n]
-        q[..., :m] = ks.vadd(*_ends(q[..., :m]), *_ends(q2))
-        q[..., 0] = ks.vadd(*_ends(q[..., 0]), *_ends(q2[..., 0]))
-        q[..., 0] = ks.vadd(*_ends(q[..., 0]), *_ends(self.E[:, :, 1, k]))
 
-        # S_{k+1} = (sum A_i S_j + Q_k)/(k+1) over the pairs
-        x = self.L[:, :, :n, : k + 1].reshape(e, B, n, 1, terms)
-        s = self.Sr[:, :, :, j:].reshape(e, B, 1, npairs, terms)
-        as_ = ks.imulsum(x[0], x[-1], s[0], s[-1], fast)
-        s = ks.vscale(inv, *_ends(ks.vadd(*_ends(as_), *_ends(q))))
-        self.Sr[:, :, :, j - 1] = np.swapaxes(s, -1, -2)
+        # the joined row [(A V)_k | Q1_k + (A S)_k] plus its corrections:
+        # aeps_k on V's eps column; Q2_k on S's eps-column pairs (al, 0),
+        # and at (0, 0) Q2_k once more (an exact doubling) and Hee_k.  One
+        # division by k+1 then gives V_{k+1} and S_{k+1}
+        row = np.concatenate([lv[:, :, :n], q], axis=-1)
+        d = np.zeros_like(row)
+        q2 = lv[:, :, n : 2 * n]
+        d[..., 0] = self.E[:, :, 0, k]
+        d[..., m : 2 * m] = q2
+        d[..., m] = ks.stack_add(2.0 * q2[..., 0], self.E[:, :, 1, k])
+        row = ks.stack_divint(k + 1, ks.stack_add(row, d))
+        # both slots of VS at order k+1 in one gather: V's columns al of the
+        # pairs and S's pairs
+        self.VS[:, :, :, j - 1] = np.moveaxis(row[..., _slots(m)], 2, -1)
 
     def flat(self, row, orders: slice):
         """Coefficients ``orders`` of a row (an index) or of a slice of rows,
@@ -624,13 +654,13 @@ class _Series:
 
     def eval_flat(self, row, h: float, upto: int):
         """The Taylor polynomial of a row (a slice or a tuple of rows) through
-        order ``upto`` at time h (Horner), flattened as in :meth:`flat`: a
-        (lo, hi) pair, or the one-endpoint stack of a float series."""
-        clo, chi = _ends(self.flat(row, slice(0, upto + 1)))
-        x = clo[..., upto, :], chi[..., upto, :]
+        order ``upto`` at time h (Horner), flattened as in :meth:`flat`: the
+        stack of its endpoints, (lo, hi) or the one endpoint of a float
+        series."""
+        c = self.flat(row, slice(0, upto + 1))
+        x = c[..., upto, :]
         for k in range(upto - 1, -1, -1):
-            x = self.k.vscale(h, *_ends(x))
-            x = self.k.vadd(*_ends(x), clo[..., k, :], chi[..., k, :])
+            x = self.k.stack_add(np.array(self.k.vscale(h, *_ends(x))), c[..., k, :])
         return x
 
 
@@ -1084,7 +1114,8 @@ def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order:
     (eps, x0), with ``m = 0`` skipping them.  Each row takes the steps of
     its own :class:`_StepRule` from the initial step ``step``, with the
     error estimate ``|z_P| h^P + |z_{P+1}| h^(P+1)``, P = ``order``, so a
-    batch row equals its single call bit for bit.  Raises
+    batch row equals its single call bit for bit; a row that reaches T
+    leaves the batch, and each series holds the other rows only.  Raises
     :class:`FlowError` on a non-finite estimate or state."""
     if not math.isfinite(T):
         raise IntervalError(f"the transport time must be finite, got T={T}")
@@ -1100,38 +1131,39 @@ def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order:
     y[:, :n] = x.reshape(-1, n)
     y[:, n : n + n * m] = np.eye(n, m, 1).ravel()
     rules = [_StepRule(T, step, FlowSettings.min_step, FlowSettings.max_steps) for _ in y]
-    while any(rule.t < T for rule in rules):
-        z, V, Sp = _split(y, n, m)
+    # the rows that have not reached T; each series is built on them alone
+    live = np.flatnonzero([rule.t < T for rule in rules])
+    while live.size:
+        z, V, Sp = _split(y[live], n, m)
         ser = _Series(rf, z, z, order, m=m, kernels=_Nearest)
         with np.errstate(over="ignore", invalid="ignore"):
             ser.extend_state(order + 1)
             # per row: max|x|, max|z_P| and max|z_{P+1}|
             mags = np.abs(ser.z[0][..., [0, order, order + 1]]).max(axis=1).tolist()
-            keep = []
-            for rule, (x_mag, zp, zp1) in zip(rules, mags):
-                kept = rule.t < T
-                if kept:
-                    rule.propose()
-                    h = rule.hcur
-                    err = zp * h**order + zp1 * h ** (order + 1)
-                    if not math.isfinite(err):
-                        raise FlowError(f"non-finite float Taylor series at t={rule.t}, T={T}")
-                    kept = err <= rule.bound(x_mag + 1.0)
-                    if kept:
-                        rule.accept(err, x_mag + 1.0)
-                    else:
-                        rule.reject()
-                keep.append(kept)
-            if any(keep):
+            keep = np.zeros(live.size, dtype=bool)
+            for r, (i, (x_mag, zp, zp1)) in enumerate(zip(live, mags)):
+                rule = rules[i]
+                rule.propose()
+                h = rule.hcur
+                err = zp * h**order + zp1 * h ** (order + 1)
+                if not math.isfinite(err):
+                    raise FlowError(f"non-finite float Taylor series at t={rule.t}, T={T}")
+                keep[r] = err <= rule.bound(x_mag + 1.0)
+                if keep[r]:
+                    rule.accept(err, x_mag + 1.0)
+                else:
+                    rule.reject()
+            if keep.any():
                 if m:
                     ser.start_pairs((V, V), (Sp, Sp))
                     ser.extend_to(order + 1)
-                # a rejected or finished row keeps its state
-                h = np.array([[rule.hcur] for rule in rules])
-                y = np.where(np.array(keep)[:, None],
-                             ser.eval_flat(slice(None), h, order + 1)[0], y)
-                if not np.isfinite(y).all():
+                # a rejected row keeps its state
+                h = np.array([[rules[i].hcur] for i in live])
+                y_new = ser.eval_flat(slice(None), h, order + 1)[0]
+                if not np.isfinite(y_new[keep]).all():
                     raise FlowError(f"non-finite float transport before T={T}")
+                y[live[keep]] = y_new[keep]
+        live = np.flatnonzero([rule.t < T for rule in rules])
     z, V, Sp = _split(y.reshape(*x.shape[:-1], y.shape[1]), n, m)
     return z, V, Sp[..., _pairs(m)[2]]
 

@@ -12,9 +12,10 @@ elementwise product with such a reduction over the last axis (every Cauchy
 product and matrix product of the package): its terms are the unwidened
 float products, and one pad covers their rounding and the summation's.
 The padded sums stack their two endpoints, so one reduction, one pad and
-one outward rounding serve both.  Because numpy chooses
-the summation order, the last bits of a long sum may differ between numpy
-builds or CPUs; every result still encloses the exact sum.
+one outward rounding serve both; ``imulsum`` returns that (lo, hi) stack,
+and the ``stack_`` kernels take and return such stacks.  Because numpy
+chooses the summation order, the last bits of a long sum may differ
+between numpy builds or CPUs; every result still encloses the exact sum.
 
 All kernels operate elementwise on numpy arrays (or scalars) and assume
 finite inputs; callers enforce the bounded-interval invariant.  An
@@ -50,22 +51,32 @@ def _up(x):
     return np.nextafter(x, _INF)
 
 
+# per-endpoint signs and rounding directions of a (lo, hi) stack, shaped to
+# broadcast against a stacked result with d axes (the endpoint axis first)
+_SIGN = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * (d - 1)) for d in range(1, 17)]
+_OUTWARD = [np.array([-_INF, _INF]).reshape((2,) + (1,) * (d - 1)) for d in range(1, 17)]
+
+
+def _two_sum(a, b):
+    """The float sum s = fl(a + b) and its rounding error (a + b) - s,
+    exact by Knuth's 2Sum; the error is NaN where the sum overflows."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 def _add_down(a, b):
     """Lower bound of a+b: exact when representable, else one ulp down.
 
     When the sum overflows, err is NaN and the step down turns +inf into
     the largest finite float (and leaves -inf, a sound lower bound).
     """
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
+    s, err = _two_sum(a, b)
     return np.where(err >= 0, s, _down(s))
 
 
 def _add_up(a, b):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
+    s, err = _two_sum(a, b)
     return np.where(err <= 0, s, _up(s))
 
 
@@ -81,6 +92,16 @@ _QUIET_2SUM = np.errstate(over="ignore", invalid="ignore")
 @_QUIET_2SUM
 def vadd(alo, ahi, blo, bhi):
     return _add_down(alo, blo), _add_up(ahi, bhi)
+
+
+@_QUIET_2SUM
+def stack_add(a, b):
+    """:func:`vadd` of two (lo, hi) stacks, the endpoints on axis 0 (as
+    :func:`imulsum` returns them): the stack of the sums, by one 2Sum for
+    both endpoints, each endpoint bit-identical to :func:`vadd`'s."""
+    s, err = _two_sum(a, b)
+    d = s.ndim - 1
+    return np.where(_SIGN[d] * err <= 0, s, np.nextafter(s, _OUTWARD[d]))
 
 
 @_QUIET_2SUM
@@ -120,6 +141,23 @@ def vscale(c: float, alo, ahi):
         hi = np.where((np.abs(hi) < _TINY) & (src_hi != 0), _up(hi), hi)
         return lo, hi
     return _down(lo), _up(hi)
+
+
+def stack_divint(d: int, x):
+    """x / d for a (lo, hi) stack x (the endpoints on axis 0) and a
+    positive integer d below 2^53, so exact as a float.
+
+    Each endpoint is the correctly rounded quotient stepped outward by one
+    ulp, which encloses x / d itself: ``vscale(1.0 / d, ...)`` encloses
+    fl(1/d) x instead, which misses x / d when fl(1/d) is off by more than
+    half an ulp (d = 49: 71.46976991543784 / 49 lies above its upper
+    endpoint).  Exact zeros stay exact, and a power-of-two d is exact
+    unless a quotient is subnormal, as in :func:`vscale`."""
+    q = x / d
+    step = x != 0
+    if d & (d - 1) == 0:
+        step &= np.abs(q) < _TINY
+    return np.where(step, np.nextafter(q, _OUTWARD[q.ndim - 1]), q)
 
 
 def vdiv(alo, ahi, blo, bhi):
@@ -208,12 +246,6 @@ def _axes(ndim: int, axis) -> tuple:
     if isinstance(axis, (int, np.integer)):
         axis = (axis,)
     return tuple(a % ndim for a in axis)
-
-
-# per-endpoint signs and rounding directions of a (lo, hi) stack, shaped to
-# broadcast against a stacked result with d axes (the endpoint axis first)
-_SIGN = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * (d - 1)) for d in range(1, 17)]
-_OUTWARD = [np.array([-_INF, _INF]).reshape((2,) + (1,) * (d - 1)) for d in range(1, 17)]
 
 
 def _padded_sum(t, axes, c):
@@ -375,11 +407,15 @@ def _imulsum_long(alo, ahi, blo, bhi, n: int, scaled: bool):
     if not (scaled or is_scaled(alo, ahi, blo, bhi)):
         return np.array(fallback())
     _bound_terms(n, "imulsum")
-    p1 = alo * blo
-    p2 = alo * bhi
-    p3 = ahi * blo
-    p4 = ahi * bhi
-    t = np.empty((2, *p1.shape))
+    # the four endpoint products and the stacked terms share one workspace:
+    # one allocation per call instead of five keeps the heap from being
+    # trimmed and faulted back in from call to call
+    w = np.empty((6, *np.broadcast_shapes(alo.shape, blo.shape)))
+    p1, p2, p3, p4, t = w[0], w[1], w[2], w[3], w[4:]
+    np.multiply(alo, blo, out=p1)
+    np.multiply(alo, bhi, out=p2)
+    np.multiply(ahi, blo, out=p3)
+    np.multiply(ahi, bhi, out=p4)
     np.minimum(p1, p2, out=t[0])
     np.maximum(p1, p2, out=t[1])
     np.minimum(t[0], np.minimum(p3, p4, out=p1), out=t[0])

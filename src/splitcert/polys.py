@@ -102,26 +102,34 @@ class PolyMap:
 
     def _compile(self):
         """Monomials compiled for ``eval_box``, built on first use and kept:
-        coefficient endpoints; per variable that appears, the terms it
-        multiplies, its distinct exponents and each term's index into them;
-        and each term's (component, position) slot in the zero-padded fold
-        grid."""
+        coefficient endpoints; the factors (see below); and each term's
+        (component, position) slot in the zero-padded fold grid.
+
+        The factors are the distinct exponents ``exps`` that the terms use,
+        the (exponent index, variable) pairs ``used`` that appear, and, per
+        factor position s, the terms with more than s variables, the s-th
+        variable of each (its variables in increasing order) and that
+        variable's exponent index."""
         if self._compiled is None:
             flat = [(i, j, c, exps) for i, comp in enumerate(self.components)
                     for j, (c, exps) in enumerate(comp)]
             clo = np.array([c.lo for _, _, c, _ in flat], dtype=float)
             chi = np.array([c.hi for _, _, c, _ in flat], dtype=float)
             E = np.array([exps for *_, exps in flat], dtype=int).reshape(len(flat), self.nvars)
-            factors = []
-            for v in range(self.nvars):
-                rows = np.nonzero(E[:, v])[0]
-                if rows.size:
-                    exps, which = np.unique(E[rows, v], return_inverse=True)
-                    factors.append((v, rows, exps, which))
+            present = E > 0
+            exps, which = np.unique(E[present], return_inverse=True)
+            eidx = np.zeros_like(E)
+            eidx[present] = which
+            rank = np.cumsum(present, axis=1) - 1
+            positions = []
+            for s in range(int(present.sum(axis=1).max(initial=0))):
+                rows, var = np.nonzero(present & (rank == s))
+                positions.append((rows, var, eidx[rows, var]))
+            used = (which, np.nonzero(present)[1])
             slot = (np.array([i for i, *_ in flat], dtype=int),
                     np.array([j for _, j, *_ in flat], dtype=int))
             width = max((len(comp) for comp in self.components), default=0)
-            self._compiled = (clo, chi, factors, slot, width)
+            self._compiled = (clo, chi, (exps, used, positions), slot, width)
         return self._compiled
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -131,24 +139,34 @@ class PolyMap:
         sums its terms in monomial order, as interval scalar arithmetic
         would; the powers of all variables are one array recursion per
         exponent, and the terms of all components go through one array
-        product per variable.  A power, term or sum with a non-finite
-        endpoint raises :class:`IntervalError`, with numpy's overflow
-        warnings off."""
+        product per factor position (the s-th variable of each term).  A
+        power, term or sum with a non-finite endpoint raises
+        :class:`IntervalError`, with numpy's overflow warnings off: it
+        names the first variable, in variable order, whose power or
+        running product is not finite, as a product per variable would."""
         if box.dim != self.nvars:
             raise IntervalError(f"expected {self.nvars} variables, got {box.dim}")
-        clo, chi, factors, slot, width = self._compile()
+        clo, chi, (exps, used, positions), slot, width = self._compile()
         memo = {1: (box.lo, box.hi)}
+        pows = [ku._ipow(memo, int(e)) for e in exps]
+        plo = np.array([p[0] for p in pows]).reshape(len(exps), self.nvars)
+        phi = np.array([p[1] for p in pows]).reshape(len(exps), self.nvars)
         tlo, thi = clo.copy(), chi.copy()
-        for v, rows, exps, which in factors:
-            pows = [ku._ipow(memo, int(e)) for e in exps]
-            plo = np.array([p[0][v] for p in pows])[which]
-            phi = np.array([p[1][v] for p in pows])[which]
-            if not (np.isfinite(plo).all() and np.isfinite(phi).all()):
-                raise IntervalError(f"polynomial power overflows at variable {v}")
-            mlo, mhi = ku.vmul(tlo[rows], thi[rows], plo, phi)
+        bad_term = []
+        for rows, var, e in positions:
+            mlo, mhi = ku.vmul(tlo[rows], thi[rows], plo[e, var], phi[e, var])
             if not (np.isfinite(mlo).all() and np.isfinite(mhi).all()):
-                raise IntervalError(f"polynomial term overflows at variable {v}")
+                bad_term.append(var[~(np.isfinite(mlo) & np.isfinite(mhi))].min())
             tlo[rows], thi[rows] = mlo, mhi
+        if bad_term or not (np.isfinite(plo).all() and np.isfinite(phi).all()):
+            # only the powers that a term uses count
+            ok = np.isfinite(plo[used]) & np.isfinite(phi[used])
+            v_pow = used[1][~ok].min(initial=self.nvars)
+            v_term = min(bad_term, default=self.nvars)
+            if v_pow < self.nvars and v_pow <= v_term:
+                raise IntervalError(f"polynomial power overflows at variable {v_pow}")
+            if bad_term:
+                raise IntervalError(f"polynomial term overflows at variable {v_term}")
         glo = np.zeros((self.out_dim, width))
         ghi = np.zeros((self.out_dim, width))
         glo[slot], ghi[slot] = tlo, thi

@@ -55,6 +55,19 @@ def test_taylor_coeffs_exponential():
         assert c.d1[0, 1].contains(1.0 / math.factorial(k))
 
 
+def test_taylor_coeffs_at_order_60_contain_the_exact_coefficients():
+    # x' = x from x0: z_k = x0 / k! and dz_k/dx0 = 1 / k!, in Fractions;
+    # from order 48 on some divisors k have an fl(1/k) off by more than
+    # half an ulp, and the series divides by k itself
+    x0 = 71.46976991543784
+    cs = taylor_coeffs(F_EXP, ident([x0]), 60)
+    for k, c in enumerate(cs):
+        inv = Fraction(1, math.factorial(k))
+        assert Fraction(c.value.lo[0]) <= Fraction(x0) * inv <= Fraction(c.value.hi[0]), k
+        assert Fraction(c.d1.lo[0, 1]) <= inv <= Fraction(c.d1.hi[0, 1]), k
+        assert c.value.hi[0] - c.value.lo[0] <= 1e-13 * c.value.hi[0]
+
+
 def test_taylor_coeffs_linear_variational_matrix_powers():
     # x' = A x with A the rotation generator: variational coeffs A^k / k!
     cs = taylor_coeffs(F_ROT, ident([0.3, -0.2]), 6)
@@ -531,20 +544,38 @@ def test_start_intersects_the_second_block_with_its_mirror():
         _series(field, zlo, zhi, P, 5).start(V0, (Slo, Shi))
 
 
-def test_three_product_sums_per_variational_order(monkeypatch):
-    # [A; Hxe; Hxx] V, then Q1 = T V and A S over the pairs
+@pytest.mark.parametrize("float_series", [False, True], ids=["enclosure", "float"])
+def test_two_product_sums_and_five_kernel_calls_per_variational_order(monkeypatch,
+                                                                      float_series):
+    # [A; Hxe; Hxx] V, then Q1 + A S over the pairs in one product sum; the
+    # joined row [A V | Q1 + A S] takes two adds and one division by k+1
     import splitcert.flow as flow
 
     field, zlo, zhi, V0, S0, P = _lu_rows()
-    ser = _series(field, zlo, zhi, P, 5)
-    ser.start(V0, S0)
+    if float_series:
+        rf = flow._Resolved(flow._tables(field), 1e-3)
+        ser = flow._Series(rf, zlo, zlo, P, m=5, kernels=flow._Nearest)
+        ser.start((V0[0], V0[0]), (S0[0], S0[0]))
+        kernels = flow._Nearest
+    else:
+        ser = _series(field, zlo, zhi, P, 5)
+        ser.start(V0, S0)
+        kernels = flow.ku
     ser.extend_tables(P)
     calls = []
-    imulsum = flow.ku.imulsum
-    monkeypatch.setattr(flow.ku, "imulsum", lambda *a, **k: calls.append(1) or imulsum(*a, **k))
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for name in dir(kernels):
+        fn = getattr(kernels, name)
+        if not name.startswith("_") and callable(fn):
+            monkeypatch.setattr(kernels, name, counted(name, fn))
     ser.extend_to(P)
     assert ser.scaled and ser._to["var"] == P
-    assert len(calls) == 3 * P
+    per_order = [c for c in calls if c != "is_scaled"]
+    assert per_order.count("imulsum") == 2 * P
+    assert len(per_order) <= 5 * P
 
 
 def test_one_residual_update_per_accepted_step(monkeypatch):
@@ -898,15 +929,15 @@ def test_point_flow_jet_square_closed_form(T):
 
 def _count_series(monkeypatch) -> list:
     """Count the series the flow builds: the returned list fills with one
-    entry per :class:`_Series`."""
+    entry per :class:`_Series`, its number of batch rows."""
     import splitcert.flow as flow
 
     built = []
     init = flow._Series.__init__
 
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+    def counted(self, rf, zlo, *args, **kwargs):
+        built.append(len(zlo))
+        init(self, rf, zlo, *args, **kwargs)
 
     monkeypatch.setattr(flow._Series, "__init__", counted)
     return built
@@ -914,7 +945,9 @@ def _count_series(monkeypatch) -> list:
 
 def test_point_flow_batch_rows_agree_with_single_calls(monkeypatch):
     # each row takes its own steps, so a batch row equals its single call
-    # bit for bit, also when the rows take different numbers of steps
+    # bit for bit, also when the rows take different numbers of steps; a
+    # row that has reached T leaves the batch, so each row rides in as
+    # many series as it takes alone
     from splitcert.lerman import LUConfig, lu_field
 
     field = lu_field(LUConfig())
@@ -922,7 +955,9 @@ def test_point_flow_batch_rows_agree_with_single_calls(monkeypatch):
     built = _count_series(monkeypatch)
     series = {}
     for T in (1.3, -0.7):
+        built.clear()
         both = point_flow_jet(field, 1e-3, x0, T, order=12)
+        rows = sum(built)
         assert both[0].shape == (2, 4) and both[1].shape == (2, 4, 5)
         assert both[2].shape == (2, 4, 5, 5)
         xs = point_flow(field, 1e-3, x0, T, order=12)
@@ -933,6 +968,7 @@ def test_point_flow_batch_rows_agree_with_single_calls(monkeypatch):
             for b, o in zip(both, one):
                 assert b[row].tobytes() == o.tobytes()
             assert xs[row].tobytes() == one[0].tobytes()
+        assert rows == series[T, 0] + series[T, 1]
     # at T = 1.3 the first row needs more steps (16 series against 11)
     assert series[1.3, 0] > series[1.3, 1]
 

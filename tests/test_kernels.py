@@ -29,6 +29,45 @@ def test_vscale_power_of_two_exact_results_unwidened():
 
 
 
+def test_stack_divint_encloses_the_exact_quotient():
+    # thin operands of every magnitude, subnormals included, divided by
+    # d = 2..200; vscale(1/d) encloses fl(1/d) x, which misses x / d
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[71.46976991543784, 1.0, -3.0, 0.1, 5e-324, -1.5e-323,
+                         2.0 ** -1022, 1.7e308, -1.7e308],
+                        rng.uniform(1, 2, 40) * 2.0 ** rng.integers(-1070, 1020, 40)
+                        * rng.choice([-1.0, 1.0], 40)])
+    for d in range(2, 201):
+        lo, hi = ku.stack_divint(d, np.array([x, x]))
+        for a, b, c in zip(lo.tolist(), hi.tolist(), x.tolist()):
+            assert Fraction(a) <= Fraction(c) / d <= Fraction(b), (c, d)
+    a = np.array([71.46976991543784])
+    _, hi = ku.vscale(1.0 / 49, a, a)
+    assert Fraction(float(hi[0])) < Fraction(float(a[0])) / 49
+    _, hi = ku.stack_divint(49, np.array([a, a]))
+    assert Fraction(float(hi[0])) >= Fraction(float(a[0])) / 49
+
+
+def test_stack_divint_keeps_exact_zeros_and_power_of_two_quotients():
+    lo, hi = ku.stack_divint(3, np.array([[0.0, -0.0, -1.0], [0.0, 0.0, 0.0]]))
+    assert lo[:2].tolist() == [0.0, 0.0] and hi.tolist() == [0.0, 0.0, 0.0]
+    assert lo[2] < -1.0 / 3
+    lo, hi = ku.stack_divint(4, np.array([[3.0, 0.0, -5.0], [5.0, 0.0, -3.0]]))
+    assert lo.tolist() == [0.75, 0.0, -1.25] and hi.tolist() == [1.25, 0.0, -0.75]
+
+
+def test_stack_add_equals_vadd_bit_for_bit():
+    # exact, inexact and overflowing sums, zeros of both signs
+    rng = np.random.default_rng(8)
+    a = np.sort(rng.uniform(-2, 2, (2, 3, 40)) * 2.0 ** rng.integers(-60, 60, (1, 3, 40)), axis=0)
+    b = np.sort(rng.uniform(-2, 2, (2, 3, 40)) * 2.0 ** rng.integers(-60, 60, (1, 3, 40)), axis=0)
+    a[:, 0, :4] = [[0.0, -0.0, 1.0, BIG], [0.0, 0.0, 1.0, BIG]]
+    b[:, 0, :4] = [[-0.0, 0.0, 2.0 ** -60, BIG], [0.0, 0.0, 2.0 ** -60, BIG]]
+    got = ku.stack_add(a, b)
+    want = np.array(ku.vadd(a[0], a[1], b[0], b[1]))
+    assert got.tobytes() == want.tobytes()
+
+
 BIG = 1.7e308  # BIG + BIG overflows, but the exact sum is finite
 MAX = np.finfo(float).max
 

@@ -153,8 +153,16 @@ def _toy_maps():
 
 
 def test_eval_box_equals_scalar_loop():
+    # the terms are multiplied by factor position (the s-th variable of
+    # each term), each still in variable order, so every output equals the
+    # term-by-term scalar evaluation bit for bit; the worked example's
+    # terms have at most two variables, the last map's three and four
     rhs = lu_field(LUConfig()).rhs
-    maps = [rhs]
+    assert len(rhs._compile()[2][2]) == 2
+    many = PolyMap(4, [[(1.5, (1, 2, 0, 1)), (Interval(-0.3, -0.2), (0, 1, 3, 2)),
+                        (2.0, (2, 0, 0, 0)), (0.25, (1, 1, 1, 1))],
+                       [(-1.0, (0, 0, 0, 0)), (0.7, (0, 3, 1, 1)), (1.25, (3, 0, 2, 0))]])
+    maps = [rhs, many]
     for pm in [rhs, *_toy_maps()]:
         d1, d2 = pm.derivatives()
         maps += [pm, *d1, *d2.values()]
@@ -166,7 +174,22 @@ def test_eval_box_equals_scalar_loop():
             box = IntervalBox(mid - rad, mid + rad)
             got = pm.eval_box(box)
             lo, hi = _eval_box_scalar(pm, box)
-            assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
+            assert got.lo.tobytes() == lo.tobytes() and got.hi.tobytes() == hi.tobytes()
+
+
+@pytest.mark.parametrize("second, x1, message", [
+    ((0, 1, 1, 0), 1.0, "term overflows at variable 2"),
+    ((0, 2, 1, 0), 1e200, "power overflows at variable 1"),
+    ((0, 1, 0, 0), 1e200, "term overflows at variable 1"),
+])
+def test_eval_box_overflow_names_the_first_variable_in_variable_order(second, x1, message):
+    # the first term overflows at its first factor, x3 (position 0), the
+    # second at x1 or x2: the message names the first variable in variable
+    # order whose power or running product overflows, the power first
+    p = PolyMap(4, [[(1e200, (0, 0, 0, 1)), (1e300, second)]])
+    box = IntervalBox([0.0, x1, 1e10, 1e200], [0.0, x1, 1e10, 1e200])
+    with pytest.raises(IntervalError, match=message):
+        p.eval_box(box)
 
 
 def test_eval_box_overflow_is_not_hidden_by_a_zero_factor():
