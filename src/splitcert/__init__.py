@@ -19,7 +19,7 @@ from .matrices import (
     imatsolve,
     iinverse,
 )
-from .jets import Jet2Enclosure, jet2_compose, jet2_stack
+from .jets import Jet1Enclosure, Jet2Enclosure, jet1_compose, jet2_compose, jet2_stack
 from .polys import PolyMap, VectorFieldDef
 from .newton import FunctionOracle, NewtonCertificate, newton_step, newton_verify
 from .implicit import (

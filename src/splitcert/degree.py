@@ -344,11 +344,14 @@ class BoundaryExclusionCertificate:
 
 
 def _reference_map_oracle(oracle: DistanceOracle) -> FunctionOracle:
-    """(y1, dy2/deps)(0, x) with its x-Jacobian, from distance jets."""
+    """(y1, dy2/deps)(0, x) with its x-Jacobian, from distance jets.  The
+    values read value and d1 only, so they take ``oracle.first``; the Newton
+    step asks for them at mid(Y) right after the derivative over Y, whose
+    mean-value refinement has just computed that midpoint."""
     eps0 = Interval(0.0, 0.0)
 
     def ev(_x, xbox):
-        return IntervalBox(*_reference_value(oracle.jet(eps0, xbox), oracle.k1))
+        return IntervalBox(*_reference_value(oracle.first(eps0, xbox), oracle.k1))
 
     def dv(_x, xbox):
         return IntervalMatrix(*_reference_jacobian(oracle.jet(eps0, xbox), oracle.k1))

@@ -7,7 +7,8 @@ difference of the two graphs,
 
     y(eps, x) = pi_y w_unstable(eps, u(eps, x)) - pi_y w_stable(eps, s(eps, x)),
 
-as an order-2 jet in (eps, x).  One builder covers every scenario: both
+as an order-2 jet in (eps, x), and its value and first derivatives alone
+(``DistanceOracle.first``).  One builder covers every scenario: both
 manifolds are graphs over (x, z) with the center coordinates z pinned to a
 section z = z*, and when the unstable manifold is the smaller one its
 feed-through coordinates v(eps, x) enter the stable graph over (x, v, z).
@@ -18,6 +19,19 @@ unequal-dimension case.
 
 The zero set of y locates manifold intersections; its jets feed the
 degree-based splitting certificates.
+
+Every jet is computed only to the order its reader needs.  A raw query (one
+pair of graph-side solves) runs at order 2 for ``jet`` and at order 1 for a
+point query of ``first``, such as the midpoint of a box query's mean-value
+refinement, where it skips the second-order implicit solve and the
+second-order chain rule.  Each oracle keeps one memo of its raw queries,
+keyed by the query box's bytes with the order computed: an order-2 entry
+also answers an order-1 read, an order-1 entry never answers ``jet``.  The
+graph side reads its manifold jets the same way: the probe, the Newton
+step's values and derivative boxes, the sigma_min check and dk/dw read
+order 1, and only the verified image of an order-2 query is read at order
+2, before any order-1 read of it, so that no box is integrated twice.  A
+manifold oracle without ``first`` serves its order-1 reads from ``jet``.
 """
 
 from __future__ import annotations
@@ -29,9 +43,11 @@ import numpy as np
 
 from . import kernels as ku
 from .intervals import Interval, IntervalBox, IntervalError
-from .jets import Jet2Enclosure, jet2_compose, jet2_stack
+from .jets import (Jet1Enclosure, Jet2Enclosure, jet1_compose, jet1_stack, jet2_compose,
+                   jet2_stack)
 from .matrices import IntervalMatrix, sigma_min_lb
-from .implicit import GOracle, ImplicitContractionError, implicit_enclose, implicit_jet
+from .implicit import (GOracle, ImplicitContractionError, implicit_enclose, implicit_jet,
+                       implicit_jet1)
 
 
 class ConditionError(IntervalError):
@@ -50,6 +66,10 @@ class ManifoldOracle:
     ``approx(eps, params)`` is a cheap nonrigorous evaluation of the
     parameterization, used only for locating candidate boxes: the float
     Newton of the graph side differentiates it by central differences.
+    ``first(eps_box, param_box)``, when given, returns the value and d1 of
+    ``jet(eps_box, param_box)`` bit for bit, as a :class:`Jet1Enclosure`,
+    at less cost; the graph side reads it wherever it needs no second
+    derivatives.  Without it those reads take ``jet``.
     """
 
     jet: Callable[[Interval, IntervalBox], Jet2Enclosure]
@@ -58,6 +78,7 @@ class ManifoldOracle:
     approx: Callable
     v_proj: tuple[int, ...] = ()
     z_proj: tuple[int, ...] = ()
+    first: Callable[[Interval, IntervalBox], Jet1Enclosure] | None = None
 
     def check_partition(self) -> int:
         """The projections must cover the outputs 0..d-1, each exactly once;
@@ -70,12 +91,24 @@ class ManifoldOracle:
 
 @dataclass
 class DistanceOracle:
-    """y(eps, x) as an order-2 jet oracle with the (k1, k2) output split."""
+    """y(eps, x) as an order-2 jet oracle with the (k1, k2) output split.
+
+    ``first(eps_box, x_box)`` returns the (value, d1) pair of
+    ``jet(eps_box, x_box)`` bit for bit, as a :class:`Jet1Enclosure`.  The
+    built oracles answer a point query of it without second derivatives;
+    an oracle given only ``jet`` takes it from ``jet``.  The built oracles'
+    ``diagnostics`` hold one record per computed raw query, keyed by the
+    query box's bytes."""
 
     jet: Callable[[Interval, IntervalBox], Jet2Enclosure]
     k1: int
     k2: int
     diagnostics: dict = field(default_factory=dict)
+    first: Callable[[Interval, IntervalBox], Jet1Enclosure] | None = None
+
+    def __post_init__(self):
+        if self.first is None:
+            self.first = lambda eps_box, x_box: self.jet(eps_box, x_box).order1()
 
     @property
     def dim(self) -> int:
@@ -87,8 +120,7 @@ class DistanceOracle:
         eps0 = Interval(0.0, 0.0)
         for _ in range(samples):
             x = rng.uniform(u_box.lo, u_box.hi)
-            j = self.jet(eps0, IntervalBox.point(x))
-            y2 = j.value[self.k1 :]
+            y2 = self.first(eps0, IntervalBox.point(x)).value[self.k1 :]
             if not y2.contains_zero():
                 return False
         return True
@@ -97,46 +129,72 @@ class DistanceOracle:
 # ---------------------------------------------------------------------------
 # graph side: solve pi_base(w(eps, kappa)) = base for kappa(eps, base)
 
-class _CachedJet:
-    """Memoize manifold jets by query-box bytes; one validated integration
-    per distinct box pair.  Every computed jet must have ``out_dim``
-    outputs, the dimension the oracle's projections partition."""
+def _box_key(eps: Interval, box: IntervalBox) -> tuple:
+    return (eps.lo, eps.hi, box.lo.tobytes(), box.hi.tobytes())
 
-    def __init__(self, fn, out_dim: int):
+
+def _memo_read(memo: dict, key, order: int, compute):
+    """The entry of ``memo`` at ``key`` when it was computed to at least
+    ``order``, else ``compute(order)``, stored with its order."""
+    hit = memo.get(key)
+    if hit is not None and hit[0] >= order:
+        return hit[1]
+    j = compute(order)
+    memo[key] = (order, j)
+    return j
+
+
+class _CachedJet:
+    """Memoize manifold jets by query-box bytes with the order computed;
+    one validated integration per distinct box pair and order.  ``fn`` is
+    the order-2 jet and ``first`` (optional) the order-1 one: an order-2
+    entry answers both reads, an order-1 entry answers :meth:`first` only.
+    Without ``first`` an order-1 read computes and keeps the order-2 jet.
+    Every computed jet must have ``out_dim`` outputs, the dimension the
+    oracle's projections partition."""
+
+    def __init__(self, fn, out_dim: int, first=None):
         self.fn = fn
+        self.first_fn = first
         self.out_dim = out_dim
         self.cache = {}
 
-    def __call__(self, eps: Interval, box: IntervalBox) -> Jet2Enclosure:
-        key = (eps.lo, eps.hi, box.lo.tobytes(), box.hi.tobytes())
-        j = self.cache.get(key)
-        if j is None:
-            j = self.fn(eps, box)
-            if j.value.dim != self.out_dim:
-                raise IntervalError(f"manifold jet has {j.value.dim} outputs, but the "
-                                    f"projections partition {self.out_dim}")
-            self.cache[key] = j
+    def _compute(self, eps: Interval, box: IntervalBox, order: int):
+        j = (self.first_fn if order == 1 else self.fn)(eps, box)
+        if j.value.dim != self.out_dim:
+            raise IntervalError(f"manifold jet has {j.value.dim} outputs, but the "
+                                f"projections partition {self.out_dim}")
         return j
+
+    def _read(self, eps: Interval, box: IntervalBox, order: int):
+        if self.first_fn is None:
+            order = 2
+        return _memo_read(self.cache, _box_key(eps, box), order,
+                          lambda o: self._compute(eps, box, o))
+
+    def __call__(self, eps: Interval, box: IntervalBox) -> Jet2Enclosure:
+        return self._read(eps, box, 2)
+
+    def first(self, eps: Interval, box: IntervalBox) -> Jet1Enclosure:
+        return self._read(eps, box, 1).order1()
 
 
 def _graph_goracle(w_jet: _CachedJet, base_idx: Sequence[int], kx: int) -> GOracle:
-    """g(eps, base, kappa) = pi_base w(eps, kappa) - base as a jet oracle.
+    """g(eps, base, kappa) = pi_base w(eps, kappa) - base as a jet oracle,
+    with ``first`` reading the manifold at order 1.
 
-    The oracle remembers its last (X, K) pair and jet, keyed by endpoint
-    bytes as :class:`_CachedJet` is: the verified image is asked for three
-    times in a row (the sigma_min check, ``implicit_first`` and
+    The oracle remembers its last (X, K) pair and jet with the order
+    computed, as :class:`_CachedJet` does: the verified image is asked for
+    up to three times in a row (the sigma_min check, ``implicit_first`` and
     ``implicit_jet``) and assembled once.  One entry per oracle, and one
     oracle per graph-side solve, so the memo cannot grow."""
     base_idx = list(base_idx)
     kk = len(base_idx)
     last = {}
 
-    def gjet(x_box: IntervalBox, k_box: IntervalBox) -> Jet2Enclosure:
-        key = (x_box.lo.tobytes(), x_box.hi.tobytes(), k_box.lo.tobytes(), k_box.hi.tobytes())
-        if key in last:
-            return last[key]
+    def assemble(x_box: IntervalBox, k_box: IntervalBox, order: int):
         eps = x_box[0]
-        jw = w_jet(eps, k_box).project(base_idx)
+        jw = (w_jet(eps, k_box) if order == 2 else w_jet.first(eps, k_box)).project(base_idx)
         nv = 1 + kx + kk
         m = kk
         d1lo = np.zeros((m, nv)); d1hi = np.zeros((m, nv))
@@ -144,17 +202,24 @@ def _graph_goracle(w_jet: _CachedJet, base_idx: Sequence[int], kx: int) -> GOrac
         for i in range(m):
             d1lo[i, 1 + i] = d1hi[i, 1 + i] = -1.0
         d1lo[:, 1 + kx :] = jw.d1.lo[:, 1:]; d1hi[:, 1 + kx :] = jw.d1.hi[:, 1:]
+        xb = x_box[1:]
+        first = Jet1Enclosure(jw.value - IntervalBox(xb.lo, xb.hi), IntervalMatrix(d1lo, d1hi))
+        if order == 1:
+            return first
         d2lo = np.zeros((m, nv, nv)); d2hi = np.zeros((m, nv, nv))
         sel = [0] + list(range(1 + kx, nv))
         d2lo[np.ix_(range(m), sel, sel)] = jw.d2lo
         d2hi[np.ix_(range(m), sel, sel)] = jw.d2hi
-        xb = x_box[1:]
-        value = jw.value - IntervalBox(xb.lo, xb.hi)
-        last.clear()
-        last[key] = Jet2Enclosure(value, IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
-        return last[key]
+        return Jet2Enclosure(first.value, first.d1, d2lo, d2hi)
 
-    return GOracle(kx=kx, kk=kk, jet=gjet)
+    def read(x_box: IntervalBox, k_box: IntervalBox, order: int):
+        key = (x_box.lo.tobytes(), x_box.hi.tobytes(), k_box.lo.tobytes(), k_box.hi.tobytes())
+        if key not in last:
+            last.clear()
+        return _memo_read(last, key, order, lambda o: assemble(x_box, k_box, o))
+
+    return GOracle(kx=kx, kk=kk, jet=lambda x_box, k_box: read(x_box, k_box, 2),
+                   first=lambda x_box, k_box: read(x_box, k_box, 1).order1())
 
 
 def _float_jacobian(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
@@ -201,8 +266,10 @@ def _solve_graph_side(
     eps_box: Interval,
     x_box: IntervalBox,
     guess: np.ndarray,
-) -> tuple[Jet2Enclosure, dict]:
-    """Verify the reparameterization kappa and return its jet over (eps, x)."""
+    order: int = 2,
+) -> tuple[Jet2Enclosure | Jet1Enclosure, dict]:
+    """Verify the reparameterization kappa and return its jet over (eps, x)
+    to ``order``."""
     base_idx = list(base_idx)
     kx = x_box.dim
     g = _graph_goracle(w_jet, base_idx, kx)
@@ -217,7 +284,7 @@ def _solve_graph_side(
     # candidate radius must cover the x-box extent AND the enclosure width of
     # the transported manifold value at the center (the probe is cached and
     # reused by the verification's own center evaluation)
-    probe = w_jet(eps_box, IntervalBox.point(u0)).project(base_idx)
+    probe = w_jet.first(eps_box, IntervalBox.point(u0)).project(base_idx)
     val_w = float(np.max(probe.value.width()))
     rad = inv_norm * (float(np.max(x_box.rad())) + 0.6 * val_w) * 3.0 + 1e-15
     last_err: Exception | None = None
@@ -230,11 +297,13 @@ def _solve_graph_side(
             rad *= _GRAPH_INFLATE
             continue
         k_ref = enc.image
-        d1 = g.jet(xfull, k_ref).d1
+        # the verified image at the query's own order first: the order-1
+        # reads after it are served from its entry
+        d1 = (g.jet if order == 2 else g.first)(xfull, k_ref).d1
         cond = sigma_min_lb(d1[:, 1 + kx :])
         if cond <= 0.0:
             raise ConditionError("projection derivative enclosure is not verified invertible")
-        kappa_jet = implicit_jet(g, xfull, k_ref)
+        kappa_jet = (implicit_jet if order == 2 else implicit_jet1)(g, xfull, k_ref)
         return kappa_jet, {"sigma_min_projection": cond, "candidate_radius": rad}
     raise ImplicitContractionError(
         f"implicit reparameterization failed after {_GRAPH_ATTEMPTS} inflations: {last_err}",
@@ -251,16 +320,26 @@ def _mean_value_refine(raw_query):
     value(w) = value(mid) + d1(box) (w - mid) and the analogous expansion of
     d1 through d2 recover the correlation that plain interval subtraction of
     the two manifold graphs loses; the refined blocks are intersected with
-    the raw enclosures, so the result is still containment-correct.
+    the raw enclosures, so the result is still containment-correct.  The
+    midpoint's d2 is never read, so it is queried at order 1.
+
+    ``raw_query(eps_box, x_box, order)`` computes one raw query to the
+    order.  Returns the pair ``(jet, first)``: ``first`` of a point query is
+    the order-1 raw query, and of a box query the refined ``jet``'s value
+    and d1, which need the box's d2.
     """
 
-    def query(eps_box: Interval, x_box: IntervalBox) -> Jet2Enclosure:
-        j = raw_query(eps_box, x_box)
+    def deviation(eps_box: Interval, x_box: IntervalBox):
         dev_lo = np.concatenate([[eps_box.lo - eps_box.mid], x_box.lo - x_box.mid()])
         dev_hi = np.concatenate([[eps_box.hi - eps_box.mid], x_box.hi - x_box.mid()])
-        if float(np.max(dev_hi - dev_lo)) <= 0.0:
+        return dev_lo, dev_hi, float(np.max(dev_hi - dev_lo)) > 0.0
+
+    def query(eps_box: Interval, x_box: IntervalBox) -> Jet2Enclosure:
+        j = raw_query(eps_box, x_box, 2)
+        dev_lo, dev_hi, is_box = deviation(eps_box, x_box)
+        if not is_box:
             return j
-        jm = raw_query(Interval.point(eps_box.mid), IntervalBox.point(x_box.mid()))
+        jm = raw_query(Interval.point(eps_box.mid), IntervalBox.point(x_box.mid()), 1)
         spread = ku.idot(j.d1.lo, j.d1.hi, dev_lo, dev_hi)
         val_lo, val_hi = ku.vadd(jm.value.lo, jm.value.hi, *spread)
         vlo = np.maximum(j.value.lo, val_lo)
@@ -274,7 +353,12 @@ def _mean_value_refine(raw_query):
             raise IntervalError("mean-value refinement produced empty intersection")
         return Jet2Enclosure(IntervalBox(vlo, vhi), IntervalMatrix(d1lo, d1hi), j.d2lo, j.d2hi)
 
-    return query
+    def first(eps_box: Interval, x_box: IntervalBox) -> Jet1Enclosure:
+        if not deviation(eps_box, x_box)[2]:
+            return raw_query(eps_box, x_box, 1)
+        return query(eps_box, x_box).order1()
+
+    return query, first
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +371,10 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
 
     The unstable side's pi_v block v(eps, x) is fed into the stable
     reparameterization; with no v and no z this is the fixed-point case.
-    Float Newton guesses default to the midpoint of the query box.
+    Float Newton guesses default to the midpoint of the query box.  Raw
+    queries are memoized with their order and recorded in the oracle's
+    diagnostics, one record per computed raw query, both keyed by the
+    query box's bytes.
     """
     dim_u = wcu.check_partition()
     dim_s = wcs.check_partition()
@@ -298,18 +385,23 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
         raise IntervalError("projection dimensions are inconsistent with (k1, k2)")
     base_u = tuple(wcu.x_proj) + tuple(wcu.z_proj)
     base_s = tuple(wcs.x_proj) + tuple(wcs.v_proj) + tuple(wcs.z_proj)
-    wcu_jet = _CachedJet(wcu.jet, dim_u)
-    wcs_jet = _CachedJet(wcs.jet, dim_s)
+    wcu_jet = _CachedJet(wcu.jet, dim_u, wcu.first)
+    wcs_jet = _CachedJet(wcs.jet, dim_s, wcs.first)
     keep = list(range(0, 1 + kx))  # eps and x columns; z is pinned
     diagnostics: dict = {}
+    memo: dict = {}
 
     def guess(given, box: IntervalBox) -> np.ndarray:
         return np.asarray(given, dtype=float) if given is not None else box.mid()
 
-    def query(eps_box: Interval, x_box: IntervalBox) -> Jet2Enclosure:
+    def solve(eps_box: Interval, x_box: IntervalBox, order: int):
+        if order == 2:
+            compose, stack, read_u, read_s = jet2_compose, jet2_stack, wcu_jet, wcs_jet
+        else:
+            compose, stack, read_u, read_s = jet1_compose, jet1_stack, wcu_jet.first, wcs_jet.first
         xz = IntervalBox(np.concatenate([x_box.lo, z_star]), np.concatenate([x_box.hi, z_star]))
-        ju, du = _solve_graph_side(wcu, wcu_jet, base_u, eps_box, xz, guess(cu_guess, xz))
-        w_u = jet2_compose(wcu_jet(eps_box, ju.value), ju)
+        ju, du = _solve_graph_side(wcu, wcu_jet, base_u, eps_box, xz, guess(cu_guess, xz), order)
+        w_u = compose(read_u(eps_box, ju.value), ju)
         side_u = w_u.project(list(wcu.y_proj)).take_vars(keep)
         if q:
             v_jet = w_u.project(list(wcu.v_proj)).take_vars(keep)
@@ -317,20 +409,31 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
                              np.concatenate([x_box.hi, v_jet.value.hi, z_star]))
         else:
             xs = xz
-        js, ds = _solve_graph_side(wcs, wcs_jet, base_s, eps_box, xs, guess(cs_guess, xs))
-        side_s = jet2_compose(wcs_jet(eps_box, js.value), js).project(list(wcs.y_proj))
+        js, ds = _solve_graph_side(wcs, wcs_jet, base_s, eps_box, xs, guess(cs_guess, xs), order)
+        side_s = compose(read_s(eps_box, js.value), js).project(list(wcs.y_proj))
         if q:
             # inner jet (eps, x) -> (x, v(eps,x), z*)
             zjet = Jet2Enclosure.constant(IntervalBox.point(z_star), state_dim=kx)
-            inner = jet2_stack(jet2_stack(Jet2Enclosure.identity(x_box), v_jet), zjet)
-            side_s = jet2_compose(side_s, inner)
+            ident = Jet2Enclosure.identity(x_box)
+            if order == 1:
+                zjet, ident = zjet.order1(), ident.order1()
+            side_s = compose(side_s, stack(stack(ident, v_jet), zjet))
         else:
             side_s = side_s.take_vars(keep)
-        diagnostics["unstable"] = du
-        diagnostics["stable"] = ds
-        return side_u - side_s
+        return side_u - side_s, {"order": order, "unstable": du, "stable": ds}
 
-    return DistanceOracle(jet=_mean_value_refine(query), k1=k1, k2=k2, diagnostics=diagnostics)
+    def raw_query(eps_box: Interval, x_box: IntervalBox, order: int):
+        key = _box_key(eps_box, x_box)
+
+        def compute(o: int):
+            j, diagnostics[key] = solve(eps_box, x_box, o)
+            return j
+
+        j = _memo_read(memo, key, order, compute)
+        return j if order == 2 else j.order1()
+
+    jet, first = _mean_value_refine(raw_query)
+    return DistanceOracle(jet=jet, first=first, k1=k1, k2=k2, diagnostics=diagnostics)
 
 
 def distance_fixed_point(

@@ -1,4 +1,5 @@
-"""Validated integration of parameterized polynomial ODEs with order-2 jets.
+"""Validated integration of parameterized polynomial ODEs with order-2 jets
+(or order-1 ones, for readers of values and first derivatives only).
 
 The integrator transports an order-2 jet (value, first and second partials
 with respect to eps and the initial-condition parameters) along the flow of
@@ -71,12 +72,22 @@ coefficients, and an enclosure of one encloses the other.  A start that
 is not symmetric as an interval block is first intersected with its
 mirror, which keeps the exact (symmetric) data.
 
+A transport at order 1 (``flow_jet(..., order=1)``, for readers that need
+values and first derivatives only) runs the same loop with V alone: the
+table pass evaluates A and aeps alone, the variational pass is one product
+sum per order, only the bound etaV is formed, and the Lohner state carries
+D = V.  Every operation on V is the one of the order-2 run, entry for
+entry, so the value and d1 are the same bit for bit while both runs take
+the same kernel path and the same steps.  In the worked example this
+costs about 60% of an order-2 transport.
+
 The nonrigorous float transports (:func:`point_flow`, :func:`point_flow_jet`)
 run the same series with round-to-nearest kernels at the field's
 coefficient midpoints, for a batch of points at once; their blocks carry
 one endpoint.  Each batch row takes its own steps by the same
 :class:`_StepRule`, its error estimate read from the last two
-coefficients of its float series.
+coefficients of its float series; an attempt that no row takes keeps its
+series for the next one.
 """
 
 from __future__ import annotations
@@ -90,7 +101,7 @@ import numpy as np
 
 from . import kernels as ku
 from .intervals import Interval, IntervalBox, IntervalError
-from .jets import Jet2Enclosure, compose_d2, with_eps_row
+from .jets import Jet1Enclosure, Jet2Enclosure, compose_d2, with_eps_row
 from .matrices import IntervalMatrix
 from .polys import PolyMap, VectorFieldDef
 
@@ -324,12 +335,15 @@ def _ends(x):
     return x[0], x[-1]
 
 
-def _split(x, n: int, m: int):
+def _split(x, n: int, m: int, order: int = 2):
     """The (state, V, S) blocks of flattened coefficients (the last axis,
-    n + n m + n npairs wide), S on its pairs: (..., n, npairs)."""
+    n + n m + n npairs wide), S on its pairs: (..., n, npairs); at order 1
+    the last axis is n + n m wide and S is None."""
     lead = x.shape[:-1]
-    return (x[..., :n], x[..., n : n + n * m].reshape(*lead, n, m),
-            x[..., n + n * m :].reshape(*lead, n, m * (m + 1) // 2))
+    z, V = x[..., :n], x[..., n : n + n * m].reshape(*lead, n, m)
+    if order == 1:
+        return z, V, None
+    return z, V, x[..., n + n * m :].reshape(*lead, n, m * (m + 1) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +461,7 @@ class _Series:
     """
 
     def __init__(self, rf: _Resolved, zlo, zhi, P: int, m: int = 0, kernels=ku,
-                 state_rf: tuple[_Resolved, ...] = ()):
+                 state_rf: tuple[_Resolved, ...] = (), order: int = 2):
         tb = rf.tb
         n = tb.n
         B = zlo.shape[0]
@@ -456,6 +470,7 @@ class _Series:
         self.n = n
         self.m = m
         self.P = P
+        self.order = order
         # the leading rows; the trailing len(state_rf) rows are state-only
         self.nvar = nv = B - len(state_rf)
         # a float series carries one endpoint, an enclosure two
@@ -477,28 +492,43 @@ class _Series:
         self.g_state = {"clo": per_row("clo"), "chi": per_row("chi"), "rows": rf.g_var["rows"][:n]}
         coeffs = [self.g_state["clo"], self.g_state["chi"]]
         if self.with_var:
-            npairs = len(_pairs(m)[0])
-            self.L = np.zeros((e, nv, 2 * n + n * n, P + 2, n))
-            self.E = np.zeros((e, nv, 2, P + 2, n))
-            self.TA = np.zeros((e, nv, n, npairs, P + 2, 2, n))
-            self.T = self.TA[..., 0, :]
-            self.VS = np.zeros((e, nv, npairs, P + 2, 2, n))
-            self.Vp, self.Sr = self.VS[..., 0, :], self.VS[..., 1, :]
-            self.Vr = self.Vp[:, :, :m]
-            # the table pass evaluates the other rows of g_var
-            self.g_tab = {key: rf.g_var[key][n:] for key in ("clo", "chi", "rows")}
+            # the left operands [A; Hxe; Hxx] and the added aeps, Hee, or at
+            # order 1 A and aeps alone
+            nl = 2 * n + n * n if order == 2 else n
+            self.left_cols, self.eps_cols = tb.left_cols[:nl], tb.eps_cols[:order]
+            self.L = np.zeros((e, nv, nl, P + 2, n))
+            self.E = np.zeros((e, nv, order, P + 2, n))
+            if order == 2:
+                npairs = len(_pairs(m)[0])
+                self.TA = np.zeros((e, nv, n, npairs, P + 2, 2, n))
+                self.T = self.TA[..., 0, :]
+                self.VS = np.zeros((e, nv, npairs, P + 2, 2, n))
+                self.Vp, self.Sr = self.VS[..., 0, :], self.VS[..., 1, :]
+                self.Vr = self.Vp[:, :, :m]
+                self.twins = (self.Vr, self.Sr)
+            else:
+                self.Vr = np.zeros((e, nv, m, P + 2, n))
+                self.twins = (self.Vr,)
+            # the table pass evaluates the other rows of g_var, at order 1
+            # f's first partials alone (its n (n + 1) rows after f's)
+            stop = None if order == 2 else n + n * (n + 1)
+            self.g_tab = {key: rf.g_var[key][n:stop] for key in ("clo", "chi", "rows")}
             coeffs += [self.g_tab["clo"], self.g_tab["chi"]]
         self.scaled = kernels.is_scaled(*coeffs, zlo, zhi)
         # orders filled by each pass: z through "state" (the bank one less),
         # tables below "tables", V and S through "var" (T one less)
         self._to = {"state": 0, "tables": 0, "var": 0}
 
-    def start(self, V0, S0):
+    def start(self, V0, S0=None):
         """Set the variational initial data: (lo, hi) of shape (B, n, m)
-        and (B, n, m, m); equal endpoints for a float series.  Each pair
-        (al, be) of S takes the intersection of S0[..., al, be] and its
-        mirror S0[..., be, al], which both enclose the one exact entry;
-        raises :class:`IntervalError` when they do not intersect."""
+        and (B, n, m, m), the latter at order 2 only; equal endpoints for a
+        float series.  Each pair (al, be) of S takes the intersection of
+        S0[..., al, be] and its mirror S0[..., be, al], which both enclose
+        the one exact entry; raises :class:`IntervalError` when they do not
+        intersect."""
+        if self.order == 1:
+            self.start_pairs(V0)
+            return
         al, be, _ = _pairs(self.m)
         lo = np.maximum(S0[0][..., al, be], S0[0][..., be, al])
         hi = np.minimum(S0[-1][..., al, be], S0[-1][..., be, al])
@@ -506,14 +536,15 @@ class _Series:
             raise IntervalError("mixed-partial enclosures do not intersect")
         self.start_pairs(V0, (lo, hi))
 
-    def start_pairs(self, V0, Sp0):
+    def start_pairs(self, V0, Sp0=()):
         """:meth:`start` from S0 already on the pairs: (lo, hi) of shape
-        (B, n, npairs), as :meth:`split` gives them."""
+        (B, n, npairs), as :meth:`split` gives them; none at order 1."""
         m = self.m
-        for end in (0, -1):
-            self.Vr[end, :, :, -1] = np.swapaxes(V0[end], -1, -2)
-            self.Sr[end, :, :, -1] = np.swapaxes(Sp0[end], -1, -2)
-        self.Vp[:, :, m:, -1] = self.Vp[:, :, _pairs(m)[0][m:], -1]
+        for twin, x0 in zip(self.twins, (V0, Sp0)):
+            for end in (0, -1):
+                twin[end, :, :, -1] = np.swapaxes(x0[end], -1, -2)
+        if self.order == 2:
+            self.Vp[:, :, m:, -1] = self.Vp[:, :, _pairs(m)[0][m:], -1]
         self.scaled = self.scaled and self.k.is_scaled(*V0, *Sp0)
 
     def _pass(self, name: str, upto: int, run, written):
@@ -550,9 +581,12 @@ class _Series:
             return
         self.extend_tables(upto)
         P = self.P
-        self._pass("var", upto, self._var_orders, lambda k0, k1: (
-            self.T[..., k0:k1, :], self.Vr[..., P + 1 - k1 : P + 1 - k0, :],
-            self.Sr[..., P + 1 - k1 : P + 1 - k0, :]))
+
+        def written(k0, k1):
+            twins = [b[..., P + 1 - k1 : P + 1 - k0, :] for b in self.twins]
+            return twins + [self.T[..., k0:k1, :]] if self.order == 2 else twins
+
+        self._pass("var", upto, self._var_orders, written)
 
     def _state_orders(self, k0: int, k1: int, fast: bool):
         """The bank at orders k0..k1-1 and z at orders k0+1..k1."""
@@ -571,32 +605,43 @@ class _Series:
     def _table_orders(self, k0: int, k1: int, fast: bool):
         """The derivative tables at orders k0..k1-1: one product sum over
         the monomials, which are the last axis."""
-        tb, g = self.tb, self.g_tab
+        g = self.g_tab
         x = np.moveaxis(self.bank[:, : self.nvar, g["rows"], k0:k1], 4, 2)
         t = self.k.imulsum(g["clo"], g["chi"], x[0], x[-1], fast)
-        self.L[:, :, :, k0:k1] = np.moveaxis(t[..., tb.left_cols], 2, 3)
-        self.E[:, :, :, k0:k1] = np.moveaxis(t[..., tb.eps_cols], 2, 3)
-        # A's slot of TA, the same for every pair
-        self.TA[..., k0:k1, 1, :] = self.L[:, :, : self.n, None, k0:k1]
+        self.L[:, :, :, k0:k1] = np.moveaxis(t[..., self.left_cols], 2, 3)
+        self.E[:, :, :, k0:k1] = np.moveaxis(t[..., self.eps_cols], 2, 3)
+        if self.order == 2:
+            # A's slot of TA, the same for every pair
+            self.TA[..., k0:k1, 1, :] = self.L[:, :, : self.n, None, k0:k1]
 
     def _var_orders(self, k0: int, k1: int, fast: bool):
         for k in range(k0, k1):
             self._var_step(k, fast)
 
     def _var_step(self, k: int, fast: bool):
-        """V_{k+1}, T_k and S_{k+1} from the tables through order k."""
+        """V_{k+1}, T_k and S_{k+1} from the tables through order k; at
+        order 1, V_{k+1} alone from one product sum."""
         ks, n, m, e, B = self.k, self.n, self.m, self.ends, self.nvar
-        be = _pairs(m)[1]
-        npairs = len(be)
         terms = (k + 1) * n
         j = self.P + 1 - k  # the twins' orders k, k-1, ..., 0
 
         # [A; Hxe; Hxx]_i V_j in one product sum: (A V)_k, Q2_k[c,al] =
         # sum_{i+j=k} Hxe_i[c,a] V_j[a,al] and T_k[c,a,be] = sum_{i+j=k}
-        # Hxx_i[c,a,b] V_j[b,be]; V's slot of VS is read through a copy
-        x = self.L[:, :, :, : k + 1].reshape(e, B, 2 * n + n * n, 1, terms)
+        # Hxx_i[c,a,b] V_j[b,be] (A V alone at order 1); V's slot of VS is
+        # read through a copy
+        x = self.L[:, :, :, : k + 1].reshape(e, B, self.L.shape[2], 1, terms)
         v = self.Vr[:, :, :, j:].reshape(e, B, 1, m, terms)
         lv = ks.imulsum(x[0], x[-1], v[0], v[-1], fast)
+        if self.order == 1:
+            # (A V)_k plus aeps_k on V's eps column, divided by k+1; the
+            # zero entries of the added row keep every bit as at order 2
+            d = np.zeros_like(lv)
+            d[..., 0] = self.E[:, :, 0, k]
+            self.Vr[:, :, :, j - 1] = np.swapaxes(
+                ks.stack_divint(k + 1, ks.stack_add(lv, d)), -1, -2)
+            return
+        be = _pairs(m)[1]
+        npairs = len(be)
         # T_k per pair p = (al, be): T[c, p, k, a] = T_k[c, a, be]
         t = lv[:, :, 2 * n :].reshape(e, B, n, n, m)
         self.T[..., k, :] = np.swapaxes(t, -1, -2)[:, :, :, be]
@@ -639,18 +684,18 @@ class _Series:
         # the twins of V and S, (e, [rows,] m or npairs, orders, n), back in order
         rev = self.P + 1 - idx
         return np.concatenate([z, *(np.moveaxis(b[:, row][..., rev, :], -3, -1).reshape(
-            *z.shape[:-1], -1) for b in (self.Vr, self.Sr))], axis=-1)
+            *z.shape[:-1], -1) for b in self.twins)], axis=-1)
 
     def split(self, x):
         """Split flattened orders (the last axis) back into (state, V, S)
-        blocks, S on its pairs: (..., n, npairs)."""
-        return _split(x, self.n, self.m)
+        blocks, S on its pairs: (..., n, npairs); S is None at order 1."""
+        return _split(x, self.n, self.m, self.order)
 
     def unflat(self, x):
         """:meth:`split` with S mirrored back from its pairs to the full
         (..., n, m, m) block, which is symmetric bit for bit."""
         z, V, Sp = self.split(x)
-        return z, V, Sp[..., _pairs(self.m)[2]]
+        return z, V, None if Sp is None else Sp[..., _pairs(self.m)[2]]
 
     def eval_flat(self, row, h: float, upto: int):
         """The Taylor polynomial of a row (a slice or a tuple of rows) through
@@ -752,7 +797,8 @@ class _StepPieces:
 def _gronwall(ser: _Series, row: int):
     """Magnitude bounds over the rough enclosure, read from the order-0
     field tables of its series row: d >= max_c sum_a |df_c/dx_a|,
-    ce >= |df/deps|, hxx, hxe, hee >= the second-derivative blocks."""
+    ce >= |df/deps|, and at order 2 hxx, hxe, hee >= the second-derivative
+    blocks."""
     n = ser.n
     left, eps = ser.L[:, row, :, 0], ser.E[:, row, :, 0]
     jmag = ku.vmag(*left[:, :n])
@@ -761,12 +807,15 @@ def _gronwall(ser: _Series, row: int):
     def mag(x):
         return float(np.max(ku.vmag(*x)))
 
+    if ser.order == 1:
+        return d, mag(eps[:, 0])
     return (d, mag(eps[:, 0]), mag(left[:, 2 * n :]), mag(left[:, n : 2 * n]), mag(eps[:, 1]))
 
 
 def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
-              hull: IntervalBox, xhat, h: float, P: int, err_max: float) -> _StepPieces | None:
-    """One-step flow jet over (eps, x_k), remainders included.
+              hull: IntervalBox, xhat, h: float, P: int, err_max: float,
+              order: int = 2) -> _StepPieces | None:
+    """One-step flow jet over (eps, x_k) to ``order``, remainders included.
 
     One series to order P+1 serves the step, with three state rows and two
     variational ones: row 0 starts at the hull and gives the Taylor
@@ -778,6 +827,8 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
     that exceeds ``err_max`` the step is rejected (None) before any table,
     Gronwall or variational work.  One Horner evaluates the polynomials of
     rows 0 and 2 side by side, and both take row 1's state remainder.
+    At order 1 the series carries V alone, the tables A and aeps alone, and
+    only etaV is bounded; the pieces' S blocks are None.
     Raises :class:`FlowError` when the rough enclosure fails or a piece is
     not finite (the caller halves the step).
     """
@@ -790,7 +841,7 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
         hv = Interval.point(h)
         hp1 = hv ** (P + 1)
         ser = _Series(rf, np.stack([hull.lo, Z.lo, xhat]), np.stack([hull.hi, Z.hi, xhat]),
-                      P + 1, m=mj, state_rf=(rf_pt,))
+                      P + 1, m=mj, state_rf=(rf_pt,), order=order)
         ser.extend_state(P + 1)
         rzlo, rzhi = ku.vmul(*ser.z[:, 1, :, P + 1], hp1.lo, hp1.hi)
         err = float(np.max(ku.vmag(*ser.z[:, 0, :, P]))) * h**P \
@@ -803,24 +854,29 @@ def _one_step(tb: _FieldTables, rf: _Resolved, rf_pt: _Resolved, eps: Interval,
         # Gronwall rough bounds for the variational blocks over the step, h d
         # on floats rounded up (an exact 0 kept); a bound that overflows
         # fails the step, which halves it
-        d, ce, hxx, hxe, hee = _gronwall(ser, 1)
+        d, ce, *second = _gronwall(ser, 1)
         eh = _iexp_ub(math.nextafter(h * d, math.inf) if d != 0.0 else 0.0)
         try:
             etaV = ((Interval.point(eh) - 1.0) + hv * ce * eh).hi
             vr_lo, vr_hi = ku.widen_abs(eye, eye, np.full((n, mj), etaV))
-            vm = (Interval.point(float(ku.vmag(vr_lo, vr_hi).max())) * n).hi  # column sum bound
-            qb = Interval.point(hxx) * vm * vm + Interval.point(2.0 * hxe) * vm + hee
-            etaS = (hv * eh * qb).hi
+            if second:
+                hxx, hxe, hee = second
+                vm = (Interval.point(float(ku.vmag(vr_lo, vr_hi).max())) * n).hi  # column sum bound
+                qb = Interval.point(hxx) * vm * vm + Interval.point(2.0 * hxe) * vm + hee
+                etaS = (hv * eh * qb).hi
         except IntervalError as exc:
             raise FlowError(f"the Gronwall bound overflows for step {h}") from exc
-        zero = np.zeros((n, mj, mj))
-        ser.start((np.stack([eye, vr_lo]), np.stack([eye, vr_hi])),
-                  (np.stack([zero, np.full_like(zero, -etaS)]),
-                   np.stack([zero, np.full_like(zero, etaS)])))
+        V0 = (np.stack([eye, vr_lo]), np.stack([eye, vr_hi]))
+        if second:
+            zero = np.zeros((n, mj, mj))
+            ser.start(V0, (np.stack([zero, np.full_like(zero, -etaS)]),
+                           np.stack([zero, np.full_like(zero, etaS)])))
+        else:
+            ser.start(V0)
         ser.extend_to(P + 1)
 
         # Taylor polynomials of rows 0 and 2 plus the Lagrange remainders of
-        # row 1: (z, V, S) of the set, then z of the centre
+        # row 1: (z, V, S) of the set (z, V at order 1), then z of the centre
         plo, phi = ser.eval_flat((0, 2), h, P)
         clo, chi = ser.flat(1, slice(P + 1, P + 2))
         vlo, vhi = ku.vmul(clo[0, n:], chi[0, n:], hp1.lo, hp1.hi)
@@ -859,15 +915,16 @@ class _LohnerState:
 
     D = [V | W] is one block of m + m^2 columns (W's (m, m) flattened), with
     one midpoint ``dmid``, one residual (``rdlo``, ``rdhi``) and one update
-    per step; ``C`` is the view ``dmid[:, :m]``."""
+    per step; ``C`` is the view ``dmid[:, :m]``.  At order 1, D = V: its m
+    columns get the same update, column for column."""
 
-    def __init__(self, xhat, Q, r, dmid, rd):
+    def __init__(self, xhat, Q, r, dmid, rd, m: int):
         self.xhat = xhat
         self.Q = Q
         self.rlo, self.rhi = r
         self.dmid = dmid
         self.rdlo, self.rdhi = rd
-        self.m = m = math.isqrt(4 * dmid.shape[1] + 1) // 2  # from m + m^2 columns
+        self.m = m
         self.C = dmid[:, :m]
 
     def hull(self, r0lo, r0hi) -> IntervalBox:
@@ -897,15 +954,16 @@ class _LohnerState:
         """
         n, m = len(self.xhat), self.m
         mxlo, mxhi = pieces.Mlo[:, 1:], pieces.Mhi[:, 1:]
-        # (lo, hi) of P_D: P_V = [Mx] C + [Meps] e0^T, then P_W = [Mx] What +
-        # S2[Vext, Vext]
-        pd = np.empty((2, n, m + m * m))
+        # (lo, hi) of P_D: P_V = [Mx] C + [Meps] e0^T, then at order 2 P_W =
+        # [Mx] What + S2[Vext, Vext]
+        pd = np.empty((2, *self.dmid.shape))
         pd[:, :, :m] = ku.idot(mxlo, mxhi, self.C, self.C)
         pd[:, :, 0] = ku.vadd(*pd[:, :, 0], pieces.Mlo[:, 0], pieces.Mhi[:, 0])
-        what = self.dmid[:, m:].reshape(n, m, m)
-        pw = compose_d2(pieces.Mlo, pieces.Mhi, pieces.Slo, pieces.Shi,
-                        *with_eps_row(*self._mid_plus_qr(m)), what, what)
-        pd[:, :, m:] = np.reshape(pw, (2, n, -1))
+        if pieces.Slo is not None:
+            what = self.dmid[:, m:].reshape(n, m, m)
+            pw = compose_d2(pieces.Mlo, pieces.Mhi, pieces.Slo, pieces.Shi,
+                            *with_eps_row(*self._mid_plus_qr(m)), what, what)
+            pd[:, :, m:] = np.reshape(pw, (2, n, -1))
         dmid = 0.5 * (pd[0] + pd[1])
         mq = (0.5 * (mxlo + mxhi)) @ self.Q
         qn, _ = np.linalg.qr(mq)
@@ -937,10 +995,13 @@ class _LohnerState:
         qr = ku.idot(self.Q, self.Q, self.rdlo[:, :cols], self.rdhi[:, :cols])
         return ku.vadd(*qr, self.dmid[:, :cols], self.dmid[:, :cols])
 
-    def to_jet(self, r0lo, r0hi) -> Jet2Enclosure:
+    def to_jet(self, r0lo, r0hi) -> Jet2Enclosure | Jet1Enclosure:
         n, m = len(self.xhat), self.m
         dlo, dhi = self._mid_plus_qr(self.dmid.shape[1])
-        return Jet2Enclosure(self.hull(r0lo, r0hi), IntervalMatrix(dlo[:, :m], dhi[:, :m]),
+        first = Jet1Enclosure(self.hull(r0lo, r0hi), IntervalMatrix(dlo[:, :m], dhi[:, :m]))
+        if self.dmid.shape[1] == m:
+            return first
+        return Jet2Enclosure(first.value, first.d1,
                              dlo[:, m:].reshape(n, m, m), dhi[:, m:].reshape(n, m, m))
 
 
@@ -1026,7 +1087,8 @@ def flow_jet(
     settings: FlowSettings | None = None,
     domain: IntervalBox | None = None,
     x0_center: Jet2Enclosure | None = None,
-) -> Jet2Enclosure:
+    order: int = 2,
+) -> Jet2Enclosure | Jet1Enclosure:
     """Containment-correct order-2 jet of (eps, s) -> Phi_T^eps(x0(eps, s)).
 
     ``x0`` is the jet of the initial condition in the variables (eps, s).
@@ -1036,16 +1098,27 @@ def flow_jet(
     transports tight.  ``T`` may be negative (backward flow).  Raises
     :class:`FlowError` on step underflow or when max_steps is exceeded, and
     :class:`IntervalError` on a non-finite ``T``.
+
+    ``order=1`` runs the same loop with the first variational block alone
+    (no S, T or Q, only the A and aeps tables and the bound etaV, and no W
+    in the Lohner state) and returns the (value, d1) pair as a
+    :class:`Jet1Enclosure`; ``x0`` then needs no second derivatives.  The
+    blocks equal the order-2 ones bit for bit while both runs take the same
+    kernel path and the same steps.  An order-2 step also fails when its S
+    bounds overflow, so on such a field the order-1 run may take a step
+    that the order-2 run halves.
     """
     if not math.isfinite(T):  # a NaN T would skip the step loop below
         raise IntervalError(f"the transport time must be finite, got T={T}")
+    if order not in (1, 2):
+        raise IntervalError(f"the jet order must be 1 or 2, got {order!r}")
     settings = settings or FlowSettings()
     if x0.out_dim != field.dimension:
         raise IntervalError("initial jet dimension does not match the field")
     if T == 0:
-        return x0
+        return x0 if order == 2 else x0.order1()
     if T < 0:
-        return flow_jet(field.negated(), x0, eps, -T, settings, domain, x0_center)
+        return flow_jet(field.negated(), x0, eps, -T, settings, domain, x0_center, order)
     tb = _tables(field)
     rf = _Resolved(tb, eps)
     rf_pt = _Resolved(tb, Interval.point(eps.mid))
@@ -1065,9 +1138,13 @@ def flow_jet(
         r0lo = np.concatenate([[min(eps.lo - eps.mid, 0.0)], np.zeros(m - 1)])
         r0hi = np.concatenate([[max(eps.hi - eps.mid, 0.0)], np.zeros(m - 1)])
 
-    # the derivative block [V | W] of x0: its midpoint and residual
-    dlo = np.hstack([x0.d1.lo, x0.d2lo.reshape(n, -1)])
-    dhi = np.hstack([x0.d1.hi, x0.d2hi.reshape(n, -1)])
+    # the derivative block [V | W] of x0 (V at order 1): its midpoint and
+    # residual
+    if order == 2:
+        dlo = np.hstack([x0.d1.lo, x0.d2lo.reshape(n, -1)])
+        dhi = np.hstack([x0.d1.hi, x0.d2hi.reshape(n, -1)])
+    else:
+        dlo, dhi = x0.d1.lo, x0.d1.hi
     dmid = 0.5 * (dlo + dhi)
     rdlo, rdhi = ku.vsub(dlo, dhi, dmid, dmid)
     if x0_center is not None and domain is not None:
@@ -1079,7 +1156,7 @@ def flow_jet(
     else:
         xhat = x0.value.mid()
         rlo, rhi = ku.vsub(x0.value.lo, x0.value.hi, xhat, xhat)
-    state = _LohnerState(xhat, np.eye(n), (rlo, rhi), dmid, (rdlo, rdhi))
+    state = _LohnerState(xhat, np.eye(n), (rlo, rhi), dmid, (rdlo, rdhi), m)
 
     rule = _StepRule(T, settings.initial_step, settings.min_step, settings.max_steps)
     while rule.t < T:
@@ -1088,7 +1165,7 @@ def flow_jet(
         scale = float(np.max(np.abs(hull.mid()))) + 1.0
         try:
             pieces = _one_step(tb, rf, rf_pt, eps, hull, state.xhat, rule.hcur, P,
-                               rule.bound(scale))
+                               rule.bound(scale), order)
         except FlowError:
             if rule.hcur <= settings.min_step:
                 raise FlowError(f"step underflow at t={rule.t} of T={T}: "
@@ -1115,7 +1192,9 @@ def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order:
     its own :class:`_StepRule` from the initial step ``step``, with the
     error estimate ``|z_P| h^P + |z_{P+1}| h^(P+1)``, P = ``order``, so a
     batch row equals its single call bit for bit; a row that reaches T
-    leaves the batch, and each series holds the other rows only.  Raises
+    leaves the batch, and each series holds the other rows only.  When no
+    row is accepted, no state changes and the next attempt keeps the series
+    and its state pass, which do not depend on h.  Raises
     :class:`FlowError` on a non-finite estimate or state."""
     if not math.isfinite(T):
         raise IntervalError(f"the transport time must be finite, got T={T}")
@@ -1133,13 +1212,15 @@ def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order:
     rules = [_StepRule(T, step, FlowSettings.min_step, FlowSettings.max_steps) for _ in y]
     # the rows that have not reached T; each series is built on them alone
     live = np.flatnonzero([rule.t < T for rule in rules])
+    ser = None
     while live.size:
-        z, V, Sp = _split(y[live], n, m)
-        ser = _Series(rf, z, z, order, m=m, kernels=_Nearest)
         with np.errstate(over="ignore", invalid="ignore"):
-            ser.extend_state(order + 1)
-            # per row: max|x|, max|z_P| and max|z_{P+1}|
-            mags = np.abs(ser.z[0][..., [0, order, order + 1]]).max(axis=1).tolist()
+            if ser is None:
+                z, V, Sp = _split(y[live], n, m)
+                ser = _Series(rf, z, z, order, m=m, kernels=_Nearest)
+                ser.extend_state(order + 1)
+                # per row: max|x|, max|z_P| and max|z_{P+1}|
+                mags = np.abs(ser.z[0][..., [0, order, order + 1]]).max(axis=1).tolist()
             keep = np.zeros(live.size, dtype=bool)
             for r, (i, (x_mag, zp, zp1)) in enumerate(zip(live, mags)):
                 rule = rules[i]
@@ -1163,6 +1244,7 @@ def _float_transport(field: VectorFieldDef, eps_val: float, x0, T: float, order:
                 if not np.isfinite(y_new[keep]).all():
                     raise FlowError(f"non-finite float transport before T={T}")
                 y[live[keep]] = y_new[keep]
+                ser = None
         live = np.flatnonzero([rule.t < T for rule in rules])
     z, V, Sp = _split(y.reshape(*x.shape[:-1], y.shape[1]), n, m)
     return z, V, Sp[..., _pairs(m)[2]]

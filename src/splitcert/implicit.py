@@ -12,6 +12,11 @@ where D = [I; dk/dw] stacks the identity on w over the kappa Jacobian and
 g'' is the Hessian of g in (w, kappa).  Exact zeros of g'' (for instance
 g_ex, g_kx and g_xx of a projection condition) stay exact zeros through
 the contraction, so no term needs to be dropped by hand.
+
+The Newton step and dk/dw read only values and first derivatives of g, so
+they take the oracle's ``first`` when it has one; only the second-order
+solve of :func:`implicit_jet` reads its order-2 ``jet``.
+:func:`implicit_jet1` stops before that solve.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import kernels as ku
 from .intervals import IntervalBox, IntervalError
-from .jets import Jet2Enclosure
+from .jets import Jet1Enclosure, Jet2Enclosure
 from .matrices import IntervalMatrix, imatsolve
 from .newton import FunctionOracle, newton_verify
 
@@ -42,15 +47,23 @@ class GOracle:
 
     ``jet(X, K)`` returns a Jet2Enclosure with variable order
     (eps, x_1..x_kx, kappa_1..kappa_kk) over the boxes X (dim 1+kx, eps
-    first) and K (dim kk); the output dimension equals kk.
+    first) and K (dim kk); the output dimension equals kk.  ``first(X, K)``,
+    when given, returns the value and d1 of ``jet(X, K)`` (bit for bit, as
+    a :class:`Jet1Enclosure`) without the second derivatives; without it
+    the order-1 reads take ``jet``.
     """
 
     kx: int
     kk: int
     jet: Callable[[IntervalBox, IntervalBox], Jet2Enclosure]
+    first: Callable[[IntervalBox, IntervalBox], Jet1Enclosure] | None = None
 
     def kappa_cols(self) -> list[int]:
         return list(range(1 + self.kx, 1 + self.kx + self.kk))
+
+    def order1(self, x_box: IntervalBox, k_box: IntervalBox):
+        """Value and d1 of g over (X, K), from ``first`` when given."""
+        return (self.first or self.jet)(x_box, k_box)
 
 
 @dataclass
@@ -78,10 +91,10 @@ def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None
         raise IntervalError("implicit_enclose: box dimensions do not match oracle")
 
     def ev(xb: IntervalBox, kb: IntervalBox) -> IntervalBox:
-        return g.jet(xb, kb).value
+        return g.order1(xb, kb).value
 
     def dv(xb: IntervalBox, kb: IntervalBox) -> IntervalMatrix:
-        return _dg_dk(g, g.jet(xb, kb))
+        return _dg_dk(g, g.order1(xb, kb))
 
     cert = newton_verify(FunctionOracle(ev, dv), x_box, k_box, y0=k0, max_refine=0)
     if not cert.verified:
@@ -93,7 +106,7 @@ def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None
 
 def implicit_first(g: GOracle, x_box: IntervalBox, k_box: IntervalBox) -> tuple[IntervalMatrix, IntervalMatrix]:
     """(dk/deps, dk/dx) enclosures over X, evaluated on the verified K."""
-    jet = g.jet(x_box, k_box)
+    jet = g.order1(x_box, k_box)
     nw = 1 + g.kx
     d1 = -imatsolve(_dg_dk(g, jet), jet.d1[:, :nw])
     return d1[:, :1], d1[:, 1:]
@@ -135,9 +148,16 @@ def implicit_mixed_second(
     return -imatsolve(_dg_dk(g, jet), IntervalMatrix(rlo[:, 0, 1:], rhi[:, 0, 1:]))
 
 
+def implicit_jet1(g: GOracle, x_box: IntervalBox, k_box: IntervalBox) -> Jet1Enclosure:
+    """Order-1 jet of kappa over w = (eps, x) on the verified image
+    ``k_box``: the value and d1 of :func:`implicit_jet`, bit for bit,
+    without its second-order solve."""
+    return Jet1Enclosure(k_box, _dk_dw(implicit_first(g, x_box, k_box)))
+
+
 def implicit_jet(g: GOracle, x_box: IntervalBox, k_box: IntervalBox) -> Jet2Enclosure:
     """Order-2 jet of kappa over w = (eps, x) on the verified image ``k_box``."""
-    dk = _dk_dw(implicit_first(g, x_box, k_box))
+    dk = implicit_jet1(g, x_box, k_box).d1
     jet = g.jet(x_box, k_box)
     kk, nw = dk.shape
     rlo, rhi = _second_rhs(jet, dk)

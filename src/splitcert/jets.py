@@ -7,15 +7,59 @@ variables.  All blocks are enclosures valid over the whole domain box the
 jet was computed on; composing two jets is the order-2 chain rule in
 interval arithmetic with ``eps`` threaded as a common variable rather than
 duplicated.
+
+A :class:`Jet1Enclosure` is the (value, d1) pair alone, for readers that
+need no second derivatives.  Its operations are the first-order parts of
+the order-2 ones, and give their value and d1 blocks bit for bit: the
+order-2 composition and stacking compute those blocks by the same helpers.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels as ku
 from .intervals import IntervalBox, IntervalError
 from .matrices import IntervalMatrix
+
+
+class Jet1Enclosure(NamedTuple):
+    """Value and gradient enclosures of a map (eps, x) -> R^m: the (value,
+    d1) pair, ``d1`` of shape (m, 1+k) with the eps column first.  It holds
+    no second derivative, so none can be read from it."""
+
+    value: IntervalBox
+    d1: IntervalMatrix
+
+    @property
+    def out_dim(self) -> int:
+        return self.value.dim
+
+    @property
+    def nvars(self) -> int:
+        """Total differentiation variables including eps."""
+        return self.d1.shape[1]
+
+    def order1(self) -> "Jet1Enclosure":
+        return self
+
+    def project(self, rows) -> "Jet1Enclosure":
+        rows = list(rows)
+        return Jet1Enclosure(self.value[rows], self.d1[rows])
+
+    def take_vars(self, var_idx) -> "Jet1Enclosure":
+        """Restrict to a subset of variables (index 0 must stay first)."""
+        var_idx = list(var_idx)
+        if var_idx[0] != 0:
+            raise IntervalError("variable subset must keep eps as index 0")
+        return Jet1Enclosure(self.value, self.d1[:, var_idx])
+
+    def __sub__(self, other) -> "Jet1Enclosure":
+        if other.nvars != self.nvars or other.out_dim != self.out_dim:
+            raise IntervalError("jet subtraction needs matching shapes")
+        return Jet1Enclosure(self.value - other.value, self.d1 - other.d1)
 
 
 class Jet2Enclosure:
@@ -89,6 +133,10 @@ class Jet2Enclosure:
 
     def dstate(self) -> IntervalMatrix:
         return self.d1[:, 1:]
+
+    def order1(self) -> Jet1Enclosure:
+        """The (value, d1) pair of this jet."""
+        return Jet1Enclosure(self.value, self.d1)
 
     # -- algebra -------------------------------------------------------------
 
@@ -168,6 +216,26 @@ def compose_d2(o1lo, o1hi, o2lo, o2hi, vlo, vhi, wlo, whi):
     return ku.vadd(term1lo, term1hi, term2lo, term2hi)
 
 
+def _compose_first(outer, inner) -> tuple[Jet1Enclosure, tuple]:
+    """The value and d1 of (eps, x) -> outer(eps, inner(eps, x)), and the
+    inner first derivative with its eps row (:func:`with_eps_row`), which
+    the second derivative reads too."""
+    p = inner.out_dim
+    if outer.nvars != p + 1:
+        raise IntervalError(
+            f"outer expects {outer.nvars - 1} state inputs, inner provides {p}"
+        )
+    v = with_eps_row(inner.d1.lo, inner.d1.hi)  # (p+1, nv)
+    d1 = IntervalMatrix(*ku.idot(outer.d1.lo, outer.d1.hi, *v))
+    return Jet1Enclosure(outer.value, d1), v
+
+
+def jet1_compose(outer, inner) -> Jet1Enclosure:
+    """First-order chain rule: the value and d1 of :func:`jet2_compose`,
+    bit for bit, from jets of either order."""
+    return _compose_first(outer, inner)[0]
+
+
 def jet2_compose(outer: Jet2Enclosure, inner: Jet2Enclosure) -> Jet2Enclosure:
     """Order-2 chain rule: jet of (eps, x) -> outer(eps, inner(eps, x)).
 
@@ -175,24 +243,25 @@ def jet2_compose(outer: Jet2Enclosure, inner: Jet2Enclosure) -> Jet2Enclosure:
     contains ``inner.value`` (the caller arranges this); the eps variable is
     shared between the two jets.
     """
-    p = inner.out_dim
-    if outer.nvars != p + 1:
-        raise IntervalError(
-            f"outer expects {outer.nvars - 1} state inputs, inner provides {p}"
-        )
-    vlo, vhi = with_eps_row(inner.d1.lo, inner.d1.hi)  # (p+1, nv)
-    d1lo, d1hi = ku.idot(outer.d1.lo, outer.d1.hi, vlo, vhi)
+    first, (vlo, vhi) = _compose_first(outer, inner)
     d2lo, d2hi = compose_d2(outer.d1.lo, outer.d1.hi, outer.d2lo, outer.d2hi,
                             vlo, vhi, inner.d2lo, inner.d2hi)
-    return Jet2Enclosure(outer.value, IntervalMatrix(d1lo, d1hi), d2lo, d2hi)
+    return Jet2Enclosure(first.value, first.d1, d2lo, d2hi)
+
+
+def jet1_stack(a, b) -> Jet1Enclosure:
+    """Concatenate the values and d1 blocks of two jets over the same
+    variables."""
+    if a.nvars != b.nvars:
+        raise IntervalError("stacked jets must share variables")
+    return Jet1Enclosure(a.value.concat(b.value),
+                         IntervalMatrix(np.vstack([a.d1.lo, b.d1.lo]),
+                                        np.vstack([a.d1.hi, b.d1.hi])))
 
 
 def jet2_stack(a: Jet2Enclosure, b: Jet2Enclosure) -> Jet2Enclosure:
     """Concatenate outputs of two jets over the same variables."""
-    if a.nvars != b.nvars:
-        raise IntervalError("stacked jets must share variables")
-    value = a.value.concat(b.value)
-    d1 = IntervalMatrix(np.vstack([a.d1.lo, b.d1.lo]), np.vstack([a.d1.hi, b.d1.hi]))
+    first = jet1_stack(a, b)
     d2lo = np.concatenate([a.d2lo, b.d2lo], axis=0)
     d2hi = np.concatenate([a.d2hi, b.d2hi], axis=0)
-    return Jet2Enclosure(value, d1, d2lo, d2hi)
+    return Jet2Enclosure(first.value, first.d1, d2lo, d2hi)

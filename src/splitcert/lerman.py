@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .intervals import INV_SQRT2, Interval, IntervalBox, IntervalError
-from .jets import Jet2Enclosure, jet2_compose, jet2_stack
+from .jets import Jet1Enclosure, Jet2Enclosure, jet1_compose, jet2_compose, jet2_stack
 from .matrices import IntervalMatrix, iinverse
 from .polys import PolyMap, VectorFieldDef
 from .flow import FlowSettings, flow_jet, point_flow, point_flow_jet
@@ -265,22 +265,25 @@ def _ic_jet(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
 
 
 def global_manifold(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
-                    eps_box: Interval, v_box: IntervalBox) -> Jet2Enclosure:
+                    eps_box: Interval, v_box: IntervalBox,
+                    order: int = 2) -> Jet2Enclosure | Jet1Enclosure:
     """Jet of the transported manifold in intersection-chart coordinates.
 
     Composes the local graph with the straightening chart, transports by
     the flow for +-T (unstable/stable) with ``cfg.flow``, and maps into the
     affine chart at p0; output variables are (eps, a, b) with a, b the local
-    parameters.
+    parameters.  ``order=1`` transports the first variational block alone
+    and returns the value and d1 of the order-2 jet bit for bit
+    (:func:`flow_jet`).
     """
     ic = _ic_jet(cfg, side, local, eps_box, v_box)
     ic_center = _ic_jet(cfg, side, local, Interval.point(eps_box.mid),
                         IntervalBox.point(v_box.mid()))
     T = _side(cfg, side).T
-    flowed = ic if T == 0 else flow_jet(lu_field(cfg), ic, eps_box, T, cfg.flow,
-                                        domain=v_box, x0_center=ic_center)
+    flowed = flow_jet(lu_field(cfg), ic, eps_box, T, cfg.flow, domain=v_box,
+                      x0_center=ic_center, order=order)
     vinv = chart_V(cfg, "inverse", flowed.value)
-    return jet2_compose(vinv, flowed)
+    return (jet2_compose if order == 2 else jet1_compose)(vinv, flowed)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +417,8 @@ def build_distance_oracle(cfg: LUConfig) -> DistanceOracle:
                 f"[-{r}, {r}]^2 at T={cfg.T}")
         jet = partial(global_manifold, cfg, side, make_local_graph(cfg, side))
         oracles.append(ManifoldOracle(jet=jet, x_proj=(0, 1), y_proj=(2, 3),
-                                      approx=_approx_w(cfg, side)))
+                                      approx=_approx_w(cfg, side),
+                                      first=partial(jet, order=1)))
         guesses.append(guess)
     u_box = IntervalBox([-cfg.R, -cfg.R], [cfg.R, cfg.R])
     return distance_fixed_point(*oracles, cfg.eps_max, u_box, k1=0, k2=2,

@@ -1,5 +1,6 @@
 """Distance-function oracles on toy systems with closed forms."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from splitcert.distance import (
 )
 from splitcert.implicit import ImplicitContractionError
 from splitcert.intervals import Interval, IntervalBox, IntervalError
-from splitcert.jets import Jet2Enclosure
+from splitcert.jets import Jet1Enclosure, Jet2Enclosure
 from splitcert.polys import PolyMap
 
 
@@ -240,17 +241,19 @@ def _toy_oracles():
 
 
 def test_graph_side_assembles_its_verified_jet_once(monkeypatch):
-    # between implicit_enclose returning k_ref and implicit_jet returning,
-    # _solve_graph_side asks for g.jet(X, k_ref) three times (sigma_min
-    # check, implicit_first, implicit_jet); each assembly projects one
-    # manifold jet, so one projection means one assembly
+    # between implicit_enclose returning k_ref and the graph-side solve
+    # returning, the solve asks for g at (X, k_ref) up to three times
+    # (sigma_min check, implicit_first and, at order 2, implicit_jet); each
+    # assembly projects one manifold jet of either order, so one projection
+    # means one assembly
     counts, window = [], []
-    project = Jet2Enclosure.project
 
-    def counting_project(self, rows):
-        if window:
-            counts[-1] += 1
-        return project(self, rows)
+    def counting(project):
+        def wrapped(self, rows):
+            if window:
+                counts[-1] += 1
+            return project(self, rows)
+        return wrapped
 
     def spy_enclose(*args, **kwargs):
         enc = enclose(*args, **kwargs)
@@ -258,15 +261,16 @@ def test_graph_side_assembles_its_verified_jet_once(monkeypatch):
         window.append(True)
         return enc
 
-    def spy_jet(*args, **kwargs):
-        out = jet(*args, **kwargs)
+    def spy_solve(*args, **kwargs):
+        out = solve(*args, **kwargs)
         window.clear()
         return out
 
-    enclose, jet = distance.implicit_enclose, distance.implicit_jet
-    monkeypatch.setattr(Jet2Enclosure, "project", counting_project)
+    enclose, solve = distance.implicit_enclose, distance._solve_graph_side
+    for cls in (Jet1Enclosure, Jet2Enclosure):
+        monkeypatch.setattr(cls, "project", counting(cls.project))
     monkeypatch.setattr(distance, "implicit_enclose", spy_enclose)
-    monkeypatch.setattr(distance, "implicit_jet", spy_jet)
+    monkeypatch.setattr(distance, "_solve_graph_side", spy_solve)
     wu, ws = _toy_oracles()
     d = distance_fixed_point(wu, ws, 0.01, IntervalBox([-0.2, -0.2], [0.2, 0.2]), k1=0, k2=2)
     d.jet(Interval(0.0, 0.01), IntervalBox([0.0, -0.1], [0.1, 0.0]))
@@ -345,3 +349,149 @@ def test_graph_side_solve_takes_its_jacobian_from_the_float_newton(monkeypatch):
     j = d.jet(Interval(0.0, 0.0), XBOX)
     assert j.value[0].contains(0.0)
     assert calls and all(calls)
+
+
+# --- order-1 queries ----------------------------------------------------------
+
+def _with_first(w: ManifoldOracle) -> ManifoldOracle:
+    """The same manifold with an order-1 ``first`` (its jet's value and d1)."""
+    return dataclasses.replace(w, first=lambda eps, params: w.jet(eps, params).order1())
+
+
+# the three scenarios: an oracle builder and its (unstable, stable) pair
+SCENARIOS = {
+    "fixed_point": (lambda wu, ws: distance_fixed_point(wu, ws, 0.1, XBOX, 1, 0),
+                    WU_PARAB, WS_FLAT),
+    "nhim_section": (lambda wu, ws: distance_nhim_section(wu, ws, [0.7], 0.1, XBOX, 1, 0),
+                     WCU_PROD, WCS_PROD),
+    "unequal": (lambda wu, ws: distance_unequal(wu, ws, [0.4], 0.05, XBOX, 1, 0),
+                WCU_UNEQ, WCS_UNEQ),
+}
+QUERIES = {
+    "point": (Interval(0.0, 0.0), IntervalBox.point([0.03])),
+    "point_eps": (Interval.point(0.025), IntervalBox.point([-0.07])),
+    "box": (Interval(0.0, 0.05), XBOX),
+}
+
+
+def _same_first(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in (
+        (a.value.lo, b.value.lo), (a.value.hi, b.value.hi),
+        (a.d1.lo, b.d1.lo), (a.d1.hi, b.d1.hi)))
+
+
+@pytest.mark.parametrize("manifold_first", [False, True], ids=["jet_only", "with_first"])
+@pytest.mark.parametrize("query", list(QUERIES))
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_first_equals_the_jets_value_and_d1(scenario, query, manifold_first):
+    # each on a fresh oracle, so that neither answer comes from the other's memo
+    build, wu, ws = SCENARIOS[scenario]
+    if manifold_first:
+        wu, ws = _with_first(wu), _with_first(ws)
+    eps, box = QUERIES[query]
+    first = build(wu, ws).first(eps, box)
+    jet = build(wu, ws).jet(eps, box)
+    assert isinstance(first, Jet1Enclosure) and isinstance(jet, Jet2Enclosure)
+    assert _same_first(first, jet)
+
+
+def _count(monkeypatch, name) -> list:
+    calls = []
+    fn = getattr(distance, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(distance, name, counted)
+    return calls
+
+
+def test_midpoint_queries_run_no_second_order_implicit_solve(monkeypatch):
+    solves = _count(monkeypatch, "_solve_graph_side")
+    second = _count(monkeypatch, "implicit_jet")
+    wu, ws = _toy_oracles()
+    d = distance_fixed_point(wu, ws, 0.01, IntervalBox([-0.2, -0.2], [0.2, 0.2]), k1=0, k2=2)
+    d.jet(Interval(0.0, 0.01), IntervalBox([0.0, -0.1], [0.1, 0.0]))
+    # the box query and its midpoint solve both sides; only the box's two
+    # solves take the second-order implicit solve
+    assert len(solves) == 4 and len(second) == 2
+    assert all(args[1].width().max() > 0.0 for args in second)
+
+
+def test_reference_newton_values_trigger_no_graph_side_solve(monkeypatch):
+    from splitcert.degree import _reference_map_oracle
+    from splitcert.newton import FunctionOracle, newton_verify
+
+    solves = _count(monkeypatch, "_solve_graph_side")
+    wu, ws = _toy_oracles()
+    u_box = IntervalBox([-0.2, -0.2], [0.2, 0.2])
+    d = distance_fixed_point(wu, ws, 0.01, u_box, k1=0, k2=2)
+    ref = _reference_map_oracle(d)
+    own = []
+
+    def ev(x, xbox):
+        before = len(solves)
+        out = ref.eval(x, xbox)
+        own.append(len(solves) - before)
+        return out
+
+    cert = newton_verify(FunctionOracle(ev, ref.deriv), IntervalBox([0.0], [0.0]), u_box)
+    assert cert.verified
+    # every value at mid(Y) comes from the derivative's midpoint query of Y
+    assert len(own) == cert.iterations and own == [0] * len(own)
+    assert solves
+
+
+def test_an_order1_memo_entry_never_answers_jet(monkeypatch):
+    solves = _count(monkeypatch, "_solve_graph_side")
+    wu, ws = _toy_oracles()
+    u_box = IntervalBox([-0.2, -0.2], [0.2, 0.2])
+    eps, pt = Interval(0.0, 0.0), IntervalBox.point([0.05, -0.02])
+    d = distance_fixed_point(wu, ws, 0.01, u_box, k1=0, k2=2)
+    first = d.first(eps, pt)
+    assert len(solves) == 2 and [r["order"] for r in d.diagnostics.values()] == [1]
+    j = d.jet(eps, pt)
+    assert len(solves) == 4 and [r["order"] for r in d.diagnostics.values()] == [2]
+    # the order-2 entry now answers both reads without another solve
+    assert d.jet(eps, pt) is j
+    assert _same_first(d.first(eps, pt), j) and len(solves) == 4
+    fresh = distance_fixed_point(wu, ws, 0.01, u_box, k1=0, k2=2).jet(eps, pt)
+    assert _same_first(j, fresh) and _same_first(first, j)
+    assert j.d2lo.tobytes() == fresh.d2lo.tobytes() and j.d2hi.tobytes() == fresh.d2hi.tobytes()
+
+
+def test_one_diagnostics_record_per_computed_raw_query():
+    wu, ws = _toy_oracles()
+    d = distance_fixed_point(wu, ws, 0.01, IntervalBox([-0.2, -0.2], [0.2, 0.2]), k1=0, k2=2)
+    box = (Interval(0.0, 0.01), IntervalBox([0.0, -0.1], [0.1, 0.0]))
+    d.jet(*box)
+    d.jet(*box)
+    d.first(Interval(0.0, 0.0), IntervalBox.point([0.05, -0.05]))
+    # the box at order 2, its midpoint at order 1, the point at order 1
+    records = list(d.diagnostics.values())
+    assert [r["order"] for r in records] == [2, 1, 1]
+    for r in records:
+        assert r["unstable"]["sigma_min_projection"] > 0.0
+        assert r["stable"]["sigma_min_projection"] > 0.0
+
+
+def test_existing_oracle_constructors_keep_working():
+    # GOracle and ManifoldOracle built without ``first`` read ``jet`` for
+    # their order-1 reads
+    from splitcert.implicit import GOracle, implicit_enclose, implicit_first
+
+    pm = PolyMap(3, [[(1.0, (0, 0, 1)), (1.0, (0, 0, 3)), (-1.0, (0, 1, 0))]])
+    g = GOracle(1, 1, lambda X, K: pm.jet(X.concat(K)))
+    assert g.first is None
+    x, k = IntervalBox([0.0, -0.1], [0.0, 0.1]), IntervalBox([-0.2], [0.2])
+    enc = implicit_enclose(g, x, k)
+    d_eps, d_x = implicit_first(g, x, enc.image)
+    j = g.jet(x, enc.image)
+    assert _same_first(g.order1(x, enc.image), j)
+    assert d_x.lo[0, 0] <= 1.0 / (1.0 + 3.0 * 0.1**2) and d_x.hi[0, 0] >= 1.0 / 1.03
+    w = ManifoldOracle(WU_PARAB.jet, (0,), (1,), WU_PARAB.approx)
+    assert w.first is None
+    d = distance_fixed_point(w, WS_FLAT, 0.0, XBOX, 1, 0)
+    assert _same_first(d.first(*QUERIES["point"]),
+                       distance_fixed_point(w, WS_FLAT, 0.0, XBOX, 1, 0).jet(*QUERIES["point"]))

@@ -929,14 +929,15 @@ def test_point_flow_jet_square_closed_form(T):
 
 def _count_series(monkeypatch) -> list:
     """Count the series the flow builds: the returned list fills with one
-    entry per :class:`_Series`, its number of batch rows."""
+    entry per :class:`_Series`, the (B, n) lower endpoints of its batch
+    rows' starts."""
     import splitcert.flow as flow
 
     built = []
     init = flow._Series.__init__
 
     def counted(self, rf, zlo, *args, **kwargs):
-        built.append(len(zlo))
+        built.append(np.array(zlo))
         init(self, rf, zlo, *args, **kwargs)
 
     monkeypatch.setattr(flow._Series, "__init__", counted)
@@ -946,31 +947,41 @@ def _count_series(monkeypatch) -> list:
 def test_point_flow_batch_rows_agree_with_single_calls(monkeypatch):
     # each row takes its own steps, so a batch row equals its single call
     # bit for bit, also when the rows take different numbers of steps; a
-    # row that has reached T leaves the batch, so each row rides in as
-    # many series as it takes alone
+    # row that has reached T leaves the batch, and each row rides in the
+    # series of the states its single call starts from, in order (again on
+    # a state only when the other row moved on and the series was rebuilt)
     from splitcert.lerman import LUConfig, lu_field
+
+    def same(a, b):
+        return a.shape == b.shape and np.array_equal(a, b)
 
     field = lu_field(LUConfig())
     x0 = np.stack([_criterion5_x0(), -0.5 * _criterion5_x0()[::-1]])
     built = _count_series(monkeypatch)
-    series = {}
+    series, sizes = {}, {}
     for T in (1.3, -0.7):
         built.clear()
         both = point_flow_jet(field, 1e-3, x0, T, order=12)
-        rows = sum(built)
+        batch = list(built)
         assert both[0].shape == (2, 4) and both[1].shape == (2, 4, 5)
         assert both[2].shape == (2, 4, 5, 5)
         xs = point_flow(field, 1e-3, x0, T, order=12)
         for row in range(2):
             built.clear()
             one = point_flow_jet(field, 1e-3, x0[row], T, order=12)
-            series[T, row] = len(built)
+            starts = [z[0] for z in built]
+            series[T, row] = len(starts)
             for b, o in zip(both, one):
                 assert b[row].tobytes() == o.tobytes()
             assert xs[row].tobytes() == one[0].tobytes()
-        assert rows == series[T, 0] + series[T, 1]
-    # at T = 1.3 the first row needs more steps (16 series against 11)
-    assert series[1.3, 0] > series[1.3, 1]
+            rides = [x for z in batch for x in z if any(same(x, y) for y in starts)]
+            rides = [x for k, x in enumerate(rides) if k == 0 or not same(x, rides[k - 1])]
+            assert len(rides) == len(starts) and all(map(same, rides, starts))
+        sizes[T] = [len(z) for z in batch]
+        assert sizes[T] == sorted(sizes[T], reverse=True)
+    # at T = 1.3 the first row needs more steps (15 series against 11), and
+    # rides alone once the second has reached T
+    assert series[1.3, 0] > series[1.3, 1] and sizes[1.3][-1] == 1
 
 
 @pytest.mark.parametrize("T", [0.1, 0.125, -0.125])
@@ -1062,3 +1073,83 @@ def test_iexp_ub_bounds_the_exponential(x):
 def test_iexp_ub_is_infinite_above_the_float_range(x):
     # e^x overflows above log(max float); a non-finite x halves forever
     assert _iexp_ub(x) == math.inf
+
+
+# --- order-1 transports ---------------------------------------------------------
+
+def _same_value_and_d1(a, b) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in (
+        (a.value.lo, b.value.lo), (a.value.hi, b.value.hi),
+        (a.d1.lo, b.d1.lo), (a.d1.hi, b.d1.hi)))
+
+
+@pytest.mark.parametrize("domain", [False, True], ids=["point", "domain"])
+@pytest.mark.parametrize("eps", [Interval(0.0, 0.0), Interval(0.0, 1e-7)],
+                         ids=["eps0", "epsbox"])
+def test_order1_flow_jet_equals_the_order2_value_and_d1(eps, domain):
+    # from the criterion-5 start: a point jet, or a small box of initial
+    # conditions as the doubleton's domain with its centre jet
+    from splitcert.jets import Jet1Enclosure
+    from splitcert.lerman import LUConfig, lu_field
+
+    field = lu_field(LUConfig())
+    x = _criterion5_x0()
+    if domain:
+        box = IntervalBox(x - 1e-4, x + 1e-4)
+        kw = {"domain": box, "x0_center": Jet2Enclosure.identity(IntervalBox.point(box.mid()))}
+        x0 = Jet2Enclosure.identity(box)
+    else:
+        kw, x0 = {}, Jet2Enclosure.identity(IntervalBox.point(x))
+    two = flow_jet(field, x0, eps, 1.0, SET, **kw)
+    one = flow_jet(field, x0, eps, 1.0, SET, order=1, **kw)
+    assert isinstance(one, Jet1Enclosure) and isinstance(two, Jet2Enclosure)
+    assert _same_value_and_d1(one, two)
+    # an order-1 start is enough, and backward transports run at order 1 too
+    assert _same_value_and_d1(flow_jet(field, x0.order1(), eps, 1.0, SET, order=1, **kw), two)
+    assert _same_value_and_d1(flow_jet(field, x0, eps, -0.5, SET, order=1, **kw),
+                              flow_jet(field, x0, eps, -0.5, SET, **kw))
+
+
+def test_order1_variational_step_makes_one_product_sum_and_no_S(monkeypatch):
+    import splitcert.flow as flow
+
+    field, zlo, zhi, V0, S0, P = _lu_rows()
+    m = V0[0].shape[-1]
+    rf = flow._Resolved(flow._tables(field), Interval(-1e-3, 2e-3))
+    one = flow._Series(rf, zlo, zhi, P, m=m, order=1)
+    two = flow._Series(rf, zlo, zhi, P, m=m)
+    one.start(V0)
+    two.start(V0, S0)
+    for ser in (one, two):
+        ser.extend_to(P - 1)
+        ser.extend_tables(P)
+    # A and aeps are the only tables, V the only variational block
+    n = zlo.shape[1]
+    assert one.L.shape[2] == n and one.E.shape[2] == 1
+    assert not any(hasattr(one, name) for name in ("Sr", "T", "TA", "VS"))
+    calls = []
+    imulsum = flow.ku.imulsum
+    monkeypatch.setattr(flow.ku, "imulsum", lambda *a, **k: calls.append(1) or imulsum(*a, **k))
+    one.extend_to(P)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    two.extend_to(P)
+    assert one.Vr.tobytes() == two.Vr.tobytes()
+    assert one.L.tobytes() == two.L[:, :, :n].tobytes()
+    assert one.E.tobytes() == two.E[:, :, :1].tobytes()
+    z, V, S = one.unflat(one.flat(slice(None), slice(0, P + 1)))
+    assert S is None and V.shape == (2, 2, P + 1, n, m)
+
+
+def test_float_transport_keeps_the_series_of_a_step_that_no_row_took(monkeypatch):
+    # the state pass does not depend on h: after an attempt that no row
+    # takes, the next attempt reuses the series instead of rebuilding it
+    # on the same state
+    from splitcert.lerman import LUConfig, _p0, lu_field
+
+    starts = _count_series(monkeypatch)
+    _, p0 = _p0(LUConfig())
+    point_flow(lu_field(LUConfig()), 0.0, p0, 9.0, order=18)
+    assert len(starts) == 31
+    assert not any(a.shape == b.shape and np.array_equal(a, b)
+                   for a, b in zip(starts, starts[1:]))

@@ -385,3 +385,18 @@ def test_fallback_transport_times_recorded():
     cert = run_theorem_proof(cfg)
     assert cert.verdict == "failed"
     assert cert.diagnostics["transport_time"] == 1.5
+
+
+def test_global_manifold_order1_equals_the_order2_value_and_d1():
+    # the order-1 transport behind ManifoldOracle.first of the worked example
+    cfg = LUConfig(flow=FlowSettings(taylor_order=16, initial_step=0.25))
+    local = make_local_graph(cfg, "stable")
+    vs = locate_homoclinic(cfg, "stable")
+    eps = Interval(0.0, cfg.eps_max)
+    vbox = IntervalBox(vs - 5e-10, vs + 5e-10)
+    two = global_manifold(cfg, "stable", local, eps, vbox)
+    one = global_manifold(cfg, "stable", local, eps, vbox, order=1)
+    for x, y in ((one.value.lo, two.value.lo), (one.value.hi, two.value.hi),
+                 (one.d1.lo, two.d1.lo), (one.d1.hi, two.d1.hi)):
+        assert x.tobytes() == y.tobytes()
+    assert not hasattr(one, "d2lo")
