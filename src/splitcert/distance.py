@@ -30,7 +30,9 @@ also answers an order-1 read, an order-1 entry never answers ``jet``.  The
 graph side reads its manifold jets the same way: the probe, the Newton
 step's values and derivative boxes, the sigma_min check and dk/dw read
 order 1, and only the verified image of an order-2 query is read at order
-2, before any order-1 read of it, so that no box is integrated twice.  A
+2, before any order-1 read of it, so that no box is integrated twice.  An
+order-1 read served by an order-2 entry encloses the same blocks as an
+order-1 computation; no code relies on the two being equal bit for bit.  A
 manifold oracle without ``first`` serves its order-1 reads from ``jet``.
 """
 
@@ -66,10 +68,13 @@ class ManifoldOracle:
     ``approx(eps, params)`` is a cheap nonrigorous evaluation of the
     parameterization, used only for locating candidate boxes: the float
     Newton of the graph side differentiates it by central differences.
-    ``first(eps_box, param_box)``, when given, returns the value and d1 of
-    ``jet(eps_box, param_box)`` bit for bit, as a :class:`Jet1Enclosure`,
-    at less cost; the graph side reads it wherever it needs no second
-    derivatives.  Without it those reads take ``jet``.
+    ``first(eps_box, param_box)``, when given, returns a
+    :class:`Jet1Enclosure` of the value and d1 that ``jet(eps_box,
+    param_box)`` encloses, at less cost: the same blocks bit for bit when
+    both computations take the same steps and kernel path, as
+    :func:`flow_jet`'s order-1 run mostly does.  The graph side reads it
+    wherever it needs no second derivatives.  Without it those reads take
+    ``jet``.
     """
 
     jet: Callable[[Interval, IntervalBox], Jet2Enclosure]
@@ -93,10 +98,11 @@ class ManifoldOracle:
 class DistanceOracle:
     """y(eps, x) as an order-2 jet oracle with the (k1, k2) output split.
 
-    ``first(eps_box, x_box)`` returns the (value, d1) pair of
-    ``jet(eps_box, x_box)`` bit for bit, as a :class:`Jet1Enclosure`.  The
-    built oracles answer a point query of it without second derivatives;
-    an oracle given only ``jet`` takes it from ``jet``.  The built oracles'
+    ``first(eps_box, x_box)`` returns a :class:`Jet1Enclosure` of the
+    (value, d1) pair that ``jet(eps_box, x_box)`` encloses: the same blocks
+    bit for bit when the manifold reads of both orders agree bit for bit.
+    The built oracles answer a point query of it without second
+    derivatives; an oracle given only ``jet`` takes it from ``jet``.  The built oracles'
     ``diagnostics`` hold one record per computed raw query, keyed by the
     query box's bytes."""
 

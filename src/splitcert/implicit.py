@@ -47,10 +47,11 @@ class GOracle:
 
     ``jet(X, K)`` returns a Jet2Enclosure with variable order
     (eps, x_1..x_kx, kappa_1..kappa_kk) over the boxes X (dim 1+kx, eps
-    first) and K (dim kk); the output dimension equals kk.  ``first(X, K)``,
-    when given, returns the value and d1 of ``jet(X, K)`` (bit for bit, as
-    a :class:`Jet1Enclosure`) without the second derivatives; without it
-    the order-1 reads take ``jet``.
+    first) and K (dim kk); the output dimension equals kk.  ``first(X, K)``
+    returns the value and d1 of ``jet(X, K)`` as a :class:`Jet1Enclosure`,
+    without the second derivatives: enclosures of the same blocks, bit for
+    bit when both are computed alike.  An oracle given only ``jet`` takes
+    ``first`` from it.
     """
 
     kx: int
@@ -58,12 +59,13 @@ class GOracle:
     jet: Callable[[IntervalBox, IntervalBox], Jet2Enclosure]
     first: Callable[[IntervalBox, IntervalBox], Jet1Enclosure] | None = None
 
+    def __post_init__(self):
+        if self.first is None:
+            object.__setattr__(self, "first",
+                               lambda x_box, k_box: self.jet(x_box, k_box).order1())
+
     def kappa_cols(self) -> list[int]:
         return list(range(1 + self.kx, 1 + self.kx + self.kk))
-
-    def order1(self, x_box: IntervalBox, k_box: IntervalBox):
-        """Value and d1 of g over (X, K), from ``first`` when given."""
-        return (self.first or self.jet)(x_box, k_box)
 
 
 @dataclass
@@ -91,10 +93,10 @@ def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None
         raise IntervalError("implicit_enclose: box dimensions do not match oracle")
 
     def ev(xb: IntervalBox, kb: IntervalBox) -> IntervalBox:
-        return g.order1(xb, kb).value
+        return g.first(xb, kb).value
 
     def dv(xb: IntervalBox, kb: IntervalBox) -> IntervalMatrix:
-        return _dg_dk(g, g.order1(xb, kb))
+        return _dg_dk(g, g.first(xb, kb))
 
     cert = newton_verify(FunctionOracle(ev, dv), x_box, k_box, y0=k0, max_refine=0)
     if not cert.verified:
@@ -106,7 +108,7 @@ def implicit_enclose(g: GOracle, x_box: IntervalBox, k_box: IntervalBox, k0=None
 
 def implicit_first(g: GOracle, x_box: IntervalBox, k_box: IntervalBox) -> tuple[IntervalMatrix, IntervalMatrix]:
     """(dk/deps, dk/dx) enclosures over X, evaluated on the verified K."""
-    jet = g.order1(x_box, k_box)
+    jet = g.first(x_box, k_box)
     nw = 1 + g.kx
     d1 = -imatsolve(_dg_dk(g, jet), jet.d1[:, :nw])
     return d1[:, :1], d1[:, 1:]

@@ -273,7 +273,8 @@ def global_manifold(cfg: LUConfig, side: str, local: ManifoldGraphEnclosure,
     the flow for +-T (unstable/stable) with ``cfg.flow``, and maps into the
     affine chart at p0; output variables are (eps, a, b) with a, b the local
     parameters.  ``order=1`` transports the first variational block alone
-    and returns the value and d1 of the order-2 jet bit for bit
+    and returns enclosures of the value and d1 of the order-2 jet, bit for
+    bit while both transports take the same steps and kernel path
     (:func:`flow_jet`).
     """
     ic = _ic_jet(cfg, side, local, eps_box, v_box)

@@ -478,17 +478,16 @@ def test_one_diagnostics_record_per_computed_raw_query():
 
 def test_existing_oracle_constructors_keep_working():
     # GOracle and ManifoldOracle built without ``first`` read ``jet`` for
-    # their order-1 reads
+    # their order-1 reads (a GOracle takes ``first`` from ``jet``)
     from splitcert.implicit import GOracle, implicit_enclose, implicit_first
 
     pm = PolyMap(3, [[(1.0, (0, 0, 1)), (1.0, (0, 0, 3)), (-1.0, (0, 1, 0))]])
     g = GOracle(1, 1, lambda X, K: pm.jet(X.concat(K)))
-    assert g.first is None
     x, k = IntervalBox([0.0, -0.1], [0.0, 0.1]), IntervalBox([-0.2], [0.2])
     enc = implicit_enclose(g, x, k)
     d_eps, d_x = implicit_first(g, x, enc.image)
     j = g.jet(x, enc.image)
-    assert _same_first(g.order1(x, enc.image), j)
+    assert _same_first(g.first(x, enc.image), j)
     assert d_x.lo[0, 0] <= 1.0 / (1.0 + 3.0 * 0.1**2) and d_x.hi[0, 0] >= 1.0 / 1.03
     w = ManifoldOracle(WU_PARAB.jet, (0,), (1,), WU_PARAB.approx)
     assert w.first is None

@@ -944,44 +944,70 @@ def _count_series(monkeypatch) -> list:
     return built
 
 
+def _record_decisions(monkeypatch) -> list:
+    """Record the step rules' decisions: the returned list fills with True
+    per accepted attempt and False per rejected one, in the order made."""
+    import splitcert.flow as flow
+
+    decided = []
+    accept, reject = flow._StepRule.accept, flow._StepRule.reject
+
+    def accepted(self, *args):
+        decided.append(True)
+        accept(self, *args)
+
+    def rejected(self):
+        decided.append(False)
+        reject(self)
+
+    monkeypatch.setattr(flow._StepRule, "accept", accepted)
+    monkeypatch.setattr(flow._StepRule, "reject", rejected)
+    return decided
+
+
 def test_point_flow_batch_rows_agree_with_single_calls(monkeypatch):
     # each row takes its own steps, so a batch row equals its single call
     # bit for bit, also when the rows take different numbers of steps; a
-    # row that has reached T leaves the batch, and each row rides in the
-    # series of the states its single call starts from, in order (again on
-    # a state only when the other row moved on and the series was rebuilt)
+    # row that has reached T leaves the batch.  A single call builds one
+    # series per accepted step, and in the batch a row rides in one series
+    # more for each attempt it rejects while the other row is accepted
     from splitcert.lerman import LUConfig, lu_field
-
-    def same(a, b):
-        return a.shape == b.shape and np.array_equal(a, b)
 
     field = lu_field(LUConfig())
     x0 = np.stack([_criterion5_x0(), -0.5 * _criterion5_x0()[::-1]])
     built = _count_series(monkeypatch)
-    series, sizes = {}, {}
+    decided = _record_decisions(monkeypatch)
+    series, sizes, idle = {}, {}, {}
     for T in (1.3, -0.7):
         built.clear()
+        decided.clear()
         both = point_flow_jet(field, 1e-3, x0, T, order=12)
-        batch = list(built)
+        rows, batch = sum(len(z) for z in built), list(decided)
+        sizes[T] = [len(z) for z in built]
         assert both[0].shape == (2, 4) and both[1].shape == (2, 4, 5)
         assert both[2].shape == (2, 4, 5, 5)
         xs = point_flow(field, 1e-3, x0, T, order=12)
+        steps = []
         for row in range(2):
             built.clear()
+            decided.clear()
             one = point_flow_jet(field, 1e-3, x0[row], T, order=12)
-            starts = [z[0] for z in built]
-            series[T, row] = len(starts)
+            steps.append(list(decided))
+            series[T, row] = len(built)
+            assert series[T, row] == sum(decided)
             for b, o in zip(both, one):
                 assert b[row].tobytes() == o.tobytes()
             assert xs[row].tobytes() == one[0].tobytes()
-            rides = [x for z in batch for x in z if any(same(x, y) for y in starts)]
-            rides = [x for k, x in enumerate(rides) if k == 0 or not same(x, rides[k - 1])]
-            assert len(rides) == len(starts) and all(map(same, rides, starts))
-        sizes[T] = [len(z) for z in batch]
+        # the batch makes each row's decisions, the live rows in turn
+        a, b = steps
+        assert batch == [d for k in range(max(len(a), len(b))) for d in (a[k:k + 1] + b[k:k + 1])]
+        idle[T] = sum(x != y for x, y in zip(a, b))
+        assert rows == series[T, 0] + series[T, 1] + idle[T]
         assert sizes[T] == sorted(sizes[T], reverse=True)
     # at T = 1.3 the first row needs more steps (15 series against 11), and
     # rides alone once the second has reached T
     assert series[1.3, 0] > series[1.3, 1] and sizes[1.3][-1] == 1
+    assert idle == {1.3: 1, -0.7: 0}
 
 
 @pytest.mark.parametrize("T", [0.1, 0.125, -0.125])
@@ -1148,8 +1174,25 @@ def test_float_transport_keeps_the_series_of_a_step_that_no_row_took(monkeypatch
     from splitcert.lerman import LUConfig, _p0, lu_field
 
     starts = _count_series(monkeypatch)
+    decided = _record_decisions(monkeypatch)
+    field = lu_field(LUConfig())
     _, p0 = _p0(LUConfig())
-    point_flow(lu_field(LUConfig()), 0.0, p0, 9.0, order=18)
-    assert len(starts) == 31
-    assert not any(a.shape == b.shape and np.array_equal(a, b)
-                   for a, b in zip(starts, starts[1:]))
+    x0 = np.stack([p0, p0 + 1e-3])
+    steps = []
+    for x in x0:
+        starts.clear()
+        decided.clear()
+        point_flow(field, 0.0, x, 9.0, order=18)
+        assert len(starts) == sum(decided)
+        assert not any(a.shape == b.shape and np.array_equal(a, b)
+                       for a, b in zip(starts, starts[1:]))
+        steps.append(list(decided))
+    assert len(steps[0]) == 35 and sum(steps[0]) == 31
+    # in a batch, an attempt that both rows reject (3 here) keeps the
+    # series too: a row rides in one series per step it takes, and in one
+    # more per attempt it rejects while the other row is accepted
+    starts.clear()
+    point_flow(field, 0.0, x0, 9.0, order=18)
+    a, b = steps
+    assert sum(not (x or y) for x, y in zip(a, b)) == 3
+    assert sum(len(z) for z in starts) == sum(a) + sum(b) + sum(x != y for x, y in zip(a, b))
