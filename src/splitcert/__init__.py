@@ -61,7 +61,6 @@ from .lerman import (
     LUConfig,
     ManifoldGraphEnclosure,
     lu_field,
-    field_F,
     integrals_HK,
     chart_psi,
     chart_V,

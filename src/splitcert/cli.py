@@ -9,8 +9,10 @@ Three commands are installed:
 * ``export-samples --config cfg.json --out-dir dir`` writes nonrigorous
   manifold samples and rigorous local-enclosure boxes as CSV.
 
-Configs are JSON with documented keys; unknown keys are rejected.  Exit
-codes: 0 success/verified, 1 verification failed, 2 configuration error.
+Configs are JSON with documented keys; unknown keys are rejected, and
+integer settings must be JSON integers in range.  Exit codes: 0
+success/verified, 1 verification failed (export-samples: a rigorous
+computation failed, and nothing is written), 2 configuration error.
 Reruns with the same config are byte-reproducible apart from the wall-time
 field of certificates.
 """
@@ -57,9 +59,20 @@ def _check_keys(doc: dict, allowed: set[str], where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _integer(minimum: int):
+    """A conversion that passes JSON integers >= ``minimum`` unchanged and
+    rejects anything else, booleans and floats included."""
+    def convert(value):
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+        return value
+    return convert
+
+
 # flow key -> (FlowSettings field, conversion)
-_FLOW_KEYS = {"taylorOrder": ("taylor_order", int), "initialStep": ("initial_step", float),
-              "minStep": ("min_step", float), "maxSteps": ("max_steps", int)}
+_FLOW_KEYS = {"taylorOrder": ("taylor_order", _integer(2)),
+              "initialStep": ("initial_step", float),
+              "minStep": ("min_step", float), "maxSteps": ("max_steps", _integer(1))}
 _LU_KEYS = {
     "problem", "lam", "omega", "epsMax", "R", "T", "localRadius", "lipschitz",
     "secondDerivBound", "flow", "subdivide", "epsSubdivide", "fallbackT",
@@ -190,7 +203,7 @@ def main_certify_root(argv=None) -> int:
         y0 = _convert(doc, "y0", lambda v: np.asarray(v, dtype=float))
         if y0 is not None and y0.shape != (y_box.dim,):
             raise ConfigError(f"y0 must have one entry per Y component ({y_box.dim})")
-        max_refine = _convert(doc, "maxRefine", int, 8)
+        max_refine = _convert(doc, "maxRefine", _integer(0), 8)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -232,16 +245,25 @@ def main_export_samples(argv=None) -> int:
         _check_keys(doc, _EXPORT_KEYS, "config")
         eps = _convert(doc, "eps", float, 0.0)
         sides = doc.get("sides", ["unstable", "stable"])
+        if not isinstance(sides, list):
+            raise ConfigError(f"'sides' must be a list, got {sides!r}")
         for s in sides:
             if s not in ("unstable", "stable"):
                 raise ConfigError(f"unknown side {s!r}")
-        n_params = _convert(doc, "nParams", int, 12)
-        n_times = _convert(doc, "nTimes", int, 40)
-        box_grid = _convert(doc, "boxGrid", int, 8)
+        n_params = _convert(doc, "nParams", _integer(0), 12)
+        n_times = _convert(doc, "nTimes", _integer(1), 40)
+        box_grid = _convert(doc, "boxGrid", _integer(1), 8)
         cfg = _lu_config(doc.get("lu", {}))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    try:
+        samples = {side: sample_manifold(cfg, side, eps, n_params=n_params, n_times=n_times)
+                   for side in sides}
+        boxes = {side: local_enclosure_boxes(cfg, side, n_grid=box_grid) for side in sides}
+    except IntervalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -249,12 +271,10 @@ def main_export_samples(argv=None) -> int:
     with open(sample_path, "w") as fh:
         fh.write("eps,x1,x2,x3,x4,side\n")
         for side in sides:
-            rows = sample_manifold(cfg, side, eps, n_params=n_params, n_times=n_times)
-            for row in rows:
+            for row in samples[side]:
                 fh.write(",".join(repr(float(v)) for v in row) + f",{side}\n")
     written = [str(sample_path)]
-    for side in sides:
-        rows = local_enclosure_boxes(cfg, side, n_grid=box_grid)
+    for side, rows in boxes.items():
         path = out / f"boxes_{side}.csv"
         with open(path, "w") as fh:
             fh.write("x1_lo,x2_lo,x3_lo,x4_lo,x1_hi,x2_hi,x3_hi,x4_hi\n")

@@ -12,10 +12,11 @@ as an order-2 jet in (eps, x), and its value and first derivatives alone
 manifolds are graphs over (x, z) with the center coordinates z pinned to a
 section z = z*, and when the unstable manifold is the smaller one its
 feed-through coordinates v(eps, x) enter the stable graph over (x, v, z).
-Three entry points name the scenarios: stable and unstable manifolds of a
-fixed point with equal dimensions (no v, no z), center-stable /
-center-unstable manifolds on a center section (no v), and the
-unequal-dimension case.
+Two entry points name the scenarios: :func:`distance_fixed_point` for
+stable and unstable manifolds of a fixed point with equal dimensions (no
+v, no z), and :func:`distance_nhim_section` (also bound to
+``distance_unequal``) for center-(un)stable manifolds on a center section,
+with or without v.
 
 The zero set of y locates manifold intersections; its jets feed the
 degree-based splitting certificates.
@@ -24,16 +25,17 @@ Every jet is computed only to the order its reader needs.  A raw query (one
 pair of graph-side solves) runs at order 2 for ``jet`` and at order 1 for a
 point query of ``first``, such as the midpoint of a box query's mean-value
 refinement, where it skips the second-order implicit solve and the
-second-order chain rule.  Each oracle keeps one memo of its raw queries,
-keyed by the query box's bytes with the order computed: an order-2 entry
-also answers an order-1 read, an order-1 entry never answers ``jet``.  The
-graph side reads its manifold jets the same way: the probe, the Newton
-step's values and derivative boxes, the sigma_min check and dk/dw read
-order 1, and only the verified image of an order-2 query is read at order
-2, before any order-1 read of it, so that no box is integrated twice.  An
-order-1 read served by an order-2 entry encloses the same blocks as an
-order-1 computation; no code relies on the two being equal bit for bit.  A
-manifold oracle without ``first`` serves its order-1 reads from ``jet``.
+second-order chain rule.  Raw queries, manifold jets and the graph side's
+g-jets each go through one memo of one kind (:func:`_order_memo`), keyed
+by the query boxes' endpoints with the order computed: an order-2 entry
+also answers an order-1 read, an order-1 entry never an order-2 one.  The
+probe, the Newton step's boxes, the sigma_min check and dk/dw read the
+manifold at order 1, and only the verified image of an order-2 query at
+order 2, before any order-1 read of it, so that no box is integrated
+twice.  An order-1 read served by an order-2 entry encloses the same
+blocks as an order-1 computation; no code relies on the two being equal
+bit for bit.  A manifold oracle without ``first`` serves its order-1
+reads from ``jet``.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ class DistanceOracle:
     (value, d1) pair that ``jet(eps_box, x_box)`` encloses: the same blocks
     bit for bit when the manifold reads of both orders agree bit for bit.
     The built oracles answer a point query of it without second
-    derivatives; an oracle given only ``jet`` takes it from ``jet``.  The built oracles'
-    ``diagnostics`` hold one record per computed raw query, keyed by the
-    query box's bytes."""
+    derivatives; an oracle given only ``jet`` takes it from ``jet``.  The
+    built oracles' ``diagnostics`` hold one record per computed raw query,
+    keyed by the query box's endpoints."""
 
     jet: Callable[[Interval, IntervalBox], Jet2Enclosure]
     k1: int
@@ -133,74 +135,63 @@ class DistanceOracle:
 
 
 # ---------------------------------------------------------------------------
-# graph side: solve pi_base(w(eps, kappa)) = base for kappa(eps, base)
+# jets memoized by query box and order; the graph side: solve
+# pi_base(w(eps, kappa)) = base for kappa(eps, base)
 
-def _box_key(eps: Interval, box: IntervalBox) -> tuple:
-    return (eps.lo, eps.hi, box.lo.tobytes(), box.hi.tobytes())
-
-
-def _memo_read(memo: dict, key, order: int, compute):
-    """The entry of ``memo`` at ``key`` when it was computed to at least
-    ``order``, else ``compute(order)``, stored with its order."""
-    hit = memo.get(key)
-    if hit is not None and hit[0] >= order:
-        return hit[1]
-    j = compute(order)
-    memo[key] = (order, j)
-    return j
+def _ends(box) -> tuple:
+    """An Interval's endpoint floats, an IntervalBox's endpoint bytes."""
+    return (box.lo, box.hi) if isinstance(box, Interval) else (box.lo.tobytes(), box.hi.tobytes())
 
 
-class _CachedJet:
-    """Memoize manifold jets by query-box bytes with the order computed;
-    one validated integration per distinct box pair and order.  ``fn`` is
-    the order-2 jet and ``first`` (optional) the order-1 one: an order-2
-    entry answers both reads, an order-1 entry answers :meth:`first` only.
-    Without ``first`` an order-1 read computes and keeps the order-2 jet.
-    Every computed jet must have ``out_dim`` outputs, the dimension the
-    oracle's projections partition."""
+def _order_memo(compute):
+    """``read(a, b, order)``: the jet at the query boxes (a, b), memoized by
+    their endpoints and kept at the order it was computed to, which is its
+    type (a :class:`Jet1Enclosure` is order 1).  ``compute(a, b, order)``
+    returns a jet of at least ``order``.  An order-2 entry answers order-1
+    reads; an order-2 read of an order-1 entry computes and replaces it.
+    Order-1 reads return a :class:`Jet1Enclosure`."""
+    entries = {}
 
-    def __init__(self, fn, out_dim: int, first=None):
-        self.fn = fn
-        self.first_fn = first
-        self.out_dim = out_dim
-        self.cache = {}
+    def read(a, b, order: int):
+        key = (_ends(a), _ends(b))
+        j = entries.get(key)
+        if j is None or (order == 2 and isinstance(j, Jet1Enclosure)):
+            j = entries[key] = compute(a, b, order)
+        return j if order == 2 else j.order1()
 
-    def _compute(self, eps: Interval, box: IntervalBox, order: int):
-        j = (self.first_fn if order == 1 else self.fn)(eps, box)
-        if j.value.dim != self.out_dim:
+    return read
+
+
+def _manifold_reader(w: ManifoldOracle):
+    """``read(eps, box, order)`` of w's jets through one memo: one validated
+    integration per distinct box pair and order.  Without ``first`` an
+    order-1 read computes and keeps the order-2 jet.  Every computed jet
+    must have the outputs that w's projections partition."""
+    dim = w.check_partition()
+
+    def compute(eps: Interval, box: IntervalBox, order: int):
+        j = (w.first if order == 1 and w.first is not None else w.jet)(eps, box)
+        if j.value.dim != dim:
             raise IntervalError(f"manifold jet has {j.value.dim} outputs, but the "
-                                f"projections partition {self.out_dim}")
+                                f"projections partition {dim}")
         return j
 
-    def _read(self, eps: Interval, box: IntervalBox, order: int):
-        if self.first_fn is None:
-            order = 2
-        return _memo_read(self.cache, _box_key(eps, box), order,
-                          lambda o: self._compute(eps, box, o))
-
-    def __call__(self, eps: Interval, box: IntervalBox) -> Jet2Enclosure:
-        return self._read(eps, box, 2)
-
-    def first(self, eps: Interval, box: IntervalBox) -> Jet1Enclosure:
-        return self._read(eps, box, 1).order1()
+    return _order_memo(compute)
 
 
-def _graph_goracle(w_jet: _CachedJet, base_idx: Sequence[int], kx: int) -> GOracle:
-    """g(eps, base, kappa) = pi_base w(eps, kappa) - base as a jet oracle,
-    with ``first`` reading the manifold at order 1.
+def _graph_goracle(read, base_idx: Sequence[int], kx: int) -> GOracle:
+    """g(eps, base, kappa) = pi_base w(eps, kappa) - base as a jet oracle
+    over the manifold reader ``read``, ``first`` reading it at order 1.
 
-    The oracle remembers its last (X, K) pair and jet with the order
-    computed, as :class:`_CachedJet` does: the verified image is asked for
+    The g-jets go through their own memo: the verified image is asked for
     up to three times in a row (the sigma_min check, ``implicit_first`` and
-    ``implicit_jet``) and assembled once.  One entry per oracle, and one
-    oracle per graph-side solve, so the memo cannot grow."""
+    ``implicit_jet``) and assembled once.  The memo lives as long as the
+    oracle, for one graph-side solve."""
     base_idx = list(base_idx)
     kk = len(base_idx)
-    last = {}
 
     def assemble(x_box: IntervalBox, k_box: IntervalBox, order: int):
-        eps = x_box[0]
-        jw = (w_jet(eps, k_box) if order == 2 else w_jet.first(eps, k_box)).project(base_idx)
+        jw = read(x_box[0], k_box, order).project(base_idx)
         nv = 1 + kx + kk
         m = kk
         d1lo = np.zeros((m, nv)); d1hi = np.zeros((m, nv))
@@ -218,14 +209,9 @@ def _graph_goracle(w_jet: _CachedJet, base_idx: Sequence[int], kx: int) -> GOrac
         d2hi[np.ix_(range(m), sel, sel)] = jw.d2hi
         return Jet2Enclosure(first.value, first.d1, d2lo, d2hi)
 
-    def read(x_box: IntervalBox, k_box: IntervalBox, order: int):
-        key = (x_box.lo.tobytes(), x_box.hi.tobytes(), k_box.lo.tobytes(), k_box.hi.tobytes())
-        if key not in last:
-            last.clear()
-        return _memo_read(last, key, order, lambda o: assemble(x_box, k_box, o))
-
-    return GOracle(kx=kx, kk=kk, jet=lambda x_box, k_box: read(x_box, k_box, 2),
-                   first=lambda x_box, k_box: read(x_box, k_box, 1).order1())
+    g = _order_memo(assemble)
+    return GOracle(kx=kx, kk=kk, jet=lambda x_box, k_box: g(x_box, k_box, 2),
+                   first=lambda x_box, k_box: g(x_box, k_box, 1))
 
 
 def _float_jacobian(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
@@ -267,7 +253,7 @@ _GRAPH_INFLATE = 3.0
 
 def _solve_graph_side(
     w: ManifoldOracle,
-    w_jet: _CachedJet,
+    read,
     base_idx: Sequence[int],
     eps_box: Interval,
     x_box: IntervalBox,
@@ -275,10 +261,10 @@ def _solve_graph_side(
     order: int = 2,
 ) -> tuple[Jet2Enclosure | Jet1Enclosure, dict]:
     """Verify the reparameterization kappa and return its jet over (eps, x)
-    to ``order``."""
+    to ``order``; ``read`` is w's manifold reader."""
     base_idx = list(base_idx)
     kx = x_box.dim
-    g = _graph_goracle(w_jet, base_idx, kx)
+    g = _graph_goracle(read, base_idx, kx)
     xfull = IntervalBox(np.concatenate([[eps_box.lo], x_box.lo]),
                         np.concatenate([[eps_box.hi], x_box.hi]))
     # candidate radius from the nonrigorous slope and the box extent
@@ -290,7 +276,7 @@ def _solve_graph_side(
     # candidate radius must cover the x-box extent AND the enclosure width of
     # the transported manifold value at the center (the probe is cached and
     # reused by the verification's own center evaluation)
-    probe = w_jet.first(eps_box, IntervalBox.point(u0)).project(base_idx)
+    probe = read(eps_box, IntervalBox.point(u0), 1).project(base_idx)
     val_w = float(np.max(probe.value.width()))
     rad = inv_norm * (float(np.max(x_box.rad())) + 0.6 * val_w) * 3.0 + 1e-15
     last_err: Exception | None = None
@@ -368,7 +354,7 @@ def _mean_value_refine(raw_query):
 
 
 # ---------------------------------------------------------------------------
-# the distance builder and its three scenario entry points
+# the distance builder and its two scenario entry points
 
 def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int,
               cu_guess=None, cs_guess=None) -> DistanceOracle:
@@ -380,10 +366,9 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
     Float Newton guesses default to the midpoint of the query box.  Raw
     queries are memoized with their order and recorded in the oracle's
     diagnostics, one record per computed raw query, both keyed by the
-    query box's bytes.
+    query box's endpoints.
     """
-    dim_u = wcu.check_partition()
-    dim_s = wcs.check_partition()
+    read_u, read_s = _manifold_reader(wcu), _manifold_reader(wcs)
     z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
     kx = len(wcu.x_proj)
     q = len(wcu.v_proj)
@@ -391,23 +376,17 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
         raise IntervalError("projection dimensions are inconsistent with (k1, k2)")
     base_u = tuple(wcu.x_proj) + tuple(wcu.z_proj)
     base_s = tuple(wcs.x_proj) + tuple(wcs.v_proj) + tuple(wcs.z_proj)
-    wcu_jet = _CachedJet(wcu.jet, dim_u, wcu.first)
-    wcs_jet = _CachedJet(wcs.jet, dim_s, wcs.first)
     keep = list(range(0, 1 + kx))  # eps and x columns; z is pinned
     diagnostics: dict = {}
-    memo: dict = {}
 
     def guess(given, box: IntervalBox) -> np.ndarray:
         return np.asarray(given, dtype=float) if given is not None else box.mid()
 
     def solve(eps_box: Interval, x_box: IntervalBox, order: int):
-        if order == 2:
-            compose, stack, read_u, read_s = jet2_compose, jet2_stack, wcu_jet, wcs_jet
-        else:
-            compose, stack, read_u, read_s = jet1_compose, jet1_stack, wcu_jet.first, wcs_jet.first
+        compose, stack = (jet2_compose, jet2_stack) if order == 2 else (jet1_compose, jet1_stack)
         xz = IntervalBox(np.concatenate([x_box.lo, z_star]), np.concatenate([x_box.hi, z_star]))
-        ju, du = _solve_graph_side(wcu, wcu_jet, base_u, eps_box, xz, guess(cu_guess, xz), order)
-        w_u = compose(read_u(eps_box, ju.value), ju)
+        ju, du = _solve_graph_side(wcu, read_u, base_u, eps_box, xz, guess(cu_guess, xz), order)
+        w_u = compose(read_u(eps_box, ju.value, order), ju)
         side_u = w_u.project(list(wcu.y_proj)).take_vars(keep)
         if q:
             v_jet = w_u.project(list(wcu.v_proj)).take_vars(keep)
@@ -415,8 +394,8 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
                              np.concatenate([x_box.hi, v_jet.value.hi, z_star]))
         else:
             xs = xz
-        js, ds = _solve_graph_side(wcs, wcs_jet, base_s, eps_box, xs, guess(cs_guess, xs), order)
-        side_s = compose(read_s(eps_box, js.value), js).project(list(wcs.y_proj))
+        js, ds = _solve_graph_side(wcs, read_s, base_s, eps_box, xs, guess(cs_guess, xs), order)
+        side_s = compose(read_s(eps_box, js.value, order), js).project(list(wcs.y_proj))
         if q:
             # inner jet (eps, x) -> (x, v(eps,x), z*)
             zjet = Jet2Enclosure.constant(IntervalBox.point(z_star), state_dim=kx)
@@ -428,17 +407,11 @@ def _distance(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int
             side_s = side_s.take_vars(keep)
         return side_u - side_s, {"order": order, "unstable": du, "stable": ds}
 
-    def raw_query(eps_box: Interval, x_box: IntervalBox, order: int):
-        key = _box_key(eps_box, x_box)
+    def compute(eps_box: Interval, x_box: IntervalBox, order: int):
+        j, diagnostics[(_ends(eps_box), _ends(x_box))] = solve(eps_box, x_box, order)
+        return j
 
-        def compute(o: int):
-            j, diagnostics[key] = solve(eps_box, x_box, o)
-            return j
-
-        j = _memo_read(memo, key, order, compute)
-        return j if order == 2 else j.order1()
-
-    jet, first = _mean_value_refine(raw_query)
+    jet, first = _mean_value_refine(_order_memo(compute))
     return DistanceOracle(jet=jet, first=first, k1=k1, k2=k2, diagnostics=diagnostics)
 
 
@@ -464,40 +437,19 @@ def distance_fixed_point(
     return _distance(wu, ws, (), k1, k2, u_guess, s_guess)
 
 
-def distance_nhim_section(
-    wcu: ManifoldOracle,
-    wcs: ManifoldOracle,
-    z_star,
-    eps_max: float,
-    u_box: IntervalBox,
-    k1: int,
-    k2: int,
-    cu_guess=None,
-    cs_guess=None,
-) -> DistanceOracle:
-    """Distance oracle on the center section {z = z*} for equal-dimension
-    center-(un)stable manifolds; both implicit problems run over (x, z) with
-    z pinned to z*, and the jets are restricted to the (eps, x) variables.
-    ``eps_max`` and ``u_box`` are read by nothing, as in :func:`distance_fixed_point`."""
-    return _distance(wcu, wcs, z_star, k1, k2, cu_guess, cs_guess)
+def distance_nhim_section(wcu: ManifoldOracle, wcs: ManifoldOracle, z_star, k1: int, k2: int,
+                          cu_guess=None, cs_guess=None) -> DistanceOracle:
+    """Distance oracle on the center section {z = z*} for center-(un)stable
+    manifolds: both implicit problems run over (x, z) with z pinned to z*,
+    and the jets are restricted to the (eps, x) variables.
 
-
-def distance_unequal(
-    wcu: ManifoldOracle,
-    wcs: ManifoldOracle,
-    z_star,
-    eps_max: float,
-    u_box: IntervalBox,
-    k1: int,
-    k2: int,
-    cu_guess=None,
-    cs_guess=None,
-) -> DistanceOracle:
-    """Distance oracle for unstable dimension u < stable dimension s.
-
-    The center-unstable manifold is a graph over (x, z); its pi_v block is
-    fed into the center-stable reparameterization over (x, v, z), and y
-    compares the pi_y blocks.  Output dimension is u = k1 + k2.  ``eps_max``
-    and ``u_box`` are read by nothing, as in :func:`distance_fixed_point`.
+    When the unstable dimension u is below the stable dimension s, the
+    center-unstable graph's pi_v block is fed into the center-stable
+    reparameterization over (x, v, z), and y compares the pi_y blocks; the
+    output dimension is u = k1 + k2.  ``distance_unequal`` names this
+    function too.
     """
     return _distance(wcu, wcs, z_star, k1, k2, cu_guess, cs_guess)
+
+
+distance_unequal = distance_nhim_section

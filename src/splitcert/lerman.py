@@ -135,13 +135,6 @@ def lu_field(cfg: LUConfig) -> VectorFieldDef:
     return VectorFieldDef(4, PolyMap(5, comps))
 
 
-def field_F(cfg: LUConfig, eps_box: Interval, x_box: IntervalBox) -> Jet2Enclosure:
-    """Order-2 jet enclosure of the field over (eps, x)."""
-    full = IntervalBox(np.concatenate([[eps_box.lo], x_box.lo]),
-                       np.concatenate([[eps_box.hi], x_box.hi]))
-    return lu_field(cfg).rhs.jet(full)
-
-
 @lru_cache(maxsize=None)
 def _hk_polys(cfg: LUConfig) -> PolyMap:
     lam, w = cfg.lam, cfg.omega

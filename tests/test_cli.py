@@ -52,14 +52,17 @@ def test_certify_root_malformed(tmp_path):
     assert main_certify_root(["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
 
 
-@pytest.mark.parametrize("doc", [{"maxRefine": "abc"}, {"maxRefine": [1]}, {"y0": "abc"},
+@pytest.mark.parametrize("doc", [{"maxRefine": "abc"}, {"maxRefine": [1]}, {"maxRefine": 2.7},
+                                 {"maxRefine": True}, {"maxRefine": -3}, {"y0": "abc"},
                                  {"y0": [1.4, 1.4]}, {"y0": [[1.4]]}, {"y0": [math.nan]},
                                  {"y0": [-math.inf]}],
-                         ids=["maxRefine", "maxRefine_list", "y0", "y0_length", "y0_shape",
-                              "y0_nan", "y0_inf"])
+                         ids=["maxRefine", "maxRefine_list", "maxRefine_float",
+                              "maxRefine_bool", "maxRefine_negative", "y0", "y0_length",
+                              "y0_shape", "y0_nan", "y0_inf"])
 def test_certify_root_bad_values_are_config_errors(tmp_path, capsys, doc):
-    # a value that does not convert, or a y0 of the wrong length, is a
-    # configuration error (exit 2), not a traceback or a failed certificate
+    # a value that does not convert, a float, boolean or negative count, or a
+    # y0 of the wrong length, is a configuration error (exit 2), not a
+    # traceback or a failed certificate
     cfg = write(tmp_path / "c.json", {**SQRT2_CFG, **doc})
     out = tmp_path / "o.json"
     assert main_certify_root(["--config", cfg, "--out", str(out)]) == 2
@@ -97,7 +100,8 @@ BAD_CERT_SETTINGS = ({"subdivide": 1.5}, {"subdivide": 0}, {"epsSubdivide": -2},
                      {"fallbackT": [5.0, -1.0]}, {"fallbackT": [5.0, float("inf")]},
                      {"T": float("nan")}, {"R": float("inf")},
                      {"flow": {"initialStep": float("inf")}},
-                     {"flow": {"taylorOrder": "many"}})
+                     {"flow": {"taylorOrder": "many"}}, {"flow": {"taylorOrder": 12.5}},
+                     {"flow": {"maxSteps": True}})
 
 
 def test_lu_verify_bad_certificate_settings_rejected(tmp_path, capsys, monkeypatch):
@@ -194,13 +198,30 @@ def test_export_samples_empty(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [{"eps": "small"}, {"nParams": "many"}, {"nTimes": None},
-                                 {"boxGrid": 1e400}, {"eps": math.nan}, {"eps": math.inf}],
-                         ids=["eps", "nParams", "nTimes", "boxGrid", "eps_nan", "eps_inf"])
+                                 {"boxGrid": 1e400}, {"eps": math.nan}, {"eps": math.inf},
+                                 {"nParams": 2.9}, {"nParams": -1}, {"nTimes": 0},
+                                 {"nTimes": False}, {"boxGrid": 0}, {"boxGrid": -1},
+                                 {"sides": "unstable"}],
+                         ids=["eps", "nParams", "nTimes", "boxGrid", "eps_nan", "eps_inf",
+                              "nParams_float", "nParams_negative", "nTimes_zero",
+                              "nTimes_bool", "boxGrid_zero", "boxGrid_negative",
+                              "sides_string"])
 def test_export_samples_bad_values_are_config_errors(tmp_path, capsys, doc):
     cfg = write(tmp_path / "c.json", doc)
     out_dir = tmp_path / "exp"
     assert main_export_samples(["--config", cfg, "--out-dir", str(out_dir)]) == 2
     assert "configuration error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_export_samples_runtime_failure_exits_1(tmp_path, capsys):
+    # a perturbation whose float transport overflows fails the sampling
+    # (FlowError, an IntervalError): one error line, exit 1, nothing written
+    cfg = write(tmp_path / "c.json", {"eps": 1e300, "nParams": 2, "nTimes": 3, "boxGrid": 1})
+    out_dir = tmp_path / "exp"
+    assert main_export_samples(["--config", cfg, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out_dir.exists()
 
 

@@ -157,7 +157,7 @@ WCS_PROD = poly_manifold(PolyMap(3, [[(1.0, (0, 1, 0))], [(-1.0, (0, 2, 0))], [(
 
 
 def test_nhim_section_product_reduces_to_fixed_point():
-    d2 = distance_nhim_section(WCU_PROD, WCS_PROD, [0.7], 0.0, XBOX, k1=1, k2=0)
+    d2 = distance_nhim_section(WCU_PROD, WCS_PROD, [0.7], k1=1, k2=0)
     j2 = d2.jet(Interval(0.0, 0.0), XBOX)
     d1 = distance_fixed_point(WU_PARAB, WS_NEG, 0.0, XBOX, k1=1, k2=0)
     j1 = d1.jet(Interval(0.0, 0.0), XBOX)
@@ -170,7 +170,7 @@ def test_nhim_section_product_reduces_to_fixed_point():
 
 
 def test_nhim_section_coincident_zero():
-    d = distance_nhim_section(WCU_PROD, WCU_PROD, [0.0], 0.1, XBOX, k1=0, k2=1)
+    d = distance_nhim_section(WCU_PROD, WCU_PROD, [0.0], k1=0, k2=1)
     j = d.jet(Interval(0.0, 0.1), XBOX)
     assert j.value[0].contains(0.0) and j.value[0].width <= 0.1
     jp = d.jet(Interval(0.0, 0.0), IntervalBox.point([0.0]))
@@ -198,7 +198,7 @@ WCS_UNEQ = poly_manifold(
 
 def test_unequal_dimensions_closed_form():
     # y(eps, x) = (x^2 + eps) - (-x^2 + 0.3 x + 2 eps) = 2 x^2 - 0.3 x - eps
-    d = distance_unequal(WCU_UNEQ, WCS_UNEQ, [0.4], 0.05, XBOX, k1=1, k2=0)
+    d = distance_unequal(WCU_UNEQ, WCS_UNEQ, [0.4], k1=1, k2=0)
     j = d.jet(Interval(0.0, 0.05), XBOX)
     for e in (0.0, 0.02, 0.05):
         for x in (-0.1, 0.0, 0.07):
@@ -219,7 +219,7 @@ def test_unequal_feedthrough_chain_rule():
                     [(1.0, (0, 0, 1, 0))],
                     [(1.0, (0, 0, 0, 1))]]),
         x_proj=(0,), y_proj=(1,), v_proj=(2,), z_proj=(3,))
-    d = distance_unequal(WCU_UNEQ, wcs, [0.0], 0.0, XBOX, k1=1, k2=0)
+    d = distance_unequal(WCU_UNEQ, wcs, [0.0], k1=1, k2=0)
     j = d.jet(Interval(0.0, 0.0), XBOX)
     for x in (-0.1, -0.03, 0.0, 0.05, 0.1):
         y = (x * x) - (0.3 * x) ** 2
@@ -306,7 +306,7 @@ def test_graph_goracle_memo_is_never_stale():
     wu, _ = _toy_oracles()
 
     def goracle():
-        return distance._graph_goracle(distance._CachedJet(wu.jet, 4), [0, 1], 2)
+        return distance._graph_goracle(distance._manifold_reader(wu), [0, 1], 2)
 
     x = IntervalBox([0.0, -0.1, -0.1], [0.01, 0.1, 0.1])
     k1 = IntervalBox([-0.12, -0.12], [0.12, 0.12])
@@ -362,9 +362,9 @@ def _with_first(w: ManifoldOracle) -> ManifoldOracle:
 SCENARIOS = {
     "fixed_point": (lambda wu, ws: distance_fixed_point(wu, ws, 0.1, XBOX, 1, 0),
                     WU_PARAB, WS_FLAT),
-    "nhim_section": (lambda wu, ws: distance_nhim_section(wu, ws, [0.7], 0.1, XBOX, 1, 0),
+    "nhim_section": (lambda wu, ws: distance_nhim_section(wu, ws, [0.7], 1, 0),
                      WCU_PROD, WCS_PROD),
-    "unequal": (lambda wu, ws: distance_unequal(wu, ws, [0.4], 0.05, XBOX, 1, 0),
+    "unequal": (lambda wu, ws: distance_unequal(wu, ws, [0.4], 1, 0),
                 WCU_UNEQ, WCS_UNEQ),
 }
 QUERIES = {
@@ -459,6 +459,29 @@ def test_an_order1_memo_entry_never_answers_jet(monkeypatch):
     fresh = distance_fixed_point(wu, ws, 0.01, u_box, k1=0, k2=2).jet(eps, pt)
     assert _same_first(j, fresh) and _same_first(first, j)
     assert j.d2lo.tobytes() == fresh.d2lo.tobytes() and j.d2hi.tobytes() == fresh.d2hi.tobytes()
+
+
+def test_a_manifold_without_first_integrates_each_box_once():
+    # an order-1 read of a manifold without ``first`` computes and keeps the
+    # order-2 jet, so that a later order-2 read of the same box is served
+    # from the memo: each distinct (side, eps, box) reaches ``jet`` once
+    wu, ws = _toy_oracles()
+    assert wu.first is None and ws.first is None
+    calls = []
+
+    def counted(side, w):
+        def jet(eps, box):
+            calls.append((side, eps.lo, eps.hi, box.lo.tobytes(), box.hi.tobytes()))
+            return w.jet(eps, box)
+        return dataclasses.replace(w, jet=jet)
+
+    d = distance_fixed_point(counted("u", wu), counted("s", ws), 0.01,
+                             IntervalBox([-0.2, -0.2], [0.2, 0.2]), k1=0, k2=2)
+    eps, pt = Interval(0.0, 0.0), IntervalBox.point([0.05, -0.02])
+    d.first(eps, pt)
+    d.jet(eps, pt)
+    d.jet(Interval(0.0, 0.01), IntervalBox([0.0, -0.1], [0.1, 0.0]))
+    assert len(calls) == len(set(calls)) == 18
 
 
 def test_one_diagnostics_record_per_computed_raw_query():

@@ -16,7 +16,6 @@ from splitcert.lerman import (
     run_theorem_proof,
     chart_V,
     chart_psi,
-    field_F,
     global_manifold,
     integrals_HK,
     locate_homoclinic,
@@ -36,15 +35,16 @@ P0 = np.array([A_QUARTER, 0.0, A_QUARTER, 0.0])
 
 
 def test_field_fixed_point_and_eps_vanishing():
-    j = field_F(CFG, Interval(0.0, 0.0), IntervalBox.point([0.0] * 4))
+    # the field's jet over (eps, x): eps in [0, 0] and [0, 0.5], x = 0
+    j = lu_field(CFG).rhs.jet(IntervalBox.point([0.0] * 5))
     assert j.value.contains_zero() and j.value.max_width() <= 1e-14
-    j = field_F(CFG, Interval(0.0, 0.5), IntervalBox.point([0.0] * 4))
+    j = lu_field(CFG).rhs.jet(IntervalBox([0.0] * 5, [0.5] + [0.0] * 4))
     assert j.value.contains_zero() and j.value.max_width() <= 1e-14
 
 
 def test_field_at_section_point():
     # hand evaluation: F(0, p0) = 2^(-1/4) (-1, 1, 1, 1)
-    j = field_F(CFG, Interval(0.0, 0.0), IntervalBox.point(P0))
+    j = lu_field(CFG).rhs.jet(IntervalBox.point(np.concatenate([[0.0], P0])))
     expect = A_QUARTER * np.array([-1.0, 1.0, 1.0, 1.0])
     for i in range(4):
         assert j.value[i].contains(expect[i])
