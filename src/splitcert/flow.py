@@ -49,15 +49,22 @@ Every Cauchy product of the series, ``sum_{i+j=k} X_i Y_j`` contracted
 over a state index too, is one fused interval product sum over the last,
 contiguous axis of its operands.  The series blocks are laid out for it:
 the summed (order, state index) pair comes last, left operands keep their
-orders in the usual direction and right operands (V, S and the bank) are
-read in reversed order, V and S through twins stored reversed, so the
-trailing axes of both operands merge into one with no copy.  Two products
-that add up share one sum: the second variational recursion's T V and
-A S are two slots of one left block (T, A) and one right block (V, S),
-side by side at each order, so each order of the variational pass is
-two product sums.  The (lo, hi) endpoints of every block are stacked on a
-leading axis, so one numpy call gathers or scatters both.  Every division
-by an order k+1 divides by the integer itself, outward.
+orders in the usual direction and right operands are read in reversed
+order, through twins stored reversed, so each order's terms are a prefix
+of the one and a suffix of the other, with no copy.  The variational sums
+run over the field's term plan (:class:`_FieldTables`), compiled once per
+field from its unresolved coefficients: an entry of [A; Hxe; Hxx] that is
+identically zero never enters a sum, nor does an entry constant in x above
+order 0, so their left operands are written compact where they are
+produced and the right twins hold V and S at the plan's state indices.
+For the worked example this drops 10 of the 24 rows of [A; Hxe; Hxx]
+and 58% of the interval products of an order-18 variational pass.  Two
+products that add up share one sum: the second variational recursion's
+T V and A S are items of one left row and one right row per c, so each
+order of the variational pass is two product sums.  The (lo, hi)
+endpoints of every block are stacked on a leading axis, so one numpy call
+gathers or scatters both.  Every division by an order k+1 divides by the
+integer itself, outward.
 
 The second variational block S is symmetric in its two parameter indices:
 it holds the mixed partials of a C^2 flow.  The series keeps it once, as
@@ -95,7 +102,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -174,6 +182,20 @@ class _FieldTables:
     The table pass evaluates the rows after f's; ``left_cols`` and
     ``eps_cols`` name their columns as :meth:`PolyMap._split` reads the
     stacked layout.
+
+    ``plan`` is the term plan of the variational product sums, compiled on
+    first use from the unresolved ``g_var`` (so it holds at every eps) and
+    kept on the tables: each entry of [A; Hxe; Hxx] is identically zero
+    (every coefficient 0), constant in x (every monomial bank row 0, so 0
+    at every order >= 1) or varying.  Per row of a product sum its items
+    are the state indices of its constant entries, then of its varying
+    ones, each list padded to the longest (``c``, ``v``); a pad reads the
+    state 0 and an appended zero table column (-1).  Sum 1 ([A; Hxe; Hxx] V) runs over the rows ``rows1``
+    that are not identically zero, the ``nA`` kept A rows first; sum 2
+    (Q1 + A S) runs per c over A's row c and the T rows (c, a) whose Hxx
+    row is not identically zero, its varying items the T items ``wT``
+    wide (``is_t``), then A's varying ones.  ``T`` lists the T items:
+    state c, position q and the sum-1 row that gives them.
     """
 
     def __init__(self, field: VectorFieldDef):
@@ -213,6 +235,15 @@ class _FieldTables:
         # per depth group, its left then its right operand rows, for one
         # gather of both
         self.depth_operands = [np.concatenate([lidx, ridx]) for lidx, ridx, _ in self.depth_groups]
+
+    @cached_property
+    def plan(self) -> SimpleNamespace:
+        """The term plan (a float transport of values alone needs none)."""
+        g, n = self.g_var, self.n
+        nz = (g["clo"] != 0) | (g["chi"] != 0)
+        # 0 identically zero, 1 constant in x, 2 varying, per entry
+        kind = (nz.any(1).astype(int) + (nz & (g["rows"] != 0)).any(1))[n:][self.left_cols]
+        return _term_plan(kind, self.left_cols, n)
 
     def _power_row(self, v: int, e: int) -> int:
         key = (("pw", v, e),)
@@ -266,6 +297,39 @@ def _tables(field: VectorFieldDef) -> _FieldTables:
         tb = _FieldTables(field)
         object.__setattr__(field, "_tables", tb)
     return tb
+
+
+def _items(mask):
+    """Per row of the boolean ``mask``, the indices where it holds, padded
+    with -1 to the longest row: (rows, width)."""
+    lists = [np.flatnonzero(r) for r in mask]
+    out = np.full((len(lists), max(map(len, lists), default=0)), -1)
+    for i, items in enumerate(lists):
+        out[i, : len(items)] = items
+    return out
+
+
+def _term_plan(kind, cols, n: int) -> SimpleNamespace:
+    """The term plan of :class:`_FieldTables` from the kinds of the entries
+    of [A; Hxe; Hxx] and their table columns ``cols``, both (2n + n^2, n)."""
+    rows1 = np.flatnonzero(kind.any(1))
+    const, var = _items(kind[rows1] == 1), _items(kind[rows1] == 2)
+    it1 = np.hstack([const, var])
+    tq = _items(kind[2 * n :].reshape(n, n, n).any(2))
+    const2, var2 = _items(kind[:n] == 1), _items(kind[:n] == 2)
+    c, q = np.nonzero(tq >= 0)
+
+    def col(items, rows):
+        return np.where(items >= 0, cols[rows[:, None], items], -1)
+
+    return SimpleNamespace(
+        rows1=rows1, nA=int(np.sum(rows1 < n)), nAQ=int(np.sum(rows1 < 2 * n)),
+        c1=const.shape[1], v1=var.shape[1], src1=np.maximum(it1, 0), col1=col(it1, rows1),
+        c2=const2.shape[1], wT=tq.shape[1], v2=tq.shape[1] + var2.shape[1],
+        src2=np.maximum(np.hstack([const2, tq, var2]), 0),
+        is_t=np.repeat([False, True, False], [const2.shape[1], tq.shape[1], var2.shape[1]]),
+        colc2=col(const2, np.arange(n)), colv2=col(var2, np.arange(n)),
+        T=(c, q, np.array([rows1.tolist().index(r) for r in 2 * n + c * n + tq[c, q]], int)))
 
 
 class _Resolved:
@@ -361,15 +425,6 @@ def _pairs(m: int):
     return al, be, mirror
 
 
-@lru_cache(maxsize=None)
-def _slots(m: int):
-    """The columns of a joined row [V | S on its pairs] (m + npairs wide)
-    that fill the two slots of each pair p = (al, be) of the right block
-    ``VS``: (npairs, 2), V's column al and S's column m + p."""
-    al = _pairs(m)[0]
-    return np.stack([al, m + np.arange(len(al))], axis=-1)
-
-
 class _Series:
     """Order-by-order interval Taylor series of a batch of initial boxes.
 
@@ -382,62 +437,61 @@ class _Series:
     for the ``nvar`` leading rows only.  Every block stacks its endpoints
     on axis 0, ``e`` of them (``ends``: 2, lo and hi, for an enclosure; 1
     for a float series), and its batch row on axis 1, so that one numpy
-    call gathers or scatters both endpoints.  The blocks are laid out for
-    the Cauchy products ``sum_{i+j=k} X_i Y_j``: the left operand X keeps
-    its orders in the usual direction, the right operand Y is read with its
-    orders reversed, and the contracted state index follows the order axis
-    in both.  V and S keep only a twin whose orders are reversed (order j
-    at index P+1-j), so that ``X[:k+1]`` and the twin's ``[P+1-k:]`` are
-    forward slices over the same (order, state) pairs, their two trailing
-    axes merge into one with no copy, and every variational product is one
-    ``imulsum`` over a contiguous last axis.  The second product sum of an
-    order adds T V and A S: T and A are two slots of one left block ``TA``
-    and the twins of V and S the matching two slots of one right block
-    ``VS``, so ``TA[..., :k+1, :, :]`` and ``VS[..., P+1-k:, :, :]`` are
-    forward slices over the same (order, slot, state) triples and merge
-    into one contiguous last axis too.  The bank's operand rows of a
+    call gathers or scatters both endpoints.  The bank's operand rows of a
     depth group repeat rows (x_1 x_1, x_1 x_2, ...), so they are one gather
     of both operands, whose right half a reversed view reads backwards.
 
+    The two variational product sums of an order run over the terms of the
+    field's term plan (``plan`` of :class:`_FieldTables`) alone: a row of
+    a sum takes the order-0 terms of its constant and varying entries and
+    the order >= 1 terms of its varying ones, so no identically-zero entry
+    or row, and no constant entry above order 0, reaches ``imulsum``; the
+    terms it drops are exact zeros on either kernel path.  Each left
+    operand is written compact where it is produced, as one row per sum
+    row: its constant items (``c`` wide), then one block of its varying
+    items (``v`` wide) per order i, at ``c + i v``, so the terms of
+    ``sum_{i+j=k} X_i Y_j`` are the prefix ``[:c + (k+1) v]``.  The right
+    operand meets it in a twin whose orders are reversed: the items of
+    Y_j at index ``(P+1-j) v``, its constant items first, so the terms of
+    order k are the suffix ``[(P+1-k) v:]``.  Each order of Y is written
+    into its twin once, when it is produced; its constant items overwrite
+    those of the order before, which no later sum reads.  A pad multiplies
+    an exact 0 of the left operand by an entry of V or S.
     The symmetric S is kept on the pairs p = (al, be) with al >= be, in the
-    order of :func:`_pairs` (the eps column (al, 0) first), and every block
-    that meets it in a product is written per pair once per order, so its
-    product sums read contiguous views with no gather.
+    order of :func:`_pairs` (the eps column (al, 0) first).
 
     * ``bank`` (e, B, rows, P+2): the field's product bank, rows as in
       :class:`_FieldTables`, orders last.  ``z`` is the view of its state
       rows 1..n, (e, B, n, P+2).
-    * ``L`` (e, nvar, 2n + n^2, P+2, n), when ``m > 0``: the left operands
-      A[c, a] (rows 0..n-1), Hxe[c, a] (rows n..2n-1) and Hxx[c, a, b]
-      (row 2n + c n + a), with orders and then the contracted index last;
+    * ``var`` (e, nvar, P+2, n, m + npairs), when ``m > 0``: the joined
+      rows [V_j | S_j on its pairs] in order, m wide at order 1;
+      :meth:`flat` reads them.
+    * ``L`` (e, nvar, R, c1 + (P+2) v1): the left operand of sum 1, the
+      plan's rows of [A; Hxe; Hxx] (A's first; at order 1 A's alone), and
+      ``Lr`` (e, nvar, R, m, ...) its right operand, V_j[s, al] at the
+      row's items s.  ``L0`` (e, nvar, 2n + n^2, n) keeps the order-0
+      tables A[c, a] (rows 0..n-1), Hxe[c, a] (rows n..2n-1) and
+      Hxx[c, a, b] (row 2n + c n + a) densely for :func:`_gronwall`;
       ``E`` (e, nvar, 2, P+2, n) holds aeps[c] and Hee[c], which are only
       added.
-    * ``TA`` (e, nvar, n, npairs, P+2, 2, n), the left operand of
-      Q1 + A S: slot 0 is the view ``T``, T[c, p, i, a] = T_i[c, a, be]
-      for the pair p = (al, be); slot 1 holds A_i[c, a] for every pair,
-      written by the table pass.
-    * ``VS`` (e, nvar, npairs, P+2, 2, n), the right operand: slot 0 is
-      the view ``Vp``, the V pair twin, the reversed twin of V_j[c, al]
-      for the pair p = (al, be) at index P+1-j; slot 1 is the view ``Sr``,
-      the reversed twin of S_j[c, al, be].  The first m pairs are (al, 0),
-      al = 0..m-1, so the view ``Vr`` = ``Vp[:, :, :m]`` (e, nvar, m, P+2,
-      n) is the reversed twin of V itself; the other pairs repeat its
-      columns.  ``Vr`` and ``Sr`` are the only copies of V and S;
-      :meth:`flat` reads them back in order.
+    * ``TA`` (e, nvar, npairs, n, c2 + (P+2) v2), at order 2: the left
+      operand of Q1 + A S per pair p = (al, be) and c: A's constant items,
+      then per order i the T items T_i[c, a, be] and A's varying items;
+      ``TAr`` its right operand, V_j[a, al] at a T item and S_j[a, p] at
+      an A item.
 
-    The three left operands [A; Hxe; Hxx] share their right operand V and
-    lie next to each other in ``L``, so one product sum gives A V, Hxe V
-    and Hxx V; each output is the same last-axis reduction as in separate
-    calls.  The second product sum gives Q1 + A S, and one row joins A V
-    and Q1 + A S for two adds (the eps-column terms aeps, Q2 and Hee)
-    and one division by k+1.
+    Sum 1 gives A V, Hxe V and Hxx V (T, written into ``TA``); each output
+    is the same last-axis reduction as in separate calls, and the A rows
+    take the same terms at either order.  Sum 2 gives Q1 + A S, and one
+    row joins A V and Q1 + A S for two adds (the eps-column terms aeps, Q2
+    and Hee) and one division by k+1.
 
     A series is filled in three passes, each from where it stopped:
 
     1. :meth:`extend_state`: z and the bank of products, order by order,
        from the field's own rows of the coefficient group;
-    2. :meth:`extend_tables`: the field's derivative tables (``L``, ``E``
-       and A's slot of ``TA``) at every order of the bank, in one
+    2. :meth:`extend_tables`: the field's derivative tables (``L``, ``L0``,
+       ``E`` and A's items of ``TA``) at every order of the bank, in one
        ``imulsum`` call;
     3. the variational recursion for V, T, Q and S, order by order.
 
@@ -492,23 +546,34 @@ class _Series:
         self.g_state = {"clo": per_row("clo"), "chi": per_row("chi"), "rows": rf.g_var["rows"][:n]}
         coeffs = [self.g_state["clo"], self.g_state["chi"]]
         if self.with_var:
-            # the left operands [A; Hxe; Hxx] and the added aeps, Hee, or at
-            # order 1 A and aeps alone
-            nl = 2 * n + n * n if order == 2 else n
+            pl = self.plan = tb.plan
+            # the rows of sum 1 and the dense order-0 tables: [A; Hxe; Hxx]
+            # and the added aeps, Hee, or at order 1 A and aeps alone
+            R, nl = (len(pl.rows1), 2 * n + n * n) if order == 2 else (pl.nA, n)
             self.left_cols, self.eps_cols = tb.left_cols[:nl], tb.eps_cols[:order]
-            self.L = np.zeros((e, nv, nl, P + 2, n))
+            self.L = np.zeros((e, nv, R, pl.c1 + (P + 2) * pl.v1))
+            self.Lv = self.L[..., pl.c1 :].reshape(e, nv, R, P + 2, pl.v1)
+            self.Lr = np.zeros((e, nv, R, m, self.L.shape[-1]))
             self.E = np.zeros((e, nv, order, P + 2, n))
+            al, be, _ = _pairs(m)
+            npairs = len(al) if order == 2 else 0
+            self.var = np.zeros((e, nv, P + 2, n, m + npairs))
+            # the right operands' items, flat in a joined row (n, m + npairs):
+            # V's column al of each item s of sum 1, (R, m, c1 + v1), and in
+            # sum 2 V's column al(p) at a T item and S's column m + p at an A
+            # item, (npairs, n, c2 + v2)
+            self.gather1 = pl.src1[:R, None, :] * (m + npairs) + np.arange(m)[:, None]
             if order == 2:
-                npairs = len(_pairs(m)[0])
-                self.TA = np.zeros((e, nv, n, npairs, P + 2, 2, n))
-                self.T = self.TA[..., 0, :]
-                self.VS = np.zeros((e, nv, npairs, P + 2, 2, n))
-                self.Vp, self.Sr = self.VS[..., 0, :], self.VS[..., 1, :]
-                self.Vr = self.Vp[:, :, :m]
-                self.twins = (self.Vr, self.Sr)
-            else:
-                self.Vr = np.zeros((e, nv, m, P + 2, n))
-                self.twins = (self.Vr,)
+                self.TA = np.zeros((e, nv, npairs, n, pl.c2 + (P + 2) * pl.v2))
+                self.TAv = self.TA[..., pl.c2 :].reshape(e, nv, npairs, n, P + 2, pl.v2)
+                self.TAr = np.zeros_like(self.TA)
+                self.gather2 = pl.src2 * (m + npairs) + np.where(
+                    pl.is_t, al[:, None], m + np.arange(npairs)[:, None])[:, None]
+                # T_k[c, a, be] of pair p, flat in sum 1's output (R, m), to
+                # its T item of c, flat in TA's (n, c2 + (P+2) v2) at order 0
+                c, q, r = pl.T
+                self.t_src = r * m + be[:, None]
+                self.t_dst = c * self.TA.shape[-1] + pl.c2 + q
             # the table pass evaluates the other rows of g_var, at order 1
             # f's first partials alone (its n (n + 1) rows after f's)
             stop = None if order == 2 else n + n * (n + 1)
@@ -539,13 +604,21 @@ class _Series:
     def start_pairs(self, V0, Sp0=()):
         """:meth:`start` from S0 already on the pairs: (lo, hi) of shape
         (B, n, npairs), as :meth:`split` gives them; none at order 1."""
-        m = self.m
-        for twin, x0 in zip(self.twins, (V0, Sp0)):
-            for end in (0, -1):
-                twin[end, :, :, -1] = np.swapaxes(x0[end], -1, -2)
-        if self.order == 2:
-            self.Vp[:, :, m:, -1] = self.Vp[:, :, _pairs(m)[0][m:], -1]
+        self._write(0, np.concatenate([np.stack(x)[-self.ends :] for x in (V0, Sp0) if x],
+                                      axis=-1))
         self.scaled = self.scaled and self.k.is_scaled(*V0, *Sp0)
+
+    def _write(self, j: int, row):
+        """Store the joined row [V_j | S_j] (e, nvar, n, m [+ npairs]) in
+        ``var`` and its items in the right operands' twins."""
+        pl, P = self.plan, self.P
+        self.var[:, :, j] = row
+        row = row.reshape(*row.shape[:2], -1)
+        o = (P + 1 - j) * pl.v1
+        self.Lr[..., o : o + pl.c1 + pl.v1] = np.take(row, self.gather1, axis=-1)
+        if self.order == 2:
+            o = (P + 1 - j) * pl.v2
+            self.TAr[..., o : o + pl.c2 + pl.v2] = np.take(row, self.gather2, axis=-1)
 
     def _pass(self, name: str, upto: int, run, written):
         """Run ``run(k0, upto, fast)`` over the orders k0..upto-1 that pass
@@ -569,10 +642,11 @@ class _Series:
             self.bank[..., k0:k1], self.z[..., k0 + 1 : k1 + 1]))
 
     def extend_tables(self, upto: int):
-        """Table pass: the derivative tables at orders below ``upto``."""
+        """Table pass: the derivative tables at orders below ``upto``; every
+        item of ``TA`` is an item of ``L`` too."""
         self.extend_state(upto)
         self._pass("tables", upto, self._table_orders, lambda k0, k1: (
-            self.L[:, :, :, k0:k1],))
+            self.Lv[..., k0:k1, :], self.L[..., : self.plan.c1]))
 
     def extend_to(self, upto: int):
         """Fill coefficients through order ``upto`` (state; V/S when enabled)."""
@@ -580,11 +654,11 @@ class _Series:
             self.extend_state(upto)
             return
         self.extend_tables(upto)
-        P = self.P
 
         def written(k0, k1):
-            twins = [b[..., P + 1 - k1 : P + 1 - k0, :] for b in self.twins]
-            return twins + [self.T[..., k0:k1, :]] if self.order == 2 else twins
+            # the twins copy var's entries; T is read from TA
+            v = [self.var[:, :, k0 + 1 : k1 + 1]]
+            return v + [self.TAv[..., k0:k1, : self.plan.wT]] if self.order == 2 else v
 
         self._pass("var", upto, self._var_orders, written)
 
@@ -604,15 +678,23 @@ class _Series:
 
     def _table_orders(self, k0: int, k1: int, fast: bool):
         """The derivative tables at orders k0..k1-1: one product sum over
-        the monomials, which are the last axis."""
-        g = self.g_tab
+        the monomials, which are the last axis, read into the left operands
+        through the plan's items (a pad reads an appended zero column)."""
+        g, pl = self.g_tab, self.plan
         x = np.moveaxis(self.bank[:, : self.nvar, g["rows"], k0:k1], 4, 2)
         t = self.k.imulsum(g["clo"], g["chi"], x[0], x[-1], fast)
-        self.L[:, :, :, k0:k1] = np.moveaxis(t[..., self.left_cols], 2, 3)
         self.E[:, :, :, k0:k1] = np.moveaxis(t[..., self.eps_cols], 2, 3)
+        t = np.concatenate([t, np.zeros((*t.shape[:-1], 1))], axis=-1)
+        col1 = pl.col1[: self.L.shape[2]]
+        self.Lv[..., k0:k1, :] = np.moveaxis(t[..., col1[:, pl.c1 :]], 2, 3)
         if self.order == 2:
-            # A's slot of TA, the same for every pair
-            self.TA[..., k0:k1, 1, :] = self.L[:, :, : self.n, None, k0:k1]
+            # A's items of TA, the same for every pair
+            self.TAv[..., k0:k1, pl.wT :] = np.moveaxis(t[..., pl.colv2], 2, 3)[:, :, None]
+        if k0 == 0:
+            self.L0 = t[:, :, 0][..., self.left_cols]
+            self.L[..., : pl.c1] = t[:, :, 0][..., col1[:, : pl.c1]]
+            if self.order == 2:
+                self.TA[..., : pl.c2] = t[:, :, 0][..., pl.colc2][:, :, None]
 
     def _var_orders(self, k0: int, k1: int, fast: bool):
         for k in range(k0, k1):
@@ -621,52 +703,35 @@ class _Series:
     def _var_step(self, k: int, fast: bool):
         """V_{k+1}, T_k and S_{k+1} from the tables through order k; at
         order 1, V_{k+1} alone from one product sum."""
-        ks, n, m, e, B = self.k, self.n, self.m, self.ends, self.nvar
-        terms = (k + 1) * n
-        j = self.P + 1 - k  # the twins' orders k, k-1, ..., 0
-
-        # [A; Hxe; Hxx]_i V_j in one product sum: (A V)_k, Q2_k[c,al] =
-        # sum_{i+j=k} Hxe_i[c,a] V_j[a,al] and T_k[c,a,be] = sum_{i+j=k}
-        # Hxx_i[c,a,b] V_j[b,be] (A V alone at order 1); V's slot of VS is
-        # read through a copy
-        x = self.L[:, :, :, : k + 1].reshape(e, B, self.L.shape[2], 1, terms)
-        v = self.Vr[:, :, :, j:].reshape(e, B, 1, m, terms)
+        ks, n, m, e, B, pl = self.k, self.n, self.m, self.ends, self.nvar, self.plan
+        # [A; Hxe; Hxx]_i V_j over the plan's rows in one product sum:
+        # (A V)_k, Q2_k[c,al] = sum_{i+j=k} Hxe_i[c,a] V_j[a,al] and
+        # T_k[c,a,be] = sum_{i+j=k} Hxx_i[c,a,b] V_j[b,be] (A V alone at
+        # order 1)
+        x = self.L[..., None, : pl.c1 + (k + 1) * pl.v1]
+        v = self.Lr[..., (self.P + 1 - k) * pl.v1 :]
         lv = ks.imulsum(x[0], x[-1], v[0], v[-1], fast)
-        if self.order == 1:
-            # (A V)_k plus aeps_k on V's eps column, divided by k+1; the
-            # zero entries of the added row keep every bit as at order 2
-            d = np.zeros_like(lv)
-            d[..., 0] = self.E[:, :, 0, k]
-            self.Vr[:, :, :, j - 1] = np.swapaxes(
-                ks.stack_divint(k + 1, ks.stack_add(lv, d)), -1, -2)
-            return
-        be = _pairs(m)[1]
-        npairs = len(be)
-        # T_k per pair p = (al, be): T[c, p, k, a] = T_k[c, a, be]
-        t = lv[:, :, 2 * n :].reshape(e, B, n, n, m)
-        self.T[..., k, :] = np.swapaxes(t, -1, -2)[:, :, :, be]
-
-        # Q1_k + (A S)_k over the pairs in one product sum: sum_{i+j=k}
-        # T_i[c,a,be] V_j[a,al] + A_i[c,a] S_j[a,p], the slots of TA and VS
-        # side by side
-        x = self.TA[..., : k + 1, :, :].reshape(e, B, n, npairs, 2 * terms)
-        y = self.VS[:, :, :, j:].reshape(e, B, 1, npairs, 2 * terms)
-        q = ks.imulsum(x[0], x[-1], y[0], y[-1], fast)
-
-        # the joined row [(A V)_k | Q1_k + (A S)_k] plus its corrections:
-        # aeps_k on V's eps column; Q2_k on S's eps-column pairs (al, 0),
-        # and at (0, 0) Q2_k once more (an exact doubling) and Hee_k.  One
-        # division by k+1 then gives V_{k+1} and S_{k+1}
-        row = np.concatenate([lv[:, :, :n], q], axis=-1)
+        # the joined row [(A V)_k | Q1_k + (A S)_k] and its corrections d:
+        # aeps_k on V's eps column, and at order 2 Q2_k on S's eps-column
+        # pairs (al, 0) and at (0, 0) Q2_k once more (an exact doubling) and
+        # Hee_k.  One division by k+1 then gives V_{k+1} (and S_{k+1}); the
+        # zero entries of d keep every bit of A V as at order 2
+        row = np.zeros(self.var.shape[:2] + self.var.shape[3:])
+        row[:, :, pl.rows1[: pl.nA], :m] = lv[:, :, : pl.nA]
         d = np.zeros_like(row)
-        q2 = lv[:, :, n : 2 * n]
         d[..., 0] = self.E[:, :, 0, k]
-        d[..., m : 2 * m] = q2
-        d[..., m] = ks.stack_add(2.0 * q2[..., 0], self.E[:, :, 1, k])
-        row = ks.stack_divint(k + 1, ks.stack_add(row, d))
-        # both slots of VS at order k+1 in one gather: V's columns al of the
-        # pairs and S's pairs
-        self.VS[:, :, :, j - 1] = np.moveaxis(row[..., _slots(m)], 2, -1)
+        if self.order == 2:
+            # T_k per pair p = (al, be) into TA: T_k[c, a, be] at c's T items
+            self.TA.reshape(*self.TA.shape[:3], -1)[..., self.t_dst + k * pl.v2] = np.take(
+                lv.reshape(e, B, -1), self.t_src, axis=-1)
+            # Q1_k + (A S)_k over the pairs in one product sum: sum_{i+j=k}
+            # T_i[c,a,be] V_j[a,al] + A_i[c,a] S_j[a,p]
+            x = self.TA[..., : pl.c2 + (k + 1) * pl.v2]
+            y = self.TAr[..., (self.P + 1 - k) * pl.v2 :]
+            row[..., m:] = np.swapaxes(ks.imulsum(x[0], x[-1], y[0], y[-1], fast), -1, -2)
+            d[:, :, pl.rows1[pl.nA : pl.nAQ] - n, m : 2 * m] = lv[:, :, pl.nA : pl.nAQ]
+            d[..., m] = ks.stack_add(2.0 * d[..., m], self.E[:, :, 1, k])
+        self._write(k + 1, ks.stack_divint(k + 1, ks.stack_add(row, d)))
 
     def flat(self, row, orders: slice):
         """Coefficients ``orders`` of a row (an index) or of a slice of rows,
@@ -677,14 +742,12 @@ class _Series:
         theirs side by side."""
         if isinstance(row, tuple):
             return np.concatenate([self.flat(r, orders) for r in row], axis=-1)
-        idx = np.arange(self.P + 2)[orders]
-        z = np.swapaxes(self.z[:, row][..., idx], -1, -2)
+        z = np.swapaxes(self.z[:, row][..., orders], -1, -2)
         if not self.with_var or (isinstance(row, int) and row >= self.nvar):
             return z
-        # the twins of V and S, (e, [rows,] m or npairs, orders, n), back in order
-        rev = self.P + 1 - idx
-        return np.concatenate([z, *(np.moveaxis(b[:, row][..., rev, :], -3, -1).reshape(
-            *z.shape[:-1], -1) for b in self.twins)], axis=-1)
+        w = self.var[:, row][..., orders, :, :]
+        return np.concatenate([z, w[..., : self.m].reshape(*z.shape[:-1], -1),
+                               w[..., self.m :].reshape(*z.shape[:-1], -1)], axis=-1)
 
     def split(self, x):
         """Split flattened orders (the last axis) back into (state, V, S)
@@ -796,11 +859,11 @@ class _StepPieces:
 
 def _gronwall(ser: _Series, row: int):
     """Magnitude bounds over the rough enclosure, read from the order-0
-    field tables of its series row: d >= max_c sum_a |df_c/dx_a|,
-    ce >= |df/deps|, and at order 2 hxx, hxe, hee >= the second-derivative
-    blocks."""
+    field tables of its series row (``L0``, dense): d >= max_c sum_a
+    |df_c/dx_a|, ce >= |df/deps|, and at order 2 hxx, hxe, hee >= the
+    second-derivative blocks."""
     n = ser.n
-    left, eps = ser.L[:, row, :, 0], ser.E[:, row, :, 0]
+    left, eps = ser.L0[:, row], ser.E[:, row, :, 0]
     jmag = ku.vmag(*left[:, :n])
     d = float(np.max(ku.isum(jmag, jmag, axis=1)[1]))
 
@@ -1009,9 +1072,12 @@ class _LohnerState:
 # the integrator
 
 def _pow2_floor(x: float) -> float:
-    if x <= 0:
-        raise IntervalError("positive value required")
-    return 2.0 ** math.floor(math.log2(x))
+    """The largest power of two at most a finite x > 0, from the exponent
+    of x (exact, also for subnormals; ``log2`` rounds up just below a
+    power)."""
+    if not 0 < x < math.inf:
+        raise IntervalError(f"a positive finite value is required, got {x!r}")
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
 # the error bound of a step is _TOL (max|x| + 1) at the step's start

@@ -342,6 +342,29 @@ def test_step_memory_lets_the_step_grow_again(monkeypatch):
     assert len(accepted) <= 40
 
 
+def test_pow2_floor_is_the_largest_power_of_two_not_above_x():
+    # log2 rounds up just below most powers of two; the exponent of x does
+    # not, for normal and subnormal x alike
+    import splitcert.flow as flow
+
+    for k in range(-1074, 1024):
+        p = math.ldexp(1.0, k)
+        assert flow._pow2_floor(p) == p, k
+        if k > -1074:
+            assert flow._pow2_floor(math.nextafter(p, 0.0)) == p / 2, k
+            assert flow._pow2_floor(1.5 * p) == p, k
+    for x in (5e-324, 7e-324, math.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1030 * 1.75):
+        p = flow._pow2_floor(x)
+        assert p <= x < 2 * p and math.frexp(p)[0] == 0.5
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(IntervalError):
+            flow._pow2_floor(x)
+    # an initial step just below 1/8 proposes 1/16 and caps the step at 2
+    rule = flow._StepRule(9.0, math.nextafter(0.125, 0.0), 2.0 ** -20, 100)
+    rule.propose()
+    assert rule.hcur == 0.0625 and rule.cap == 2.0
+
+
 def test_transport_is_deterministic_within_a_process():
     # interval sums follow numpy's reduction order; one process must still
     # reproduce a run bit for bit
@@ -463,8 +486,9 @@ def _batch_series(field, zlo, zhi, V0, S0, P):
     return ser
 
 
-# the derivative tables: left operands [A; Hxe; Hxx] and the added aeps, Hee
-TABLES = ("L", "E")
+# the derivative tables: the compact left operand of [A; Hxe; Hxx], its
+# dense order 0 and the added aeps, Hee
+TABLES = ("L", "L0", "E")
 
 
 def _lu_rows():
@@ -492,8 +516,9 @@ def test_batched_series_rows_equal_single_series():
                             (Vlo[row : row + 1], Vhi[row : row + 1]),
                             (Slo[row : row + 1], Shi[row : row + 1]), P)
         # every block stacks (lo, hi) on axis 0 and the batch row on axis 1;
-        # z is a view of the bank, V and S live in their reversed twins
-        for name in ("bank", "Vr", "Vp", "Sr", "T", *TABLES):
+        # z is a view of the bank, V and S live in var and, by items, in the
+        # right operands' reversed twins
+        for name in ("bank", "var", "Lr", "TA", "TAr", *TABLES):
             x, y = getattr(both, name)[:, row], getattr(one, name)[:, 0]
             assert x.tobytes() == y.tobytes(), name
 
@@ -534,7 +559,7 @@ def test_start_intersects_the_second_block_with_its_mirror():
     ser = _series(field, zlo, zhi, P, 5)
     ser.start(V0, (Slo, Shi))
     p = flow._pairs(5)[2][2, 1]
-    assert (ser.Sr[0, 1, p, -1, 0], ser.Sr[1, 1, p, -1, 0]) == (-3e-6, 2e-6)
+    assert (ser.var[0, 1, 0, 0, 5 + p], ser.var[1, 1, 0, 0, 5 + p]) == (-3e-6, 2e-6)
     jet = Jet2Enclosure(IntervalBox(zlo[1], zhi[1]), IntervalMatrix(V0[0][1], V0[1][1]),
                         Slo[1], Shi[1])
     _, _, S = ser.unflat(ser.flat(1, slice(0, 1)))
@@ -690,7 +715,7 @@ def test_one_call_tables_equal_tables_built_order_by_order(monkeypatch, extra):
     checks += [("Hxx", (a, b), d2[min(a, b) + 1, max(a, b) + 1])
                for a in range(n) for b in range(n)]
     checks += [("Hxe", (a,), d2[0, 1 + a]) for a in range(n)] + [("Hee", (), d2[0, 0])]
-    L, E = fused.L[:, 0, :, 0], fused.E[:, 0, :, 0]
+    L, E = fused.L0[:, 0], fused.E[:, 0, :, 0]
     blocks = {"A": L[:, :n], "Hxe": L[:, n : 2 * n], "Hxx": L[:, 2 * n :].reshape(2, n, n, n),
               "ae": E[:, 0], "Hee": E[:, 1]}
     for name, idx, pm in checks:
@@ -805,7 +830,7 @@ def test_one_series_per_step_attempt_with_two_variational_rows(monkeypatch):
     # three state rows (set, rough enclosure, centre), two variational ones
     assert ser.bank.shape[1] == 3 and ser.nvar == 2
     assert ser.g_state["clo"].shape[0] == 3
-    for name in ("L", "E", "T", "Vr", "Sr"):
+    for name in ("L", "L0", "E", "TA", "var", "Lr", "TAr"):
         assert getattr(ser, name).shape[1] == 2, name
     # a rejected attempt builds its one series too, and runs no variational pass
     pieces, built = _lu_step(monkeypatch, eps, err_max=0.0)
@@ -1160,8 +1185,9 @@ def test_order1_variational_step_makes_one_product_sum_and_no_S(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     two.extend_to(P)
-    assert one.Vr.tobytes() == two.Vr.tobytes()
+    assert one.var.tobytes() == two.var[..., :m].tobytes()
     assert one.L.tobytes() == two.L[:, :, :n].tobytes()
+    assert one.Lr.tobytes() == two.Lr[:, :, :n].tobytes()
     assert one.E.tobytes() == two.E[:, :, :1].tobytes()
     z, V, S = one.unflat(one.flat(slice(None), slice(0, P + 1)))
     assert S is None and V.shape == (2, 2, P + 1, n, m)
@@ -1196,3 +1222,187 @@ def test_float_transport_keeps_the_series_of_a_step_that_no_row_took(monkeypatch
     a, b = steps
     assert sum(not (x or y) for x, y in zip(a, b)) == 3
     assert sum(len(z) for z in starts) == sum(a) + sum(b) + sum(x != y for x, y in zip(a, b))
+
+
+# --- the term plan of the variational product sums -------------------------------
+
+def test_field_tables_compile_the_term_plan_of_the_worked_example():
+    # 10 of the 24 rows of [A; Hxe; Hxx] are identically zero (two Hxe and
+    # eight Hxx rows); 8 of A's 16 entries and both Hxe entries are
+    # constant in x; 8 of the 16 (c, a) rows of T are zero.  The plan is
+    # compiled on first use and kept on the tables
+    import splitcert.flow as flow
+    from splitcert.lerman import LUConfig, lu_field
+
+    tb = flow._FieldTables(lu_field(LUConfig()))
+    assert "plan" not in vars(tb)
+    pl = tb.plan
+    assert tb.plan is pl
+    assert len(pl.rows1) == 14 and (pl.nA, pl.nAQ) == (4, 6)
+    assert list(pl.rows1[:6]) == [0, 1, 2, 3, 4, 6]
+    assert (pl.c1, pl.v1) == (2, 2) and (pl.c2, pl.wT, pl.v2) == (2, 2, 4)
+    assert len(pl.T[0]) == 8
+    # a dense field keeps every term: no constant item, n varying ones
+    cube = VectorFieldDef(2, PolyMap(3, [[(1.0, (0, 2, 1)), (1.0, (1, 1, 2))],
+                                         [(1.0, (0, 1, 2)), (1.0, (1, 2, 1))]]))
+    dense = flow._tables(cube).plan
+    assert len(dense.rows1) == 2 * 2 + 4 and (dense.c1, dense.v1) == (0, 2)
+    assert (dense.c2, dense.wT, dense.v2) == (0, 2, 4)
+
+
+def _cos_sin(t: Fraction, terms: int = 30):
+    """cos t and sin t as Fractions by their Taylor sums, and a bound of
+    the remainder of both (|t| <= 2)."""
+    c = sum((-1) ** j * t ** (2 * j) / math.factorial(2 * j) for j in range(terms))
+    s = sum((-1) ** j * t ** (2 * j + 1) / math.factorial(2 * j + 1) for j in range(terms))
+    return c, s, Fraction(2) ** (2 * terms) / math.factorial(2 * terms)
+
+
+def test_plan_oracle_rotation_has_exactly_zero_second_derivatives():
+    # x' = y, y' = -x: every second partial of the field is zero, so the
+    # plan keeps no Hxe, Hxx or T row and S stays exactly 0; V encloses the
+    # exact rotation by T
+    import splitcert.flow as flow
+
+    pl = flow._tables(F_ROT).plan
+    assert list(pl.rows1) == [0, 1] and (pl.c1, pl.v1, pl.wT) == (1, 0, 0)
+    T = 1.25
+    x0 = np.array([0.7, 0.1])
+    j = flow_jet(F_ROT, ident(x0), Interval(0, 0), T, SET)
+    assert not np.any(j.d2lo) and not np.any(j.d2hi)
+    c, s, r = _cos_sin(Fraction(T))
+    rot = [[c, s], [-s, c]]
+    for a in range(2):
+        exact = sum(rot[a][b] * Fraction(x0[b]) for b in range(2))
+        assert Fraction(j.value.lo[a]) <= exact - 2 * r
+        assert exact + 2 * r <= Fraction(j.value.hi[a])
+        for b in range(2):
+            assert Fraction(j.d1.lo[a, 1 + b]) <= rot[a][b] - r
+            assert rot[a][b] + r <= Fraction(j.d1.hi[a, 1 + b])
+    assert j.d1.max_width() <= 1e-12
+
+
+def test_plan_oracle_square_uses_the_constant_hxx_at_order_0_only():
+    # x' = x^2: A = 2x varies, Hxx = 2 is constant in x, so its row takes
+    # one item at order 0 and none after; x = x0 / (1 - x0 t),
+    # dx/dx0 = 1 / (1 - x0 t)^2, d2x/dx0^2 = 2 t / (1 - x0 t)^3
+    import splitcert.flow as flow
+
+    pl = flow._tables(F_SQ).plan
+    assert list(pl.rows1) == [0, 2] and (pl.c1, pl.v1) == (1, 1)
+    rf = flow._Resolved(flow._tables(F_SQ), Interval(0, 0))
+    ser = flow._Series(rf, np.array([[0.5]]), np.array([[0.5]]), 8, m=2)
+    ser.start((np.eye(1, 2, 1)[None],) * 2, (np.zeros((1, 1, 2, 2)),) * 2)
+    ser.extend_to(8)
+    hxx = ser.L[:, 0, 1]
+    assert hxx[0, 0] <= 2.0 <= hxx[1, 0] and not np.any(hxx[:, 1:])
+    for x0, t in ((1.0, 0.5), (0.5, 0.75)):
+        j = flow_jet(F_SQ, ident([x0]), Interval(0, 0), t, SET)
+        d = 1 - Fraction(x0) * Fraction(t)
+        for (lo, hi), exact in (((j.value.lo[0], j.value.hi[0]), Fraction(x0) / d),
+                                ((j.d1.lo[0, 1], j.d1.hi[0, 1]), 1 / d**2),
+                                ((j.d2lo[0, 1, 1], j.d2hi[0, 1, 1]), 2 * Fraction(t) / d**3)):
+            assert Fraction(lo) <= exact <= Fraction(hi)
+            assert hi - lo <= 1e-8 * float(exact)
+
+
+def test_plan_oracle_eps_times_x_keeps_the_entry_over_an_eps_box():
+    # x' = eps x over eps = [0, 1e-7]: A = eps is constant in x but not
+    # zero, whatever eps; the mixed block d2x/(dx0 deps) = T e^(eps T)
+    import splitcert.flow as flow
+
+    pl = flow._tables(F_EPSX).plan
+    assert list(pl.rows1) == [0, 1] and (pl.c1, pl.v1) == (1, 0)
+    T, e = 1.5, Fraction(1e-7)
+    j = flow_jet(F_EPSX, ident([0.7]), Interval(0.0, 1e-7), T, SET)
+    x = e * Fraction(T)
+    terms = [x**i / math.factorial(i) for i in range(8)]
+    lo, hi = Fraction(T), Fraction(T) * (sum(terms) + 2 * x**8)
+    for d2 in ((j.d2lo[0, 0, 1], j.d2hi[0, 0, 1]), (j.d2lo[0, 1, 0], j.d2hi[0, 1, 0])):
+        assert Fraction(d2[0]) <= lo and hi <= Fraction(d2[1])
+        assert d2[1] - d2[0] <= float(hi - lo) + 1e-12
+
+
+def _dense_sums(ser, k: int):
+    """The two product sums of order k in the dense layout that the term
+    plan replaced (every entry of [A; Hxe; Hxx] at every order, over every
+    state index), from the series' own tables, V, S and T: sum 1 as
+    (e, nvar, 2n + n^2, m), sum 2 as (e, nvar, n, npairs), and the dense
+    tables (e, nvar, 2n + n^2, k+1, n)."""
+    import splitcert.flow as flow
+
+    ku, n, m, B = flow.ku, ser.n, ser.m, ser.nvar
+    g = ser.g_tab
+    x = np.moveaxis(ser.bank[:, :B, g["rows"], : k + 1], 4, 2)
+    t = ku.imulsum(g["clo"], g["chi"], x[0], x[-1])
+    L = np.moveaxis(t[..., ser.left_cols], 2, 3)
+    # V_j and S_j at j = k, ..., 0: (e, B, k+1, n, m) and (e, B, k+1, n, npairs)
+    V, S = ser.var[:, :, k::-1, :, :m], ser.var[:, :, k::-1, :, m:]
+    x = L.reshape(*L.shape[:3], 1, -1)
+    v = np.moveaxis(V, -1, 2).reshape(*V.shape[:2], 1, m, -1)
+    lv = ku.imulsum(x[0], x[-1], v[0], v[-1])
+    # T_i[c, a, be] for i = 0..k from TA's T items, zero elsewhere
+    al, _, _ = flow._pairs(m)
+    pl = ser.plan
+    c, q, r = pl.T
+    Tp = np.zeros((ser.ends, B, k + 1, n, n, len(al)))
+    Tp[:, :, :, c, pl.rows1[r] - 2 * n - c * n] = ser.TAv[:, :, :, c, : k + 1, q].transpose(
+        1, 2, 4, 0, 3)
+    # summed over (i, slot, a): T_i[c, a, be] V_{k-i}[a, al] + A_i[c, a] S_{k-i}[a, p]
+    A = np.broadcast_to(L[:, :, :n, None], (*L.shape[:2], n, len(al), *L.shape[3:]))
+    x = np.stack([Tp.transpose(0, 1, 3, 5, 2, 4), A], axis=-2).reshape(*A.shape[:4], -1)
+    y = np.stack([V[..., al].transpose(0, 1, 4, 2, 3), S.transpose(0, 1, 4, 2, 3)], axis=-2)
+    y = y.reshape(*y.shape[:3], -1)[:, :, None]
+    return lv, ku.imulsum(x[0], x[-1], y[0], y[-1]), L
+
+
+@pytest.mark.parametrize("eps", [Interval(1e-3, 1e-3), Interval(-1e-3, 2e-3)],
+                         ids=["point", "box"])
+def test_compact_sums_equal_the_dense_reference_step(monkeypatch, eps):
+    # the dense layout kept as a reference, the way the polys tests keep
+    # the scalar loop: every compacted sum contains the dense sum's
+    # midpoint at <= 1.000001x its width, the terms the plan drops are
+    # exact zeros, no identically-zero row reaches imulsum, and the
+    # Gronwall bounds read from the dense order-0 tables are the same bits
+    from types import SimpleNamespace
+
+    import splitcert.flow as flow
+
+    field, zlo, zhi, V0, S0, P = _lu_rows()
+    tb = flow._tables(field)
+    pl, n = tb.plan, tb.n
+    ser = flow._Series(flow._Resolved(tb, eps), zlo, zhi, P, m=5)
+    ser.start(V0, S0)
+    ser.extend_tables(P)
+    calls = []
+    imulsum = flow.ku.imulsum
+    monkeypatch.setattr(flow.ku, "imulsum", lambda *a, **k: calls.append(
+        (a[0].shape, imulsum(*a, **k))) or calls[-1][1])
+    ser.extend_to(P)
+    monkeypatch.undo()
+    assert ser.scaled and len(calls) == 2 * P
+    kind = (tb.plan.rows1[:, None] == np.arange(2 * n + n * n)).any(0)
+    for k in range(P):
+        (shape1, lv), (shape2, q) = calls[2 * k : 2 * k + 2]
+        # the plan's rows, over c1 + (k+1) v1 terms, and c's pairs
+        assert shape1 == (2, len(pl.rows1), 1, pl.c1 + (k + 1) * pl.v1)
+        assert shape2 == (2, len(flow._pairs(5)[0]), n, pl.c2 + (k + 1) * pl.v2)
+        dense1, dense2, L = _dense_sums(ser, k)
+        assert not np.any(dense1[:, :, ~kind])
+        for got, ref in ((lv, dense1[:, :, pl.rows1]), (np.swapaxes(q, -1, -2), dense2)):
+            mid = 0.5 * (ref[0] + ref[1])
+            assert np.all(got[0] <= mid) and np.all(mid <= got[1]), k
+            assert np.all(got[1] - got[0] <= 1.000001 * (ref[1] - ref[0])), k
+    # the dropped table entries are exact zeros: identically-zero entries at
+    # every order, constant ones above order 0
+    g = tb.g_var
+    nz = (g["clo"] != 0) | (g["chi"] != 0)
+    entry = (nz.any(1).astype(int) + (nz & (g["rows"] != 0)).any(1))[n:][tb.left_cols]
+    L = np.moveaxis(L, 3, -1)
+    assert not np.any(L[:, :, entry == 0]) and not np.any(L[:, :, entry == 1, 1:])
+    assert np.all(np.any(L[:, :, entry == 1, 0] != 0, axis=0))
+    # the rows that reach imulsum are not identically zero
+    assert np.all(np.any(ser.L != 0, axis=(0, 3)))
+    for row in range(2):
+        dense = SimpleNamespace(n=n, order=2, L0=L[..., 0], E=ser.E)
+        assert flow._gronwall(dense, row) == flow._gronwall(ser, row)
