@@ -47,24 +47,17 @@ step is then halved without running the remaining attempts.
 
 Every Cauchy product of the series, ``sum_{i+j=k} X_i Y_j`` contracted
 over a state index too, is one fused interval product sum over the last,
-contiguous axis of its operands.  The series blocks are laid out for it:
-the summed (order, state index) pair comes last, left operands keep their
-orders in the usual direction and right operands are read in reversed
-order, through twins stored reversed, so each order's terms are a prefix
-of the one and a suffix of the other, with no copy.  The variational sums
-run over the field's term plan (:class:`_FieldTables`), compiled once per
-field from its unresolved coefficients: an entry of [A; Hxe; Hxx] that is
-identically zero never enters a sum, nor does an entry constant in x above
-order 0, so their left operands are written compact where they are
-produced and the right twins hold V and S at the plan's state indices.
-For the worked example this drops 10 of the 24 rows of [A; Hxe; Hxx]
-and 58% of the interval products of an order-18 variational pass.  Two
-products that add up share one sum: the second variational recursion's
-T V and A S are items of one left row and one right row per c, so each
-order of the variational pass is two product sums.  The (lo, hi)
-endpoints of every block are stacked on a leading axis, so one numpy call
-gathers or scatters both.  Every division by an order k+1 divides by the
-integer itself, outward.
+contiguous axis of its operands: left operands keep their orders in the
+usual direction and right operands are read through twins stored
+reversed, so an order's terms are a prefix of the one and a suffix of the
+other.  The variational sums run over the field's term plan
+(:class:`_FieldTables`): no entry of [A; Hxe; Hxx] that is identically
+zero, or constant in x above order 0, enters a sum.  The second
+variational recursion's T V and A S share one sum, so each order of the
+variational pass is two product sums.  The (lo, hi) endpoints of every
+block are stacked on a leading axis, so one numpy call gathers or
+scatters both.  Every division by an order k+1 divides by the integer
+itself, outward.
 
 The second variational block S is symmetric in its two parameter indices:
 it holds the mixed partials of a C^2 flow.  The series keeps it once, as
@@ -183,19 +176,9 @@ class _FieldTables:
     ``eps_cols`` name their columns as :meth:`PolyMap._split` reads the
     stacked layout.
 
-    ``plan`` is the term plan of the variational product sums, compiled on
-    first use from the unresolved ``g_var`` (so it holds at every eps) and
-    kept on the tables: each entry of [A; Hxe; Hxx] is identically zero
-    (every coefficient 0), constant in x (every monomial bank row 0, so 0
-    at every order >= 1) or varying.  Per row of a product sum its items
-    are the state indices of its constant entries, then of its varying
-    ones, each list padded to the longest (``c``, ``v``); a pad reads the
-    state 0 and an appended zero table column (-1).  Sum 1 ([A; Hxe; Hxx] V) runs over the rows ``rows1``
-    that are not identically zero, the ``nA`` kept A rows first; sum 2
-    (Q1 + A S) runs per c over A's row c and the T rows (c, a) whose Hxx
-    row is not identically zero, its varying items the T items ``wT``
-    wide (``is_t``), then A's varying ones.  ``T`` lists the T items:
-    state c, position q and the sum-1 row that gives them.
+    ``plan`` is the term plan of the variational product sums
+    (:func:`_term_plan`), compiled on first use from the unresolved
+    ``g_var``, so it holds at every eps.
     """
 
     def __init__(self, field: VectorFieldDef):
@@ -310,8 +293,19 @@ def _items(mask):
 
 
 def _term_plan(kind, cols, n: int) -> SimpleNamespace:
-    """The term plan of :class:`_FieldTables` from the kinds of the entries
-    of [A; Hxe; Hxx] and their table columns ``cols``, both (2n + n^2, n)."""
+    """The term plan from the kinds of the entries of [A; Hxe; Hxx] and
+    their table columns ``cols``, both (2n + n^2, n).  An entry is
+    identically zero (0), constant in x (1: every monomial bank row 0, so 0
+    at every order >= 1) or varying (2).  Per row of a product sum its
+    items are the state indices of its constant entries, then of its
+    varying ones, each list padded to the longest (``c``, ``v``); a pad
+    reads the state 0 and an appended zero table column (-1).  Sum 1
+    ([A; Hxe; Hxx] V) runs over the rows ``rows1`` that are not
+    identically zero, the ``nA`` kept A rows first; sum 2 (Q1 + A S) runs
+    per c over A's row c and the T rows (c, a) whose Hxx row is not
+    identically zero, its varying items the T items ``wT`` wide
+    (``is_t``), then A's varying ones.  ``T`` lists the T items: state c,
+    position q and the sum-1 row that gives them."""
     rows1 = np.flatnonzero(kind.any(1))
     const, var = _items(kind[rows1] == 1), _items(kind[rows1] == 2)
     it1 = np.hstack([const, var])
@@ -454,9 +448,10 @@ class _Series:
     operand meets it in a twin whose orders are reversed: the items of
     Y_j at index ``(P+1-j) v``, its constant items first, so the terms of
     order k are the suffix ``[(P+1-k) v:]``.  Each order of Y is written
-    into its twin once, when it is produced; its constant items overwrite
-    those of the order before, which no later sum reads.  A pad multiplies
-    an exact 0 of the left operand by an entry of V or S.
+    into its twin when it is produced; its constant items overwrite those
+    of the order before, which no later sum reads, so a checked rerun of
+    the pass writes its first order again.  A pad multiplies an exact 0 of
+    the left operand by an entry of V or S.
     The symmetric S is kept on the pairs p = (al, be) with al >= be, in the
     order of :func:`_pairs` (the eps column (al, 0) first).
 
@@ -697,6 +692,10 @@ class _Series:
                 self.TA[..., : pl.c2] = t[:, :, 0][..., pl.colc2][:, :, None]
 
     def _var_orders(self, k0: int, k1: int, fast: bool):
+        if not fast:
+            # a checked run may follow an unchecked one from k0, which
+            # overwrote order k0's constant items in the twins
+            self._write(k0, self.var[:, :, k0])
         for k in range(k0, k1):
             self._var_step(k, fast)
 
@@ -742,7 +741,9 @@ class _Series:
         theirs side by side."""
         if isinstance(row, tuple):
             return np.concatenate([self.flat(r, orders) for r in row], axis=-1)
-        z = np.swapaxes(self.z[:, row][..., orders], -1, -2)
+        # a copy, not a view of the bank: the Horner sums of eval_flat run
+        # on its few contiguous rows faster
+        z = np.swapaxes(self.z[:, row][..., np.arange(self.P + 2)[orders]], -1, -2)
         if not self.with_var or (isinstance(row, int) and row >= self.nvar):
             return z
         w = self.var[:, row][..., orders, :, :]

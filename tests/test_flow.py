@@ -919,6 +919,71 @@ def test_series_with_tiny_initial_data_contains_exact_coefficients(x0):
             assert Fraction(V[0, k, 0, 1]) <= dz <= Fraction(V[1, k, 0, 1])
 
 
+def test_variational_pass_rerun_contains_exact_coefficients():
+    # x' = a x + x^2, a = 2^-60, from x0 = 0: the state, the tables and the
+    # initial data are scaled, so the variational pass runs unchecked, but
+    # V_k = a^k / k! falls below 2^-511 at k = 9 and the pass reruns checked
+    # from order 0.  d2x/dx0^2 = 2 e^(at) (e^(at) - 1) / a, so
+    # S_k = 2 a^(k-1) (2^k - 1) / k!
+    import splitcert.flow as flow
+
+    a = Fraction(2) ** -60
+    F = VectorFieldDef(1, PolyMap(2, [[(float(a), (0, 1)), (1.0, (0, 2))]]))
+    rf = flow._Resolved(flow._tables(F), Interval(0, 0))
+    P = 12
+    runs = []
+    for checked in (False, True):
+        ser = flow._Series(rf, np.zeros((1, 1)), np.zeros((1, 1)), P, m=2)
+        ser.start((np.eye(1, 2, 1)[None],) * 2, (np.zeros((1, 1, 2, 2)),) * 2)
+        ser.extend_tables(P)
+        assert ser.scaled
+        ser.scaled = not checked
+        ser.extend_to(P)
+        assert not ser.scaled
+        runs.append(ser)
+    # the rerun has the bits of a pass checked from its start
+    assert np.array_equal(runs[0].var, runs[1].var)
+    _, V, S = runs[0].unflat(runs[0].flat(0, slice(0, P + 1)))
+    for k in range(P + 1):
+        v = a ** k / math.factorial(k)
+        s = 2 * a ** (k - 1) * (2 ** k - 1) / math.factorial(k)
+        assert Fraction(V[0, k, 0, 1]) <= v <= Fraction(V[1, k, 0, 1]), k
+        assert Fraction(S[0, k, 0, 1, 1]) <= s <= Fraction(S[1, k, 0, 1, 1]), k
+
+
+@pytest.mark.parametrize("k0", [0, 7])
+def test_variational_pass_rerun_equals_a_pass_checked_from_its_start(monkeypatch, k0):
+    # the worked example's variational pass from order k0, run unchecked and
+    # then failing its check, against one checked from k0; only the check
+    # after the unchecked run fails, the rerun's kernel scans as usual
+    import splitcert.flow as flow
+
+    field, zlo, zhi, V0, S0, P = _lu_rows()
+    rf = flow._Resolved(flow._tables(field), Interval(1e-3, 1e-3))
+    runs = []
+    for rerun in (True, False):
+        ser = flow._Series(rf, zlo, zhi, P, m=5)
+        ser.start(V0, S0)
+        ser.extend_to(k0)
+        ser.extend_tables(P)
+        assert ser.scaled
+        if rerun:
+            is_scaled, checks = flow.ku.is_scaled, []
+
+            def fail_once(*a):
+                checks.append(a)
+                return len(checks) > 1 and is_scaled(*a)
+
+            monkeypatch.setattr(flow.ku, "is_scaled", fail_once)
+        else:
+            ser.scaled = False
+        ser.extend_to(P)
+        monkeypatch.undo()
+        assert not ser.scaled
+        runs.append(ser.var)
+    assert np.array_equal(*runs)
+
+
 # ---------------------------------------------------------------------------
 # float transports: the same series in round-to-nearest arithmetic
 
