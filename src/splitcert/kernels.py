@@ -7,13 +7,15 @@ error-free transformation to skip the widening when the float result is
 exact, which preserves exact zeros.  Reductions of four or more terms
 (``isum``) instead take one float sum per endpoint and pad it by an
 a-priori bound on its rounding error, valid for any summation order;
-sums of three or fewer terms stay 2Sum chains.  ``imulsum`` fuses an
-elementwise product with such a reduction over the last axis (every Cauchy
-product and matrix product of the package): its terms are the unwidened
-float products, and one pad covers their rounding and the summation's.
-The padded sums stack their two endpoints, so one reduction, one pad and
-one outward rounding serve both; ``imulsum`` returns that (lo, hi) stack,
-and the ``stack_`` kernels take and return such stacks.  Because numpy
+sums of three or fewer terms stay 2Sum chains (``stack_chain``).
+``imulsum`` fuses an elementwise product with such a reduction over the
+last axis (every Cauchy product and matrix product of the package): its
+terms are the unwidened float products, and one pad covers their rounding
+and the summation's.  The padded sums lay out the terms' magnitudes beside
+the terms of both endpoints, [|t|; t], so one reduction gives all four
+sums, and one pad and one outward rounding serve both endpoints;
+``imulsum`` returns the (lo, hi) stack, and the ``stack_`` kernels take and
+return such stacks.  Because numpy
 chooses the summation order, the last bits of a long sum may differ
 between numpy builds or CPUs; every result still encloses the exact sum.
 
@@ -85,7 +87,7 @@ def _add_up(a, b):
 # warnings about them (one errstate per pair of endpoints).  The padded sums
 # of isum and imulsum (four or more terms) overflow to inf the same way before
 # they fall back to the 2Sum chain, so those paths are silenced as a whole,
-# for about 1 us per call; short sums are vadd chains, silenced there.
+# for about 1 us per call; short sums are stack_add chains, silenced there.
 _QUIET_2SUM = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -102,6 +104,16 @@ def stack_add(a, b):
     s, err = _two_sum(a, b)
     d = s.ndim - 1
     return np.where(_SIGN[d] * err <= 0, s, np.nextafter(s, _OUTWARD[d]))
+
+
+def stack_chain(t):
+    """The sums over the last axis of the (lo, hi) stack ``t``, added left
+    to right by :func:`stack_add` (so bit for bit the :func:`vadd` chain);
+    an empty sum is an exact zero."""
+    s = t[..., 0] if t.shape[-1] else np.zeros(t.shape[:-1])
+    for j in range(1, t.shape[-1]):
+        s = stack_add(s, t[..., j])
+    return s
 
 
 @_QUIET_2SUM
@@ -230,46 +242,21 @@ def vmig(alo, ahi):
     return np.where((alo <= 0) & (ahi >= 0), 0.0, m)
 
 
-def _chain(lo, hi, axes):
-    """Left-to-right ``vadd`` chain over the terms of ``axes`` (row-major)."""
-    idx = [slice(None)] * lo.ndim
-    slo = shi = None
-    for pos in np.ndindex(*(lo.shape[a] for a in axes)):
-        for a, p in zip(axes, pos):
-            idx[a] = p
-        tlo, thi = lo[tuple(idx)], hi[tuple(idx)]
-        slo, shi = (tlo, thi) if slo is None else vadd(slo, shi, tlo, thi)
-    return slo, shi
-
-
-def _axes(ndim: int, axis) -> tuple:
-    if isinstance(axis, (int, np.integer)):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _padded_sum(t, axes, c):
-    """The (lo, hi) terms stacked on axis 0 of ``t``, summed over ``axes``:
-    one float sum per endpoint, padded outward by ``up(c * fl(sum |x|))``
-    and rounded outward once more, by one reduction, one pad and one
-    ``nextafter`` for both endpoints; the float sum is kept where every
-    term is zero.  Returns the (2, ...) stack of the results; ``t`` is
-    overwritten."""
-    s = np.add.reduce(t, axis=axes)
-    a = np.add.reduce(np.abs(t, out=t), axis=axes)
+def _padded_finish(r, c: float, fallback):
+    """The padded sums of the (lo, hi) terms from ``r = [a; s]``, their
+    reduced magnitude sums and float sums: ``s`` padded by ``up(c * a)``
+    and rounded outward, as :func:`imulsum` describes, written into ``r``.
+    Entries with a non-finite endpoint take those of ``fallback()``."""
+    a, s = r[:2], r[2:]
     d = s.ndim - 1
-    r = np.nextafter(s + _SIGN[d] * _up(c * a), _OUTWARD[d])
-    return np.where(a == 0, s, r)
-
-
-def _where_finite(r, fallback):
-    """Keep the entries of the (lo, hi) stack ``r`` where both endpoints are
-    finite; elsewhere take the (lo, hi) pair that ``fallback()`` returns."""
-    ok = np.isfinite(r)
-    if ok.all():
-        return r
-    ok = ok.all(axis=0)
-    return np.where(ok, r, np.array(fallback()))
+    e = np.multiply(a, c * _SIGN[d])
+    np.nextafter(e, _OUTWARD[d], out=e)
+    np.add(s, e, out=e)
+    np.nextafter(e, _OUTWARD[d], out=s, where=a != 0)
+    if a.sum() < 1e300:
+        return s
+    ok = np.isfinite(s).all(axis=0)
+    return s if ok.all() else np.where(ok, s, fallback())
 
 
 def _bound_terms(n: int, kernel: str):
@@ -280,10 +267,11 @@ def _bound_terms(n: int, kernel: str):
 def isum(lo, hi, axis):
     """Interval sum reduction over ``axis`` (an int or a tuple of ints).
 
-    Up to three terms are added left to right with ``vadd`` (2Sum, exact
-    sums stay unwidened).  For n >= 4 terms each endpoint is one float sum
-    ``s = fl(sum x)`` padded by ``e = up(c * fl(sum |x|))`` with
-    ``c = (n-1) 2^-53 (1 + 2^-30)``, then rounded outward once more.
+    Up to three terms are added left to right by :func:`stack_chain` (2Sum,
+    exact sums stay unwidened).  For n >= 4 terms each endpoint is one float
+    sum ``s = fl(sum x)`` padded by ``e = up(c * fl(sum |x|))`` with
+    ``c = (n-1) 2^-53 (1 + 2^-30)``, then rounded outward once more, by the
+    finish of :func:`imulsum`.
 
     Why ``e`` bounds the error of ``s`` (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2nd ed., sec. 4.2; Rump, BIT 39, 1999):
@@ -309,29 +297,37 @@ def isum(lo, hi, axis):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    axes = _axes(lo.ndim, axis)
+    axes = tuple(a % lo.ndim for a in (axis if np.iterable(axis) else (axis,)))
     n = math.prod(lo.shape[a] for a in axes)
-    if n == 0:
-        z = np.zeros(tuple(d for i, d in enumerate(lo.shape) if i not in axes))
-        return z, z.copy()
     if n <= 3:
-        return _chain(lo, hi, axes)
+        return stack_chain(_terms_last(np.array((lo, hi)), axes, n))
     _bound_terms(n, "isum")
     return _isum_padded(lo, hi, axes, n)
 
 
+def _terms_last(t, axes, n: int):
+    """The (lo, hi) stack ``t`` with the summed ``axes`` of its endpoints
+    merged into its last axis, the first of them outermost."""
+    k = len(axes)
+    t = np.moveaxis(t, [a + 1 for a in axes], range(-k, 0))
+    return t.reshape(t.shape[:t.ndim - k] + (n,))
+
+
 @_QUIET_2SUM
 def _isum_padded(lo, hi, axes, n: int):
-    r = _padded_sum(np.array((lo, hi)), tuple(a + 1 for a in axes),
-                    (n - 1) * 2.0 ** -53 * (1.0 + 2.0 ** -30))
-    return _where_finite(r, lambda: _chain(lo, hi, axes))
+    w = np.empty((4, *lo.shape))
+    w[2], w[3] = lo, hi
+    np.abs(w[2:], out=w[:2])
+    r = np.add.reduce(w, axis=tuple(a + 1 for a in axes))
+    return _padded_finish(r, (n - 1) * 2.0 ** -53 * (1.0 + 2.0 ** -30),
+                          lambda: stack_chain(_terms_last(w[2:], axes, n)))
 
 
 def is_scaled(*arrays) -> bool:
     """True when every nonzero entry of the arrays is at least 2^-511 in
     magnitude, so that no product of two entries underflows: the
     precondition of the fused path of :func:`imulsum`."""
-    x = np.abs(np.concatenate([np.ravel(a) for a in arrays]))
+    x = np.abs(np.concatenate(arrays, axis=None))
     return not ((x < _SCALE_MIN) & (x != 0)).any()
 
 
@@ -350,13 +346,15 @@ def imulsum(alo, ahi, blo, bhi, scaled: bool = False):
     For n >= 4 terms whose operands meet the scaling precondition (every
     nonzero operand entry at least 2^-511 in magnitude, :func:`is_scaled`),
     the terms are ``t = min`` (``max``) of the four float products of the
-    endpoints, with no per-product widening and no zero masks.  The two
-    endpoints' terms are stacked, so one reduction gives both float sums
-    ``s = fl(sum t)``, one more both magnitude sums ``a = fl(sum |t|)``,
-    and each endpoint is ``s`` padded by ``e = up(c * a)`` with
-    ``c = n 2^-53 (1 + 2^-30)`` (``s - e`` for lo, ``s + e`` for hi; the
-    negation is exact), then rounded outward by one ``nextafter`` whose
-    direction is -inf for lo and +inf for hi.  This is Rump's a-priori
+    endpoints, one ``np.minimum.reduce`` (``np.maximum.reduce``) over them,
+    with no per-product widening and no zero masks.  One workspace holds
+    the products, then ``[|t|; t]`` for both endpoints, so one reduction
+    gives the magnitude sums ``a = fl(sum |t|)`` and the float sums
+    ``s = fl(sum t)``.  Each endpoint is ``s`` padded by ``e = up(c * a)``
+    with ``c = n 2^-53 (1 + 2^-30)``, formed as one product
+    ``a * (c * sign)`` (the negation for lo is exact) and one ``nextafter``
+    away from zero, then rounded outward by one ``nextafter`` toward -inf
+    for lo and +inf for hi, where ``a != 0``.  This is Rump's a-priori
     summation bound (BIT 39, 1999) extended by one rounding per product.
 
     Why ``e`` bounds the distance from ``s`` to the exact endpoint
@@ -384,18 +382,20 @@ def imulsum(alo, ahi, blo, bhi, scaled: bool = False):
       to theirs.
 
     Where ``a == 0`` every term is exactly 0 (a nonzero product would be at
-    least 2^-1022), so the sum is exact and structural zeros stay 0.
+    least 2^-1022), so the sum ``s`` is exact and structural zeros stay 0.
 
-    The result is ``isum(*vmul(a, b), -1)`` instead for n <= 3 terms (so
-    short sums are bit-identical to it), where an operand may underflow,
-    and at entries whose fused result is not finite (``_where_finite``).
+    For n <= 3 terms the result is the :func:`stack_chain` of the
+    :func:`vmul` products, bit-identical to ``isum(*vmul(a, b), -1)``.
+    That is the result where an operand may underflow, and at entries whose
+    fused result is not finite; a sum of ``a`` below 1e300 shows that every
+    result is finite, and only otherwise is each entry checked.
     ``scaled=True`` is the caller's promise that the operands meet the
     precondition, which skips the scan; a caller that checks only after the
     call must discard the result when the check fails.
     """
     n = max(alo.shape[-1], blo.shape[-1])
     if n <= 3:
-        return np.array(isum(*vmul(alo, ahi, blo, bhi), -1))
+        return stack_chain(np.array(vmul(alo, ahi, blo, bhi)))
     return _imulsum_long(alo, ahi, blo, bhi, n, scaled)
 
 
@@ -405,23 +405,20 @@ def _imulsum_long(alo, ahi, blo, bhi, n: int, scaled: bool):
         return isum(*vmul(alo, ahi, blo, bhi), -1)
 
     if not (scaled or is_scaled(alo, ahi, blo, bhi)):
-        return np.array(fallback())
+        return fallback()
     _bound_terms(n, "imulsum")
-    # the four endpoint products and the stacked terms share one workspace:
-    # one allocation per call instead of five keeps the heap from being
-    # trimmed and faulted back in from call to call
-    w = np.empty((6, *np.broadcast_shapes(alo.shape, blo.shape)))
-    p1, p2, p3, p4, t = w[0], w[1], w[2], w[3], w[4:]
-    np.multiply(alo, blo, out=p1)
-    np.multiply(alo, bhi, out=p2)
-    np.multiply(ahi, blo, out=p3)
-    np.multiply(ahi, bhi, out=p4)
-    np.minimum(p1, p2, out=t[0])
-    np.maximum(p1, p2, out=t[1])
-    np.minimum(t[0], np.minimum(p3, p4, out=p1), out=t[0])
-    np.maximum(t[1], np.maximum(p3, p4, out=p2), out=t[1])
-    r = _padded_sum(t, -1, n * 2.0 ** -53 * (1.0 + 2.0 ** -30))
-    return _where_finite(r, fallback)
+    # the products, then [|t|; t] in rows 2-5: one allocation per call keeps
+    # the heap from being trimmed and faulted back in from call to call
+    w = np.empty((6, *np.broadcast(alo, blo).shape))
+    np.multiply(alo, blo, out=w[0])
+    np.multiply(alo, bhi, out=w[1])
+    np.multiply(ahi, blo, out=w[2])
+    np.multiply(ahi, bhi, out=w[3])
+    np.minimum.reduce(w[:4], axis=0, out=w[4])
+    np.maximum.reduce(w[:4], axis=0, out=w[5])
+    np.abs(w[4:], out=w[2:4])
+    return _padded_finish(np.add.reduce(w[2:], axis=-1),
+                          n * 2.0 ** -53 * (1.0 + 2.0 ** -30), fallback)
 
 
 def idot(alo, ahi, blo, bhi):

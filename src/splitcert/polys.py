@@ -167,14 +167,11 @@ class PolyMap:
                 raise IntervalError(f"polynomial power overflows at variable {v_pow}")
             if bad_term:
                 raise IntervalError(f"polynomial term overflows at variable {v_term}")
-        glo = np.zeros((self.out_dim, width))
-        ghi = np.zeros((self.out_dim, width))
-        glo[slot], ghi[slot] = tlo, thi
-        out_lo = np.zeros(self.out_dim)
-        out_hi = np.zeros(self.out_dim)
-        for j in range(width):
-            out_lo, out_hi = ku.vadd(out_lo, out_hi, glo[:, j], ghi[:, j])
-        return IntervalBox(out_lo, out_hi)
+        # each component's terms by position, after a column of +0.0 starts
+        g = np.zeros((2, self.out_dim, width + 1))
+        g[:, slot[0], slot[1] + 1] = tlo, thi
+        out = ku.stack_chain(g)
+        return IntervalBox(out[0], out[1])
 
     def eval_point(self, x) -> np.ndarray:
         """Midpoint (nonrigorous) evaluation."""

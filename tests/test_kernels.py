@@ -179,11 +179,11 @@ def test_isum_edge_terms_contain_exact_sum(terms):
         _assert_encloses(ku.isum(lo, lo, axis=0), lo, lo)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_isum_short_sums_are_the_vadd_chain(n):
     rng = np.random.default_rng(7 + n)
     lo, hi = _random_terms(rng, n, 60)
-    clo, chi = lo[0], hi[0]
+    clo, chi = (lo[0], hi[0]) if n else (np.zeros(3), np.zeros(3))
     for i in range(1, n):
         clo, chi = ku.vadd(clo, chi, lo[i], hi[i])
     for rlo, rhi in _isum_both_ways(lo, hi):
@@ -272,11 +272,30 @@ def test_imulsum_vmul_contain_exact_at_series_shapes(k):
                                          blo[..., None], bhi[..., None], (4,)))
 
 
-@pytest.mark.parametrize("k", [3, 18])
-def test_imulsum_stacked_finish_equals_the_per_endpoint_finish(k):
+def _finish_operands(case, k):
+    """The series operands at T = 4 (k+1) terms (k = 0: n = 4), or an edge
+    case of them: an output whose terms are all -0 on both endpoints; one
+    output whose sum overflows among finite ones; a size-1 broadcast axis
+    on a and a reversed view of b, as the state pass reads its bank."""
+    alo, ahi, blo, bhi = _series_operands(np.random.default_rng(60 + k), k)
+    if case == "negative_zero_row":
+        alo[0, 0, 0], ahi[0, 0, 0] = -0.0, -0.0
+        blo[0, 0, 3], bhi[0, 0, 3] = 1.0, 2.0
+    elif case == "one_overflow":
+        alo[1, 2, 0, 0] = ahi[1, 2, 0, 0] = 1e290
+        blo[1, 0, 4, 0] = bhi[1, 0, 4, 0] = 1e290
+    elif case == "broadcast_reversed":
+        alo, ahi, blo, bhi = alo[:1], ahi[:1], blo[..., ::-1], bhi[..., ::-1]
+    return alo, ahi, blo, bhi
+
+
+@pytest.mark.parametrize("case, k", [("series", 0), ("series", 3), ("series", 18),
+                                     ("negative_zero_row", 3), ("one_overflow", 3),
+                                     ("broadcast_reversed", 3)])
+@np.errstate(over="ignore", invalid="ignore")  # the references of one_overflow
+def test_imulsum_stacked_finish_equals_the_per_endpoint_finish(case, k):
     # reference: each endpoint summed, padded and rounded on its own
-    rng = np.random.default_rng(60 + k)
-    alo, ahi, blo, bhi = _series_operands(rng, k)
+    alo, ahi, blo, bhi = _finish_operands(case, k)
     n = alo.shape[-1]
     p = [x * y for x in (alo, ahi) for y in (blo, bhi)]
     c = n * 2.0 ** -53 * (1.0 + 2.0 ** -30)
@@ -287,8 +306,34 @@ def test_imulsum_stacked_finish_equals_the_per_endpoint_finish(k):
         r = np.nextafter(s + pad if direction > 0 else s - pad, direction)
         ref.append(np.where(a == 0, s, r))
     r = ku.imulsum(alo, ahi, blo, bhi, scaled=True)
+    # entries with a non-finite endpoint take the checked path instead
+    ok = np.isfinite(ref).all(axis=0)
+    assert ok.sum() == ok.size - (case == "one_overflow")
     for x, y in zip(r, ref):
-        assert x.tobytes() == y.tobytes()
+        assert x[ok].tobytes() == y[ok].tobytes()
+    checked = ku.isum(*ku.vmul(alo, ahi, blo, bhi), axis=-1)
+    assert np.array_equal(r[:, ~ok], checked[:, ~ok])
+    # an all-zero sum keeps the reference's zero, sign included
+    if case == "negative_zero_row":
+        assert np.all(r[:, 0, 0, 3] == 0.0)
+    assert np.array_equal(np.signbit(r[:, ok]), np.signbit(np.array(ref)[:, ok]))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 2.0 ** -511, -(2.0 ** -511),
+                               np.nextafter(2.0 ** -511, 0), 2.0 ** -1022, 5e-324,
+                               -5e-324, np.inf, -np.inf, 1.0])
+def test_is_scaled_is_the_concatenating_definition(x):
+    # the fused path's precondition: no nonzero entry below 2^-511
+    def concatenating(*arrays):
+        y = np.abs(np.concatenate([np.ravel(a) for a in arrays]))
+        return not ((y < 2.0 ** -511) & (y != 0)).any()
+
+    scaled = not 0 < abs(x) < 2.0 ** -511
+    for arrays in ([np.array([x])], [np.full((2, 3), 1.5), np.array([[x]])],
+                   [np.zeros((0, 4)), np.array([1.0, x, -3.0])[::-1]]):
+        assert ku.is_scaled(*arrays) == concatenating(*arrays) == scaled
+    for arrays in ([np.array([x])[:0]], [np.zeros(0), np.zeros((2, 0))]):
+        assert ku.is_scaled(*arrays) and concatenating(*arrays)
 
 
 def test_idot_contains_exact_product():
@@ -352,7 +397,7 @@ def test_overflowing_sums_are_sound_and_silent(sign):
             assert (r[1] if sign > 0 else r[0])[0] == sign * np.inf
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_imulsum_short_sums_are_isum_of_vmul(n):
     rng = np.random.default_rng(70 + n)
     alo, ahi, blo, bhi = (x[..., :n] for x in _series_operands(rng, 0))
