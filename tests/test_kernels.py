@@ -289,9 +289,10 @@ def _finish_operands(case, k):
     return alo, ahi, blo, bhi
 
 
-@pytest.mark.parametrize("case, k", [("series", 0), ("series", 3), ("series", 18),
-                                     ("negative_zero_row", 3), ("one_overflow", 3),
-                                     ("broadcast_reversed", 3)])
+@pytest.mark.parametrize("case, k", [
+    *(pytest.param("series", k, id=str(k)) for k in (0, 3, 18)),
+    *(pytest.param(case, 3, id=case)
+      for case in ("negative_zero_row", "one_overflow", "broadcast_reversed"))])
 @np.errstate(over="ignore", invalid="ignore")  # the references of one_overflow
 def test_imulsum_stacked_finish_equals_the_per_endpoint_finish(case, k):
     # reference: each endpoint summed, padded and rounded on its own
