@@ -68,8 +68,9 @@ class ManifoldOracle:
     splitting directions (y), and optionally the feed-through (v) and
     center (z) coordinates; together they must partition the outputs.
     ``approx(eps, params)`` is a cheap nonrigorous evaluation of the
-    parameterization, used only for locating candidate boxes: the float
-    Newton of the graph side differentiates it by central differences.
+    parameterization at one point, used only for locating candidate boxes:
+    the graph side's :func:`float_root` differentiates it by central
+    differences.
     ``first(eps_box, param_box)``, when given, returns a
     :class:`Jet1Enclosure` of the value and d1 that ``jet(eps_box,
     param_box)`` encloses, at less cost: the same blocks bit for bit when
@@ -214,31 +215,27 @@ def _graph_goracle(read, base_idx: Sequence[int], kx: int) -> GOracle:
                    first=lambda x_box, k_box: g(x_box, k_box, 1))
 
 
-def _float_jacobian(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
-                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonrigorous value and Jacobian of pi_base w(eps_mid, .) at u, the
-    Jacobian by central differences of ``w.approx``."""
-    h = 1e-7 * max(1.0, float(np.max(np.abs(u))))
-    jac = np.zeros((len(base_idx), len(u)))
-    for j in range(len(u)):
-        du = np.zeros_like(u)
-        du[j] = h
-        jac[:, j] = (np.asarray(w.approx(eps_mid, u + du))[base_idx]
-                     - np.asarray(w.approx(eps_mid, u - du))[base_idx]) / (2 * h)
-    return np.asarray(w.approx(eps_mid, u))[base_idx], jac
+def float_root(values, x_target, guess) -> tuple[np.ndarray, np.ndarray]:
+    """Float Newton for f(u) = x_target from ``guess``: the root and the
+    Jacobian of the last Newton step.  Nonrigorous; it only places the
+    centres of rigorous Newton steps.
 
-
-def _nonrigorous_root(w: ManifoldOracle, base_idx: list[int], eps_mid: float,
-                      x_target: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float Newton for pi_base w(eps, u) = x_target from the given guess:
-    the root and the Jacobian of the last Newton step."""
+    ``values(rows)`` maps the (2k+1, k) stencil u, u + h e_1, u - h e_1,
+    ..., u - h e_k to the values of f on its rows in one call; the Jacobian
+    is their central differences, with h = 1e-7 max(1, |u|).  The iteration
+    stops once a step is below 1e-15 max(1, |u|), or after 60 steps."""
     u = np.array(guess, dtype=float)
     for _ in range(60):
-        val, jac = _float_jacobian(w, base_idx, eps_mid, u)
+        h = 1e-7 * max(1.0, float(np.max(np.abs(u))))
+        du = h * np.eye(len(u))
+        rows = np.empty((2 * len(u) + 1, len(u)))
+        rows[0], rows[1::2], rows[2::2] = u, u + du, u - du
+        f = np.asarray(values(rows))
+        jac = (f[1::2] - f[2::2]).T / (2 * h)
         try:
-            step = np.linalg.solve(jac, val - x_target)
+            step = np.linalg.solve(jac, f[0] - x_target)
         except np.linalg.LinAlgError as exc:
-            raise ConditionError("projection Jacobian is numerically singular") from exc
+            raise ConditionError("float Newton Jacobian is numerically singular") from exc
         u = u - step
         if np.max(np.abs(step)) < 1e-15 * max(1.0, float(np.max(np.abs(u)))):
             break
@@ -267,12 +264,13 @@ def _solve_graph_side(
     g = _graph_goracle(read, base_idx, kx)
     xfull = IntervalBox(np.concatenate([[eps_box.lo], x_box.lo]),
                         np.concatenate([[eps_box.hi], x_box.hi]))
-    # candidate radius from the nonrigorous slope and the box extent
-    u0, jac = _nonrigorous_root(w, base_idx, eps_box.mid, x_box.mid(), guess)
-    try:
-        inv_norm = np.linalg.norm(np.linalg.inv(jac), 2)
-    except np.linalg.LinAlgError as exc:
-        raise ConditionError("projection Jacobian is numerically singular") from exc
+    # candidate radius from the nonrigorous slope and the box extent; the
+    # float Newton reads w.approx one stencil row at a time, and its last
+    # step solved with jac, so jac inverts
+    u0, jac = float_root(
+        lambda rows: np.array([np.asarray(w.approx(eps_box.mid, r))[base_idx] for r in rows]),
+        x_box.mid(), guess)
+    inv_norm = np.linalg.norm(np.linalg.inv(jac), 2)
     # candidate radius must cover the x-box extent AND the enclosure width of
     # the transported manifold value at the center (the probe is cached and
     # reused by the verification's own center evaluation)

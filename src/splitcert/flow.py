@@ -120,8 +120,10 @@ class FlowSettings:
     max_steps: int = 100000
 
     def __post_init__(self):
-        if not self.taylor_order >= 2:
-            raise IntervalError("taylor_order must be at least 2")
+        for name, least in (("taylor_order", 2), ("max_steps", 1)):
+            n = getattr(self, name)
+            if not isinstance(n, int) or isinstance(n, bool) or n < least:
+                raise IntervalError(f"{name} must be an integer >= {least}, got {n!r}")
         if not (0 < self.min_step <= self.initial_step < math.inf):
             raise IntervalError("steps must be positive and finite with min_step <= initial_step")
         if self.wrapping_control != "parallelepiped":
@@ -791,8 +793,7 @@ def _picard_image(state: IntervalBox, f: IntervalBox, hiv: Interval) -> Interval
     """state + [0, step] f; an image that overflows, though f is finite,
     fails the rough enclosure."""
     try:
-        with np.errstate(over="ignore"):
-            return state + f.mul_interval(hiv)
+        return state + f.mul_interval(hiv)
     except IntervalError as exc:  # a non-finite endpoint
         raise FlowError(f"rough enclosure: the Picard image overflows for step {hiv.hi}") \
             from exc

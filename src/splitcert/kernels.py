@@ -88,6 +88,7 @@ def _add_up(a, b):
 # of isum and imulsum (four or more terms) overflow to inf the same way before
 # they fall back to the 2Sum chain, so those paths are silenced as a whole,
 # for about 1 us per call; short sums are stack_add chains, silenced there.
+# An overflowing product (vmul, vsqr) is a sound infinite endpoint too.
 _QUIET_2SUM = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -121,6 +122,7 @@ def vsub(alo, ahi, blo, bhi):
     return _add_down(alo, -bhi), _add_up(ahi, -blo)
 
 
+@_QUIET_2SUM
 def vmul(alo, ahi, blo, bhi):
     p1 = alo * blo
     p2 = alo * bhi
@@ -186,6 +188,7 @@ def vdiv(alo, ahi, blo, bhi):
     return np.where(azero, 0.0, _down(lo)), np.where(azero, 0.0, _up(hi))
 
 
+@_QUIET_2SUM
 def vsqr(alo, ahi):
     """Elementwise enclosure of x^2 (tighter than vmul(a, a))."""
     lo_m = np.minimum(np.abs(alo), np.abs(ahi))

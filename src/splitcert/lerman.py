@@ -29,7 +29,8 @@ from .jets import Jet1Enclosure, Jet2Enclosure, jet1_compose, jet2_compose, jet2
 from .matrices import IntervalMatrix, iinverse
 from .polys import PolyMap, VectorFieldDef
 from .flow import FlowSettings, flow_jet, point_flow, point_flow_jet
-from .distance import ConditionError, DistanceOracle, ManifoldOracle, distance_fixed_point
+from .distance import (ConditionError, DistanceOracle, ManifoldOracle, distance_fixed_point,
+                       float_root)
 from .degree import (MelnikovCertificate, SplittingProblem, assemble_lemma_data, check_serial,
                      verify_practical, verify_transversal)
 
@@ -304,24 +305,15 @@ def _approx_w(cfg: LUConfig, side: str):
 def locate_homoclinic(cfg: LUConfig, side: str) -> np.ndarray:
     """Nonrigorous local-chart parameters flowing onto the section point p0.
 
-    Float Newton with central differences; each iteration flows its
-    5-point stencil (v, v +- h e_j) as one batch."""
+    :func:`float_root` from the backward-flowed p0; each Newton step flows
+    its 5-point stencil as one batch."""
     field = lu_field(cfg)
     _, p0 = _p0(cfg)
     s = _side(cfg, side)
     back = point_flow(field, 0.0, p0, -s.T, order=max(10, cfg.flow.taylor_order))
     v = np.asarray(s.psi_inv.eval_point(np.concatenate([[0.0], back]))[s.slots], dtype=float)
     ev = _approx_w(cfg, side)
-    h = 1e-9
-    stencil = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    for _ in range(50):
-        w = ev(0.0, v + stencil)[:, :2]
-        jac = np.stack([w[1] - w[2], w[3] - w[4]], axis=1) / (2 * h)
-        step = np.linalg.solve(jac, w[0])
-        v = v - step
-        if np.max(np.abs(step)) < 1e-18:
-            break
-    return v
+    return float_root(lambda rows: ev(0.0, rows)[:, :2], np.zeros(2), v)[0]
 
 
 def midpoint_mixed_second(cfg: LUConfig) -> np.ndarray:

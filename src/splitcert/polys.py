@@ -132,7 +132,6 @@ class PolyMap:
             self._compiled = (clo, chi, (exps, used, positions), slot, width)
         return self._compiled
 
-    @np.errstate(over="ignore", invalid="ignore")
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Enclosure of the map over the box.  Each term is its coefficient
         times ``x_v ** e`` for the variables in order, and each component
@@ -141,7 +140,7 @@ class PolyMap:
         exponent, and the terms of all components go through one array
         product per factor position (the s-th variable of each term).  A
         power, term or sum with a non-finite endpoint raises
-        :class:`IntervalError`, with numpy's overflow warnings off: it
+        :class:`IntervalError`, with no numpy overflow warning: it
         names the first variable, in variable order, whose power or
         running product is not finite, as a product per variable would."""
         if box.dim != self.nvars:

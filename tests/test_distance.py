@@ -327,28 +327,31 @@ def test_graph_goracle_memo_is_never_stale():
 
 def test_graph_side_solve_takes_its_jacobian_from_the_float_newton(monkeypatch):
     # the candidate radius reuses the Jacobian of the Newton's last step, so
-    # every float Jacobian (2k+1 approx calls each) is one Newton iteration
-    inside = []
-    calls = []
-    jac, root = distance._float_jacobian, distance._nonrigorous_root
+    # every approx call is a row of one Newton iteration's stencil: one
+    # ``values`` call of 2k+1 rows (k = 1 here) per iteration, read row by row
+    rows_per_call, approx_calls = [], []
+    root = distance.float_root
 
-    def counted_jac(*args):
-        calls.append(bool(inside))
-        return jac(*args)
+    def counted_root(values, x_target, guess):
+        def counted_values(rows):
+            rows_per_call.append(len(rows))
+            return values(rows)
 
-    def marked_root(*args):
-        inside.append(True)
-        try:
-            return root(*args)
-        finally:
-            inside.pop()
+        return root(counted_values, x_target, guess)
 
-    monkeypatch.setattr(distance, "_float_jacobian", counted_jac)
-    monkeypatch.setattr(distance, "_nonrigorous_root", marked_root)
-    d = distance_fixed_point(WU_PARAB, WS_FLAT, 0.0, XBOX, k1=0, k2=1)
+    def counted(w):
+        def approx(eps, params):
+            approx_calls.append(len(rows_per_call))
+            return w.approx(eps, params)
+
+        return dataclasses.replace(w, approx=approx)
+
+    monkeypatch.setattr(distance, "float_root", counted_root)
+    d = distance_fixed_point(counted(WU_PARAB), counted(WS_FLAT), 0.0, XBOX, k1=0, k2=1)
     j = d.jet(Interval(0.0, 0.0), XBOX)
     assert j.value[0].contains(0.0)
-    assert calls and all(calls)
+    assert rows_per_call and set(rows_per_call) == {3}
+    assert approx_calls == [i for i in range(1, len(rows_per_call) + 1) for _ in range(3)]
 
 
 # --- order-1 queries ----------------------------------------------------------

@@ -36,6 +36,19 @@ def test_flow_settings_reject_non_finite_values(kw):
         FlowSettings(**kw)
 
 
+@pytest.mark.parametrize("kw", [{"taylor_order": 2.5}, {"taylor_order": np.float64(8)},
+                                {"taylor_order": True}, {"taylor_order": 1},
+                                {"max_steps": 0}, {"max_steps": 1.5}, {"max_steps": True}],
+                         ids=["order_fraction", "order_numpy_float", "order_bool", "order_1",
+                              "steps_0", "steps_fraction", "steps_bool"])
+def test_flow_settings_reject_bad_integer_fields(kw):
+    # refused at construction, not inside the first step
+    with pytest.raises(IntervalError, match="must be an integer"):
+        FlowSettings(**kw)
+    ok = {"taylor_order": 2} if "taylor_order" in kw else {"max_steps": 1}
+    assert FlowSettings(**ok)
+
+
 def test_wrapping_control_accepts_only_parallelepiped():
     assert FlowSettings(wrapping_control="parallelepiped").wrapping_control == "parallelepiped"
     with pytest.raises(IntervalError):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from splitcert import kernels as ku
-from splitcert.intervals import IntervalError
+from splitcert.intervals import Interval, IntervalBox, IntervalError
+from splitcert.polys import PolyMap
 
 
 @pytest.mark.parametrize("c, x", [(0.5, 5e-324), (0.5, 1.5e-323), (-0.5, 5e-324),
@@ -406,6 +407,109 @@ def test_imulsum_short_sums_are_isum_of_vmul(n):
     ref = ku.isum(*ku.vmul(alo, ahi, blo, bhi), axis=-1)
     for x, y in zip(r, ref):
         assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+# --- the padded sums at their error bound -----------------------------------
+#
+# A power of two, then terms just under half an ulp of it.  numpy adds
+# fewer than 8 contiguous terms, or any number along a strided axis, left
+# to right, so each addition drops a term, and the float sum's rounding
+# error comes within 2^-20 of the a-priori pad c * a (within (n-1)/n for
+# imulsum, whose n - 1 additions share the pad with n exact products).
+# Two mutants of the pad still pass these cases, and neither is unsound:
+#
+# * isum's constant cut to (n-2) 2^-53.  The last addition's result is the
+#   float sum s itself, so its rounding error is at most half an ulp of s,
+#   and the final outward step of the padded endpoint moves it by at least
+#   that much; the terms reach that addition through at most n - 2 others,
+#   which (n-2) 2^-53 sum|x| covers.
+# * The pad c * a left unrounded.  Rounding it to nearest loses at most
+#   2^-53 of it when it is normal, which c's factor (1 + 2^-30) absorbs
+#   (n < 2^21), and at most 2^-1075 when it is subnormal.  s and the
+#   rounded pad are then both on the 2^-1074 grid, so the final outward
+#   step ends at least 2^-1074 beyond s -/+ fl(c * a).
+
+_HALF_ULP_1 = np.nextafter(2.0 ** -53, 0.0)          # just under half an ulp of 1
+_HALF_ULP_SUB = np.nextafter(2.0 ** -1053, 0.0)      # ... of 2^-1000 (subnormal)
+
+
+def _near_bound_rows(n):
+    """(name, terms, pad subnormal) of n-term sums that push the bound."""
+    return [("up", [1.0] + [_HALF_ULP_1] * (n - 1), False),
+            ("down", [-1.0] + [-_HALF_ULP_1] * (n - 1), False),
+            ("cancel", [1.0] + [_HALF_ULP_1] * (n - 2) + [-1.0], False),
+            ("subnormal_pad", [2.0 ** -1000] + [_HALF_ULP_SUB] * (n - 1), True)]
+
+
+def _left_to_right(terms):
+    s = 0.0
+    for x in terms:
+        s += x
+    return s
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 19, 40])
+def test_isum_contains_exact_sums_at_its_error_bound(n):
+    # the terms along a strided axis, and for n < 8 also along the last
+    # one; the longer sums also catch a pad cut to half
+    for name, terms, subnormal in _near_bound_rows(n):
+        t = np.array(terms)
+        exact = sum(map(Fraction, terms))
+        for x, axis in [(np.repeat(t[:, None], 2, 1), 0)] + [(t[None], -1)] * (n < 8):
+            lo, hi = ku.isum(x, x, axis=axis)
+            assert Fraction(float(lo[0])) <= exact <= Fraction(float(hi[0])), name
+        pad = (n - 1) * 2.0 ** -53 * float(np.sum(np.abs(t)))
+        assert (pad < 2.0 ** -1022) == subnormal
+        err = abs(exact - Fraction(_left_to_right(terms)))
+        if name != "cancel":   # there the pad also counts the cancelled 1
+            assert err >= Fraction(1 - 2.0 ** -20) * Fraction(pad), name
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_imulsum_contains_exact_sums_at_its_error_bound(n):
+    # the rows of the isum cases as exact products a * 1, and a subnormal
+    # pad from scaled operands (every entry >= 2^-511): 2^-487 * 2^-488,
+    # then n - 1 products 2^-1022 (1 + 2^-6 - 2^-52), each added to a
+    # partial sum near 2^-975 with a rounding error just under half its ulp
+    rows = [(np.array(t), np.ones(n)) for _, t, sub in _near_bound_rows(n) if not sub]
+    rows.append((np.array([2.0 ** -487] + [2.0 ** -511] * (n - 1)),
+                 np.array([2.0 ** -488] + [2.0 ** -511 * (1 + 2.0 ** -6 - 2.0 ** -52)] * (n - 1))))
+    for a, b in rows:
+        r = ku.imulsum(a, a, b, b)
+        exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+        assert Fraction(float(r[0])) <= exact <= Fraction(float(r[1]))
+    a, b = rows[-1]
+    pad = n * 2.0 ** -53 * float(np.sum(a * b))
+    assert pad < 2.0 ** -1022 and ku.is_scaled(a, b)
+    err = abs(exact - Fraction(_left_to_right(a * b)))
+    assert err >= Fraction(n - 1, n) * Fraction(1 - 2.0 ** -20) * Fraction(pad)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_odd_power_of_a_tiny_negative_endpoint_stays_below_zero(n):
+    # (-1e-250)^n underflows, but the lower endpoint must stay at or below
+    # it: only an endpoint that is exactly 0 keeps an exactly-0 power
+    exact = Fraction(-1e-250) ** n
+    assert Fraction((Interval(-1e-250, 1.0) ** n).lo) <= exact < 0
+    box = PolyMap(1, [[(1.0, (n,))]]).eval_box(IntervalBox([-1e-250], [1.0]))
+    assert Fraction(float(box.lo[0])) <= exact
+
+
+def test_overflowing_products_are_sound_and_silent():
+    # no np.errstate here: an overflowing vmul or vsqr product is an
+    # infinite endpoint without a RuntimeWarning, like the sums' overflow
+    big, huge = np.array([1e200]), np.array([1e290])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lo, hi = ku.vmul(huge, huge, huge, huge)
+        assert hi[0] == np.inf and Fraction(float(lo[0])) <= Fraction(1e290) ** 2
+        lo, hi = ku.vsqr(big, big)
+        assert hi[0] == np.inf and Fraction(float(lo[0])) <= Fraction(1e200) ** 2
+        # an Interval refuses the infinite endpoint with its own error
+        with pytest.raises(IntervalError):
+            Interval(1e200, 1e200) * Interval(1e200, 1e200)
+        with pytest.raises(IntervalError):
+            Interval(1e200, 1e200).sqr()
 
 
 # --- vsqr, vsqrt, vdiv, widen_abs against exact rational arithmetic --------

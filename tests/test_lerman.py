@@ -207,17 +207,17 @@ def melnikov_oracle(cfg: LUConfig) -> np.ndarray:
     ev = _approx_w(cfg, "unstable")
     vu0 = locate_homoclinic(cfg, "unstable")
 
+    h = 1e-9
+    stencil = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+
     def ambient(x_chart):
+        # Newton with central differences; each iteration flows its 5-point
+        # stencil as one batch, whose rows equal single calls bit for bit
         v = vu0.copy()
         for _ in range(40):
-            fx = ev(0.0, v)[:2] - x_chart
-            h = 1e-9
-            jac = np.zeros((2, 2))
-            for j in range(2):
-                dv = np.zeros(2)
-                dv[j] = h
-                jac[:, j] = (ev(0.0, v + dv)[:2] - ev(0.0, v - dv)[:2]) / (2 * h)
-            v -= np.linalg.solve(jac, fx)
+            w = ev(0.0, v + stencil)[:, :2]
+            jac = np.stack([w[1] - w[2], w[3] - w[4]], axis=1) / (2 * h)
+            v -= np.linalg.solve(jac, w[0] - x_chart)
         w = ev(0.0, v)
         return p0 + a @ w
 
@@ -321,6 +321,20 @@ def test_structural_failure_when_T_too_short():
     with pytest.raises(ConditionError):
         from splitcert.lerman import build_distance_oracle
         build_distance_oracle(cfg)
+
+
+def test_singular_shooting_jacobian_fails_the_certificate(monkeypatch):
+    # a shooting map that ignores its parameters has a zero Jacobian: the
+    # float Newton raises ConditionError, which the proof reports as a
+    # failed certificate
+    from splitcert import lerman
+
+    monkeypatch.setattr(lerman, "_approx_w", lambda cfg, side: lambda eps, v: np.ones((len(v), 4)))
+    with pytest.raises(ConditionError, match="numerically singular"):
+        locate_homoclinic(CFG, "unstable")
+    cert = run_theorem_proof(CFG)
+    assert cert.verdict == "failed"
+    assert cert.diagnostics["stage_error"].startswith("ConditionError")
 
 
 def test_sample_manifold_conserves_integrals():
