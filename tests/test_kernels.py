@@ -481,6 +481,7 @@ def test_imulsum_contains_exact_sums_at_its_error_bound(n):
     a, b = rows[-1]
     pad = n * 2.0 ** -53 * float(np.sum(a * b))
     assert pad < 2.0 ** -1022 and ku.is_scaled(a, b)
+    exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
     err = abs(exact - Fraction(_left_to_right(a * b)))
     assert err >= Fraction(n - 1, n) * Fraction(1 - 2.0 ** -20) * Fraction(pad)
 
